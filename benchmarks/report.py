@@ -717,9 +717,9 @@ def e17() -> None:
         ],
     )
 
-    def run(shards, commit="live", obs=None):
+    def run(shards, commit="live"):
         engine = Engine(
-            definitions=[worker], seed=7, commit=commit, shards=shards, obs=obs
+            definitions=[worker], seed=7, commit=commit, shards=shards
         )
         engine.assert_tuples([(k, d) for k in range(workers) for d in range(depth)])
         for k in range(workers):
@@ -733,10 +733,7 @@ def e17() -> None:
         __, t_best = min(
             (timed(run, shards) for __ in range(3)), key=lambda pair: pair[1]
         )
-        engine, result = run(shards, commit="group", obs=True)
-        skips = result.metrics.get("sdl_shard_disjoint_admits_total", {}).get(
-            "data", 0
-        )
+        engine, result = run(shards, commit="group")
         sizes = engine.dataspace.shard_sizes()
         rows.append(
             [
@@ -744,15 +741,14 @@ def e17() -> None:
                 f"{t_best*1000:.1f}",
                 result.rounds,
                 result.max_batch,
-                skips,
                 "/".join(str(s) for s in sizes),
             ]
         )
     table(
-        "E17 — sharded storage: routing cost and disjoint-admission bypass "
+        "E17 — sharded storage: routing cost and layout-blind group admission "
         f"({workers} communities x {depth})",
         ["layout", "live ms (best of 3)", "group rounds", "max batch",
-         "pairwise checks skipped", "shard occupancy"],
+         "shard occupancy"],
         rows,
     )
 

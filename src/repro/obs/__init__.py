@@ -73,7 +73,7 @@ SITE_HISTOGRAMS = {
 _SITE_HELP = {
     "match": "Dataspace.candidates: index probe + snapshot build",
     "plan": "QueryPlanner: selectivity estimation + plan construction (cache misses only)",
-    "wakeup": "WakeupIndex.affected: wake candidate selection + verification",
+    "wakeup": "WakeupIndex.affected: exact shape-keyed wake lookup + FIFO sort",
     "group-admit": "group round phase B: snapshot evaluation + conflict admission",
     "group-apply": "group round phase C: applying the admitted batch",
     "parallel-apply": "worker evaluation of one shard-disjoint admitted group",

@@ -33,12 +33,19 @@ prefix-closed subsequence of the arbitration order with pairwise-compatible
 footprints, and replaying it serially in that order from the round-start
 state reproduces the batch state exactly (checked by
 :func:`validate_serial_equivalence` under ``validate="serial"``).
+
+Both sides of r-w are equality conjunctions over ``(arity, positions ->
+values)``, so admission does not walk pairs: :class:`AdmittedBatch` keys
+the admitted writes by shape and :func:`first_conflict` probes it with the
+candidate's own watchers and retracted ids.  :func:`conflicts` and
+:meth:`WriteRecord.touches` state the relation pairwise and serve as the
+test oracle.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.core.actions import AssertTuple, Let
 from repro.core.dataspace import Dataspace
@@ -52,27 +59,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.process import ProcessInstance
 
 __all__ = [
-    "UNKNOWN",
     "WriteRecord",
     "Footprint",
     "read_side",
     "footprint_for",
+    "complete_footprint",
     "conflicts",
+    "AdmittedBatch",
     "first_conflict",
     "validate_serial_equivalence",
 ]
-
-
-class _Unknown:
-    """Sentinel for an assert position whose value is not statically known."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-
-UNKNOWN = _Unknown()
 
 
 class WriteRecord:
@@ -80,7 +76,9 @@ class WriteRecord:
 
     __slots__ = ("arity", "known")
 
-    def __init__(self, arity: int, known: Mapping[int, Any]) -> None:
+    def __init__(
+        self, arity: int, known: Mapping[int, Any] | Iterable[tuple[int, Any]]
+    ) -> None:
         self.arity = arity
         self.known = dict(known)  # position -> value; absent positions unknown
 
@@ -120,13 +118,12 @@ class Footprint:
     * ``retract_shards`` — the shards its retracted instances live in
       (always exact: retractions know every field).
 
-    Candidate *L* can conflict with admitted *E* only through **r-w**
-    (``L.read_shards`` meets ``E.write_shards``) or **w-w**
-    (``L.retract_shards`` meets ``E.retract_shards``) — assert/assert
-    overlap is no conflict, so a shared assert sink (every worker logging
-    to one community) does not defeat the test.  Group admission checks
-    both intersections against the admitted batch's unions in O(1) before
-    falling back to pairwise key checks.
+    ``writes`` and the shard-sets are filled in by
+    :func:`complete_footprint`, i.e. only on admitted footprints: parallel
+    apply groups the batch by ``read_shards | retract_shards`` and
+    ``validate_plan`` holds worker plans inside ``write_shards``.
+    Admission itself does not consult the shard-sets — it probes the
+    :class:`AdmittedBatch` key index.
     """
 
     __slots__ = (
@@ -170,20 +167,20 @@ def footprint_for(
     result: QueryResult | None,
     process: "ProcessInstance",
     scope: dict[str, Any],
-    partitioner=None,
     reads: "tuple[bool, tuple[AtomWatcher, ...]] | None" = None,
 ) -> Footprint:
-    """Record the footprint of *txn* evaluated (as *result*) for *process*.
+    """Record what admission must check of *txn* evaluated (as *result*)
+    for *process*: its reads and the tuple ids it retracts.
+
+    That is all :func:`first_conflict` asks of a candidate, and most
+    candidates of a contended round lose, so the rest — retraction
+    records, predicted asserts, shard-sets — is derived by
+    :func:`complete_footprint`, for the candidate being admitted only.
 
     *result* is ``None`` when the snapshot evaluation failed — the
     footprint then carries reads only, so the *failure verdict* still
     participates in conflict detection (a query that failed against the
     snapshot may succeed after an earlier admitted write).
-
-    *partitioner* (a multi-shard ``repro.core.storage.Partitioner``, or
-    ``None``) additionally labels the footprint with its shard-sets for
-    the O(1) batch-disjointness fast path; it never changes which
-    conflicts :func:`conflicts` reports.
 
     *reads* is an optional precomputed :func:`read_side` result: read
     derivation depends only on the transaction, view, and scope — all
@@ -193,30 +190,41 @@ def footprint_for(
     """
     reads_all, watchers = read_side(txn, process, scope) if reads is None else reads
     if result is None or not result.success:
-        if partitioner is None or partitioner.shard_count <= 1:
-            return Footprint(process.pid, reads_all, watchers, frozenset(), ())
-        return Footprint(
-            process.pid, reads_all, watchers, frozenset(), (),
-            read_shards=_read_shards(partitioner, reads_all, watchers),
-            write_shards=frozenset(),
-        )
+        return Footprint(process.pid, reads_all, watchers, frozenset(), ())
+    retract_tids = frozenset([inst.tid for inst in result.all_retracted()])
+    return Footprint(process.pid, reads_all, watchers, retract_tids, ())
+
+
+def complete_footprint(
+    footprint: Footprint,
+    txn: Transaction,
+    result: QueryResult,
+    scope: dict[str, Any],
+    partitioner=None,
+) -> Footprint:
+    """Fill in, in place, what is read off an *admitted* footprint.
+
+    Later candidates probe its writes — one exact :class:`WriteRecord` per
+    retracted instance, one predicted record per assert — and, under a
+    multi-shard *partitioner* (``repro.core.storage.Partitioner``, or
+    ``None``), the apply phase reads its shard-sets.  Returns *footprint*
+    (from :func:`footprint_for`, for the successful *result*).
+    """
     retracted = result.all_retracted()
-    retract_tids = frozenset(inst.tid for inst in retracted)
-    writes: list[WriteRecord] = [
-        WriteRecord(inst.arity, dict(enumerate(inst.values))) for inst in retracted
+    writes = [
+        WriteRecord(inst.arity, enumerate(inst.values)) for inst in retracted
     ]
     writes.extend(_assert_intents(txn, result, scope))
-    if partitioner is None or partitioner.shard_count <= 1:
-        return Footprint(process.pid, reads_all, watchers, retract_tids, writes)
-    retract_shards = frozenset(
-        partitioner.shard_of_values(inst.values) for inst in retracted
-    )
-    return Footprint(
-        process.pid, reads_all, watchers, retract_tids, writes,
-        read_shards=_read_shards(partitioner, reads_all, watchers),
-        write_shards=_write_shards(partitioner, writes),
-        retract_shards=retract_shards,
-    )
+    footprint.writes = tuple(writes)
+    if partitioner is not None and partitioner.shard_count > 1:
+        footprint.read_shards = _read_shards(
+            partitioner, footprint.reads_all, footprint.watchers
+        )
+        footprint.write_shards = _write_shards(partitioner, writes)
+        footprint.retract_shards = frozenset(
+            [partitioner.shard_of_values(inst.values) for inst in retracted]
+        )
+    return footprint
 
 
 def _read_shards(
@@ -227,16 +235,16 @@ def _read_shards(
     Routing rests on the partitioner invariant that a tuple's home shard
     is a pure function of ``(arity, field 0)``: a watcher pinning position
     0 only observes populations of that one shard.  Anything less
-    determinate makes the read side unbounded — which only disables the
-    fast path, never admission soundness.
+    determinate makes the read side unbounded — which only keeps the
+    candidate off the worker pool, never affects admission.
     """
     if reads_all:
         return None
     shards: set[int] = set()
     for watcher in watchers:
-        head = next((v for p, v in watcher.probes if p == 0), UNKNOWN)
-        if head is UNKNOWN:
+        if 0 not in watcher.positions:
             return None
+        head = watcher.values[watcher.positions.index(0)]
         shards.add(partitioner.shard_of(watcher.arity, head))
     return frozenset(shards)
 
@@ -289,7 +297,7 @@ def _assert_intents(
 
     Positions are resolved through :meth:`Pattern.index_constants` under
     the match bindings — never by evaluating action expressions, which may
-    have effects.  Unresolvable positions stay :data:`UNKNOWN`.
+    have effects.  Unresolvable positions are left out of ``known``.
     """
     intents: list[WriteRecord] = []
     asserts = [a for a in txn.actions if isinstance(a, AssertTuple)]
@@ -304,13 +312,18 @@ def _assert_intents(
         arity = action.pattern.arity
         for env in envs:
             intents.append(
-                WriteRecord(arity, dict(action.pattern.index_constants(env)))
+                WriteRecord(arity, action.pattern.index_constants(env))
             )
     return intents
 
 
 def conflicts(later: Footprint, earlier: Footprint) -> bool:
-    """Does *later* conflict with the already-admitted *earlier*?"""
+    """Does *later* conflict with the already-admitted *earlier*?
+
+    The pairwise statement of the conflict rules, and with
+    :meth:`WriteRecord.touches` the test oracle for :class:`AdmittedBatch`;
+    the engine path never calls it.
+    """
     # w-w: both retract the same instance — only one retraction can succeed.
     if later.retract_tids and not later.retract_tids.isdisjoint(earlier.retract_tids):
         return True
@@ -326,12 +339,155 @@ def conflicts(later: Footprint, earlier: Footprint) -> bool:
     )
 
 
-def first_conflict(admitted: Sequence[Footprint], candidate: Footprint) -> Footprint | None:
-    """The first admitted footprint *candidate* conflicts with, or ``None``."""
-    for earlier in admitted:
-        if conflicts(candidate, earlier):
-            return earlier
-    return None
+class _WriteGroup:
+    """The admitted writes of one ``(arity, known positions)`` shape.
+
+    Answers, for a watcher, the first admitted index whose write in this
+    group touches it.  Per watcher shape the group lazily builds one table
+    keyed on the written values at the positions both shapes know; a
+    watcher shape sharing no position with the writes is touched by every
+    one of them, i.e. from the group's first index on.
+    """
+
+    __slots__ = ("positions", "first", "rows", "tables")
+
+    def __init__(self, positions: tuple[int, ...], first: int) -> None:
+        self.positions = positions
+        self.first = first  # admitted index of the group's first write
+        #: ``(known, admitted index)`` per write, in admission order.
+        self.rows: list[tuple[dict[int, Any], int]] = []
+        #: watcher positions -> ``(pick, shared, table)``, or ``None`` when
+        #: nothing is shared: *shared* are the positions both know, *pick*
+        #: their indexes into a watcher's ``values``, *table* maps written
+        #: values at *shared* to the first admitted index writing them.
+        self.tables: dict[tuple[int, ...], tuple | None] = {}
+
+    def add(self, known: dict[int, Any], index: int) -> None:
+        self.rows.append((known, index))
+        for entry in self.tables.values():
+            if entry is not None:
+                __, shared, table = entry
+                table.setdefault(tuple([known[p] for p in shared]), index)
+
+    def first_touching(self, watcher: AtomWatcher) -> int | None:
+        try:
+            entry = self.tables[watcher.positions]
+        except KeyError:
+            entry = self._build(watcher.positions)
+        if entry is None:
+            return self.first
+        values = watcher.values
+        return entry[2].get(tuple([values[i] for i in entry[0]]))
+
+    def _build(self, watcher_positions: tuple[int, ...]) -> tuple | None:
+        known_positions = self.positions
+        pick = tuple(
+            [i for i, p in enumerate(watcher_positions) if p in known_positions]
+        )
+        entry = None
+        if pick:
+            shared = tuple([watcher_positions[i] for i in pick])
+            table: dict[tuple, int] = {}
+            for known, index in self.rows:
+                table.setdefault(tuple([known[p] for p in shared]), index)
+            entry = (pick, shared, table)
+        self.tables[watcher_positions] = entry
+        return entry
+
+
+class AdmittedBatch:
+    """The footprints admitted so far in one round, indexed by what they write.
+
+    List-like (``append``, ``len``, indexing) for the apply phase; for
+    admission it answers :func:`first_conflict` in time proportional to the
+    *candidate's* footprint, not the batch: retracted tuple ids map to the
+    first admitted index retracting them, and writes are grouped by
+    ``(arity, known positions)`` (a predicted assert's unknown positions
+    are simply absent from its shape, so it is indexed like an exact
+    retraction — there is no residual list to walk).
+    """
+
+    __slots__ = ("_footprints", "_retracts", "_first_write", "_groups")
+
+    def __init__(self, footprints: Iterable[Footprint] = ()) -> None:
+        self._footprints: list[Footprint] = []
+        self._retracts: dict[TupleId, int] = {}
+        self._first_write: int | None = None  # first footprint with any write
+        #: arity -> known positions -> group.
+        self._groups: dict[int, dict[tuple[int, ...], _WriteGroup]] = {}
+        for footprint in footprints:
+            self.append(footprint)
+
+    def __len__(self) -> int:
+        return len(self._footprints)
+
+    def __getitem__(self, index: int) -> Footprint:
+        return self._footprints[index]
+
+    def append(self, footprint: Footprint) -> None:
+        index = len(self._footprints)
+        self._footprints.append(footprint)
+        retracts = self._retracts
+        for tid in footprint.retract_tids:
+            retracts.setdefault(tid, index)
+        if not footprint.writes:
+            return
+        if self._first_write is None:
+            self._first_write = index
+        for write in footprint.writes:
+            shapes = self._groups.setdefault(write.arity, {})
+            positions = tuple(sorted(write.known))
+            group = shapes.get(positions)
+            if group is None:
+                group = shapes[positions] = _WriteGroup(positions, index)
+            group.add(write.known, index)
+
+    def first_conflict_index(self, candidate: Footprint) -> int | None:
+        """The least admitted index *candidate* conflicts with, or ``None``.
+
+        Equal to the index the pairwise :func:`conflicts` walk stops at:
+        the minimum over w-w (a shared retracted tid) and r-w (an admitted
+        write touching one of the candidate's watchers).
+        """
+        best: int | None = None
+        retracts = self._retracts
+        if retracts:
+            for tid in candidate.retract_tids:
+                index = retracts.get(tid)
+                if index is not None and (best is None or index < best):
+                    if index == 0:
+                        return 0
+                    best = index
+        first_write = self._first_write
+        if first_write is None or (best is not None and best <= first_write):
+            return best
+        if candidate.reads_all:
+            return first_write
+        for watcher in candidate.watchers:
+            shapes = self._groups.get(watcher.arity)
+            if shapes is None:
+                continue
+            for group in shapes.values():
+                if best is not None and group.first >= best:
+                    continue  # nothing in this group precedes the best so far
+                index = group.first_touching(watcher)
+                if index is not None and (best is None or index < best):
+                    best = index
+        return best
+
+
+def first_conflict(
+    admitted: "AdmittedBatch | Sequence[Footprint]", candidate: Footprint
+) -> Footprint | None:
+    """The first admitted footprint *candidate* conflicts with, or ``None``.
+
+    A plain sequence is indexed first, so there is one lookup path; the
+    pairwise walk over :func:`conflicts` returns the same footprint and is
+    kept as the test oracle.
+    """
+    batch = admitted if isinstance(admitted, AdmittedBatch) else AdmittedBatch(admitted)
+    index = batch.first_conflict_index(candidate)
+    return None if index is None else batch[index]
 
 
 # ----------------------------------------------------------------------

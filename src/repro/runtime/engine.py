@@ -354,9 +354,7 @@ class Engine:
         self.scheduler = Scheduler(self.rng, policy)
         if commit == "serial":
             self.scheduler.round_size = 1
-        self.wakeups = WakeupIndex(
-            obs=self.obs, partitioner=self.dataspace.partitioner
-        )
+        self.wakeups = WakeupIndex(obs=self.obs)
         self.executor = Executor(self)
         self.tasks: dict[int, Task] = {}
         self._windows: dict[int, Window] = {}

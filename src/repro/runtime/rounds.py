@@ -13,15 +13,10 @@ One round runs four phases over the items ready at its start:
   selections, replication pumps, and other control flow go to the *tail*;
 * **Phase B — admit**: every candidate is evaluated against the common
   round-start snapshot, its footprint recorded, and the largest
-  prefix-compatible subsequence admitted (:mod:`repro.runtime.commit`).
-  Under a sharded dataspace each footprint carries per-rule shard-sets
-  (see :class:`~repro.runtime.commit.Footprint`); a candidate whose reads
-  meet no admitted write's shard and whose retractions meet no admitted
-  retraction's shard cannot conflict with any batch member, so the
-  pairwise ``first_conflict`` walk is skipped after two O(1) set
-  intersections (counted as ``sdl_shard_disjoint_admits_total``).  The
-  skip elides only checks that would provably return "no conflict", so
-  admission decisions are identical with and without it.  Under
+  prefix-compatible subsequence admitted (:mod:`repro.runtime.commit`):
+  each candidate's reads and retracted tuple ids probe the key index of
+  the batch admitted so far (:class:`~repro.runtime.commit.AdmittedBatch`),
+  and only the candidate being admitted has its write half derived.  Under
   ``admit="parallel"`` the *match evaluation* half of this phase runs on
   the worker pool over cached shard snapshots
   (:func:`_dispatch_admission`) while the walk itself — validation,
@@ -44,6 +39,8 @@ from typing import TYPE_CHECKING, Any
 from repro.core.query import Match, QueryResult
 from repro.core.transactions import Control, Mode, Transaction, TransactionOutcome, execute
 from repro.runtime.commit import (
+    AdmittedBatch,
+    complete_footprint,
     first_conflict,
     footprint_for,
     read_side,
@@ -149,16 +146,9 @@ def run_group_round(executor: "Executor", items: list) -> list:
         else {}
     )
     admitted: list[tuple[Task, Transaction, Any, str]] = []
-    admitted_fps: list = []
-    # Union of the admitted batch's shard-sets, one per conflict rule:
-    # writes (r-w) and retractions (w-w).  The write union goes ``None`` —
-    # fast path off for the rest of the round — once any admitted footprint
-    # has an unbounded write side; retract sets are always exact.
-    admitted_write_shards: frozenset[int] | None = frozenset()
-    admitted_retract_shards: frozenset[int] = frozenset()
+    admitted_fps = AdmittedBatch()
     losers: list[Task] = []
     conflict_count = 0
-    disjoint_skips = 0
     for position, (task, txn, origin) in enumerate(candidates):
         if task.state is not TaskState.READY:
             continue  # its process died during classification
@@ -203,24 +193,9 @@ def run_group_round(executor: "Executor", items: list) -> list:
             result if result.success else None,
             process,
             scope,
-            partitioner if sharded else None,
             reads=verdict[0].reads if verdict is not None else None,
         )
-        if (
-            admitted_fps
-            and fp.read_shards is not None
-            and admitted_write_shards is not None
-            and fp.read_shards.isdisjoint(admitted_write_shards)
-            and fp.retract_shards.isdisjoint(admitted_retract_shards)
-        ):
-            # Shard-disjoint from the whole admitted batch on both conflict
-            # rules (its reads meet no admitted write's shard, its
-            # retractions meet no admitted retraction's shard): no pairwise
-            # check can report a conflict, so don't run them.
-            winner = None
-            disjoint_skips += 1
-        else:
-            winner = first_conflict(admitted_fps, fp)
+        winner = first_conflict(admitted_fps, fp)
         if winner is not None:
             # Loser: both its success and its failure verdicts are
             # unreliable after the winner's writes — re-queue, never
@@ -256,17 +231,10 @@ def run_group_round(executor: "Executor", items: list) -> list:
                 _group_failure(executor, task, txn, origin)
                 continue
         admitted.append((task, txn, result, origin))
-        admitted_fps.append(fp)
-        if admitted_write_shards is not None:
-            admitted_write_shards = (
-                None
-                if fp.write_shards is None
-                else admitted_write_shards | fp.write_shards
-            )
-        admitted_retract_shards |= fp.retract_shards
+        admitted_fps.append(
+            complete_footprint(fp, txn, result, scope, partitioner if sharded else None)
+        )
     if obs is not None:
-        if disjoint_skips:
-            obs.count("sdl_shard_disjoint_admits_total", amount=disjoint_skips)
         obs.observe_ns(
             "group-admit",
             admit_start,
@@ -380,7 +348,7 @@ def run_group_round(executor: "Executor", items: list) -> list:
 def _parallel_plans(
     engine,
     admitted: list,
-    admitted_fps: list,
+    admitted_fps: AdmittedBatch,
     sharded: bool,
     apply_start: int,
 ) -> dict[int, ActionPlan]:
@@ -393,7 +361,7 @@ def _parallel_plans(
     ``read_shards | retract_shards`` — the shards a candidate's verdict
     depends on and contends in.  The write side is deliberately *not* a
     grouping key: assert/assert commutes (the same asymmetry the
-    admission fast path exploits), so a shared assert sink — every
+    conflict rules rest on), so a shared assert sink — every
     community logging to one ``done`` shard — must not collapse the
     batch into a single group.  One group means no parallelism to
     exploit, so serial apply keeps its zero-overhead path.  Candidates

@@ -8,13 +8,15 @@ carrying the atom's arity plus every ``(position, value)`` constant
 determinable from the process scope via
 :meth:`~repro.core.patterns.Pattern.index_constants`.
 
-The :class:`WakeupIndex` registers each watcher under a single
-discriminating ``(arity, position, value)`` key — or under its arity alone
-when no constant is determinable — so a dataspace change probes O(keys of
-the changed tuples) buckets instead of scanning every blocked task.  A
-candidate found through any bucket is then verified against the *full*
-conjunction of its watcher's probes, so delivered wakes are exactly the
-changes that touch a tuple the query could newly (mis)match.
+The :class:`WakeupIndex` registers each watcher under its *full* probe
+shape — the table of its ``(arity, positions)``, keyed by the values at
+those positions; the empty shape when no constant is determinable — so a
+dataspace change costs one hash probe per shape registered for each changed
+tuple's arity instead of a scan of the blocked tasks.  The lookup is exact:
+a bucket hit means every probe of the watcher equals the changed tuple's
+field, so delivered wakes are exactly the changes that touch a tuple the
+query could newly (mis)match, with no per-candidate verification
+(:meth:`Subscription.matches` is the test oracle of that claim).
 
 Soundness (at-least-once wake): a parked query's satisfiability can only
 change when the dataspace gains or loses a tuple matching one of its atoms
@@ -54,29 +56,39 @@ __all__ = [
 class WakeupStats:
     """Aggregate counters over one engine run (exposed via ``RunResult``)."""
 
-    key_watchers: int = 0     # watchers registered under a field key
-    arity_watchers: int = 0   # watchers registered under an arity bucket
+    key_watchers: int = 0     # watchers registered under a keyed shape
+    arity_watchers: int = 0   # watchers registered under the empty shape
     any_subscriptions: int = 0  # parked items on the wake-on-any fallback
-    wake_checks: int = 0      # candidate verifications performed
+    wake_checks: int = 0      # subscriptions delivered from key buckets
 
 
 class AtomWatcher:
-    """One query atom's wake condition: arity plus known field constants."""
+    """One query atom's wake condition: arity plus known field constants.
 
-    __slots__ = ("arity", "probes")
+    The ``(position, value)`` probes are kept unzipped — ``positions`` is
+    the *shape* and ``values`` the key the wakeup and admission indexes
+    file this watcher under.
+    """
 
-    def __init__(self, arity: int, probes: tuple[tuple[int, Any], ...] = ()) -> None:
+    __slots__ = ("arity", "positions", "values")
+
+    def __init__(self, arity: int, probes: Sequence[tuple[int, Any]] = ()) -> None:
         self.arity = arity
-        self.probes = probes
+        self.positions = tuple([position for position, __ in probes])
+        self.values = tuple([value for __, value in probes])
+
+    @property
+    def probes(self) -> tuple[tuple[int, Any], ...]:
+        return tuple(zip(self.positions, self.values))
 
     def matches(self, inst: TupleInstance) -> bool:
         if inst.arity != self.arity:
             return False
         values = inst.values
-        return all(values[position] == value for position, value in self.probes)
+        return all(values[p] == v for p, v in zip(self.positions, self.values))
 
     def __repr__(self) -> str:
-        body = ",".join(f"{p}={v!r}" for p, v in self.probes)
+        body = ",".join(f"{p}={v!r}" for p, v in zip(self.positions, self.values))
         return f"watch(arity={self.arity}{',' + body if body else ''})"
 
 
@@ -141,7 +153,7 @@ def _query_watchers(
     watchers = [
         AtomWatcher(
             atom.pattern.arity,
-            tuple(atom.pattern.index_constants(scope)) if with_keys else (),
+            atom.pattern.index_constants(scope) if with_keys else (),
         )
         for atom in query.atoms
     ]
@@ -160,7 +172,7 @@ def _expr_watchers(
         watchers = [
             AtomWatcher(
                 pat.arity,
-                tuple(pat.index_constants(scope)) if with_keys else (),
+                pat.index_constants(scope) if with_keys else (),
             )
             for pat in expr.patterns
         ]
@@ -208,55 +220,36 @@ def txn_arities(query: Query) -> set[int] | None:
 # the index
 # ----------------------------------------------------------------------
 
-#: Pseudo-shard for watcher keys no shard can claim (non-head positions,
-#: or no partitioner attached): one table shared by every change probe.
-_GLOBAL_SHARD = -1
-
-
 class WakeupIndex:
-    """Registry of parked items keyed by the index keys they watch.
+    """Registry of parked items keyed by the full probe shape they watch.
+
+    A watcher is an equality conjunction over ``(arity, positions ->
+    values)``, so the index keeps one table per ``(arity, positions)``
+    *shape*, keyed by the tuple of values at those positions:
+    ``arity -> {positions: {values: {tid}}}``; a probe-less watcher is the
+    empty shape ``()``.  A changed instance is looked up once per shape
+    registered for its arity, and every bucket hit is a delivered wake —
+    there is no candidate verification.
 
     Items are any objects with a ``tid``; registration order is preserved
     (re-registering a parked item under a new subscription keeps its slot)
     so wake delivery stays FIFO — the weak-fairness order of the seed.
-
-    When a *partitioner* (``repro.core.storage.Partitioner``) is attached,
-    the key tables are kept **per shard**: a watcher key pinning position 0
-    registers in the home shard's table of its ``(arity, value)``, all
-    other keys in the global table.  A changed instance then probes only
-    its own shard's table plus the global one.  Registration and probing
-    use the same pure routing function, so the candidate sets — and the
-    ``wake_checks`` counter — are identical to the flat layout.
     """
 
-    __slots__ = ("stats", "obs", "_items", "_subs", "_any", "_by_arity", "_by_key", "_order", "_seq", "_partitioner")
+    __slots__ = ("stats", "obs", "_items", "_subs", "_any", "_shapes", "_order", "_seq")
 
-    def __init__(self, stats: WakeupStats | None = None, obs=None, partitioner=None) -> None:
+    def __init__(self, stats: WakeupStats | None = None, obs=None) -> None:
         self.stats = stats if stats is not None else WakeupStats()
         #: Observability hook (``repro.obs.Observability`` or ``None``);
         #: ``None`` keeps :meth:`affected` on the original path.
         self.obs = obs
-        #: Shard router (or ``None``: every key in the global table).
-        #: Single-shard partitioners are treated as absent — one table.
-        self._partitioner = (
-            partitioner
-            if partitioner is not None and partitioner.shard_count > 1
-            else None
-        )
         self._items: dict[int, Any] = {}
         self._subs: dict[int, Subscription] = {}
         self._any: set[int] = set()
-        self._by_arity: dict[int, set[int]] = {}
-        #: shard -> key table; :data:`_GLOBAL_SHARD` holds unrouted keys.
-        self._by_key: dict[int, dict[tuple[int, int, Any], set[int]]] = {}
+        #: arity -> positions -> values at those positions -> tids.
+        self._shapes: dict[int, dict[tuple[int, ...], dict[tuple, set[int]]]] = {}
         self._order: dict[int, int] = {}  # tid -> registration sequence
         self._seq = 0
-
-    def _key_shard(self, arity: int, position: int, value: Any) -> int:
-        """Which table owns the watcher key ``(arity, position, value)``."""
-        if self._partitioner is None or position != 0:
-            return _GLOBAL_SHARD
-        return self._partitioner.shard_of(arity, value)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -290,18 +283,12 @@ class WakeupIndex:
             self.stats.any_subscriptions += 1
             return
         for watcher in sub.watchers:
-            if watcher.probes:
-                # One discriminating key suffices: a change can only wake
-                # this watcher if *all* probes match, so in particular the
-                # registered one does.  The last probe is heuristically the
-                # most selective (patterns lead with broad type-tag atoms).
-                position, value = watcher.probes[-1]
-                shard = self._key_shard(watcher.arity, position, value)
-                table = self._by_key.setdefault(shard, {})
-                table.setdefault((watcher.arity, position, value), set()).add(tid)
+            shapes = self._shapes.setdefault(watcher.arity, {})
+            table = shapes.setdefault(watcher.positions, {})
+            table.setdefault(watcher.values, set()).add(tid)
+            if watcher.positions:
                 self.stats.key_watchers += 1
             else:
-                self._by_arity.setdefault(watcher.arity, set()).add(tid)
                 self.stats.arity_watchers += 1
 
     def discard(self, tid: int) -> None:
@@ -318,24 +305,20 @@ class WakeupIndex:
         if sub.wake_any:
             return
         for watcher in sub.watchers:
-            if watcher.probes:
-                position, value = watcher.probes[-1]
-                shard = self._key_shard(watcher.arity, position, value)
-                table = self._by_key.get(shard)
-                key = (watcher.arity, position, value)
-                bucket = table.get(key) if table is not None else None
-                if bucket is not None:
-                    bucket.discard(tid)
-                    if not bucket:
-                        del table[key]
-                        if not table:
-                            del self._by_key[shard]
-            else:
-                bucket = self._by_arity.get(watcher.arity)
-                if bucket is not None:
-                    bucket.discard(tid)
-                    if not bucket:
-                        del self._by_arity[watcher.arity]
+            # Two watchers of one subscription may share a bucket: the
+            # second finds it already emptied and pruned.
+            shapes = self._shapes.get(watcher.arity)
+            table = shapes.get(watcher.positions) if shapes is not None else None
+            bucket = table.get(watcher.values) if table is not None else None
+            if bucket is None:
+                continue
+            bucket.discard(tid)
+            if not bucket:
+                del table[watcher.values]
+                if not table:
+                    del shapes[watcher.positions]
+                    if not shapes:
+                        del self._shapes[watcher.arity]
 
     # ------------------------------------------------------------------
     def affected(self, instances: Sequence[TupleInstance]) -> list[Any]:
@@ -348,40 +331,21 @@ class WakeupIndex:
             return []
         obs = self.obs
         start = obs.spans.now() if obs is not None else 0
-        checked = 0
-        woken: set[int] = set(self._any)
-        if self._by_arity or self._by_key:
-            partitioner = self._partitioner
-            by_key = self._by_key
-            candidates: set[int] = set()
-            for inst in instances:
-                bucket = self._by_arity.get(inst.arity)
-                if bucket:
-                    candidates |= bucket
-                if not by_key:
-                    continue
-                arity = inst.arity
-                values = inst.values
-                global_table = by_key.get(_GLOBAL_SHARD)
-                # Position-0 keys live in the instance's home-shard table;
-                # with no partitioner every key is in the global table.
-                if partitioner is not None and values:
-                    head_table = by_key.get(partitioner.shard_of(arity, values[0]))
-                else:
-                    head_table = global_table
-                for position, value in enumerate(values):
-                    table = head_table if position == 0 else global_table
-                    if not table:
-                        continue
-                    bucket = table.get((arity, position, value))
-                    if bucket:
-                        candidates |= bucket
-            candidates -= woken
-            checked = len(candidates)
-            self.stats.wake_checks += checked
-            for tid in candidates:
-                if self._subs[tid].matches(instances):
-                    woken.add(tid)
+        keyed: set[int] = set()
+        by_arity = self._shapes
+        for inst in instances:
+            values = inst.values
+            shapes = by_arity.get(len(values))
+            if shapes is None:
+                continue
+            for positions, table in shapes.items():
+                bucket = table.get(tuple([values[p] for p in positions]))
+                if bucket is not None:
+                    keyed |= bucket
+        # Wake-on-any items are in no key bucket, so the sets are disjoint.
+        checked = len(keyed)
+        self.stats.wake_checks += checked
+        woken = keyed | self._any
         out = [self._items[tid] for tid in sorted(woken, key=self._order.__getitem__)]
         if obs is not None:
             obs.observe_ns(
