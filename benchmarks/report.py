@@ -728,6 +728,10 @@ def e17() -> None:
         assert result.completed
         return engine, result
 
+    # Sum3 pins no field: every evaluation is an un-probed arity scan,
+    # the read a sharded layout must not re-assemble per query.
+    sum3_values = list(range(512))
+    sum3_single = None
     rows = []
     for shards in ("single", 2, 4, 8):
         __, t_best = min(
@@ -735,6 +739,11 @@ def e17() -> None:
         )
         engine, result = run(shards, commit="group")
         sizes = engine.dataspace.shard_sizes()
+        sum3_best = min(
+            timed(run_sum3, sum3_values, seed=7, shards=shards)[1] for __ in range(5)
+        )
+        if sum3_single is None:
+            sum3_single = sum3_best
         rows.append(
             [
                 engine.dataspace.shard_spec,
@@ -742,13 +751,15 @@ def e17() -> None:
                 result.rounds,
                 result.max_batch,
                 "/".join(str(s) for s in sizes),
+                f"{sum3_best*1000:.1f}",
+                f"{sum3_best/sum3_single:.2f}x",
             ]
         )
     table(
-        "E17 — sharded storage: routing cost and layout-blind group admission "
-        f"({workers} communities x {depth})",
+        "E17 — sharded storage: routing cost, layout-blind group admission "
+        f"({workers} communities x {depth}), un-probed scans (Sum3, N=512)",
         ["layout", "live ms (best of 3)", "group rounds", "max batch",
-         "shard occupancy"],
+         "shard occupancy", "Sum3 ms (best of 5)", "Sum3 vs single"],
         rows,
     )
 

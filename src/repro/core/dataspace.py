@@ -28,9 +28,17 @@ true, each load-bearing for the differential test suite:
 
 * **global numbering** — serials and versions are assigned by the facade,
   so instance identity and journal versions are layout-independent;
-* **serial-order merges** — within one store, dict insertion order equals
-  ascending-serial order; cross-shard reads k-way-merge by serial, which
-  reproduces a single store's iteration order exactly;
+* **serial order, maintained** — serials only grow, so within one store
+  dict insertion order equals ascending-serial order.  A cross-shard
+  *probe-less* read of an arity is served from a per-arity
+  ``tid -> instance`` order kept on the facade: built once (lazily, on the
+  first such read) by merging the shards' buckets, then kept current in
+  O(1) per admit/retract — append is global serial order — so the read is
+  ``list(order.values())``, exactly what a single store does.  What remains
+  cross-shard (position >= 1 field probes, column scans, ``by_field``,
+  ``instances``) concatenates the shards' ascending runs and sorts them on
+  serial in C (:func:`~repro.core.storage.merge_serial_lists`).  Either way
+  the result is a single store's iteration order exactly;
 * **global bucket selection** — :meth:`candidates` picks the narrowest
   index bucket by *global* size with the same first-wins tie-break as a
   single store, so seeded-RNG arbitration over the result is unchanged;
@@ -168,6 +176,11 @@ class Dataspace:
         self._tid_shard: dict[TupleId, int] | None = (
             None if self._single is not None else {}
         )
+        #: Multi-shard only: arity -> ``{tid: instance}`` in global serial
+        #: order, for the arities that have been read probe-less (see
+        #: :meth:`_arity_ordered`).  Admissions append and retracts delete,
+        #: so it holds exactly the live tuples of those arities.
+        self._arity_order: dict[int, dict[TupleId, TupleInstance]] = {}
         self._serial = 0
         self._version = 0
         #: Listeners keyed by registration token: the same callable may be
@@ -293,11 +306,15 @@ class Dataspace:
         else:
             shard_of = self.partitioner.shard_of_values
             tid_shard = self._tid_shard
+            arity_order = self._arity_order
             parts: dict[int, list[TupleInstance]] = {}
             for instance in instances:
                 shard = shard_of(instance.values)
                 tid_shard[instance.tid] = shard
                 parts.setdefault(shard, []).append(instance)
+                order = arity_order.get(instance.arity)
+                if order is not None:
+                    order[instance.tid] = instance
             for shard, batch in parts.items():
                 self.stores[shard].admit_many(batch)
                 if self._obs is not None:
@@ -318,6 +335,9 @@ class Dataspace:
             shard = self.partitioner.shard_of_values(instance.values)
             self._tid_shard[instance.tid] = shard
             self.stores[shard].admit(instance)
+            order = self._arity_order.get(instance.arity)
+            if order is not None:
+                order[instance.tid] = instance
             if self._obs is not None:
                 self._obs.gauge(
                     f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
@@ -336,6 +356,7 @@ class Dataspace:
             if shard is None:
                 raise SDLError(f"cannot retract {tid!r}: not in the dataspace")
             instance = self.stores[shard].remove(tid)
+            self._drop_ordered(instance)
             if self._obs is not None:
                 # Gauge updated on the retract path too: occupancy must
                 # track live ``len(store)`` at all times, not only after
@@ -370,7 +391,9 @@ class Dataspace:
             touched: set[int] = set()
             for tid in tids:
                 shard = self._tid_shard.pop(tid)
-                instances.append(self.stores[shard].remove(tid))
+                instance = self.stores[shard].remove(tid)
+                self._drop_ordered(instance)
+                instances.append(instance)
                 touched.add(shard)
             if self._obs is not None:
                 for shard in touched:
@@ -380,6 +403,31 @@ class Dataspace:
         kind = DataspaceChange.BATCH if len(instances) > 1 else DataspaceChange.RETRACT
         self._bump(kind, (), tuple(instances))
         return instances
+
+    def _arity_ordered(self, arity: int) -> dict[TupleId, TupleInstance]:
+        """All instances of *arity* in global serial order (sharded layouts).
+
+        The first probe-less read of an arity merges the shards' buckets
+        once; :meth:`_admit` / :meth:`insert_many` / :meth:`retract` /
+        :meth:`retract_many` then keep the order current, so later reads
+        re-assemble nothing.  An arity never read this way is never
+        tracked.
+        """
+        order = self._arity_order.get(arity)
+        if order is None:
+            order = self._arity_order[arity] = {
+                inst.tid: inst
+                for inst in merge_serial_lists(
+                    s.arity_candidates(arity) for s in self.stores
+                )
+            }
+        return order
+
+    def _drop_ordered(self, instance: TupleInstance) -> None:
+        """Forget a retracted instance in its arity's maintained order."""
+        order = self._arity_order.get(instance.arity)
+        if order is not None:
+            del order[instance.tid]
 
     def _bump(
         self,
@@ -520,23 +568,21 @@ class Dataspace:
     def by_arity(self, arity: int) -> Mapping[TupleId, TupleInstance]:
         """All instances with the given arity (live view; do not mutate).
 
-        Sharded layouts return a *fresh* serial-ordered merge instead of a
-        live view; prefer :meth:`arity_size` when only the count matters.
+        Sharded layouts return the facade's maintained serial order (and
+        start maintaining it); prefer :meth:`arity_size` when only the
+        count matters.
         """
         if self._single is not None:
             return self._single.arity_bucket(arity)
-        buckets = [b for b in (s.arity_bucket(arity) for s in self.stores) if b]
-        if not buckets:
-            return {}
-        if len(buckets) == 1:
-            return buckets[0]
-        return {inst.tid: inst for inst in merge_by_serial(buckets)}
+        return self._arity_ordered(arity)
 
     def by_field(self, arity: int, position: int, value: Any) -> Mapping[TupleId, TupleInstance]:
         """All instances of *arity* with *value* at *position* (live view).
 
-        Same sharded-layout caveat as :meth:`by_arity`; a position-0 key
-        lives entirely in its home shard, so that case stays a live view.
+        Sharded layouts return a *fresh* serial-ordered merge instead of a
+        live view, except that a position-0 key lives entirely in its home
+        shard, so that case stays a live view; prefer :meth:`field_size`
+        when only the count matters.
         """
         if self._single is not None:
             return self._single.field_bucket(arity, position, value)
@@ -584,10 +630,11 @@ class Dataspace:
         guaranteed to match — callers must still run :meth:`Pattern.match`.
 
         Layout-independence: bucket choice uses *global* bucket sizes with
-        the single store's first-wins tie-break, and cross-shard buckets
-        are merged in serial order — so the returned list (contents *and*
-        order, which feeds the seeded arbitration RNG) is identical under
-        every shard layout.
+        the single store's first-wins tie-break, a probe-less scan reads the
+        maintained arity order, and cross-shard field buckets are merged in
+        serial order — so the returned list (contents *and* order, which
+        feeds the seeded arbitration RNG) is identical under every shard
+        layout.
         """
         obs = self._obs
         start = obs.spans.now() if obs is not None else 0
@@ -631,9 +678,7 @@ class Dataspace:
         if best_probe is None:
             if obs is not None:
                 obs.count("sdl_shard_queries_total", route="cross")
-            return merge_serial_lists(
-                s.arity_candidates(arity) for s in self.stores
-            )
+            return list(self._arity_ordered(arity).values())
         position, value = best_probe
         if best_shard >= 0:
             if obs is not None:
@@ -661,8 +706,9 @@ class Dataspace:
         distinct positions (true of any single pattern's fields).
 
         A probe pinning position 0 confines the whole query to the home
-        shard of ``(arity, value)`` — the routed fast path; otherwise the
-        per-shard intersections are merged by serial.  Either way the
+        shard of ``(arity, value)`` — the routed fast path; no probes at all
+        reads the maintained arity order; otherwise the per-shard
+        intersections are merged by serial.  Every way the
         output is the full intersection in ascending-serial order, which a
         single store produces too, so layouts are indistinguishable.
         """
@@ -685,9 +731,12 @@ class Dataspace:
             else:
                 if obs is not None:
                     obs.count("sdl_shard_queries_total", route="cross")
-                out = merge_serial_lists(
-                    s.candidates_probed(arity, probes) for s in self.stores
-                )
+                if probes:
+                    out = merge_serial_lists(
+                        s.candidates_probed(arity, probes) for s in self.stores
+                    )
+                else:
+                    out = list(self._arity_ordered(arity).values())
         if obs is not None:
             obs.observe_ns(
                 "match",

@@ -58,11 +58,12 @@ can plug in later without touching the facade.
 
 from __future__ import annotations
 
-import heapq
 import zlib
 from array import array
+from bisect import bisect_right
 from collections import deque
 from itertools import islice
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
 from repro.core.tuples import TupleId, TupleInstance
@@ -80,6 +81,7 @@ __all__ = [
     "resolve_store",
     "merge_by_serial",
     "merge_serial_lists",
+    "cut_at_serial",
 ]
 
 #: How many change events each shard's delta journal retains.  The facade
@@ -1111,35 +1113,43 @@ def resolve_shards(spec: "str | int | Partitioner | None") -> Partitioner:
     return HeadPartitioner(spec)
 
 
-def merge_by_serial(buckets: Iterable) -> list[TupleInstance]:
-    """K-way merge per-shard instance dicts into global serial order.
-
-    Each bucket iterates in ascending-serial order (see
-    :class:`BaseStore`), so merging by serial reproduces exactly the
-    iteration order a single store would have produced — the facade's
-    determinism guarantee for cross-shard reads.
-    """
-    live = [bucket.values() for bucket in buckets if bucket]
-    if not live:
-        return []
-    if len(live) == 1:
-        return list(live[0])
-    return list(heapq.merge(*live, key=_serial_key))
+_serial_of = attrgetter("tid.serial")
 
 
 def merge_serial_lists(parts: Iterable) -> list[TupleInstance]:
-    """K-way merge per-shard instance *sequences* into global serial order.
+    """Merge per-shard serial-ascending instance runs into global serial order.
 
-    The list/iterator counterpart of :func:`merge_by_serial` for store
-    methods that already return serial-ascending sequences.
+    Each part iterates in ascending-serial order (see :class:`BaseStore`),
+    so the merged list is exactly the iteration order a single store would
+    have produced — the facade's determinism guarantee for cross-shard
+    reads.  The parts are concatenated and sorted on ``tid.serial``:
+    Timsort finds the k ascending runs and merges them in C, and serials
+    are unique, so the result is the k-way merge.
     """
-    live = [part for part in parts if part]
-    if not live:
-        return []
-    if len(live) == 1:
-        return list(live[0])
-    return list(heapq.merge(*live, key=_serial_key))
+    out: list[TupleInstance] = []
+    runs = 0
+    for part in parts:
+        before = len(out)
+        out.extend(part)
+        runs += len(out) > before
+    if runs > 1:
+        out.sort(key=_serial_of)
+    return out
 
 
-def _serial_key(instance: TupleInstance) -> int:
-    return instance.tid.serial
+def merge_by_serial(buckets: Iterable) -> list[TupleInstance]:
+    """:func:`merge_serial_lists` over per-shard ``tid -> instance`` dicts."""
+    return merge_serial_lists(bucket.values() for bucket in buckets)
+
+
+def cut_at_serial(rows: list[TupleInstance], serial: int) -> list[TupleInstance]:
+    """The instances of serial-ascending *rows* asserted at or before *serial*.
+
+    The one watermark filter (the snapshot lens and the ``admit="parallel"``
+    worker both call it, so their row counts agree by construction).  Rows
+    ascend by serial, so the survivors are a prefix: *rows* itself when
+    nothing is hidden, else a slice found by bisection.
+    """
+    if not rows or rows[-1].tid.serial <= serial:
+        return rows
+    return rows[: bisect_right(rows, serial, key=_serial_of)]

@@ -109,6 +109,7 @@ from repro.core.actions import (
 from repro.core.expressions import BinOp, Bindings, Call, Const, EvalContext, UnOp, Var
 from repro.core.plan import PlanStep, compile_pattern
 from repro.core.query import Membership
+from repro.core.storage import cut_at_serial
 from repro.core.transactions import Control, Transaction, TransactionOutcome
 from repro.errors import ExportViolation, TransactionError
 
@@ -572,11 +573,7 @@ def _eval_match_entry(store, watermark: int, entry: tuple) -> tuple:
     evaluation so the exception is reproduced bit-exactly on main).
     """
     arity, probes, scope, binders, repeat_checks, test = entry
-    rows = [
-        inst
-        for inst in store.candidates_probed(arity, list(probes))
-        if inst.tid.serial <= watermark
-    ]
+    rows = cut_at_serial(store.candidates_probed(arity, list(probes)), watermark)
     passes: list[tuple[int, int]] = []
     errors = 0
     for index, inst in enumerate(rows):

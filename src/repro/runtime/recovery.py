@@ -297,8 +297,10 @@ def _state_signature(space: Dataspace) -> list[tuple]:
 # WAL segment ``wal-<version>.seg`` (opened when checkpoint <version>
 # commits, so segments chain contiguously):
 #     ("chg", version, [(serial, owner, values), ...], [(serial, owner), ...])
-# Frame versions must be strictly increasing across the chain; replay
-# stops at the first violation as if the frame were corrupt.
+# One frame is written per dataspace version, so frame versions must
+# increase by exactly one across the chain; replay stops at the first
+# violation (a repeat, or a gap where a frame vanished whole) as if the
+# frame were corrupt.
 
 _MAGIC = b"SDLSEG1\n"
 _HEADER = struct.Struct(">II")
@@ -802,7 +804,12 @@ class DurableLog(RecoveryLog):
                     report.repairs.append(RepairEvent(name, offset, "corrupt"))
                     return
                 __, version, asserted, retracted = record
-                if version <= last_version:
+                if version != last_version + 1:
+                    # One chg frame is written per dataspace version, so
+                    # a gap means a frame vanished whole (a torn write
+                    # that kept zero bytes leaves nothing to fail a CRC):
+                    # replaying past it would apply later changes to a
+                    # state that is missing one.
                     report.repairs.append(RepairEvent(name, offset, "broken-chain"))
                     return
                 for serial, owner, values in asserted:

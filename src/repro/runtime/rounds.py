@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.query import Match, QueryResult
+from repro.core.storage import cut_at_serial
 from repro.core.transactions import Control, Mode, Transaction, TransactionOutcome, execute
 from repro.runtime.commit import (
     AdmittedBatch,
@@ -660,7 +661,10 @@ class _SnapshotLens:
     (:meth:`Executor._pump_fire_batch`) to give every evaluation in one
     batch a view of the dataspace *as of the start of the round*, which is
     what a synchronous parallel step of unboundedly many replicas would
-    see.
+    see.  Every candidate list is serial-ascending (serials are issued by
+    one monotone counter and every store and window preserves admission
+    order), so hiding the later tuples is cutting a prefix
+    (:func:`~repro.core.storage.cut_at_serial`), not filtering each row.
     """
 
     __slots__ = ("window", "max_serial")
@@ -680,18 +684,12 @@ class _SnapshotLens:
         return getattr(self.window, "planner", None)
 
     def candidates(self, pat, bound=None) -> list:
-        return [
-            inst
-            for inst in self.window.candidates(pat, bound)
-            if inst.tid.serial <= self.max_serial
-        ]
+        return cut_at_serial(self.window.candidates(pat, bound), self.max_serial)
 
     def candidates_probed(self, arity, probes) -> list:
-        return [
-            inst
-            for inst in self.window.candidates_probed(arity, probes)
-            if inst.tid.serial <= self.max_serial
-        ]
+        return cut_at_serial(
+            self.window.candidates_probed(arity, probes), self.max_serial
+        )
 
     def find_matching(self, pat, bound=None) -> list:
         # Each candidate matches against its own copy of the bindings

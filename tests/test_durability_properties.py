@@ -114,7 +114,7 @@ class TestDurableRoundTripProperty:
         if report.end_version != len(snapshots) - 1:
             assert report.repairs or report.checkpoints_skipped
 
-    @settings(max_examples=15, deadline=None)
+    @settings(deadline=None)  # no max_examples pin: CI's profile scales it
     @given(
         ops=ops_strategy,
         interval=st.sampled_from([4, 16]),
@@ -137,10 +137,37 @@ class TestDurableRoundTripProperty:
             scratch, report = DurableLog.load(wal_dir)
         except RecoveryError:
             return
-        assert 0 <= report.end_version < len(snapshots)
+        head = len(snapshots) - 1
+        assert 0 <= report.end_version <= head
         assert signature(scratch) == snapshots[report.end_version]
-        if injector.total_fired and report.end_version != len(snapshots) - 1:
-            assert report.repairs
+        if injector.total_fired and report.end_version != head:
+            # The one loss no log can count: a torn *final* append that
+            # persisted nothing is a crash before the write — the disk
+            # holds a clean history one version short.
+            vanished_tail = (
+                action == "torn-write" and at == head and report.end_version == head - 1
+            )
+            assert report.repairs or vanished_tail
+
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_torn_write_keeping_zero_bytes_is_a_counted_repair(self, tmp_path, at):
+        """A torn append that persists nothing drops frame *at* whole, so no
+        checksum fails; the version gap it leaves must stop the replay.
+        Swept over every fault seed: a few of them draw the empty prefix."""
+        ops = [("insert", k) for k in range(3)]
+        for fault_seed in range(100):
+            wal_dir = str(tmp_path / f"wal-{fault_seed}")
+            space = Dataspace()
+            injector = FaultInjector(
+                FaultPlan.parse(f"seed={fault_seed}; wal-append:torn-write:at={at}")
+            )
+            log = DurableLog(space, wal_dir, interval=64, faults=injector)
+            snapshots = apply_history(space, ops)
+            log.close()
+            scratch, report = DurableLog.load(wal_dir)
+            assert signature(scratch) == snapshots[report.end_version], fault_seed
+            if report.end_version != len(snapshots) - 1:
+                assert report.repairs, fault_seed
 
 
 def _writer():
