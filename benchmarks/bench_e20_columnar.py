@@ -157,7 +157,7 @@ def test_e20_snapshot_shipping(benchmark):
             ds = Dataspace(shards=4, store=store)
             ds.insert_many(_SCAN_DATA)
             start = time.perf_counter()
-            blobs = [ship_shard(s) for s in ds.stores]
+            blobs = [ship_shard(ds, i) for i in range(ds.shard_count)]
             times[store] = time.perf_counter() - start
             sizes[store] = sum(len(b) for b in blobs)
             clones = [load_shard(b) for b in blobs]

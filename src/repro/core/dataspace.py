@@ -18,16 +18,24 @@ holding a version watermark (notably :class:`~repro.core.views.Window`) can
 pull the *delta* since their last refresh instead of recomputing from
 scratch — the mechanical basis of the delta-driven reactivity pipeline.
 
-Physically, the dataspace is now a **routing facade** over one or more
-:class:`~repro.core.storage.TupleStore` shards selected by a
-:class:`~repro.core.storage.Partitioner` (``Dataspace(shards=...)``).  The
-facade owns every global invariant, and the default ``single`` layout is
-bit-identical to the historical monolith.  Under ``head`` partitioning the
-observable behavior is *still* identical — the properties that make this
-true, each load-bearing for the differential test suite:
+Physically, the dataspace is a **routing facade** over one or more
+:class:`~repro.core.storage.BaseStore` shards selected by a
+:class:`~repro.core.storage.Partitioner` (``Dataspace(shards=...)``).  A
+shard is a content index over the tuples it is handed; everything global
+lives exactly once, here, whatever the layout or backend:
 
-* **global numbering** — serials and versions are assigned by the facade,
-  so instance identity and journal versions are layout-independent;
+* **one identity table** — ``tid -> instance`` in admission order, which
+  *is* global serial order (serials and versions are assigned by the
+  facade), so membership, lookup, iteration and the multiset never consult
+  a shard;
+* **one journal** — a single bounded deque of the last
+  :data:`JOURNAL_DEPTH` change events; :meth:`changes_since` is an offset
+  slice of it.
+
+Under ``head`` partitioning the observable behavior is identical to the
+``single`` layout — the remaining properties that make this true, each
+load-bearing for the differential test suite:
+
 * **serial order, maintained** — serials only grow, so within one store
   dict insertion order equals ascending-serial order.  A cross-shard
   *probe-less* read of an arity is served from a per-arity
@@ -35,27 +43,23 @@ true, each load-bearing for the differential test suite:
   first such read) by merging the shards' buckets, then kept current in
   O(1) per admit/retract — append is global serial order — so the read is
   ``list(order.values())``, exactly what a single store does.  What remains
-  cross-shard (position >= 1 field probes, column scans, ``by_field``,
-  ``instances``) concatenates the shards' ascending runs and sorts them on
-  serial in C (:func:`~repro.core.storage.merge_serial_lists`).  Either way
-  the result is a single store's iteration order exactly;
+  cross-shard (position >= 1 field probes, column scans, ``by_field``)
+  concatenates the shards' ascending runs and sorts them on serial in C
+  (:func:`~repro.core.storage.merge_serial_lists`).  Either way the result
+  is a single store's iteration order exactly;
 * **global bucket selection** — :meth:`candidates` picks the narrowest
   index bucket by *global* size with the same first-wins tie-break as a
-  single store, so seeded-RNG arbitration over the result is unchanged;
-* **journal merge** — per-shard journals hold sub-changes stamped with the
-  global version; :meth:`changes_since` reassembles them by version (and
-  by serial within a change), under the exact availability window
-  (:data:`JOURNAL_DEPTH` events) the monolith had.
+  single store, so seeded-RNG arbitration over the result is unchanged.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.patterns import Pattern
 from repro.core.plan import scan_spec
 from repro.core.storage import (
-    JOURNAL_DEPTH,
     BaseStore,
     Partitioner,
     merge_by_serial,
@@ -68,6 +72,11 @@ from repro.core.values import value_repr
 from repro.errors import SDLError
 
 __all__ = ["Dataspace", "DataspaceChange", "JOURNAL_DEPTH"]
+
+#: How many change events the journal retains.  A consumer more than this
+#: many events behind gets ``None`` from :meth:`Dataspace.changes_since`
+#: and must recompute from scratch.
+JOURNAL_DEPTH = 512
 
 
 class DataspaceChange:
@@ -97,33 +106,10 @@ class DataspaceChange:
         self.retracted = retracted
         self.version = version
 
-    @property
-    def instance(self) -> TupleInstance:
-        """The single instance of a non-batch change (first of a batch)."""
-        return (self.asserted + self.retracted)[0]
-
-    def instances(self) -> tuple[TupleInstance, ...]:
-        """All instances touched by this change, asserted then retracted."""
-        return self.asserted + self.retracted
-
-    def arities(self) -> set[int]:
-        """Tuple lengths touched by this change (wakeup-filter key space)."""
-        return {inst.arity for inst in self.asserted} | {
-            inst.arity for inst in self.retracted
-        }
-
-    def keys(self) -> set[tuple[int, int, Any]]:
-        """All ``(arity, position, value)`` index keys touched by the change."""
-        out: set[tuple[int, int, Any]] = set()
-        for inst in self.instances():
-            arity = inst.arity
-            for position, value in enumerate(inst.values):
-                out.add((arity, position, value))
-        return out
-
     def __repr__(self) -> str:
         if len(self.asserted) + len(self.retracted) == 1:
-            return f"{self.kind} {self.instance!r} @v{self.version}"
+            (instance,) = self.asserted + self.retracted
+            return f"{self.kind} {instance!r} @v{self.version}"
         return (
             f"{self.kind} +{len(self.asserted)}/-{len(self.retracted)} @v{self.version}"
         )
@@ -170,12 +156,11 @@ class Dataspace:
         self._single: BaseStore | None = (
             self.stores[0] if len(self.stores) == 1 else None
         )
-        #: Multi-shard only: tid -> home shard, so retract/get need not
-        #: rehash (and never depend on the partitioner being pure — though
-        #: it is).  ``None`` under the single layout.
-        self._tid_shard: dict[TupleId, int] | None = (
-            None if self._single is not None else {}
-        )
+        #: The identity table: every live instance by tid.  Insertion
+        #: order is admission order, which is global serial order.
+        self._instances: dict[TupleId, TupleInstance] = {}
+        #: The last :data:`JOURNAL_DEPTH` change events, one per version.
+        self._journal: deque[DataspaceChange] = deque(maxlen=JOURNAL_DEPTH)
         #: Multi-shard only: arity -> ``{tid: instance}`` in global serial
         #: order, for the arities that have been read probe-less (see
         #: :meth:`_arity_ordered`).  Admissions append and retracts delete,
@@ -210,31 +195,14 @@ class Dataspace:
         """Per-shard occupancy (observability gauges, placement tests)."""
         return tuple(len(store) for store in self.stores)
 
-    def store_of(self, tid: TupleId) -> BaseStore:
-        """The shard holding *tid* (raises like :meth:`get` when absent)."""
-        if self._single is not None:
-            store = self._single
-        else:
-            shard = self._tid_shard.get(tid)
-            if shard is None:
-                raise SDLError(f"tuple {tid!r} is not in the dataspace")
-            store = self.stores[shard]
-        if tid not in store:
-            raise SDLError(f"tuple {tid!r} is not in the dataspace")
-        return store
-
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._single is not None:
-            return len(self._single)
-        return len(self._tid_shard)
+        return len(self._instances)
 
     def __contains__(self, tid: TupleId) -> bool:
-        if self._single is not None:
-            return tid in self._single
-        return tid in self._tid_shard
+        return tid in self._instances
 
     def __iter__(self) -> Iterator[TupleInstance]:
         return self.instances()
@@ -255,26 +223,17 @@ class Dataspace:
         return self._serial
 
     def get(self, tid: TupleId) -> TupleInstance:
-        if self._single is not None:
-            try:
-                return self._single.lookup(tid)
-            except KeyError:
-                raise SDLError(f"tuple {tid!r} is not in the dataspace") from None
-        shard = self._tid_shard.get(tid)
-        if shard is None:
-            raise SDLError(f"tuple {tid!r} is not in the dataspace")
-        return self.stores[shard].lookup(tid)
+        try:
+            return self._instances[tid]
+        except KeyError:
+            raise SDLError(f"tuple {tid!r} is not in the dataspace") from None
 
     def instances(self) -> Iterator[TupleInstance]:
         """Iterate over all live instances (global admission order)."""
-        if self._single is not None:
-            return self._single.iter_serial()
-        return iter(merge_serial_lists(store.iter_serial() for store in self.stores))
+        return iter(self._instances.values())
 
     def tids(self) -> frozenset[TupleId]:
-        if self._single is not None:
-            return frozenset(self._single.tids())
-        return frozenset(self._tid_shard)
+        return frozenset(self._instances)
 
     # ------------------------------------------------------------------
     # mutation
@@ -301,26 +260,20 @@ class Dataspace:
             instances.append(make_tuple(tuple(row), serial=self._serial, owner=owner))
         if not instances:
             return instances
+        self._instances.update((instance.tid, instance) for instance in instances)
         if self._single is not None:
             self._single.admit_many(instances)
         else:
             shard_of = self.partitioner.shard_of_values
-            tid_shard = self._tid_shard
             arity_order = self._arity_order
             parts: dict[int, list[TupleInstance]] = {}
             for instance in instances:
-                shard = shard_of(instance.values)
-                tid_shard[instance.tid] = shard
-                parts.setdefault(shard, []).append(instance)
+                parts.setdefault(shard_of(instance.values), []).append(instance)
                 order = arity_order.get(instance.arity)
                 if order is not None:
                     order[instance.tid] = instance
             for shard, batch in parts.items():
                 self.stores[shard].admit_many(batch)
-                if self._obs is not None:
-                    self._obs.gauge(
-                        f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
-                    )
         kind = DataspaceChange.BATCH if len(instances) > 1 else DataspaceChange.ASSERT
         self._bump(kind, tuple(instances), ())
         return instances
@@ -329,41 +282,23 @@ class Dataspace:
         """Route a new instance to its home shard (no change event)."""
         self._serial += 1
         instance = make_tuple(values, serial=self._serial, owner=owner)
+        self._instances[instance.tid] = instance
         if self._single is not None:
             self._single.admit(instance)
         else:
             shard = self.partitioner.shard_of_values(instance.values)
-            self._tid_shard[instance.tid] = shard
             self.stores[shard].admit(instance)
             order = self._arity_order.get(instance.arity)
             if order is not None:
                 order[instance.tid] = instance
-            if self._obs is not None:
-                self._obs.gauge(
-                    f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
-                )
         return instance
 
     def retract(self, tid: TupleId) -> TupleInstance:
         """Retract one instance; other instances with equal values survive."""
-        if self._single is not None:
-            try:
-                instance = self._single.remove(tid)
-            except KeyError:
-                raise SDLError(f"cannot retract {tid!r}: not in the dataspace") from None
-        else:
-            shard = self._tid_shard.pop(tid, None)
-            if shard is None:
-                raise SDLError(f"cannot retract {tid!r}: not in the dataspace")
-            instance = self.stores[shard].remove(tid)
-            self._drop_ordered(instance)
-            if self._obs is not None:
-                # Gauge updated on the retract path too: occupancy must
-                # track live ``len(store)`` at all times, not only after
-                # inserts, or retract-heavy runs leave stale readings.
-                self._obs.gauge(
-                    f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
-                )
+        instance = self._instances.pop(tid, None)
+        if instance is None:
+            raise SDLError(f"cannot retract {tid!r}: not in the dataspace")
+        self._unindex(instance)
         self._bump(DataspaceChange.RETRACT, (), (instance,))
         return instance
 
@@ -371,35 +306,22 @@ class Dataspace:
         """Retract several instances as **one** change event.
 
         The batched dual of :meth:`insert_many`: one version bump, one
-        listener notification, one (per-shard-split) journal entry.  The
-        batch is validated up front — every tid present, no duplicates —
-        so a bad batch mutates nothing.
+        listener notification, one journal entry.  The batch is validated
+        up front — every tid present, no duplicates — so a bad batch
+        mutates nothing.
         """
         tids = list(tids)
         if not tids:
             return []
         if len(set(tids)) != len(tids):
             raise SDLError("cannot retract batch: duplicate tuple ids")
+        table = self._instances
         for tid in tids:
-            if tid not in self:
+            if tid not in table:
                 raise SDLError(f"cannot retract {tid!r}: not in the dataspace")
-        instances: list[TupleInstance] = []
-        if self._single is not None:
-            for tid in tids:
-                instances.append(self._single.remove(tid))
-        else:
-            touched: set[int] = set()
-            for tid in tids:
-                shard = self._tid_shard.pop(tid)
-                instance = self.stores[shard].remove(tid)
-                self._drop_ordered(instance)
-                instances.append(instance)
-                touched.add(shard)
-            if self._obs is not None:
-                for shard in touched:
-                    self._obs.gauge(
-                        f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
-                    )
+        instances = [table.pop(tid) for tid in tids]
+        for instance in instances:
+            self._unindex(instance)
         kind = DataspaceChange.BATCH if len(instances) > 1 else DataspaceChange.RETRACT
         self._bump(kind, (), tuple(instances))
         return instances
@@ -408,10 +330,9 @@ class Dataspace:
         """All instances of *arity* in global serial order (sharded layouts).
 
         The first probe-less read of an arity merges the shards' buckets
-        once; :meth:`_admit` / :meth:`insert_many` / :meth:`retract` /
-        :meth:`retract_many` then keep the order current, so later reads
-        re-assemble nothing.  An arity never read this way is never
-        tracked.
+        once; :meth:`_admit` / :meth:`insert_many` / :meth:`_unindex` then
+        keep the order current, so later reads re-assemble nothing.  An
+        arity never read this way is never tracked.
         """
         order = self._arity_order.get(arity)
         if order is None:
@@ -423,8 +344,15 @@ class Dataspace:
             }
         return order
 
-    def _drop_ordered(self, instance: TupleInstance) -> None:
-        """Forget a retracted instance in its arity's maintained order."""
+    def _unindex(self, instance: TupleInstance) -> None:
+        """Drop a retracted instance from its home shard's content index
+        (routing is a pure function of the values, so the partitioner names
+        the shard) and from its arity's maintained order."""
+        if self._single is not None:
+            self._single.remove(instance)
+            return
+        shard = self.partitioner.shard_of_values(instance.values)
+        self.stores[shard].remove(instance)
         order = self._arity_order.get(instance.arity)
         if order is not None:
             del order[instance.tid]
@@ -437,107 +365,29 @@ class Dataspace:
     ) -> None:
         self._version += 1
         change = DataspaceChange(kind, asserted, retracted, self._version)
-        if self._single is not None:
-            self._single.record(change)
-        else:
-            self._journal_split(change)
+        self._journal.append(change)
         listeners = self._listener_snapshot
         if listeners is None:
             listeners = self._listener_snapshot = tuple(self._listeners.values())
         for listener in listeners:
             listener(change)
 
-    def _journal_split(self, change: DataspaceChange) -> None:
-        """File *change* in the journal of every shard it touched.
-
-        A change confined to one shard is filed as-is; one spanning shards
-        (an ``insert_many`` batch) is split into per-shard sub-changes all
-        stamped with the same global version, so :meth:`changes_since` can
-        reassemble the original event exactly.
-        """
-        shard_of = self.partitioner.shard_of_values
-        asserted = change.asserted
-        retracted = change.retracted
-        if len(asserted) + len(retracted) == 1:
-            # Single-instance change — the overwhelmingly common case
-            # (every insert/retract): file as-is, no grouping pass.
-            inst = asserted[0] if asserted else retracted[0]
-            self.stores[shard_of(inst.values)].record(change)
-            return
-        parts: dict[int, tuple[list, list]] = {}
-        for inst in change.asserted:
-            parts.setdefault(shard_of(inst.values), ([], []))[0].append(inst)
-        for inst in change.retracted:
-            parts.setdefault(shard_of(inst.values), ([], []))[1].append(inst)
-        if len(parts) == 1:
-            (shard,) = parts
-            self.stores[shard].record(change)
-            return
-        for shard, (asserted, retracted) in parts.items():
-            self.stores[shard].record(
-                DataspaceChange(
-                    change.kind, tuple(asserted), tuple(retracted), change.version
-                )
-            )
-
     def changes_since(self, version: int) -> list[DataspaceChange] | None:
         """The change events after *version*, oldest first.
 
         Returns ``None`` when the journal no longer reaches back to
         *version* (the consumer fell more than :data:`JOURNAL_DEPTH` events
-        behind) — the caller must then recompute from scratch.  Under a
-        sharded layout the per-shard journals are merged by global version
-        (the merged WAL), with sub-changes of one version recombined in
-        ascending-serial order; the availability window is identical to a
-        single store's.
+        behind) — the caller must then recompute from scratch.
         """
         if version >= self._version:
             return []
-        if self._single is not None:
-            journal = self._single.journal
-            if not journal or journal[0].version > version + 1:
-                return None
-            # Versions advance by exactly 1 per journal entry, so the slice
-            # starts at a computable offset rather than a scan.
-            start = len(journal) - (self._version - version)
-            return [journal[i] for i in range(start, len(journal))]
-        expected = self._version - version
-        if expected > JOURNAL_DEPTH:
+        journal = self._journal
+        if not journal or journal[0].version > version + 1:
             return None
-        by_version: dict[int, list[DataspaceChange]] = {}
-        for store in self.stores:
-            if store.evicted_version > version:
-                # This shard dropped an entry *inside* the requested
-                # window: whatever the siblings still hold would be a
-                # partial delta, and replaying it would corrupt the
-                # consumer.  Full-rescan signal instead.
-                return None
-            for entry in reversed(store.journal):
-                if entry.version <= version:
-                    break
-                by_version.setdefault(entry.version, []).append(entry)
-        if len(by_version) != expected:
-            return None  # a shard journal evicted part of the window
-        out: list[DataspaceChange] = []
-        for v in sorted(by_version):
-            entries = by_version[v]
-            if len(entries) == 1:
-                out.append(entries[0])
-                continue
-            asserted = tuple(
-                sorted(
-                    (inst for entry in entries for inst in entry.asserted),
-                    key=lambda inst: inst.tid.serial,
-                )
-            )
-            retracted = tuple(
-                sorted(
-                    (inst for entry in entries for inst in entry.retracted),
-                    key=lambda inst: inst.tid.serial,
-                )
-            )
-            out.append(DataspaceChange(entries[0].kind, asserted, retracted, v))
-        return out
+        # Versions advance by exactly 1 per journal entry, so the slice
+        # starts at a computable offset rather than a scan.
+        start = len(journal) - (self._version - version)
+        return [journal[i] for i in range(start, len(journal))]
 
     @property
     def listener_count(self) -> int:
@@ -889,9 +739,8 @@ class Dataspace:
     def multiset(self) -> dict[tuple, int]:
         """Value tuples with multiplicities — handy in tests."""
         counts: dict[tuple, int] = {}
-        for store in self.stores:
-            for inst in store.iter_serial():
-                counts[inst.values] = counts.get(inst.values, 0) + 1
+        for inst in self._instances.values():
+            counts[inst.values] = counts.get(inst.values, 0) + 1
         return counts
 
     # Back-compat debug views of the merged index tables (a structural

@@ -46,6 +46,7 @@ import random
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.expressions import Bindings, Const, EvalContext, Expr
+from repro.core.matching import _rotated  # the one arbitration-rotation rule
 from repro.core.patterns import (
     LitElement,
     Pattern,
@@ -367,16 +368,6 @@ def build_plan(
         placed |= compiled[best_index].binding_names
         remaining.remove(best_index)
     return Plan(steps, patterns)
-
-
-def _rotated(items: list, rng: random.Random | None) -> list:
-    """Seeded arbitrary rotation — same choice discipline as the naive walk."""
-    if rng is None or len(items) < 2:
-        return items
-    start = rng.randrange(len(items))
-    if start == 0:
-        return items
-    return items[start:] + items[:start]
 
 
 def _fetch_candidates(window: Any, step: PlanStep, env: dict[str, Any]) -> list[TupleInstance]:

@@ -181,9 +181,6 @@ class Query:
                 raise QueryError("a negated query may not retract tuples")
             if quantifier == FORALL:
                 raise QueryError("negation applies to existential queries only")
-        if not self.atoms and test is None and not negated:
-            # The trivially-true query used by pure-assertion transactions.
-            pass
 
     # ------------------------------------------------------------------
     def is_trivial(self) -> bool:

@@ -2,12 +2,13 @@
 
 The dataspace of the paper is one logical multiset, but its physical layout
 need not be monolithic: this module splits storage into *shards* — each a
-self-contained store with its own tid table, content indexes, and bounded
-change journal — plus a :class:`Partitioner` strategy deciding which shard
-a tuple lives in.  The :class:`~repro.core.dataspace.Dataspace` facade
-routes every operation and is responsible for the *global* invariants
-(serial/version numbering, listener notification, deterministic cross-shard
-iteration order); a store only ever sees operations for tuples it owns.
+content index (arity and field buckets) over the tuples it is handed —
+plus a :class:`Partitioner` strategy deciding which shard a tuple lives in.
+The :class:`~repro.core.dataspace.Dataspace` facade routes every operation
+and owns everything *global*, exactly once: the ``tid -> instance`` identity
+table, serial/version numbering, the change journal, listener notification
+and deterministic cross-shard iteration order.  A store only ever sees
+operations for tuples it owns, and keeps no tid table and no journal.
 
 Two shard strategies exist today:
 
@@ -61,16 +62,14 @@ from __future__ import annotations
 import zlib
 from array import array
 from bisect import bisect_right
-from collections import deque
 from itertools import islice
 from operator import attrgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.core.tuples import TupleId, TupleInstance
 from repro.core.values import value_repr
 
 __all__ = [
-    "JOURNAL_DEPTH",
     "BaseStore",
     "TupleStore",
     "ColumnarStore",
@@ -84,31 +83,20 @@ __all__ = [
     "cut_at_serial",
 ]
 
-#: How many change events each shard's delta journal retains.  The facade
-#: enforces the *global* availability rule (a consumer more than this many
-#: events behind must recompute), so a shard never needs to reach further
-#: back than the global window — within it, a shard holds at most one
-#: entry per global event and its deque cannot have evicted any of them.
-JOURNAL_DEPTH = 512
-
 
 class BaseStore:
     """The store half of the shard contract: what a backend must provide.
 
-    A store is a dumb container — it assigns no serials, bumps no
-    versions, and notifies nobody.  The owning facade admits instances
-    that already carry their global serial, and appends journal entries
-    carrying the global version.  Admissions only append, so iteration
-    order within a store equals ascending-serial order in every backend,
-    which is what lets the facade k-way-merge shards back into the exact
-    iteration order of a single store.
-
-    Both backends share the journal machinery and the pickle protocol
-    here; everything content-addressable (`admit`/`remove`, bucket sizes,
-    candidate enumeration) is backend-specific.
+    A store is a dumb content index — it assigns no serials, bumps no
+    versions, keeps no tid table and no journal, and notifies nobody.  The
+    owning facade admits instances that already carry their global serial
+    and hands back the same instance to remove.  Admissions only append,
+    so iteration order within a store equals ascending-serial order in
+    every backend, which is what lets the facade merge shards back into
+    the exact iteration order of a single store.
     """
 
-    __slots__ = ("shard", "indexed", "journal", "evicted_version")
+    __slots__ = ("shard", "indexed")
 
     #: Backend tag, mirrored by ``Dataspace.store_kind`` and the
     #: ``Engine(store=)`` / ``SDL_STORE`` / ``--store`` knob.
@@ -117,88 +105,8 @@ class BaseStore:
     def __init__(self, shard: int, indexed: bool = True) -> None:
         self.shard = shard
         self.indexed = indexed
-        self.journal: deque = deque(maxlen=JOURNAL_DEPTH)
-        #: Highest global version this shard's journal has *evicted* (0 when
-        #: nothing was ever dropped).  ``Dataspace.changes_since`` refuses to
-        #: recombine a window any shard has partially forgotten — without
-        #: this stamp, one overflowing shard could silently return a partial
-        #: delta while its siblings still cover the window.
-        self.evicted_version = 0
 
-    # -- journal -------------------------------------------------------
-    def record(self, change: Any) -> None:
-        """File a change event, tracking the version of anything evicted.
-
-        All journal writes go through here — including the pickle restore
-        path — so the eviction watermark can never miss a drop:
-        ``deque.append`` at ``maxlen`` silently discards the oldest entry.
-        """
-        journal = self.journal
-        if len(journal) == JOURNAL_DEPTH:
-            self.evicted_version = journal[0].version
-        journal.append(change)
-
-    def changes_since(self, floor: int) -> list | None:
-        """The journal suffix of changes with ``version > floor``, oldest
-        first — the per-shard delta a snapshot taken at *floor* needs to
-        catch up (snapshot shipping, ``admit="parallel"``).  ``None`` when
-        the journal has evicted past *floor*: the suffix would be partial,
-        so the caller must re-ship the full shard instead.
-        """
-        if self.evicted_version > floor:
-            return None
-        out: list = []
-        for change in reversed(self.journal):
-            if change.version <= floor:
-                break
-            out.append(change)
-        out.reverse()
-        return out
-
-    # -- pickling ------------------------------------------------------
-    def __getstate__(self):
-        # Shards cross process boundaries (parallel apply, snapshot
-        # shipping): ship the instances and journal, rebuild the derived
-        # layout on the far side — the instance list is in ascending-serial
-        # order, so a round-tripped store is indistinguishable from the
-        # original, whatever the backend.
-        return (
-            self.shard,
-            self.indexed,
-            list(self.iter_serial()),
-            list(self.journal),
-            self.evicted_version,
-        )
-
-    def __setstate__(self, state) -> None:
-        shard, indexed, instances, journal, evicted_version = state
-        self.__init__(shard, indexed)
-        self.admit_many(instances)
-        # Restore the journal through record(), not a raw extend: record()
-        # is the single write path that maintains the eviction watermark,
-        # so further appends after the round trip can never under-report
-        # an eviction (the pickled watermark is re-imposed last — it may
-        # exceed anything record() derived from the restored entries).
-        for change in journal:
-            self.record(change)
-        self.evicted_version = evicted_version
-
-    # -- interface (backend-specific) ----------------------------------
     def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __contains__(self, tid: TupleId) -> bool:
-        raise NotImplementedError
-
-    def lookup(self, tid: TupleId) -> TupleInstance:
-        """The instance for *tid*; raises ``KeyError`` when absent."""
-        raise NotImplementedError
-
-    def tids(self) -> Iterable[TupleId]:
-        raise NotImplementedError
-
-    def iter_serial(self) -> Iterator[TupleInstance]:
-        """All live instances in ascending-serial order."""
         raise NotImplementedError
 
     def admit(self, instance: TupleInstance) -> None:
@@ -209,7 +117,8 @@ class BaseStore:
         for instance in instances:
             self.admit(instance)
 
-    def remove(self, tid: TupleId) -> TupleInstance:
+    def remove(self, instance: TupleInstance) -> None:
+        """Unindex an instance this store admitted (``KeyError`` otherwise)."""
         raise NotImplementedError
 
     def arity_size(self, arity: int) -> int:
@@ -256,7 +165,7 @@ class BaseStore:
 
 
 class TupleStore(BaseStore):
-    """One storage shard: tid table, content indexes, and a delta journal.
+    """One storage shard's content indexes, as dicts of instances.
 
     The original per-tuple-object backend and the live differential
     baseline for :class:`ColumnarStore` — every index is a dict of
@@ -265,45 +174,34 @@ class TupleStore(BaseStore):
     deletion preserves order).
     """
 
-    __slots__ = ("instances", "by_arity", "by_field")
+    __slots__ = ("count", "by_arity", "by_field")
 
     kind = "object"
 
     def __init__(self, shard: int, indexed: bool = True) -> None:
         super().__init__(shard, indexed)
-        self.instances: dict[TupleId, TupleInstance] = {}
+        self.count = 0
         self.by_arity: dict[int, dict[TupleId, TupleInstance]] = {}
         self.by_field: dict[tuple[int, int, Any], dict[TupleId, TupleInstance]] = {}
 
     def __len__(self) -> int:
-        return len(self.instances)
-
-    def __contains__(self, tid: TupleId) -> bool:
-        return tid in self.instances
-
-    def lookup(self, tid: TupleId) -> TupleInstance:
-        return self.instances[tid]
-
-    def tids(self) -> Iterable[TupleId]:
-        return self.instances.keys()
-
-    def iter_serial(self) -> Iterator[TupleInstance]:
-        return iter(self.instances.values())
+        return self.count
 
     def admit(self, instance: TupleInstance) -> None:
         """Index an already-built instance (serial assigned by the facade)."""
-        self.instances[instance.tid] = instance
+        self.count += 1
         self.by_arity.setdefault(instance.arity, {})[instance.tid] = instance
         if self.indexed:
             for position, value in enumerate(instance.values):
                 key = (instance.arity, position, value)
                 self.by_field.setdefault(key, {})[instance.tid] = instance
 
-    def remove(self, tid: TupleId) -> TupleInstance:
-        """Unindex and return one instance; raises ``KeyError`` when absent."""
-        instance = self.instances.pop(tid)
+    def remove(self, instance: TupleInstance) -> None:
+        """Unindex one instance; raises ``KeyError`` when absent."""
+        tid = instance.tid
         arity_bucket = self.by_arity[instance.arity]
         del arity_bucket[tid]
+        self.count -= 1
         if not arity_bucket:
             del self.by_arity[instance.arity]
         if self.indexed:
@@ -313,7 +211,6 @@ class TupleStore(BaseStore):
                 del field_bucket[tid]
                 if not field_bucket:
                     del self.by_field[key]
-        return instance
 
     # -- sizes and buckets ---------------------------------------------
     def arity_size(self, arity: int) -> int:
@@ -396,10 +293,10 @@ class TupleStore(BaseStore):
         return self.by_field
 
     def stats(self) -> dict:
-        return {"instances": len(self.instances), "field_keys": len(self.by_field)}
+        return {"instances": self.count, "field_keys": len(self.by_field)}
 
     def __repr__(self) -> str:
-        return f"TupleStore(shard={self.shard}, |D|={len(self.instances)})"
+        return f"TupleStore(shard={self.shard}, |D|={self.count})"
 
 
 # ----------------------------------------------------------------------
@@ -470,35 +367,19 @@ class ColumnarStore(BaseStore):
     of :func:`repro.core.plan.scan_spec`.
     """
 
-    __slots__ = ("instances", "groups", "rows", "compactions")
+    __slots__ = ("groups", "rows", "compactions")
 
     kind = "columnar"
 
     def __init__(self, shard: int, indexed: bool = True) -> None:
         super().__init__(shard, indexed)
-        #: tid table in admission (== ascending-serial) order; the columnar
-        #: layout accelerates scans, this dict keeps identity lookups and
-        #: serial iteration O(1) without walking groups.
-        self.instances: dict[TupleId, TupleInstance] = {}
         self.groups: dict[int, _ColumnGroup] = {}
         #: tid -> row index within its arity's group (rewritten on compact).
         self.rows: dict[TupleId, int] = {}
         self.compactions = 0
 
     def __len__(self) -> int:
-        return len(self.instances)
-
-    def __contains__(self, tid: TupleId) -> bool:
-        return tid in self.instances
-
-    def lookup(self, tid: TupleId) -> TupleInstance:
-        return self.instances[tid]
-
-    def tids(self) -> Iterable[TupleId]:
-        return self.instances.keys()
-
-    def iter_serial(self) -> Iterator[TupleInstance]:
-        return iter(self.instances.values())
+        return len(self.rows)
 
     # -- admission -----------------------------------------------------
     def _group(self, arity: int) -> _ColumnGroup:
@@ -508,7 +389,6 @@ class ColumnarStore(BaseStore):
         return group
 
     def admit(self, instance: TupleInstance) -> None:
-        self.instances[instance.tid] = instance
         group = self._group(instance.arity)
         row = len(group.insts)
         group.serials.append(instance.tid.serial)
@@ -537,10 +417,8 @@ class ColumnarStore(BaseStore):
         serial order), then every column takes the whole sub-batch in one
         C-level ``extend`` instead of a Python-level append per row.
         """
-        table = self.instances
         batches: dict[int, list[TupleInstance]] = {}
         for instance in instances:
-            table[instance.tid] = instance
             batches.setdefault(instance.arity, []).append(instance)
         rows = self.rows
         for arity, batch in batches.items():
@@ -576,9 +454,8 @@ class ColumnarStore(BaseStore):
                     rows[instance.tid] = base + offset
 
     # -- removal + compaction ------------------------------------------
-    def remove(self, tid: TupleId) -> TupleInstance:
-        instance = self.instances.pop(tid)  # KeyError contract, as TupleStore
-        row = self.rows.pop(tid)
+    def remove(self, instance: TupleInstance) -> None:
+        row = self.rows.pop(instance.tid)  # KeyError contract, as TupleStore
         group = self.groups[instance.arity]
         group.insts[row] = None
         group.dead += 1
@@ -595,7 +472,6 @@ class ColumnarStore(BaseStore):
                     del index[values[position]]
         if group.dead >= _COMPACT_MIN and group.dead * 2 >= len(group.insts):
             self._compact(group)
-        return instance
 
     def _compact(self, group: _ColumnGroup) -> None:
         """Drop tombstones: rebuild the group's columns from live rows.
@@ -924,7 +800,7 @@ class ColumnarStore(BaseStore):
 
     def __repr__(self) -> str:
         return (
-            f"ColumnarStore(shard={self.shard}, |D|={len(self.instances)}, "
+            f"ColumnarStore(shard={self.shard}, |D|={len(self.rows)}, "
             f"groups={len(self.groups)})"
         )
 

@@ -75,19 +75,11 @@ class ViewRule:
         if not isinstance(pat, Pattern):
             raise ViewError(f"view rule needs a Pattern, got {pat!r}")
         self.pattern = pat
+        #: Guard variables bound by neither the pattern nor a ``where`` atom
+        #: must be process parameters; they are checked when the rule is
+        #: evaluated, not here.
         self.guard = guard
         self.where = tuple(where)
-        if guard is not None:
-            loose = guard.free_variables() - pat.free_variables() - self._where_vars()
-            # Loose guard variables must be process parameters; they are
-            # checked when the rule is evaluated, not here.
-            del loose
-
-    def _where_vars(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for atom in self.where:
-            out |= atom.free_variables()
-        return out
 
     def covers(
         self,

@@ -522,10 +522,17 @@ class Engine:
         counters = self.trace.counters
         windows = self.window_stats()
         if self.recovery is not None:
-            # Teardown: detach the recovery log's dataspace listener so a
-            # finished engine leaves no subscription behind (checkpoints and
-            # journal stay queryable — ``recover``/``verify`` still work).
-            self.recovery.close()
+            if reason in ("round-limit", "step-limit"):
+                # A limit is not the end: ``run()`` may be called again, and
+                # what it commits must reach the log too.  Make the prefix
+                # durable and stay subscribed.
+                self.recovery.flush()
+            else:
+                # Teardown: detach the recovery log's dataspace listener so
+                # a finished engine leaves no subscription behind
+                # (checkpoints and journal stay queryable — ``recover`` /
+                # ``verify`` still work).
+                self.recovery.close()
         planner = self.planner
         metrics: dict[str, Any] = {}
         if self.obs is not None:

@@ -51,10 +51,7 @@ from repro.runtime.interpreter import (
     interpret_body,
 )
 from repro.runtime import rounds
-
-# Re-exported for back-compat: these lived here before the group-commit
-# round phases moved to ``repro.runtime.rounds``.
-from repro.runtime.rounds import _Crashed, _SnapshotLens  # noqa: F401
+from repro.runtime.rounds import _Crashed, _SnapshotLens
 from repro.runtime.scheduler import (
     ParkedSelection,
     ParkedTxn,

@@ -61,9 +61,9 @@ schedules are deterministic and the engine RNG is untouched.
 pool can also run Phase B — candidate match/query evaluation — ahead of
 the sequential admission walk.  Workers keep **cached per-shard
 snapshots**: the main-side :class:`SnapshotShipper` sends each shard
-once as columnar ``ship_shard`` bytes and thereafter only the shard's
-journal suffix (per-shard ``DataspaceChange`` deltas), falling back to a
-full re-ship when the shard's eviction watermark has passed the cached
+once as ``ship_shard`` bytes and thereafter only the dataspace journal
+suffix projected onto that shard (``DataspaceChange`` deltas), falling
+back to a full re-ship when the journal window has passed the cached
 blob.  A worker that lacks the snapshot replies ``need-full`` and the
 task is re-sent with the blob.  Each worker evaluates its batch of
 candidates against its snapshot — candidate row count ``n``, the rows
@@ -106,6 +106,7 @@ from repro.core.actions import (
     Skip,
     Spawn,
 )
+from repro.core.dataspace import DataspaceChange
 from repro.core.expressions import BinOp, Bindings, Call, Const, EvalContext, UnOp, Var
 from repro.core.plan import PlanStep, compile_pattern
 from repro.core.query import Membership
@@ -421,38 +422,39 @@ def replay_plan(
     return outcome
 
 
-def ship_shard(store) -> bytes:
+def ship_shard(dataspace, shard: int) -> bytes:
     """Serialise one storage shard for transport to a worker process.
 
-    Both backends ship the same wire shape — the store class plus the
-    ``__getstate__`` tuple (shard id, index flag, serial-ordered instance
-    list, journal, eviction watermark) — taken *explicitly* rather than
-    by pickling the live store object wholesale: the wire bytes can never
-    capture derived structure (lazy position indexes, column groups,
-    tombstones), so a shipped shard is backend- and layout-portable and
-    the receiving side rebuilds indexes on demand, which for the columnar
-    backend is one vectorised ``admit_many`` per arity group rather than
-    a per-tuple index walk.  This is the snapshot primitive behind
-    parallel admission (``admit="parallel"``): the
-    :class:`SnapshotShipper` sends these bytes once per shard and
+    The wire shape is the store class, the shard id, the index flag and
+    the shard's instances in serial order — read off the facade's identity
+    table, never off the live store object: the bytes cannot capture
+    derived structure (lazy position indexes, column groups, tombstones),
+    so a shipped shard is backend- and layout-portable.  This is the
+    snapshot primitive behind parallel admission (``admit="parallel"``):
+    the :class:`SnapshotShipper` sends these bytes once per shard and
     journal deltas thereafter.
     """
+    store = dataspace.stores[shard]
+    shard_of = dataspace.partitioner.shard_of_values
+    instances = [
+        inst for inst in dataspace.instances() if shard_of(inst.values) == shard
+    ]
     return pickle.dumps(
-        (type(store), store.__getstate__()), protocol=pickle.HIGHEST_PROTOCOL
+        (type(store), shard, store.indexed, instances),
+        protocol=pickle.HIGHEST_PROTOCOL,
     )
 
 
 def load_shard(data: bytes):
     """Rebuild a shipped shard (inverse of :func:`ship_shard`).
 
-    The returned store is indistinguishable from the original: same
-    instances in the same serial order, same journal and eviction
-    watermark, same backend kind — with derived structure (lazy indexes,
-    column groups) rebuilt fresh on this side of the wire.
+    The returned store answers every probe like the original — same
+    instances in the same serial order, same backend kind — with derived
+    structure rebuilt by one ``admit_many`` on this side of the wire.
     """
-    cls, state = pickle.loads(data)
-    store = cls.__new__(cls)
-    store.__setstate__(state)
+    cls, shard, indexed, instances = pickle.loads(data)
+    store = cls(shard, indexed)
+    store.admit_many(instances)
     return store
 
 
@@ -475,13 +477,13 @@ class SnapshotShipper:
 
     The shipper keeps, per shard, the last full blob it built
     (:func:`ship_shard` bytes) and the version (*floor*) that blob
-    captured.  A dispatched task carries the journal delta suffix
-    ``(floor, target]`` — pre-pickled, so the shipped byte count is
-    exact — and includes the blob itself only when this shard has never
-    been sent (or the blob was just rebuilt).  When the shard store's
-    eviction watermark passes the floor the journal can no longer bridge
-    the gap for any worker, so the blob is rebuilt at the current
-    version: the full re-ship path.  A worker that turns out not to hold
+    captured.  A dispatched task carries the dataspace journal suffix
+    ``(floor, target]`` projected onto the shard — pre-pickled, so the
+    shipped byte count is exact — and includes the blob itself only when
+    this shard has never been sent (or the blob was just rebuilt).  When
+    the journal window passes the floor it can no longer bridge the gap
+    for any worker, so the blob is rebuilt at the current version: the
+    full re-ship path.  A worker that turns out not to hold
     the snapshot answers ``need-full`` and the pool re-sends the same
     task with the blob attached (one retry).
     """
@@ -510,15 +512,14 @@ class SnapshotShipper:
         with_blob: bool = False,
     ) -> tuple:
         """Build one shard's admission task for dispatch at *target* version."""
-        store = self.dataspace.stores[shard]
         floor = self._floors.get(shard, -1)
         blob = self._blobs.get(shard)
-        deltas = store.changes_since(floor) if blob is not None else None
+        deltas = self._deltas_since(shard, floor) if blob is not None else None
         if deltas is None:
             # First ship, or the journal has evicted entries the cached
             # blob would need: rebuild at the current version (full
             # re-ship) and force the blob onto the wire again.
-            blob = ship_shard(store)
+            blob = ship_shard(self.dataspace, shard)
             floor = target
             deltas = []
             self._blobs[shard] = blob
@@ -535,6 +536,32 @@ class SnapshotShipper:
             self._sent.add(shard)
         return (self.epoch, shard, target, floor, watermark, deltas_bytes,
                 wire_blob, entries)
+
+    def _deltas_since(self, shard: int, floor: int) -> list | None:
+        """The journal suffix after *floor*, restricted to *shard*'s tuples.
+
+        ``None`` when the journal no longer reaches back to *floor* (the
+        caller re-ships the shard in full).  A change that touches no
+        tuple of this shard is dropped; the rest keep their kind and
+        version and carry only this shard's instances.
+        """
+        changes = self.dataspace.changes_since(floor)
+        if changes is None:
+            return None
+        shard_of = self.dataspace.partitioner.shard_of_values
+        deltas = []
+        for change in changes:
+            asserted = tuple(
+                inst for inst in change.asserted if shard_of(inst.values) == shard
+            )
+            retracted = tuple(
+                inst for inst in change.retracted if shard_of(inst.values) == shard
+            )
+            if asserted or retracted:
+                deltas.append(
+                    DataspaceChange(change.kind, asserted, retracted, change.version)
+                )
+        return deltas
 
     def note_reply(self, kind: str, ident: str, version: int) -> None:
         """Record one worker's refresh outcome from an ``ok`` reply."""
@@ -628,7 +655,7 @@ def evaluate_matches(task: tuple):
             if change.version <= version:
                 continue
             for inst in change.retracted:
-                store.remove(inst.tid)
+                store.remove(inst)
             if change.asserted:
                 store.admit_many(change.asserted)
             version = change.version

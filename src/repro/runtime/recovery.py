@@ -20,15 +20,14 @@ Checkpoints are cheap snapshots, not copies: tuple instances are frozen,
 so capturing them is one tuple build over the live table.  The cost knob
 is ``interval`` — benchmark E14 measures rounds-to-recover against it.
 
-Under a sharded dataspace (``shards`` > 1) the checkpoint is captured
-*shard-major*: one contiguous run of instances per store, with
-``shard_counts`` recording the chunk boundaries, so a store can be
-reloaded without re-partitioning.  The journal stays a single **merged
-WAL**: ``changes_since`` recombines per-store journal entries by global
-version (and serial order within a version), so replay is one linear walk
-regardless of the shard count, and the scratch dataspace — built with the
-live partitioner's spec — re-routes every replayed tuple to the shard it
-came from (routing is a pure function of the tuple's value).
+A checkpoint holds the instances in global serial order whatever the
+layout, and the journal it replays is the dataspace's one journal, so
+capture and replay are the same linear walk for every shard count.  Under
+a sharded dataspace (``shards`` > 1) the checkpoint also records
+``shard_counts``, the per-store occupancy at capture: the scratch
+dataspace — built with the live partitioner's spec — re-routes every
+tuple (routing is a pure function of the tuple's value), and a placement
+that disagrees with the recorded counts exposes a lying checkpoint.
 
 :class:`DurableLog` extends the model below process memory: checkpoints
 and the WAL are additionally persisted to a directory of **segment
@@ -72,10 +71,9 @@ __all__ = [
 class Checkpoint:
     """A consistent snapshot: every live instance as of *version*.
 
-    ``shard_counts`` is ``None`` for a single-store dataspace; for a
-    sharded one it holds the per-store instance counts, and ``instances``
-    is laid out shard-major (store 0's chunk, then store 1's, ...) so each
-    chunk reloads into its store without re-partitioning.
+    ``instances`` is in global serial order.  ``shard_counts`` is ``None``
+    for a single-store dataspace; for a sharded one it holds the per-store
+    instance counts, which reloading must reproduce by re-routing.
     """
 
     version: int
@@ -142,18 +140,11 @@ class RecoveryLog:
         obs = self.obs
         start = obs.spans.now() if obs is not None else 0
         space = self.dataspace
-        if space.shard_count > 1:
-            chunks = [tuple(store.iter_serial()) for store in space.stores]
-            checkpoint = Checkpoint(
-                version=space.version,
-                instances=tuple(inst for chunk in chunks for inst in chunk),
-                shard_counts=tuple(len(chunk) for chunk in chunks),
-            )
-        else:
-            checkpoint = Checkpoint(
-                version=space.version,
-                instances=tuple(space.instances()),
-            )
+        checkpoint = Checkpoint(
+            version=space.version,
+            instances=tuple(space.instances()),
+            shard_counts=space.shard_sizes() if space.shard_count > 1 else None,
+        )
         if obs is not None:
             obs.observe_ns(
                 "checkpoint",
@@ -255,6 +246,9 @@ class RecoveryLog:
                 "different contents)"
             )
         return scratch
+
+    def flush(self) -> None:
+        """Make everything logged so far durable (nothing to do in memory)."""
 
     def close(self) -> None:
         """Stop checkpointing (idempotent)."""
@@ -537,8 +531,7 @@ class DurableLog(RecoveryLog):
 
     def _rotate_wal(self, version: int) -> None:
         if self._wal_handle is not None:
-            self._wal_handle.flush()
-            os.fsync(self._wal_handle.fileno())
+            self.flush()
             self._wal_handle.close()
         path = self._wal_path_for(version)
         self._wal_handle = open(path, "wb")
@@ -598,12 +591,17 @@ class DurableLog(RecoveryLog):
             )
         super()._on_change(change)
 
+    def flush(self) -> None:
+        """Flush and fsync the live WAL segment, staying subscribed."""
+        if self._wal_handle is not None:
+            self._wal_handle.flush()
+            os.fsync(self._wal_handle.fileno())
+
     def close(self) -> None:
         """Fsync and close the live WAL segment, stop checkpointing."""
         super().close()
         if self._wal_handle is not None:
-            self._wal_handle.flush()
-            os.fsync(self._wal_handle.fileno())
+            self.flush()
             self._wal_handle.close()
             self._wal_handle = None
 
@@ -840,9 +838,7 @@ class DurableLog(RecoveryLog):
         :class:`RecoveryError` on any repair or divergence — an intact
         log must reproduce the live dataspace exactly.
         """
-        if self._wal_handle is not None:
-            self._wal_handle.flush()
-            os.fsync(self._wal_handle.fileno())
+        self.flush()
         scratch, report = self.load(
             self.wal_dir, obs=self.obs, store=self.dataspace.store_kind
         )

@@ -47,7 +47,6 @@ __all__ = [
     "WakeupStats",
     "WakeupIndex",
     "derive_subscription",
-    "view_is_config_dependent",
     "txn_arities",
 ]
 
@@ -117,11 +116,6 @@ WAKE_ANY = Subscription(wake_any=True)
 # ----------------------------------------------------------------------
 # subscription derivation
 # ----------------------------------------------------------------------
-
-def view_is_config_dependent(view: View) -> bool:
-    """Views with ``where`` context atoms can change coverage on any change."""
-    return view.config_dependent
-
 
 def derive_subscription(
     txns: Sequence[Transaction],

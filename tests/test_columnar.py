@@ -6,22 +6,18 @@ compaction, lazy per-position indexes, the column-scan kernel — and each
 mechanism has an invariant the differential suite alone would only catch
 indirectly.  This module pins them down directly, alongside the three
 bugfix regressions that ride with the PR: explicit ``head:N`` specs with
-``N < 2`` are rejected (covered in ``test_storage_properties``), the
-routing memo evicts a bounded slice instead of wiping itself, and journal
-restore goes through ``record()`` so the eviction watermark can never
-under-report after a pickle round trip.
+``N < 2`` are rejected (covered in ``test_storage_properties``) and the
+routing memo evicts a bounded slice instead of wiping itself.
 """
 
-import pickle
 from array import array
 
 import pytest
 
-from repro.core.dataspace import Dataspace, DataspaceChange
+from repro.core.dataspace import Dataspace
 from repro.core.expressions import Var
 from repro.core.patterns import pattern
 from repro.core.storage import (
-    JOURNAL_DEPTH,
     ColumnarStore,
     HeadPartitioner,
     TupleStore,
@@ -81,12 +77,12 @@ class TestColumnLayout:
         store = ColumnarStore(0)
         insts = _fill(store, [("k", i) for i in range(200)])
         for inst in insts[:100]:
-            store.remove(inst.tid)
+            store.remove(inst)
         group = store.groups[2]
         assert store.compactions == 1
         assert isinstance(group.cols[1], array)  # homogeneous ints
         assert not isinstance(group.cols[0], array)  # strings stay a list
-        assert [i.values for i in store.iter_serial()] == [
+        assert [i.values for i in store.arity_candidates(2)] == [
             ("k", i) for i in range(100, 200)
         ]
 
@@ -94,7 +90,7 @@ class TestColumnLayout:
         store = ColumnarStore(0)
         insts = _fill(store, [("k", i) for i in range(200)])
         for inst in insts[:100]:
-            store.remove(inst.tid)
+            store.remove(inst)
         assert isinstance(store.groups[2].cols[1], array)
         extra = _fill(store, [("k", "not-an-int"), ("k", 5)], base=200)
         col = store.groups[2].cols[1]
@@ -104,13 +100,13 @@ class TestColumnLayout:
         assert [i.values for i in store.scan(2, [(0, "k")], [])][-2:] == [
             ("k", "not-an-int"), ("k", 5)
         ]
-        assert all(inst.tid in store for inst in extra)
+        assert all(inst.tid in store.rows for inst in extra)
 
     def test_oversize_ints_stay_in_lists(self):
         store = ColumnarStore(0)
         insts = _fill(store, [("k", 2**80 + i) for i in range(200)])
         for inst in insts[:100]:
-            store.remove(inst.tid)
+            store.remove(inst)
         assert not isinstance(store.groups[2].cols[1], array)
         assert store.scan_count(2, [(1, 2**80 + 150)], []) == 1
 
@@ -118,11 +114,11 @@ class TestColumnLayout:
         store = ColumnarStore(0)
         insts = _fill(store, [("k", i) for i in range(100)])
         for inst in insts[:50]:  # 50 dead of 100: below the 64 floor
-            store.remove(inst.tid)
+            store.remove(inst)
         assert store.compactions == 0
         more = _fill(store, [("k", i) for i in range(100, 130)], base=100)
         for inst in insts[50:] + more[:15]:  # crosses 65 dead of 130 rows
-            store.remove(inst.tid)
+            store.remove(inst)
         assert store.compactions == 1
         # the removals after the mid-loop compaction are fresh tombstones
         assert store.groups[2].dead == 50
@@ -135,7 +131,7 @@ class TestColumnLayout:
         assert group.pos_index == {}  # nothing probed yet
         assert store.field_size(3, 1, 2) == 10  # first probe builds it
         assert 1 in group.pos_index
-        store.remove(insts[2].tid)  # values (k, 2, 2)
+        store.remove(insts[2])  # values (k, 2, 2)
         assert store.field_size(3, 1, 2) == 9  # maintained incrementally
         _fill(store, [("k", 2, 99)], base=40)
         assert store.field_size(3, 1, 2) == 10
@@ -146,7 +142,7 @@ class TestColumnLayout:
         insts = _fill(store, [("k", i % 3, i) for i in range(150)])
         assert store.field_size(3, 2, 149) == 1  # build the lazy index
         for inst in insts[:100]:
-            store.remove(inst.tid)
+            store.remove(inst)
         assert store.compactions == 1
         group = store.groups[3]
         assert 2 in group.pos_index  # survived (renumbered), not discarded
@@ -252,21 +248,22 @@ class TestScanKernel:
 
 
 # ---------------------------------------------------------------------------
-# pickling + shard shipping
+# shard shipping
 # ---------------------------------------------------------------------------
 
 class TestPickleRoundTrip:
     @pytest.mark.parametrize("cls", [TupleStore, ColumnarStore])
     def test_store_round_trip_rebuilds_layout(self, cls):
-        store = cls(3)
-        insts = _fill(store, [("k", i % 4, i) for i in range(40)])
-        for inst in insts[::3]:
-            store.remove(inst.tid)
-        clone = pickle.loads(pickle.dumps(store))
+        ds = Dataspace(store=cls.kind)
+        insts = ds.insert_many([("k", i % 4, i) for i in range(40)])
+        ds.retract_many([inst.tid for inst in insts[::3]])
+        store = ds.stores[0]
+        clone = load_shard(ship_shard(ds, 0))
         assert type(clone) is cls
-        assert clone.shard == 3
-        assert [i.tid for i in clone.iter_serial()] == [
-            i.tid for i in store.iter_serial()
+        assert clone.shard == 0
+        assert len(clone) == len(store)
+        assert [i.tid for i in clone.arity_candidates(3)] == [
+            i.tid for i in ds.instances()
         ]
         assert clone.field_size(3, 1, 2) == store.field_size(3, 1, 2)
         assert [i.tid for i in clone.candidates_probed(3, [(1, 2)])] == [
@@ -277,12 +274,13 @@ class TestPickleRoundTrip:
     def test_ship_and_load_shard(self, store_kind):
         ds = Dataspace(shards=4, store=store_kind)
         ds.insert_many([(f"c{i % 5}", i) for i in range(60)])
-        shipped = [load_shard(ship_shard(s)) for s in ds.stores]
-        merged = merge_serial_lists(s.iter_serial() for s in shipped)
+        shipped = [load_shard(ship_shard(ds, k)) for k in range(ds.shard_count)]
+        merged = merge_serial_lists(s.arity_candidates(2) for s in shipped)
         assert [i.tid for i in merged] == [i.tid for i in ds.instances()]
         for original, clone in zip(ds.stores, shipped):
             assert clone.kind == original.kind
-            assert clone.evicted_version == original.evicted_version
+            assert clone.shard == original.shard
+            assert len(clone) == len(original)
 
 
 # ---------------------------------------------------------------------------
@@ -322,62 +320,6 @@ class TestRoutingMemoEviction:
         route = part.shard_of(1, [1, 2])
         assert route == part.shard_of(1, [1, 2])
         assert not part._cache
-
-
-# ---------------------------------------------------------------------------
-# S3 regression: journal restore routes through record()
-# ---------------------------------------------------------------------------
-
-class TestWatermarkAfterPickle:
-    def _stamps(self, versions):
-        return [DataspaceChange("assert", (), (), v) for v in versions]
-
-    @pytest.mark.parametrize("cls", [TupleStore, ColumnarStore])
-    def test_watermark_never_under_reports_after_round_trip(self, cls):
-        store = cls(0)
-        # overflow the journal so a real watermark exists...
-        for change in self._stamps(range(1, JOURNAL_DEPTH + 10)):
-            store.record(change)
-        assert store.evicted_version == 9
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.evicted_version == 9
-        assert list(c.version for c in clone.journal) == list(
-            c.version for c in store.journal
-        )
-        # ...then keep appending on the clone: every eviction must advance
-        # the watermark exactly as it would have on the original.
-        for offset, change in enumerate(
-            self._stamps(range(JOURNAL_DEPTH + 10, JOURNAL_DEPTH + 20))
-        ):
-            clone.record(change)
-            store.record(change)
-            assert clone.evicted_version == store.evicted_version == 10 + offset
-
-    @pytest.mark.parametrize("cls", [TupleStore, ColumnarStore])
-    def test_full_journal_round_trip_evicts_on_next_append(self, cls):
-        # Exactly-full journal, nothing ever evicted: the very next append
-        # after the round trip drops entry v1 and must record it.
-        store = cls(0)
-        for change in self._stamps(range(1, JOURNAL_DEPTH + 1)):
-            store.record(change)
-        assert store.evicted_version == 0
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.evicted_version == 0
-        clone.record(self._stamps([JOURNAL_DEPTH + 1])[0])
-        assert clone.evicted_version == 1
-
-    @pytest.mark.parametrize("cls", [TupleStore, ColumnarStore])
-    def test_pickled_watermark_survives_partial_journal(self, cls):
-        # The pickled watermark may exceed anything derivable from the
-        # restored entries (the journal was truncated upstream); restore
-        # must re-impose it, not recompute a smaller one.
-        store = cls(0)
-        for change in self._stamps(range(1, JOURNAL_DEPTH + 50)):
-            store.record(change)
-        high = store.evicted_version
-        assert high == 49
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.evicted_version == high
 
 
 # ---------------------------------------------------------------------------

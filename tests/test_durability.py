@@ -366,6 +366,61 @@ class TestEngineIntegration:
             r2.reason, r2.steps, r2.rounds, r2.commits
         )
 
+    @pytest.mark.parametrize("commit", ["live", "group"])
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_limit_then_resume_stays_durable(self, tmp_path, commit, limit):
+        # A round/step limit is not the end of the run.  The engine used to
+        # close the log at *every* summary, so a second ``run()`` committed
+        # with no listener: the WAL stopped at the limit while the live
+        # dataspace moved on, and ``load`` reported the stale prefix intact.
+        from repro.programs.summation import array_tuples, sum3_definition
+
+        space = Dataspace()
+        listeners = space.listener_count
+        engine = Engine(
+            definitions=[sum3_definition()], seed=3, commit=commit,
+            wal_dir=str(tmp_path), dataspace=space,
+        )
+        engine.assert_tuples(array_tuples(list(range(1, 65))))
+        engine.start("Sum3")
+        first = engine.run(max_rounds=limit)
+        assert first.reason == "round-limit"
+        # The prefix is already durable at the limit (flush + fsync)...
+        scratch, report = DurableLog.load(str(tmp_path))
+        assert report.intact and report.end_version == space.version
+        assert scratch.multiset() == space.multiset()
+        # ...and the log is still subscribed for whatever the resumed run
+        # commits.
+        assert space.listener_count > listeners
+        second = engine.run()
+        assert second.completed
+        if commit == "live":
+            # (A resumed *group* run has nothing left to commit: the round
+            # taken at the limit is not handed back — see ROADMAP 4(b).)
+            assert second.commits > first.commits
+            assert second.wal_frames > first.wal_frames
+            assert [v for __, v in space.snapshot()] == [sum(range(1, 65))]
+        scratch, report = DurableLog.load(str(tmp_path))
+        assert report.intact and report.end_version == space.version
+        assert scratch.multiset() == space.multiset()
+        # A terminal reason still tears the subscription down.
+        assert space.listener_count == listeners
+
+    def test_step_limit_flushes_and_stays_subscribed(self, tmp_path):
+        engine = self._noop_engine(
+            tmp_path, checkpoint_interval=4, on_deadlock="return"
+        )
+        first = engine.run(max_steps=2)
+        assert first.reason == "step-limit"
+        scratch, report = DurableLog.load(str(tmp_path))
+        assert report.intact
+        assert signature(scratch) == signature(engine.dataspace)
+        assert engine.run().completed
+        assert engine.dataspace.listener_count == 0
+        scratch, report = DurableLog.load(str(tmp_path))
+        assert report.intact
+        assert signature(scratch) == signature(engine.dataspace)
+
     def test_obs_metrics_expose_wal_sites(self, tmp_path):
         engine = self._noop_engine(tmp_path, checkpoint_interval=4, obs=True)
         result = engine.run()

@@ -110,10 +110,10 @@ class TestReplay:
             log.recover(stale)
 
     def test_drifted_shard_counts_raise(self):
-        # shard_counts claims chunk boundaries for the shard-major
-        # instance layout; recovery re-routes every tuple, so a count
-        # vector that disagrees with the actual placement means the
-        # checkpoint is internally inconsistent and must be rejected.
+        # shard_counts records the per-shard occupancy at capture;
+        # recovery re-routes every tuple, so a count vector that disagrees
+        # with the actual placement means the checkpoint is internally
+        # inconsistent and must be rejected.
         space = Dataspace(shards=4)
         log = RecoveryLog(space, interval=4)
         space.insert_many([(f"c{i % 5}", i) for i in range(24)])

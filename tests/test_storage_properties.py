@@ -1,4 +1,4 @@
-"""Sharded storage: routing units, journal merges, and shards≡single.
+"""Sharded storage: routing units, the one journal, and shards≡single.
 
 The layered store (``repro.core.storage``) claims the partitioned layout
 is *observably identical* to the single-store monolith.  Identity here is
@@ -6,19 +6,24 @@ strong: not just the same match sets but the same candidate **order**
 (which feeds the seeded arbitration RNG), the same journal windows, and —
 at the engine level — the same program state and the same
 shard-independent ``RunResult`` counters, under both live and group
-commit, for random programs and seeds.
+commit, for random programs and seeds.  The identity table and the journal
+live once on the facade, so the second half of the module checks that they
+are layout- and backend-blind, bounded, and that what a shard ships to a
+worker is a projection of them.
 """
+
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.actions import assert_tuple
-from repro.core.dataspace import Dataspace
+from repro.core.dataspace import JOURNAL_DEPTH, Dataspace
 from repro.core.expressions import Var
 from repro.core.patterns import P, pattern
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
 from repro.core.storage import (
-    JOURNAL_DEPTH,
+    BaseStore,
     HeadPartitioner,
     SinglePartitioner,
     TupleStore,
@@ -28,6 +33,7 @@ from repro.core.transactions import delayed
 from repro.core.values import Atom
 from repro.errors import EngineError, SDLError
 from repro.runtime.engine import Engine
+from repro.runtime.parallel import SnapshotShipper, load_shard, ship_shard
 
 import pytest
 
@@ -102,7 +108,7 @@ class TestHeadRouting:
         ds.insert(("k", 1, 2))
         for inst in ds.instances():
             home = part.shard_of_values(inst.values)
-            assert inst.tid in ds.stores[home].instances
+            assert inst in ds.stores[home].arity_candidates(inst.arity)
 
     def test_spread(self):
         # Sanity: many distinct heads should touch more than one shard.
@@ -117,10 +123,10 @@ class TestStoreInvariants:
         ds = Dataspace()
         inst = ds.insert(("x", 1))
         store.admit(inst)
-        store.remove(inst.tid)
-        assert not store.by_arity and not store.by_field and not store.instances
+        store.remove(inst)
+        assert not store.by_arity and not store.by_field and not len(store)
         with pytest.raises(KeyError):
-            store.remove(inst.tid)
+            store.remove(inst)
 
     def test_facade_retract_raises_sdl_error_in_every_layout(self):
         for shards in ("single", 4):
@@ -134,7 +140,7 @@ class TestStoreInvariants:
 
 
 # ---------------------------------------------------------------------------
-# journal merge semantics
+# one journal: every layout serves the same windows
 # ---------------------------------------------------------------------------
 
 def _mirrored(rows_per_event, shards=4):
@@ -201,41 +207,37 @@ class TestJournalMerge:
 
 
 class TestJournalOverflowGuard:
-    """One shard forgetting part of a window must invalidate the whole
-    recombined delta — ``changes_since`` may return ``None``, never a
-    partial list.  The defense is the per-store eviction watermark
-    (:attr:`TupleStore.evicted_version`), maintained by ``record()``.
+    """A window the journal no longer covers is refused whole —
+    ``changes_since`` returns ``None``, never a partial list — and the
+    window is global: how few of the dropped changes a shard saw is
+    irrelevant.
     """
 
-    def _stamps(self, versions):
-        from repro.core.dataspace import DataspaceChange
-
-        return [DataspaceChange("assert", (), (), v) for v in versions]
-
-    def test_record_tracks_eviction_watermark(self):
-        store = TupleStore(0)
-        for change in self._stamps(range(1, JOURNAL_DEPTH + 1)):
-            store.record(change)
-        assert store.evicted_version == 0  # exactly full, nothing dropped
-        store.record(self._stamps([JOURNAL_DEPTH + 1])[0])
-        assert store.evicted_version == 1  # the oldest entry fell off
-        store.record(self._stamps([JOURNAL_DEPTH + 2])[0])
-        assert store.evicted_version == 2
-
     def test_partially_forgotten_window_returns_none(self):
-        # Simulate an external journal writer (compaction, a future
-        # store-local producer) evicting inside a window the global
-        # availability rule still believes is reachable: the facade must
-        # refuse the recombination outright.
+        # The cold shard sees one change, then the hot shard takes
+        # JOURNAL_DEPTH more.  The cold shard's own suffix is one entry
+        # long, but the journal has dropped part of the window, so the
+        # facade refuses it and the shipper — which projects the facade
+        # journal onto the shard — re-ships in full instead of sending a
+        # delta it cannot vouch for.
         multi = Dataspace(shards=4)
         multi.insert_many([(f"c{i}", i) for i in range(8)])
+        shard_of = multi.partitioner.shard_of_values
+        cold = shard_of(("c0", 0))
+        hot = next(f"c{i}" for i in range(8) if shard_of((f"c{i}", 0)) != cold)
+        shipper = SnapshotShipper(multi)
+        shipper.bundle(cold, multi.version, multi.version, ())
         mark = multi.version
         multi.insert(("c0", 99))
-        assert multi.changes_since(mark) is not None
-        hot = multi.partitioner.shard_of_values(("c0", 99))
-        multi.stores[hot].evicted_version = mark + 1
+        assert [c.version for c in shipper._deltas_since(cold, mark)] == [mark + 1]
+        for i in range(JOURNAL_DEPTH):
+            multi.insert((hot, i))
         assert multi.changes_since(mark) is None
-        # Windows that start after the evicted entry are still served.
+        assert shipper._deltas_since(cold, mark) is None
+        rebuilt = shipper.bundle(cold, multi.version, multi.version, ())
+        assert rebuilt[6] is not None and rebuilt[3] == multi.version
+        # Windows that start inside the journal are still served.
+        assert multi.changes_since(mark + 1) is not None
         assert multi.changes_since(multi.version) == []
 
     def test_mixed_fill_overflow_boundary_matches_single(self):
@@ -319,6 +321,146 @@ def test_sharded_dataspace_is_observably_single(script, shards):
     assert _changes_repr(multi.changes_since(0)) == _changes_repr(
         single.changes_since(0)
     )
+
+
+# ---------------------------------------------------------------------------
+# the facade's identity table and journal: layout- and backend-blind, bounded
+# ---------------------------------------------------------------------------
+
+LAYOUTS = [
+    (store, shards)
+    for store in ("object", "columnar")
+    for shards in ("single", "head:2", "head:4")
+]
+
+#: A filler of single inserts that stops just short of the journal depth,
+#: then a random tail: the script ends on either side of the overflow
+#: boundary, at the real depth.
+scripts = st.tuples(
+    st.integers(min_value=JOURNAL_DEPTH - 30, max_value=JOURNAL_DEPTH),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "batch", "retract", "retract_many", "scan"]),
+            st.integers(min_value=0, max_value=6),  # community
+            st.integers(min_value=0, max_value=9),  # payload
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+
+
+def _replay(script):
+    """Run one script against every layout x backend; return the dataspaces."""
+    filler, tail = script
+    spaces = [Dataspace(shards=shards, store=store) for store, shards in LAYOUTS]
+    for ds in spaces:
+        for i in range(filler):
+            ds.insert((f"c{i % 7}", i))
+        for op, c, n in tail:
+            if op == "insert":
+                ds.insert((f"c{c}", n))
+            elif op == "batch":
+                ds.insert_many([(f"c{c}", n), (f"c{(c + 1) % 7}", n, n)])
+            elif op == "retract":  # the oldest instance, if any
+                for inst in ds.instances():
+                    ds.retract(inst.tid)
+                    break
+            elif op == "retract_many":
+                ds.retract_many(list(ds._instances)[: n + 1])
+            else:  # a probe-less read: sharded layouts start tracking the arity
+                ds.by_arity(2 + c % 2)
+            assert len(ds._journal) <= JOURNAL_DEPTH
+    return spaces
+
+
+def _project(changes, ds, shard):
+    """What shard *shard*'s own journal would hold of *changes* (the oracle)."""
+    if changes is None:
+        return None
+    shard_of = ds.partitioner.shard_of_values
+    out = []
+    for c in changes:
+        asserted = [i.tid for i in c.asserted if shard_of(i.values) == shard]
+        retracted = [i.tid for i in c.retracted if shard_of(i.values) == shard]
+        if asserted or retracted:
+            out.append((c.kind, c.version, asserted, retracted))
+    return out
+
+
+class TestFacadeOwnsTheGlobals:
+    @settings(max_examples=20, deadline=None)
+    @given(script=scripts)
+    def test_changes_since_is_layout_and_backend_blind(self, script):
+        reference, *others = _replay(script)
+        live = reference.version
+        marks = {0, live - JOURNAL_DEPTH - 1, live - JOURNAL_DEPTH,
+                 live - JOURNAL_DEPTH + 1, live - 1, live}
+        for ds in others:
+            assert ds.version == live
+            assert [i.tid for i in ds.instances()] == [
+                i.tid for i in reference.instances()
+            ]
+            for mark in marks:
+                assert _changes_repr(ds.changes_since(mark)) == _changes_repr(
+                    reference.changes_since(mark)
+                ), f"{ds.store_kind}/{ds.shard_spec} diverged at watermark {mark}"
+
+    @settings(max_examples=20, deadline=None)
+    @given(script=scripts)
+    def test_shipped_deltas_and_blobs_are_projections(self, script):
+        for ds in _replay(script):
+            shipper = SnapshotShipper(ds)
+            live = ds.version
+            for shard in range(ds.shard_count):
+                for floor in (live - JOURNAL_DEPTH - 1, live - JOURNAL_DEPTH,
+                              live - 7, live):
+                    assert _changes_repr(
+                        shipper._deltas_since(shard, floor)
+                    ) == _project(ds.changes_since(floor), ds, shard)
+                store = ds.stores[shard]
+                store.candidates_probed(2, [(1, 3)])  # builds a lazy index
+                blob = ship_shard(ds, shard)
+                cls, wire_shard, indexed, instances = pickle.loads(blob)
+                assert (cls, wire_shard, indexed) == (type(store), shard, True)
+                assert len(instances) == len(store)
+                clone = load_shard(blob)
+                if ds.store_kind == "columnar":
+                    assert not any(g.pos_index for g in clone.groups.values())
+                for arity, probes in (
+                    (2, []), (2, [(0, "c1")]), (2, [(1, 3)]),
+                    (2, [(0, "c2"), (1, 3)]), (3, [(1, 3), (2, 3)]),
+                ):
+                    assert [i.tid for i in clone.candidates_probed(arity, probes)] == [
+                        i.tid for i in store.candidates_probed(arity, probes)
+                    ]
+
+    @settings(max_examples=20, deadline=None)
+    @given(script=scripts)
+    def test_full_retract_leaves_nothing_behind(self, script):
+        for ds in _replay(script):
+            ds.retract_many(list(ds._instances))
+            assert len(ds._journal) <= JOURNAL_DEPTH
+            assert not ds._instances
+            assert all(not order for order in ds._arity_order.values())
+            assert ds.shard_sizes() == (0,) * ds.shard_count
+            assert not ds._by_arity and not ds._by_field
+
+    def test_store_contract_is_a_reviewed_list(self):
+        # What a backend must implement.  Growing this list is a design
+        # decision (every backend and every future index pays for it), so
+        # it is spelled out here rather than discovered.
+        public = sorted(
+            name for name, member in vars(BaseStore).items()
+            if callable(member) and not name.startswith("_")
+        )
+        assert public == [
+            "admit", "admit_many", "arity_bucket", "arity_candidates",
+            "arity_size", "candidates", "candidates_probed", "debug_by_arity",
+            "debug_by_field", "field_bucket", "field_candidates", "field_size",
+            "remove", "stats",
+        ]
+        assert BaseStore.__slots__ == ("shard", "indexed")
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +638,9 @@ class TestEngineWiring:
             ds.retract(tid)
         assert log.latest.shard_counts is not None
         assert sum(log.latest.shard_counts) == log.latest.size
+        # global serial order, not shard-major
+        serials = [inst.tid.serial for inst in log.latest.instances]
+        assert serials == sorted(serials)
         scratch = log.verify()
         assert scratch.shard_count == 4
         assert scratch.multiset() == ds.multiset()
