@@ -123,21 +123,25 @@ def e4() -> None:
 
 def e5() -> None:
     rows = []
-    for size in (4, 6, 8):
+    for size in (4, 6, 8, 12, 16):
         image = random_blob_image(size, size, blobs=2, seed=size)
-        worker, tw = timed(run_worker_labeling, image, seed=2)
         community, tc = timed(run_community_labeling, image, seed=2)
-        assert worker.correct and community.correct
+        assert community.correct
         first = min((r for __, r in community.completions), default="-")
+        worker_rounds = worker_ms = "-"
+        if size <= 8:  # the worker model's join is quadratic in pixels
+            worker, tw = timed(run_worker_labeling, image, seed=2)
+            assert worker.correct and worker.labels == community.labels
+            worker_rounds, worker_ms = worker.result.rounds, f"{tw*1000:.0f}"
         rows.append(
             [
                 f"{size}x{size}",
-                worker.region_count(),
-                worker.result.rounds,
+                community.region_count(),
+                worker_rounds,
                 community.result.rounds,
                 community.result.consensus_rounds,
                 first,
-                f"{tw*1000:.0f}",
+                worker_ms,
                 f"{tc*1000:.0f}",
             ]
         )

@@ -24,17 +24,23 @@ indexes and filters through the import rules, with memoisation per tuple
 instance.  Materialising the full import *footprint* (needed by the
 consensus engine's overlap test) is explicit.
 
-Both the memo and the footprint are maintained **incrementally**: a window
-remembers the dataspace version it last saw and, on refresh, pulls the
-delta journal (:meth:`Dataspace.changes_since`) instead of discarding its
-state.  For ordinary rules (pattern + guard) an import decision depends
-only on the tuple's own values and the process parameters, so it stays
-valid across unrelated mutations; retracted instances are evicted and
-asserted instances are classified on arrival.  Rules carrying ``where``
-context atoms make coverage configuration-dependent, so any change falls
-back to a conservative full invalidation — exactly the seed behaviour.
-:class:`WindowStats` counts hits/misses/delta-vs-full refreshes so the
-incrementality win is observable from :class:`~repro.runtime.engine.RunResult`.
+Both the memo and the footprint are **maintained, not recomputed**: a
+window remembers the dataspace version it last saw and, on refresh, pulls
+the delta journal (:meth:`Dataspace.changes_since`) instead of discarding
+its state; only a journal gap forces a full invalidation.  Retracted
+instances are evicted and asserted instances are classified on arrival.
+For ordinary rules (pattern + guard) that is everything, because an import
+decision depends only on the tuple's own values and the process parameters.
+A rule carrying ``where`` context atoms makes coverage
+configuration-dependent: a changed instance that can be a witness of a
+``where`` atom under the window's params may flip the decision for the
+head instances it joins with, so exactly those are re-decided
+(:meth:`Window._reclassify`, seeded by :func:`_support_seeds`) — by the
+ordinary :meth:`View.imports_value`, against the current dataspace.  The
+from-scratch body of :meth:`Window.footprint` is the first materialisation
+and the test oracle.  :class:`WindowStats` counts hits/misses/delta-vs-full
+refreshes so the incrementality is observable from
+:class:`~repro.runtime.engine.RunResult`.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.dataspace import Dataspace, DataspaceChange
 from repro.core.expressions import Bindings, EvalContext, Expr
-from repro.core.patterns import Pattern, pattern as make_pattern
+from repro.core.patterns import Pattern, VarElement, pattern as make_pattern
 from repro.core.tuples import TupleId, TupleInstance
 from repro.errors import ViewError
 
@@ -99,7 +105,6 @@ class ViewRule:
         if self.where and not _where_satisfiable(dataspace, self.where, merged):
             return False
         if self.guard is not None:
-            merged = {**params, **new} if not self.where else merged
             ctx = EvalContext(Bindings(merged))
             if not bool(self.guard.evaluate(ctx)):
                 return False
@@ -130,6 +135,57 @@ def _where_satisfiable(
         if _where_satisfiable(dataspace, rest, {**bound, **new}):
             return True
     return False
+
+
+def _params_fix(pat: Pattern, params: Mapping[str, Any]) -> tuple[tuple[int, Any], ...]:
+    """``(position, value)`` for the fields of *pat* the params alone fix."""
+    try:
+        return tuple(pat.index_constants(params))
+    except Exception:
+        # A literal that raises under the params constrains nothing here;
+        # the error belongs to the evaluation that reaches that field.
+        return ()
+
+
+def _support_seeds(view: "View", params: Mapping[str, Any]) -> list[tuple]:
+    """One seed per ``(import rule, where atom)`` of a configuration-
+    dependent *view*, resolved under *params*.
+
+    A seed ``(arity, fixed, repeats, head_arity, head_probes, links)`` tests
+    whether a changed instance can be a witness of the ``where`` atom **under
+    the params alone** — right arity, the fields the params fix
+    (``fixed``: constants, param-bound variables, literals over params) equal,
+    a repeated variable agreeing with itself (``repeats``) — leaving fields
+    that depend on head- or where-bound variables unconstrained.  For such an
+    instance the head instances whose verdict it can flip are fetched with
+    ``head_probes`` (the rule pattern's own params-fixed fields) plus, per
+    ``(head position, witness position)`` in ``links``, the witness's value
+    for each variable the atom shares with the rule pattern.
+    """
+    seeds = []
+    for rule in view.imports:
+        if not rule.where:
+            continue
+        head = rule.pattern
+        head_probes = _params_fix(head, params)
+        for atom in rule.where:
+            binders: dict[str, int] = {}
+            repeats = []
+            for position, element in enumerate(atom.elements):
+                if isinstance(element, VarElement) and element.name not in params:
+                    first = binders.setdefault(element.name, position)
+                    if first != position:
+                        repeats.append((first, position))
+            links = tuple(
+                (position, binders[element.name])
+                for position, element in enumerate(head.elements)
+                if isinstance(element, VarElement) and element.name in binders
+            )
+            seeds.append(
+                (atom.arity, _params_fix(atom, params), tuple(repeats),
+                 head.arity, head_probes, links)
+            )
+    return seeds
 
 
 def _as_rule(rule: "ViewRule | Pattern") -> ViewRule:
@@ -171,8 +227,10 @@ class View:
             None if exports is None else tuple(_as_rule(r) for r in exports)
         )
         self.unrestricted = self.imports is None and self.exports is None
-        #: Import coverage can change on *any* dataspace change (``where``
-        #: context atoms) — consumers must use conservative invalidation.
+        #: Some import rule carries ``where`` context atoms: a decision can
+        #: change when *other* instances come or go, so a consumer caching
+        #: decisions must re-decide on support changes (:class:`Window`) or
+        #: react to any change (the wake filter).
         self.config_dependent = bool(self.imports) and any(
             rule.where for rule in self.imports
         )
@@ -235,13 +293,14 @@ class Window:
     (:meth:`candidates`, :meth:`find_matching`, :meth:`count_matching`) but
     filters instances through the view's import rules, memoising per-instance
     decisions.  :meth:`refresh` reconciles the memo and footprint with the
-    dataspace by consuming the delta journal; only a configuration-dependent
-    view (``where`` atoms) or a journal gap forces a full invalidation.
+    dataspace by consuming the delta journal — also for configuration-
+    dependent views (``where`` atoms); only a journal gap forces a full
+    invalidation.
     """
 
     __slots__ = (
         "dataspace", "view", "params", "stats", "planner",
-        "_memo", "_memo_version", "_footprint", "_footprint_frozen",
+        "_memo", "_memo_version", "_footprint", "_footprint_frozen", "_seeds",
     )
 
     def __init__(self, dataspace: Dataspace, view: View, params: dict[str, Any]) -> None:
@@ -260,6 +319,9 @@ class Window:
         #: when not yet materialised.
         self._footprint: set[TupleId] | None = None
         self._footprint_frozen: frozenset[TupleId] | None = None
+        #: :func:`_support_seeds` of a ``where``-view, resolved on the first
+        #: delta refresh (they depend only on the view and the params).
+        self._seeds: list[tuple] | None = None
 
     def refresh(self) -> "Window":
         """Reconcile memoised import decisions with the dataspace."""
@@ -271,11 +333,7 @@ class Window:
             self._footprint_frozen = None
             self._memo_version = version
             return self
-        changes = (
-            None
-            if self.view.config_dependent
-            else self.dataspace.changes_since(self._memo_version)
-        )
+        changes = self.dataspace.changes_since(self._memo_version)
         if changes is None:
             self._memo.clear()
             self._footprint = None
@@ -290,10 +348,13 @@ class Window:
     def _apply_deltas(self, changes: Sequence[DataspaceChange]) -> None:
         """Fold journal deltas into the memo and (if materialised) footprint.
 
-        Sound because, absent ``where`` atoms, a rule's coverage of a tuple
-        depends only on the tuple's values and the (fixed) process params —
-        decisions for surviving instances cannot be perturbed by other
-        instances coming or going.
+        Retracted instances are evicted and, once the footprint exists,
+        asserted instances are classified on arrival.  Absent ``where``
+        atoms that is all: a rule's coverage of a tuple depends only on the
+        tuple's values and the (fixed) process params, so decisions for
+        surviving instances cannot be perturbed by other instances coming
+        or going.  With ``where`` atoms they can, and :meth:`_reclassify`
+        re-decides exactly the instances the changes may have perturbed.
         """
         memo = self._memo
         footprint = self._footprint
@@ -312,11 +373,66 @@ class Window:
                     if covered:
                         footprint.add(inst.tid)
                         self._footprint_frozen = None
+        if self.view.config_dependent:
+            self._reclassify(changes)
+
+    def _reclassify(self, changes: Sequence[DataspaceChange]) -> None:
+        """Re-decide the instances whose ``where`` support *changes* touched.
+
+        Every changed instance (asserted or retracted) is tested against
+        the window's support seeds; one that can be a ``where`` witness
+        names, through the variables it shares with the rule head, the head
+        instances whose verdict it can flip.  Those — restricted to the
+        memoised ones while the footprint is not materialised — get the
+        ordinary decision again.  Verdicts come from
+        :meth:`View.imports_value` against the *current* dataspace, so
+        neither fold order nor re-deciding a superset matters.
+        """
+        seeds = self._seeds
+        if seeds is None:
+            seeds = self._seeds = _support_seeds(self.view, self.params)
+        # Keyed by probe list, so several witnesses of one head instance
+        # cost one fetch; a dict, so the fetch order is the journal's.
+        fetches: dict[tuple, None] = {}
+        for change in changes:
+            for inst in change.asserted + change.retracted:
+                values = inst.values
+                for arity, fixed, repeats, head_arity, head_probes, links in seeds:
+                    if (
+                        len(values) == arity
+                        and all(values[pos] == value for pos, value in fixed)
+                        and all(values[a] == values[b] for a, b in repeats)
+                    ):
+                        probes = head_probes + tuple(
+                            (head_pos, values[pos]) for head_pos, pos in links
+                        )
+                        fetches[head_arity, probes] = None
+        memo = self._memo
+        footprint = self._footprint
+        for head_arity, probes in fetches:
+            for inst in self.dataspace.candidates_probed(head_arity, probes):
+                tid = inst.tid
+                if footprint is None and tid not in memo:
+                    continue  # never decided: decided on first lookup
+                covered = self.view.imports_value(
+                    inst.values, self.dataspace, self.params
+                )
+                memo[tid] = covered
+                if footprint is not None and covered != (tid in footprint):
+                    if covered:
+                        footprint.add(tid)
+                    else:
+                        footprint.discard(tid)
+                    self._footprint_frozen = None
 
     def imports_instance(self, inst: TupleInstance) -> bool:
         if self.view.imports is None:
             return True
         self.refresh()
+        return self._decide(inst)
+
+    def _decide(self, inst: TupleInstance) -> bool:
+        """The memoised import decision for *inst* (window already fresh)."""
         cached = self._memo.get(inst.tid)
         if cached is None:
             self.stats.misses += 1
@@ -331,6 +447,15 @@ class Window:
             return False
         return self.imports_instance(self.dataspace.get(tid))
 
+    def _imported(self, raw: list[TupleInstance]) -> list[TupleInstance]:
+        """Filter one enumeration through the import rules of a restricted
+        view: one refresh, then a memo lookup per row."""
+        if not raw:
+            return raw
+        self.refresh()
+        decide = self._decide
+        return [inst for inst in raw if decide(inst)]
+
     def candidates(
         self, pat: Pattern, bound: Mapping[str, Any] | None = None
     ) -> list[TupleInstance]:
@@ -338,7 +463,7 @@ class Window:
         raw = self.dataspace.candidates(pat, bound)
         if self.view.imports is None:
             return raw
-        return [inst for inst in raw if self.imports_instance(inst)]
+        return self._imported(raw)
 
     def candidates_probed(
         self, arity: int, probes: list[tuple[int, Any]]
@@ -347,7 +472,7 @@ class Window:
         raw = self.dataspace.candidates_probed(arity, probes)
         if self.view.imports is None:
             return raw
-        return [inst for inst in raw if self.imports_instance(inst)]
+        return self._imported(raw)
 
     def find_matching(
         self, pat: Pattern, bound: Mapping[str, Any] | None = None
@@ -364,9 +489,9 @@ class Window:
 
     def instances(self) -> Iterator[TupleInstance]:
         """Iterate the window contents (materialises import decisions)."""
-        for inst in self.dataspace.instances():
-            if self.imports_instance(inst):
-                yield inst
+        if self.view.imports is None:
+            return self.dataspace.instances()
+        return iter(self._imported(list(self.dataspace.instances())))
 
     def footprint(self) -> frozenset[TupleId]:
         """The set of dataspace instances this window imports.

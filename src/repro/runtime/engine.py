@@ -351,6 +351,10 @@ class Engine:
         self.supervisor = Supervisor(supervision)
 
         self.step_count = 0
+        #: Group mode: the round (deferred losers first) that was already
+        #: taken from the scheduler when a run limit stopped the run.  It
+        #: belongs to no queue, so it is kept here and leads the resumed run.
+        self._held_round: list | None = None
         self.scheduler = Scheduler(self.rng, policy)
         if commit == "serial":
             self.scheduler.round_size = 1
@@ -461,6 +465,7 @@ class Engine:
             if item.state is not TaskState.READY:
                 continue  # lazily discarded (aborted process, stale entry)
             if self.step_count >= max_steps:
+                scheduler.unpop(item)  # not stepped: still first in its round
                 if self.on_deadlock == "raise":
                     raise StepLimitExceeded(max_steps)
                 return self._summary("step-limit")
@@ -474,7 +479,9 @@ class Engine:
         are neither blocked nor re-enqueued) and are prepended, in order,
         to the next round's arbitration sequence — the first loser is then
         unconditionally admitted, which is the weak-fairness argument of
-        `docs/SEMANTICS.md`.
+        `docs/SEMANTICS.md`.  A round that a limit stops before it runs is
+        held (losers included) and is the first round of the next ``run()``,
+        so limit-then-resume follows the uninterrupted schedule.
         """
         scheduler = self.scheduler
         executor = self.executor
@@ -486,17 +493,19 @@ class Engine:
                 executor.try_consensus()
             executor.flush_delayed()
             self._spawn_restarts()
-            items = scheduler.take_round(prepend=deferred)
+            items = self._held_round or scheduler.take_round(prepend=deferred)
+            self._held_round = None
             if items is None:
                 if executor.try_consensus():
                     continue
                 if self._spawn_restarts(idle=True):
                     continue
                 return self._finish()
-            deferred = []
             if max_rounds is not None and scheduler.round_count > max_rounds:
+                self._held_round = items
                 return self._summary("round-limit")
             if self.step_count >= max_steps:
+                self._held_round = items
                 if self.on_deadlock == "raise":
                     raise StepLimitExceeded(max_steps)
                 return self._summary("step-limit")

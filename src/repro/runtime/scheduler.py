@@ -213,6 +213,11 @@ class Scheduler:
         item.queued = False
         return item
 
+    def unpop(self, item: Any) -> None:
+        """Hand back an item :meth:`pop` returned but that was not stepped."""
+        item.queued = True
+        self._round_queue.appendleft(item)
+
     @property
     def round_active(self) -> bool:
         return bool(self._round_queue)

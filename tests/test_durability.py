@@ -394,12 +394,9 @@ class TestEngineIntegration:
         assert space.listener_count > listeners
         second = engine.run()
         assert second.completed
-        if commit == "live":
-            # (A resumed *group* run has nothing left to commit: the round
-            # taken at the limit is not handed back — see ROADMAP 4(b).)
-            assert second.commits > first.commits
-            assert second.wal_frames > first.wal_frames
-            assert [v for __, v in space.snapshot()] == [sum(range(1, 65))]
+        assert second.commits > first.commits
+        assert second.wal_frames > first.wal_frames
+        assert [v for __, v in space.snapshot()] == [sum(range(1, 65))]
         scratch, report = DurableLog.load(str(tmp_path))
         assert report.intact and report.end_version == space.version
         assert scratch.multiset() == space.multiset()

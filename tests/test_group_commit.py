@@ -108,7 +108,7 @@ def make_disjoint_engine(n=8, **kwargs):
     return engine
 
 
-def make_contended_engine(workers=6, **kwargs):
+def make_contended_engine(workers=6, bumps=1, **kwargs):
     a = Var("a")
     worker = ProcessDefinition(
         "W",
@@ -116,6 +116,7 @@ def make_contended_engine(workers=6, **kwargs):
             delayed(exists(a).match(P["tok", a].retract())).then(
                 assert_tuple("tok", a + 1)
             )
+            for __ in range(bumps)
         ],
     )
     engine = Engine(definitions=[worker], seed=3, **kwargs)
@@ -295,6 +296,64 @@ class TestImmediateAndSelectionsUnderGroup:
         engine.start("P")
         assert engine.run().completed
         assert engine.dataspace.count_matching(P["out", ANY]) == 10
+
+
+# ---------------------------------------------------------------------------
+# a limit is a pause: the round already taken, and the losers, are kept
+# ---------------------------------------------------------------------------
+
+
+def make_sum3_engine(**kwargs):
+    from repro.programs.summation import array_tuples, sum3_definition
+
+    engine = Engine(definitions=[sum3_definition()], seed=3, **kwargs)
+    engine.assert_tuples(array_tuples(list(range(1, 65))))
+    engine.start("Sum3")
+    return engine
+
+
+def make_token_ring_engine(**kwargs):
+    """Four takers, four bumps each, of the one contended token."""
+    return make_contended_engine(4, bumps=4, **kwargs)
+
+
+class TestLimitThenResume:
+    @pytest.mark.parametrize("make", [make_sum3_engine, make_token_ring_engine])
+    @pytest.mark.parametrize(
+        "limit, reason", [("max_rounds", "round-limit"), ("max_steps", "step-limit")]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_resumed_group_run_finishes_the_uninterrupted_run(self, make, limit, reason, k):
+        # The round is taken from the scheduler before the limit is
+        # checked; it (with the deferred conflict losers leading it) used
+        # to be dropped on return, so the resumed run found nothing ready
+        # and reported ``completed`` with the work undone.
+        whole = make(commit="group")
+        expected = whole.run()
+        assert expected.completed
+
+        engine = make(commit="group", on_deadlock="return")
+        first = engine.run(**{limit: k})
+        assert first.reason == reason
+        assert first.commits < expected.commits
+        second = engine.run()
+        assert second.completed
+        assert engine.dataspace.multiset() == whole.dataspace.multiset()
+        # Not merely the same outcome: the same schedule.
+        assert (second.commits, second.rounds, second.steps) == (
+            expected.commits, expected.rounds, expected.steps,
+        )
+
+    @pytest.mark.parametrize("make", [make_sum3_engine, make_token_ring_engine])
+    def test_step_limit_keeps_the_popped_item_in_live_mode(self, make):
+        whole = make(commit="live")
+        expected = whole.run()
+        engine = make(commit="live", on_deadlock="return")
+        assert engine.run(max_steps=1).reason == "step-limit"
+        second = engine.run()
+        assert second.completed
+        assert engine.dataspace.multiset() == whole.dataspace.multiset()
+        assert (second.commits, second.steps) == (expected.commits, expected.steps)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import operator
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dataspace import Dataspace
+from repro.core.dataspace import JOURNAL_DEPTH, Dataspace
 from repro.core.expressions import Var, variables
 from repro.core.patterns import ANY, P
 from repro.core.query import exists, forall, no
@@ -23,6 +25,63 @@ scalars = st.one_of(
 )
 
 value_tuples = st.lists(scalars, min_size=1, max_size=4).map(tuple)
+
+# Where-views (configuration-dependent imports): everything is drawn from a
+# tiny domain so that heads, ``where`` atoms and data actually join.
+small = st.integers(0, 2)
+tags = st.sampled_from(["item", "sup"])
+rows = st.builds(lambda tag, rest: (tag, *rest), tags, st.lists(small, min_size=1, max_size=2))
+
+
+@st.composite
+def _fields(draw, names, bound):
+    """Fields 1.. of an arity-2/3 pattern: wildcards, constants, bare
+    variables from *names* (binding on first use, testing thereafter) and
+    literal expressions over variables already in *bound*.  Returns the
+    fields and the names bound once the pattern has matched."""
+    fields, bound = [], set(bound)
+    for _ in range(draw(st.integers(1, 2))):
+        # bare variables are what joins head and atoms: weight them up
+        kind = draw(st.sampled_from(["var", "var", "var", "any", "const", "expr"]))
+        if kind == "var":
+            name = draw(st.sampled_from(names))
+            fields.append(Var(name))
+            bound.add(name)
+        elif kind == "const":
+            fields.append(draw(small))
+        elif kind == "expr":
+            name = draw(st.sampled_from(sorted(bound)))
+            fields.append(Var(name) + draw(st.integers(-1, 1)))
+        else:
+            fields.append(ANY)
+    return fields, bound
+
+
+@st.composite
+def where_rules(draw, min_atoms=0):
+    """An import rule with up to two ``where`` atoms sharing variables with
+    the head and with each other, and maybe a guard over head variables
+    and the process parameter ``p``."""
+    head, head_bound = draw(_fields(["x", "y", "p"], {"p"}))
+    atoms, bound = [], head_bound
+    for _ in range(draw(st.integers(min_atoms, 2))):
+        fields, bound = draw(_fields(["x", "y", "z", "p"], bound))
+        atoms.append(P[(draw(tags), *fields)])
+    guard = None
+    if head_bound != {"p"} and draw(st.integers(0, 2)) == 0:
+        compare = draw(st.sampled_from([operator.ge, operator.ne, operator.le]))
+        left = Var(draw(st.sampled_from(sorted(head_bound - {"p"}))))
+        guard = compare(left, draw(st.one_of(small, st.just(Var("p")))))
+    return import_rule(draw(tags), *head, guard=guard, where=atoms)
+
+
+mutations = st.one_of(
+    st.tuples(st.just("insert"), rows),
+    st.tuples(st.just("insert"), rows),  # twice: keep the dataspace populated
+    st.tuples(st.just("insert_many"), st.lists(rows, min_size=1, max_size=4)),
+    st.tuples(st.just("retract"), st.integers(0, 99)),
+    st.tuples(st.just("retract_many"), st.lists(st.integers(0, 99), min_size=1, max_size=3)),
+)
 
 
 class TestDataspaceProperties:
@@ -163,6 +222,60 @@ class TestViewProperties:
         window = view.window(ds)
         imported = sorted(i.values[1] for i in window.instances())
         assert imported == sorted(v for v in values if v >= 0)
+
+    @given(
+        rules=st.builds(
+            lambda first, rest: [first, *rest],
+            where_rules(min_atoms=1),
+            st.lists(where_rules(), max_size=2),
+        ),
+        param=small,
+        layout=st.sampled_from(
+            [(shards, store) for shards in ("single", 2, 4) for store in ("object", "columnar")]
+        ),
+        initial=st.lists(rows, min_size=2, max_size=8),
+        steps=st.lists(st.lists(mutations, min_size=1, max_size=3), min_size=2, max_size=12),
+        stride=st.integers(1, 3),
+        materialise_at=st.one_of(st.none(), st.integers(0, 12)),
+        gap_at=st.one_of(st.none(), st.integers(0, 12)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_where_window_maintained_equals_fresh(
+        self, rules, param, layout, initial, steps, stride, materialise_at, gap_at
+    ):
+        """A long-lived window over a ``where``-view, fed only journal
+        deltas, decides live instances (those whose serial *stride* divides,
+        so the memo may stay partial) — and, from *materialise_at* on, its
+        footprint — exactly as a window built from scratch does, after every
+        step and across a journal gap."""
+        shards, store = layout
+        ds = Dataspace(shards=shards, store=store)
+        view = View(imports=rules)
+        params = {"p": param}
+        window = view.window(ds, params)
+        steps = [[("insert_many", initial)], *steps]
+        for number, step in enumerate(steps):
+            if number == gap_at:  # fall off the journal before this step
+                noise = [ds.insert(("noise",)) for _ in range(JOURNAL_DEPTH)]
+                ds.retract_many(inst.tid for inst in noise)
+            for op, arg in step:
+                live = list(ds.instances())
+                if op == "insert":
+                    ds.insert(arg)
+                elif op == "insert_many":
+                    ds.insert_many(arg)
+                elif live and op == "retract":
+                    ds.retract(live[arg % len(live)].tid)
+                elif live:
+                    ds.retract_many({live[i % len(live)].tid for i in arg})
+            fresh = view.window(ds, params)
+            for inst in ds.instances():
+                if inst.tid.serial % stride == 0:
+                    assert window.imports_instance(inst) == fresh.imports_instance(inst)
+            if materialise_at is not None and number >= materialise_at:
+                assert window.footprint() == fresh.footprint()
+        crossed = gap_at is not None and gap_at < len(steps)
+        assert window.stats.full_invalidations <= int(crossed)
 
 
 class TestProgramProperties:

@@ -198,16 +198,49 @@ class TestWindowIncrementality:
         assert window.stats.full_invalidations == 1
         assert window.stats.footprint_recomputes == 2
 
-    def test_config_dependent_view_still_fully_invalidates(self):
+    def test_where_view_journal_gap_falls_back_to_full_recompute(self):
+        ds = Dataspace()
+        pi = Var("pi")
+        view = View(imports=[import_rule("item", pi, where=[P["enable", pi]])])
+        window = view.window(ds)
+        i1 = ds.insert(("item", 1))
+        i2 = ds.insert(("item", 2))
+        ds.insert(("enable", 1))
+        assert window.footprint() == {i1.tid}
+        for i in range(JOURNAL_DEPTH + 5):
+            ds.insert(("b", i))
+        ds.insert(("enable", 2))  # its delta fell off the journal
+        assert window.footprint() == {i1.tid, i2.tid}
+        assert window.stats.full_invalidations == 1
+        assert window.stats.footprint_recomputes == 2
+
+    def test_config_dependent_view_is_delta_maintained(self):
         ds = Dataspace()
         pi = Var("pi")
         view = View(imports=[import_rule("item", pi, where=[P["enable", pi]])])
         window = view.window(ds)
         item = ds.insert(("item", 5))
+        other = ds.insert(("item", 6))
         assert window.footprint() == set()
-        ds.insert(("enable", 5))  # different arity, but changes coverage
+        enable = ds.insert(("enable", 5))  # different arity, but changes coverage
         assert window.footprint() == {item.tid}
-        assert window.stats.full_invalidations >= 1
+        assert window.imports_instance(item)
+        assert not window.imports_instance(other)
+
+        # An unrelated change and a support tuple for nothing in the memo
+        # leave the decisions where they are: hits, not misses.
+        ds.insert(("noise", 1, 2))
+        ds.insert(("enable", 7))
+        hits, misses = window.stats.hits, window.stats.misses
+        assert window.imports_instance(item)
+        assert not window.imports_instance(other)
+        assert (window.stats.hits, window.stats.misses) == (hits + 2, misses)
+
+        ds.retract(enable.tid)  # losing the support removes the item again
+        assert window.footprint() == set()
+        assert not window.imports_instance(item)
+        assert window.stats.full_invalidations == 0
+        assert window.stats.footprint_recomputes == 1
 
 
 def _noise_program(wake_filter: str):

@@ -14,9 +14,9 @@ from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
 from repro.core.transactions import consensus, delayed, immediate
-from repro.programs import run_sum2, run_sum3
+from repro.programs import run_community_labeling, run_sum2, run_sum3
 from repro.runtime.engine import Engine
-from repro.workloads import random_array
+from repro.workloads import random_array, random_blob_image
 
 
 class TestThousandsOfProcesses:
@@ -63,6 +63,18 @@ class TestThousandsOfProcesses:
         assert result.consensus_rounds == communities
         assert engine.dataspace.count_matching(P["done", ANY]) == processes
         assert elapsed < 60
+
+    def test_community_labeling_of_a_12x12_image(self):
+        """144 ``Label`` processes with configuration-dependent views (a
+        minute before their windows were delta-maintained)."""
+        image = random_blob_image(12, 12, blobs=3, seed=1)
+        start = time.perf_counter()
+        out = run_community_labeling(image, seed=3)
+        elapsed = time.perf_counter() - start
+        assert out.correct
+        assert out.trace.counters.processes_created == 1 + 144
+        assert out.result.consensus_rounds == out.region_count()
+        assert elapsed < 30
 
     def test_thousand_delayed_waiters_all_served(self):
         """Weak fairness at scale: 1000 waiters, 1000 items."""
