@@ -5,7 +5,8 @@ labeled regions are not available for further processing until the entire
 program completes execution", while the community model's per-region
 consensus makes regions available incrementally (the airborne-scanning
 motivation).  The worker model's image sizes stay small: its propagation
-join is quadratic in pixels and this is an interpreter.  The community
+join still enumerates label pairs, now without probing for the
+non-neighbours, and this is an interpreter.  The community
 model's ``Label`` windows are delta-maintained, so it goes on to 16x16
 (256 processes with configuration-dependent views).
 """
@@ -16,7 +17,7 @@ from _helpers import attach, once
 from repro.programs import run_community_labeling, run_worker_labeling
 from repro.workloads import random_blob_image, stripe_image
 
-WORKER_SIZES = [4, 6, 8]
+WORKER_SIZES = [4, 6, 8, 12]
 COMMUNITY_SIZES = [4, 6, 8, 12, 16]
 
 

@@ -129,7 +129,7 @@ def e5() -> None:
         assert community.correct
         first = min((r for __, r in community.completions), default="-")
         worker_rounds = worker_ms = "-"
-        if size <= 8:  # the worker model's join is quadratic in pixels
+        if size <= 12:  # the worker model still enumerates every label pair
             worker, tw = timed(run_worker_labeling, image, seed=2)
             assert worker.correct and worker.labels == community.labels
             worker_rounds, worker_ms = worker.result.rounds, f"{tw*1000:.0f}"

@@ -145,7 +145,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         name, start_args = _parse_start(spec)
         engine.start(name, start_args)
 
-    result = engine.run(max_steps=args.max_steps)
+    try:
+        result = engine.run(max_steps=args.max_steps)
+    except SDLError as exc:  # a runtime failure, not a usage error: exit 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     summary = (
         f"{result.reason}: {result.commits} commits, "
         f"{result.consensus_rounds} consensus, {result.rounds} rounds, "

@@ -32,7 +32,9 @@ __all__ = [
     "UnOp",
     "Call",
     "as_expr",
+    "conjuncts",
     "fn",
+    "is_pure",
     "lift",
     "variables",
 ]
@@ -83,6 +85,19 @@ class Bindings:
 
     def as_dict(self) -> dict[str, Any]:
         return dict(self._map)
+
+    @classmethod
+    def over(cls, mapping: dict[str, Any]) -> "Bindings":
+        """Bindings that read *mapping* live instead of copying it.
+
+        For a caller that owns *mapping* and mutates it between
+        evaluations (the planned join's search environment): build the
+        view once, evaluate many times.  Never hand one out — it is only
+        as immutable as its owner keeps the dict.
+        """
+        view = cls()
+        view._map = mapping
+        return view
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bindings):
@@ -345,6 +360,41 @@ def as_expr(obj: Any) -> Expr:
     if isinstance(obj, Expr):
         return obj
     return Const(obj)
+
+
+def is_pure(expr: Any) -> bool:
+    """Is *expr* evaluable without a window, an RNG, or host effects?
+
+    Pure means built only from :class:`Var`, :class:`Const`,
+    :class:`BinOp`, :class:`UnOp` and :class:`Call` nodes (a lifted
+    function is pure by contract).  ``Membership`` reads the process
+    window (and may consume the RNG for arbitration), so it — like any
+    expression kind this module does not define — is conservatively
+    impure.  The one definition: worker eligibility
+    (:mod:`repro.runtime.parallel`) and test pushdown
+    (:mod:`repro.core.plan`) both rest on it.
+    """
+    if isinstance(expr, (Var, Const)):
+        return True
+    if isinstance(expr, BinOp):
+        return is_pure(expr.left) and is_pure(expr.right)
+    if isinstance(expr, UnOp):
+        return is_pure(expr.operand)
+    if isinstance(expr, Call):
+        return all(is_pure(arg) for arg in expr.args)
+    return False
+
+
+def conjuncts(expr: Expr) -> list[Expr]:
+    """The top-level ``&``-conjuncts of *expr*, left to right.
+
+    ``&`` evaluates both operands before combining them, so the order of
+    conjuncts carries no guarding semantics and each one is a necessary
+    condition of the whole: if any is falsy, *expr* is falsy or raises.
+    """
+    if isinstance(expr, BinOp) and expr.op is _logical_and:
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
 
 
 def lift(func: Callable[..., Any], name: str | None = None) -> Callable[..., Call]:

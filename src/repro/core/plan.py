@@ -28,7 +28,20 @@ removes all three costs while preserving the semantics exactly:
 
 * :class:`QueryPlanner` **caches plans** keyed by
   ``(atoms-signature, bound-variable set)``, with hit/miss counters
-  surfaced through ``repro.obs`` and :class:`~repro.runtime.engine.RunResult`.
+  surfaced through ``repro.obs`` and :class:`~repro.runtime.engine.RunResult`;
+
+* **a test is a join filter, not a leaf check**: the pure top-level
+  ``&``-conjuncts of the query's ``such_that`` test are evaluated at the
+  first join depth that binds their variables (:meth:`Plan.early_filters`),
+  so a partial binding no completion of which can pass is dropped before
+  the deeper atoms are probed for it.  The naive walk asks
+  ``neighbor(p1, p2)`` of the worker-model region labeling only after
+  probing both thresholds of every label pair; here it is asked as soon
+  as ``p2`` is bound.  The caller still evaluates the whole test on every
+  yielded match, and a filter that raises is ignored (an exception is not
+  a verdict), so verdicts and match sets are those of the leaf-only
+  evaluation; what differs is fewer probes, no RNG draws for the pruned
+  subtrees, and strictly fewer test errors (`docs/SEMANTICS.md` §12).
 
 Soundness: a joint match is a set of per-atom instance choices satisfying
 a conjunction of equality constraints; conjunction is commutative, so the
@@ -45,7 +58,14 @@ from __future__ import annotations
 import random
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.core.expressions import Bindings, Const, EvalContext, Expr
+from repro.core.expressions import (
+    Bindings,
+    Const,
+    EvalContext,
+    Expr,
+    conjuncts,
+    is_pure,
+)
 from repro.core.matching import _rotated  # the one arbitration-rotation rule
 from repro.core.patterns import (
     LitElement,
@@ -268,12 +288,57 @@ class PlanStep:
 class Plan:
     """A selectivity-ordered join plan for one atom conjunction."""
 
-    __slots__ = ("steps", "order", "patterns")
+    __slots__ = ("steps", "order", "patterns", "_filters")
 
     def __init__(self, steps: Sequence[PlanStep], patterns: Sequence[Pattern]) -> None:
         self.steps = tuple(steps)
         self.order = tuple(step.index for step in steps)
         self.patterns = tuple(patterns)  # keeps id()-keyed cache entries alive
+        # (test, its early filters): a query's patterns and test are built
+        # together, so one remembered pair is the whole cache; a plan shared
+        # by two tests merely re-resolves when they alternate.
+        self._filters: tuple[Expr | None, tuple | None] = (None, None)
+
+    def early_filters(self, test: Expr) -> tuple | None:
+        """Per-depth early filters of *test* under this join order.
+
+        Each pure top-level ``&``-conjunct of *test* is placed at the depth
+        where the last of its plan-bound variables (names some step binds;
+        every other name is the caller's, bound or not before the join
+        starts) gets its value.  Conjuncts placed before the last step are
+        that step's filters; the rest — last-depth, impure — are left to
+        the leaf, which evaluates the whole test anyway.  Returns ``None``
+        when nothing can be filtered early, else a tuple indexed by depth
+        whose entries are ``None`` or a tuple of conjuncts.
+        """
+        remembered, filters = self._filters
+        if remembered is not test:
+            filters = self._place(test)
+            self._filters = (test, filters)
+        return filters
+
+    def _place(self, test: Expr) -> tuple | None:
+        last = len(self.steps) - 1
+        if last < 1:
+            return None
+        bound_at = {
+            name: depth
+            for depth, step in enumerate(self.steps)
+            for __, name in step.binders
+        }
+        placed: list[list[Expr]] = [[] for __ in self.steps]
+        for conjunct in conjuncts(test):
+            if not is_pure(conjunct):
+                continue
+            depth = max(
+                (bound_at[n] for n in conjunct.free_variables() if n in bound_at),
+                default=0,
+            )
+            if depth < last:
+                placed[depth].append(conjunct)
+        if not any(placed):
+            return None
+        return tuple(tuple(checks) or None for checks in placed)
 
     def __repr__(self) -> str:
         return f"Plan(order={list(self.order)})"
@@ -467,6 +532,7 @@ class QueryPlanner:
         bound: Mapping[str, Any],
         rng: random.Random | None = None,
         excluded: frozenset[TupleId] | set[TupleId] = frozenset(),
+        test: Expr | None = None,
     ) -> Iterator[tuple[dict[str, Any], list[TupleInstance]]]:
         """Planned counterpart of :func:`~repro.core.matching.iter_joint_matches`.
 
@@ -476,9 +542,23 @@ class QueryPlanner:
         is consulted live — matches whose instances were excluded after
         being chosen are pruned at yield time, which is what lets ``∀``
         enumeration resume under a growing exclusion set.
+
+        *test* is the predicate the caller will apply to every yielded
+        match.  It is never a substitute for that leaf check — the caller
+        still evaluates the whole test — but its pure conjuncts are used
+        as **join filters** (:meth:`Plan.early_filters`): a partial binding
+        on which one of them is cleanly falsy is dropped before the deeper
+        atoms are probed, since no completion of it can pass.  A filter
+        that raises has given no verdict: the binding proceeds, and the
+        error surfaces (or not) at the caller's leaf exactly as without
+        pushdown.  Every match the leaf accepts is still yielded, in the
+        same order; only the RNG draws of the pruned subtrees are skipped.
         """
         plan = self.plan_for(patterns, bound)
+        filters = None if test is None else plan.early_filters(test)
         env: dict[str, Any] = dict(bound)
+        # Filters read the search's own environment, live.
+        ctx = None if filters is None else EvalContext(Bindings.over(env))
         total = len(plan.steps)
         used: list[TupleInstance | None] = [None] * total
         used_tids: set[TupleId] = set()
@@ -491,6 +571,7 @@ class QueryPlanner:
                 yield dict(env), list(used)  # type: ignore[arg-type]
                 return
             step = steps[depth]
+            checks = None if filters is None else filters[depth]
             for inst in _rotated(_fetch_candidates(window, step, env), rng):
                 tid = inst.tid
                 if tid in used_tids or tid in excluded:
@@ -505,11 +586,20 @@ class QueryPlanner:
                     continue
                 for position, name in step.binders:
                     env[name] = values[position]
-                used[step.index] = inst
-                used_tids.add(tid)
-                yield from search(depth + 1)
-                used_tids.discard(tid)
-                used[step.index] = None
+                if checks is not None:
+                    for check in checks:
+                        try:
+                            if not check.evaluate(ctx):
+                                admitted = False
+                                break
+                        except Exception:
+                            pass  # not a verdict: the leaf decides, or raises
+                if admitted:
+                    used[step.index] = inst
+                    used_tids.add(tid)
+                    yield from search(depth + 1)
+                    used_tids.discard(tid)
+                    used[step.index] = None
                 for __, name in step.binders:
                     del env[name]
 

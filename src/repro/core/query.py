@@ -31,7 +31,7 @@ from repro.core.expressions import Bindings, EvalContext, Expr, Var
 from repro.core.matching import iter_joint_matches
 from repro.core.patterns import Pattern
 from repro.core.tuples import TupleId, TupleInstance
-from repro.errors import QueryError
+from repro.errors import QueryError, SDLError
 
 __all__ = [
     "QueryAtom",
@@ -98,7 +98,9 @@ class Membership(Expr):
         bound = ctx.bindings.as_dict()
         planner = getattr(ctx.window, "planner", None)
         if planner is not None:
-            joint = planner.iter_matches(ctx.window, self.patterns, bound, ctx.rng)
+            joint = planner.iter_matches(
+                ctx.window, self.patterns, bound, ctx.rng, test=self.test
+            )
         else:
             joint = iter_joint_matches(ctx.window, self.patterns, bound, ctx.rng)
         for bindings, __ in joint:
@@ -157,7 +159,10 @@ class QueryResult:
 class Query:
     """An immutable, evaluable SDL query."""
 
-    __slots__ = ("quantifier", "variables", "atoms", "test", "negated", "require_nonempty")
+    __slots__ = (
+        "quantifier", "variables", "atoms", "test", "negated", "require_nonempty",
+        "_patterns", "_retract_mask",
+    )
 
     def __init__(
         self,
@@ -173,6 +178,8 @@ class Query:
         self.quantifier = quantifier
         self.variables = tuple(v.name if isinstance(v, Var) else str(v) for v in variables)
         self.atoms = tuple(_as_atom(a) for a in atoms)
+        self._patterns = tuple(a.pattern for a in self.atoms)
+        self._retract_mask = tuple(a.retract for a in self.atoms)
         self.test = test
         self.negated = negated
         self.require_nonempty = require_nonempty
@@ -198,7 +205,15 @@ class Query:
         if self.test is None:
             return True
         ctx = EvalContext(Bindings(bindings), window=window, rng=rng)
-        return bool(self.test.evaluate(ctx))
+        try:
+            return bool(self.test.evaluate(ctx))
+        except SDLError:
+            raise
+        except Exception as exc:
+            raise QueryError(
+                f"test {self.test!r} cannot be evaluated under "
+                f"{Bindings(bindings)!r}: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def evaluate(
         self,
@@ -224,15 +239,20 @@ class Query:
         by the engine unless ``plan="off"``), the join runs through the
         planner's selectivity-ordered compiled kernels; otherwise through
         the naive textual-order walk.  Both enumerate the same match set —
-        only which arbitrary match a given seed lands on differs.
+        only which arbitrary match a given seed lands on differs.  The
+        planner is also handed the test, whose pure conjuncts it applies as
+        early join filters; every match it yields is still tested here, in
+        full (``_passes_test``).
         """
         bound = dict(params or {})
-        patterns = [a.pattern for a in self.atoms]
-        retract_mask = [a.retract for a in self.atoms]
+        patterns = self._patterns
+        retract_mask = self._retract_mask
         planner = getattr(window, "planner", None)
         if planner is not None:
+            test = self.test
+
             def joint(excl):
-                return planner.iter_matches(window, patterns, bound, rng, excl)
+                return planner.iter_matches(window, patterns, bound, rng, excl, test)
         else:
             def joint(excl):
                 return iter_joint_matches(window, patterns, bound, rng, excl)

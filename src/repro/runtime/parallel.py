@@ -107,9 +107,8 @@ from repro.core.actions import (
     Spawn,
 )
 from repro.core.dataspace import DataspaceChange
-from repro.core.expressions import BinOp, Bindings, Call, Const, EvalContext, UnOp, Var
+from repro.core.expressions import Bindings, EvalContext, is_pure
 from repro.core.plan import PlanStep, compile_pattern
-from repro.core.query import Membership
 from repro.core.storage import cut_at_serial
 from repro.core.transactions import Control, Transaction, TransactionOutcome
 from repro.errors import ExportViolation, TransactionError
@@ -197,26 +196,6 @@ def resolve_workers(spec: "str | int | None") -> WorkerSpec | None:
 # eligibility: the pure-action fragment
 # ----------------------------------------------------------------------
 
-def _pure_expr(expr: Any) -> bool:
-    """Is *expr* evaluable without a window, an RNG, or host effects?
-
-    ``Membership`` reads the process window (and may consume the RNG for
-    arbitration), so it pins evaluation to the main process.  Unknown
-    expression kinds are conservatively impure.
-    """
-    if isinstance(expr, (Var, Const)):
-        return True
-    if isinstance(expr, BinOp):
-        return _pure_expr(expr.left) and _pure_expr(expr.right)
-    if isinstance(expr, UnOp):
-        return _pure_expr(expr.operand)
-    if isinstance(expr, Membership):
-        return False
-    if isinstance(expr, Call):
-        return all(_pure_expr(arg) for arg in expr.args)
-    return False
-
-
 def worker_eligible(txn: Transaction) -> bool:
     """Can *txn*'s action list be evaluated off the main process?
 
@@ -230,15 +209,15 @@ def worker_eligible(txn: Transaction) -> bool:
         if isinstance(action, (Exit, Abort, Skip)):
             continue
         if isinstance(action, Let):
-            if not _pure_expr(action.expr):
+            if not is_pure(action.expr):
                 return False
         elif isinstance(action, AssertTuple):
             for element in action.pattern.elements:
                 expr = getattr(element, "expr", None)
-                if expr is not None and not _pure_expr(expr):
+                if expr is not None and not is_pure(expr):
                     return False
         elif isinstance(action, Spawn):
-            if not all(_pure_expr(arg) for arg in action.args):
+            if not all(is_pure(arg) for arg in action.args):
                 return False
         elif isinstance(action, CallPython):
             return False
@@ -740,14 +719,14 @@ def prepare_match(query: "Query", process, partitioner) -> MatchProbe | None:
     if len(atoms) != 1 or query.is_trivial():
         return None
     test = query.test
-    if test is not None and not _pure_expr(test):
+    if test is not None and not is_pure(test):
         return None
     if not process.view.unrestricted:
         return None
     pattern = atoms[0].pattern
     compiled = compile_pattern(pattern)
     for slot in compiled.expr_slots:
-        if not _pure_expr(slot[1]):
+        if not is_pure(slot[1]):
             return None
     scope = process.scope()
     bound_key = frozenset(

@@ -125,6 +125,19 @@ class TestCommands:
         assert code == 1
         assert "deadlock" in out
 
+    def test_run_bad_data_is_one_error_line(self, program_file, tmp_path, capsys):
+        # <year, abc> cannot be compared with 87: a typed runtime error
+        # (exit 1, one ``error:`` line naming the test), not an escaping
+        # TypeError and its traceback.
+        data = tmp_path / "bad.txt"
+        data.write_text("year, 85\nyear, abc\nyear, 90\n")
+        code = main(["run", program_file, "--start", "Harvest", "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: test (a > 87)") and "a=abc" in line
+
     def test_missing_file(self, capsys):
         assert main(["check", "/no/such/file.sdl"]) == 2
 

@@ -1,7 +1,21 @@
 """Tests for the exception hierarchy (repro.errors)."""
 
 
-from repro import errors
+import pytest
+
+from repro import (
+    Engine,
+    P,
+    ProcessDefinition,
+    assert_tuple,
+    errors,
+    exists,
+    guarded,
+    immediate,
+    repeat,
+    variables,
+)
+from repro.core.dataspace import Dataspace
 
 
 class TestHierarchy:
@@ -56,3 +70,61 @@ class TestMessages:
     def test_unknown_process_names_target(self):
         err = errors.UnknownProcessError("Ghost")
         assert "Ghost" in str(err)
+
+
+class TestRaisingTest:
+    """A ``such_that`` that cannot be evaluated on some tuple is a typed
+    error naming the test and the bindings, never a raw Python exception
+    out of ``Engine.run()``."""
+
+    @staticmethod
+    def harvest_engine(**options):
+        (alpha,) = variables("alpha")
+        harvest = ProcessDefinition(
+            "Harvest",
+            body=[
+                repeat(
+                    guarded(
+                        immediate(
+                            exists(alpha)
+                            .match(P["year", alpha].retract())
+                            .such_that(alpha > 87)
+                        ).then(assert_tuple("found", alpha))
+                    )
+                )
+            ],
+        )
+        engine = Engine(definitions=[harvest], seed=3, **options)
+        engine.assert_tuples([("year", 85), ("year", "abc"), ("year", 90)])
+        for __ in range(3):
+            engine.start("Harvest")
+        return engine
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"plan": "on"},
+            {"plan": "off"},
+            {"commit": "group"},
+            # a worker-side error forces serial re-evaluation on main,
+            # which is where the typed error comes from
+            {"commit": "group", "shards": 4, "workers": "thread:2", "admit": "parallel"},
+        ],
+        ids=["planned", "naive", "group", "parallel-admit"],
+    )
+    def test_engine_run_raises_query_error(self, options):
+        engine = self.harvest_engine(**options)
+        with pytest.raises(errors.QueryError) as caught:
+            engine.run()
+        assert isinstance(caught.value.__cause__, TypeError)
+        message = str(caught.value)
+        assert "(alpha > 87)" in message and "alpha='abc'" in message
+
+    def test_sdl_errors_pass_through_untouched(self):
+        alpha, ghost = variables("alpha ghost")
+        ds = Dataspace()
+        ds.insert(("year", 90))
+        query = exists(alpha).match(P["year", alpha]).such_that(alpha > ghost).build()
+        with pytest.raises(errors.UnboundVariableError) as caught:
+            query.evaluate(ds)
+        assert caught.value.name == "ghost" and caught.value.__cause__ is None

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.dataspace import Dataspace
+from repro.core.expressions import Var, lift
 from repro.core.matching import iter_joint_matches
 from repro.core.patterns import ANY, P
 from repro.core.plan import (
@@ -16,7 +17,7 @@ from repro.core.plan import (
 )
 from repro.core.query import Membership, exists, forall
 from repro.core.views import FULL_VIEW, View, import_rule
-from repro.errors import EngineError, UnboundVariableError
+from repro.errors import EngineError, QueryError, UnboundVariableError
 from repro.programs.summation import run_sum2, sum2_definition
 from repro.runtime.engine import Engine
 
@@ -239,6 +240,138 @@ class TestPlannerJoin:
         two = next(iter(planner.iter_matches(ds, patterns, {}, random.Random(5))))
         assert one[0] == two[0]
         assert [i.tid for i in one[1]] == [i.tid for i in two[1]]
+
+
+# ----------------------------------------------------------------------
+# test pushdown: pure conjuncts as early join filters
+# ----------------------------------------------------------------------
+class TestEarlyFilters:
+    """Where ``Plan.early_filters`` puts each conjunct, and what the join
+    does with it.  Plans here are textual-order (every atom ties on an
+    empty dataspace), so depth == atom position."""
+
+    @staticmethod
+    def placed(patterns, test, bound=()):
+        plan = build_plan(patterns, frozenset(bound), {}, Dataspace())
+        assert plan.order == tuple(range(len(patterns)))
+        return plan.early_filters(test)
+
+    def test_conjunct_lands_where_its_last_variable_binds(self, abc):
+        a, b, c = abc
+        first, second = a > 0, b > a
+        filters = self.placed(
+            [P["r", a], P["s", b], P["t", c]], first & second & (c > b)
+        )
+        # a > 0 after atom 0, b > a after atom 1, c > b is leaf-only
+        assert filters == ((first,), (second,), None)
+
+    def test_caller_and_never_bound_names_do_not_delay(self, abc):
+        a, b, _ = abc
+        k, ghost = Var("k"), Var("ghost")
+        by_caller, by_nobody = a > k, a != ghost
+        filters = self.placed(
+            [P["r", a], P["s", b]], by_caller & by_nobody, bound=("k",)
+        )
+        assert filters == ((by_caller, by_nobody), None)
+
+    def test_last_depth_and_impure_conjuncts_are_leaf_only(self, abc):
+        a, b, _ = abc
+        patterns = [P["r", a], P["s", b]]
+        assert self.placed(patterns, b > a) is None
+        assert self.placed(patterns, Membership(P["flag", a])) is None
+        assert self.placed(patterns, ~Membership(P["flag", a]) & (b > 0)) is None
+        # an | is one conjunct, placed by all of its variables
+        assert self.placed(patterns, (a > 0) | (b > 0)) is None
+        # nothing to push into a single-step plan, whatever the test
+        assert self.placed([P["r", a]], a > 0) is None
+
+    def test_resolved_once_per_plan_and_test(self, abc):
+        a, b, _ = abc
+        plan = build_plan([P["r", a], P["s", b]], frozenset(), {}, Dataspace())
+        test = (a > 0) & (b > 0)
+        assert plan.early_filters(test) is plan.early_filters(test)
+
+    def test_early_filter_saves_the_deeper_probes(self, abc):
+        a, b, _ = abc
+        ds = Dataspace()
+        ds.insert_many([("r", i) for i in range(10)])
+        ds.insert_many([("s", i) for i in range(10)])
+        fetches = []
+        real = ds.candidates_probed
+
+        class Counting:
+            indexed = True
+            arity_size, field_size = ds.arity_size, ds.field_size
+
+            @staticmethod
+            def candidates_probed(arity, probes):
+                fetches.append(probes)
+                return real(arity, probes)
+
+        patterns = [P["r", a], P["s", b]]
+        test = (a > 7) & (b == a)
+        planner = QueryPlanner(ds)
+        got = list(planner.iter_matches(Counting, patterns, {}, test=test))
+        # the leaf check stays with the caller: every <s, b> row is yielded
+        # for a in {8, 9}, and only those two a's were probed below
+        assert sorted({b["a"] for b, __ in got}) == [8, 9]
+        assert len(got) == 20 and len(fetches) == 1 + 2
+        del fetches[:]
+        assert len(list(planner.iter_matches(Counting, patterns, {}))) == 100
+        assert len(fetches) == 1 + 10
+
+    def test_a_rejected_binding_is_not_shown_to_later_conjuncts(self, abc):
+        # Leaf-only, & evaluates both sides and x / 0 raises; pushed down,
+        # y != 0 drops the row first.  Strictly fewer errors (SEMANTICS §12).
+        x, y, z = abc
+        ds = Dataspace()
+        # <d, y> is the narrowest bucket, so the plan binds y first
+        ds.insert_many([("d", 0), ("d", 2)])
+        ds.insert_many([("n", i) for i in (5, 6, 7)] + [("z", i) for i in range(3)])
+        q = (
+            forall(x, y)
+            .match(P["d", y], P["n", x], P["z", z])
+            .such_that((y != 0) & (x / y > 2))
+            .build()
+        )
+        result = q.evaluate(planner_window(ds), {}, random.Random(0))
+        assert {(m.bindings["a"], m.bindings["b"]) for m in result.matches} == {
+            (5, 2), (6, 2), (7, 2)
+        }
+        with pytest.raises(QueryError) as caught:
+            q.evaluate(FULL_VIEW.window(ds), {}, random.Random(0))
+        assert isinstance(caught.value.__cause__, ZeroDivisionError)
+
+    def test_early_unbound_variable_is_deferred_to_the_leaf(self, abc):
+        a, b, _ = abc
+        ds = Dataspace()
+        ds.insert(("r", 1))
+        q = exists(a, b).match(P["r", a], P["s", b]).such_that(a > Var("ghost"))
+        # no <s, *>: the leaf is never reached, so nothing raises ...
+        assert not q.build().evaluate(planner_window(ds), {}, None).success
+        ds.insert(("s", 1))
+        # ... and when it is, the error is the leaf's own
+        with pytest.raises(UnboundVariableError):
+            q.build().evaluate(planner_window(ds), {}, None)
+
+    def test_raising_filter_is_not_a_verdict(self, abc):
+        a, b, _ = abc
+
+        def fussy(value):
+            if value == 1:
+                raise ValueError("fussy")
+            return True
+
+        ds = Dataspace()
+        ds.insert_many([("r", 1), ("r", 2)] + [("s", i) for i in (5, 6, 7)])
+        q = (
+            forall(a, b)
+            .match(P["r", a], P["s", b])
+            .such_that(lift(fussy)(a) & (b > 0))
+            .build()
+        )
+        with pytest.raises(QueryError, match="fussy"):
+            q.evaluate(planner_window(ds), {}, None)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Integration tests: the Section 3.3 region-labeling programs.
 
-Image sizes are kept small — the worker model's label-propagation join is
-quadratic in pixels and this is an interpreter, not a Connection Machine.
+Image sizes are kept small — the worker model's label-propagation join
+still enumerates every pair of labels and this is an interpreter, not a
+Connection Machine.
 """
 
 import pytest
@@ -56,6 +57,36 @@ class TestWorkerModel:
         assert out.correct
         assert out.region_count() == 1
         assert set(out.labels.values()) == {(3, 3)}
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"plan": "on"},
+         {"plan": "on", "commit": "group", "shards": 4, "store": "columnar"}],
+        ids=["live", "group-sharded-columnar"],
+    )
+    def test_propagation_probes_only_for_neighbours(self, options, monkeypatch):
+        # ``propagate`` joins two labels and two thresholds under
+        # ``neighbor(p1, p2) & l2 > l1``.  Tested only at the leaf, each of
+        # the 64 x 63 label pairs paid both threshold probes before
+        # ``neighbor`` was asked: 270 347 fetches on this image.  As a join
+        # filter at the depth that binds p2 it leaves 4 757, on the same
+        # schedule.
+        from repro.core.dataspace import Dataspace
+
+        fetches = []
+        real = Dataspace.candidates_probed
+
+        def counting(self, arity, probes):
+            fetches.append(arity)
+            return real(self, arity, probes)
+
+        monkeypatch.setattr(Dataspace, "candidates_probed", counting)
+        image = random_blob_image(8, 8, blobs=2, seed=8)
+        out = run_worker_labeling(image, seed=2, **options)
+        assert out.correct
+        result = out.result
+        assert (result.commits, result.rounds, result.steps) == (340, 18, 358)
+        assert len(fetches) <= 6000
 
 
 class TestCommunityModel:
@@ -124,3 +155,35 @@ class TestModelsAgree:
         worker = run_worker_labeling(image, seed=3)
         community = run_community_labeling(image, seed=3)
         assert worker.labels == community.labels == worker.expected
+
+
+class TestPushdownKeepsSchedules:
+    """On the labeling programs every fetch below a pruned binding has at
+    most one candidate, so skipping it skips no RNG draw: a run with the
+    test withheld from the planner (leaf-only, the previous engine) and a
+    run with pushdown agree down to the next draw of the engine RNG."""
+
+    @staticmethod
+    def fingerprint(run, image, seed):
+        out = run(image, seed=seed, plan="on")
+        result = out.result
+        return (
+            result.commits, result.rounds, result.steps,
+            out.engine.dataspace.multiset(), out.engine.rng.random(),
+        )
+
+    @pytest.mark.parametrize("run", [run_worker_labeling, run_community_labeling])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_run_with_the_test_withheld(self, run, seed, monkeypatch):
+        from repro.core.plan import QueryPlanner
+
+        image = random_blob_image(6, 6, blobs=2, seed=seed)
+        pushed = self.fingerprint(run, image, seed)
+        real = QueryPlanner.iter_matches
+
+        def withheld(self, window, patterns, bound, rng=None,
+                     excluded=frozenset(), test=None):
+            return real(self, window, patterns, bound, rng, excluded)
+
+        monkeypatch.setattr(QueryPlanner, "iter_matches", withheld)
+        assert self.fingerprint(run, image, seed) == pushed

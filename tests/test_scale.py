@@ -14,7 +14,12 @@ from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
 from repro.core.transactions import consensus, delayed, immediate
-from repro.programs import run_community_labeling, run_sum2, run_sum3
+from repro.programs import (
+    run_community_labeling,
+    run_sum2,
+    run_sum3,
+    run_worker_labeling,
+)
 from repro.runtime.engine import Engine
 from repro.workloads import random_array, random_blob_image
 
@@ -75,6 +80,18 @@ class TestThousandsOfProcesses:
         assert out.trace.counters.processes_created == 1 + 144
         assert out.result.consensus_rounds == out.region_count()
         assert elapsed < 30
+
+    def test_worker_labeling_of_a_12x12_image(self):
+        """One replication joining two labels and two thresholds over 144
+        pixels (half a minute while ``neighbor`` was only tested at the
+        leaf, after both threshold probes of every label pair)."""
+        image = random_blob_image(12, 12, blobs=3, seed=1)
+        start = time.perf_counter()
+        out = run_worker_labeling(image, seed=3, plan="on")
+        elapsed = time.perf_counter() - start
+        assert out.correct
+        assert out.result.commits == 985
+        assert elapsed < 15
 
     def test_thousand_delayed_waiters_all_served(self):
         """Weak fairness at scale: 1000 waiters, 1000 items."""
