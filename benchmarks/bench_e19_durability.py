@@ -2,10 +2,11 @@
 
 The durability tier's three quantitative claims:
 
-* **recovery time is bounded by the checkpoint interval**, not the total
-  history — loading a WAL directory replays at most ``interval`` frames
-  past the newest intact checkpoint (counter-verified via
-  ``frames_replayed``), so recovery time stays flat as the log grows;
+* **recovery time is bounded by the checkpoint interval plus one round**,
+  not the total history — the interval is tested at consistent points, so
+  loading a WAL directory replays fewer than ``interval`` + one round of
+  frames past the newest intact checkpoint (counter-verified via
+  ``frames_replayed``), and recovery time stays flat as the log grows;
 * **an inert fault shim is free** — a WAL-enabled engine carrying a
   never-firing storage-fault plan stays within **1.1×** of the same
   engine without a plan (the injector's site check is one dict probe);
@@ -16,6 +17,8 @@ The durability tier's three quantitative claims:
 Timing uses best-of-N interleaved so load drift lands on both sides.
 """
 
+import glob
+import os
 import time
 
 import pytest
@@ -30,10 +33,12 @@ from repro.core.query import exists
 from repro.core.transactions import delayed
 from repro.runtime import DurableLog
 from repro.runtime.engine import Engine
+from repro.runtime.recovery import _scan_frames
 
 COMMUNITIES = 6
 DEPTH = 4
 INTERVAL = 64
+ROUND = 8  # operations between consistent points in the bare-log history
 
 
 def _mover():
@@ -103,8 +108,31 @@ def test_e19_durable_run_and_load(benchmark, tmp_path):
     )
 
 
+def _crash_inside_last_round(wal_dir):
+    """Cut the log just before its last consistent-point marker.
+
+    What is left is the image of a crash inside the last round: if that
+    round's marker had gone on to commit a checkpoint, the checkpoint and
+    the segment it opened are not there yet either.
+    """
+    for wal in reversed(sorted(glob.glob(os.path.join(wal_dir, "wal-*.seg")))):
+        with open(wal, "rb") as handle:
+            data = handle.read()
+        markers = [
+            offset
+            for offset, record in _scan_frames(data, os.path.basename(wal), [])
+            if record[0] == "end"
+        ]
+        if markers:
+            os.truncate(wal, markers[-1])
+            return
+        os.unlink(wal)
+        os.unlink(wal.replace("wal-", "ckpt-"))
+    raise AssertionError("no marker to cut before")
+
+
 def test_e19_shape_recovery_bounded_by_interval(benchmark, tmp_path):
-    """Recovery replays < interval frames however long the history is."""
+    """Recovery replays < interval + one round however long the history is."""
 
     def check():
         rows = []
@@ -113,6 +141,7 @@ def test_e19_shape_recovery_bounded_by_interval(benchmark, tmp_path):
             space = Dataspace(shards=4)
             log = DurableLog(space, wal_dir, interval=INTERVAL, keep=4)
             tids = []
+            marked = []  # state at the last two consistent points
             # Sliding window: the live set stays ~200 instances however
             # long the history runs, so recovery cost depends only on
             # (live state + interval), never on total operations.
@@ -120,17 +149,27 @@ def test_e19_shape_recovery_bounded_by_interval(benchmark, tmp_path):
                 tids.append(space.insert(("item", i % 97, i)).tid)
                 if len(tids) > 200:
                     space.retract(tids.pop(0))
+                if (i + 1) % ROUND == 0 or i + 1 == ops:
+                    log.flush()
+                    marked = marked[-1:] + [_signature(space)]
             log.close()
+            # The interval is tested once a round, so a checkpoint comes at
+            # most a round late (a round is up to 2 * ROUND frames here).
+            assert log.segments_written > log.wal_frames // (INTERVAL + 2 * ROUND)
+            _crash_inside_last_round(wal_dir)
 
             best = float("inf")
             for __ in range(3):
                 start = time.perf_counter()
                 scratch, report = DurableLog.load(wal_dir)
                 best = min(best, time.perf_counter() - start)
-            assert report.intact
-            assert _signature(scratch) == _signature(space)
-            # The bound under test: replay work ≤ one checkpoint interval.
-            assert report.frames_replayed < INTERVAL
+            # The open round is dropped and counted; what loads is the
+            # consistent point before it.
+            assert [r.kind for r in report.repairs] == ["torn"]
+            assert _signature(scratch) == marked[0]
+            # The bound under test: replay work < one checkpoint interval
+            # plus one round.
+            assert report.frames_replayed < INTERVAL + ROUND
             rows.append((ops, log.wal_frames, report.frames_replayed, best))
         return rows
 

@@ -82,7 +82,7 @@ _SITE_HELP = {
     "consensus": "consensus readiness check + firing",
     "checkpoint": "RecoveryLog checkpoint capture",
     "replay": "RecoveryLog journal replay (recover)",
-    "wal-append": "DurableLog WAL frame append (+fsync under sync=always)",
+    "wal-append": "DurableLog WAL frame append (+fsync at the consistent-point marker)",
     "checkpoint-write": "DurableLog checkpoint segment commit (tmp+rename+fsync)",
     "segment-load": "DurableLog.load: checkpoint scan + WAL chain replay",
 }

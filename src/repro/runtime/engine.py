@@ -351,6 +351,7 @@ class Engine:
         self.supervisor = Supervisor(supervision)
 
         self.step_count = 0
+        self._running = False  # inside run(): assert_tuples joins the open round
         #: Group mode: the round (deferred losers first) that was already
         #: taken from the scheduler when a run limit stopped the run.  It
         #: belongs to no queue, so it is kept here and leads the resumed run.
@@ -421,8 +422,15 @@ class Engine:
         return self.society.define(definition)
 
     def assert_tuples(self, rows: Iterable[Iterable[Any]]) -> None:
-        """Populate the initial dataspace (owner 0 = the environment)."""
+        """Populate the initial dataspace (owner 0 = the environment).
+
+        Called outside ``run()`` this is a consistent point of its own: the
+        rows are durable when it returns.  Called from a callback inside a
+        run, they belong to the round in progress.
+        """
         self.dataspace.insert_many(rows)
+        if not self._running:
+            self._mark_consistent()
 
     def start(self, name: str, args: Seq[Any] = ()) -> ProcessInstance:
         """Create an initial process instance."""
@@ -436,9 +444,21 @@ class Engine:
     # execution
     # ------------------------------------------------------------------
     def run(self, max_steps: int = 1_000_000, max_rounds: int | None = None) -> RunResult:
-        """Drive the program until completion, deadlock, or a limit."""
-        if self.commit == "group":
-            return self._run_group(max_steps, max_rounds)
+        """Drive the program until completion, deadlock, or a limit.
+
+        Every way out — a result or a policy raise (``StepLimitExceeded``,
+        ``DeadlockError``) — is between transactions, and marks a
+        consistent point in the recovery log first.
+        """
+        self._running = True
+        try:
+            if self.commit == "group":
+                return self._run_group(max_steps, max_rounds)
+            return self._run_live(max_steps, max_rounds)
+        finally:
+            self._running = False
+
+    def _run_live(self, max_steps: int, max_rounds: int | None) -> RunResult:
         scheduler = self.scheduler
         executor = self.executor
         while True:
@@ -447,8 +467,11 @@ class Engine:
             if executor.consensus_dirty and self.consensus_check == "eager":
                 executor.try_consensus()
             if not scheduler.round_active:
-                # Round boundary: injector-delayed wakes deliver now, and
-                # restarts whose backoff elapsed rejoin the society.
+                # Round boundary: no transaction is in flight, so what the
+                # round committed becomes durable; injector-delayed wakes
+                # deliver now, and restarts whose backoff elapsed rejoin
+                # the society.
+                self._mark_consistent()
                 executor.flush_delayed()
                 self._spawn_restarts()
                 if not scheduler.start_round():
@@ -467,6 +490,7 @@ class Engine:
             if self.step_count >= max_steps:
                 scheduler.unpop(item)  # not stepped: still first in its round
                 if self.on_deadlock == "raise":
+                    self._mark_consistent()
                     raise StepLimitExceeded(max_steps)
                 return self._summary("step-limit")
             self.step_count += 1
@@ -491,6 +515,9 @@ class Engine:
                 return self._summary("escalated")
             if executor.consensus_dirty and self.consensus_check == "eager":
                 executor.try_consensus()
+            # Round boundary (idle-time consensus commits loop back here
+            # too): what was committed so far becomes durable.
+            self._mark_consistent()
             executor.flush_delayed()
             self._spawn_restarts()
             items = self._held_round or scheduler.take_round(prepend=deferred)
@@ -507,6 +534,7 @@ class Engine:
             if self.step_count >= max_steps:
                 self._held_round = items
                 if self.on_deadlock == "raise":
+                    self._mark_consistent()
                     raise StepLimitExceeded(max_steps)
                 return self._summary("step-limit")
             deferred = executor.run_group_round(items)
@@ -518,6 +546,7 @@ class Engine:
                 | {repr(t.process) for t in self.executor.consensus_waiters.values()}
             )
             if self.on_deadlock == "raise":
+                self._mark_consistent()
                 raise DeadlockError(blocked_desc)
             return self._summary("deadlock", blocked_desc)
         counters = self.trace.counters
@@ -526,6 +555,11 @@ class Engine:
             # replaced — the run did not fully complete.
             return self._summary("crashed")
         return self._summary("completed")
+
+    def _mark_consistent(self) -> None:
+        """No transaction is in flight: make what was committed durable."""
+        if self.recovery is not None:
+            self.recovery.flush()
 
     def _summary(self, reason: str, deadlocked: list[str] | None = None) -> RunResult:
         counters = self.trace.counters

@@ -32,12 +32,20 @@ that disagrees with the recorded counts exposes a lying checkpoint.
 :class:`DurableLog` extends the model below process memory: checkpoints
 and the WAL are additionally persisted to a directory of **segment
 files** — length-prefixed, CRC32-checksummed frames behind an 8-byte
-magic — with atomic tmp-file+rename checkpoint commit and explicit fsync
-points.  :meth:`DurableLog.load` rebuilds a dataspace from disk alone:
-it verifies every frame checksum, **truncates at the first torn or
-corrupt frame** (recording a :class:`RepairEvent`, never silently loading
-garbage), falls back to an older checkpoint when the newest one is
-damaged, and replays the surviving WAL prefix into a scratch dataspace.
+magic — with atomic tmp-file+rename checkpoint commit.  The unit of
+durability is the **consistent point** — a moment no transaction is in
+flight, which the engine announces at every round boundary and on every
+exit from ``run()`` by calling :meth:`DurableLog.flush`: change frames
+are buffered writes, and ``flush`` closes them with one ``end`` marker
+frame and one fsync (the commit-marker protocol of checkpoint segments,
+applied to the WAL).  :meth:`DurableLog.load` rebuilds a dataspace from
+disk alone: it verifies every frame checksum, **truncates at the first
+torn or corrupt frame** (recording a :class:`RepairEvent`, never silently
+loading garbage), falls back to an older checkpoint when the newest one
+is damaged, and replays the WAL marker by marker into a scratch
+dataspace — frames no marker closes are dropped and counted, so a load
+raises or returns exactly the state at a consistent point, never half a
+transaction.
 Storage faults (`wal-append`/`checkpoint-write`/`segment-read` sites with
 `torn-write`/`bit-flip`/`short-read`/`lost-fsync` actions) are injected
 through the same seeded :class:`~repro.runtime.faults.FaultInjector` the
@@ -248,7 +256,8 @@ class RecoveryLog:
         return scratch
 
     def flush(self) -> None:
-        """Make everything logged so far durable (nothing to do in memory)."""
+        """Mark a consistent point — no transaction is in flight (nothing
+        to do in memory: this log has no crash semantics)."""
 
     def close(self) -> None:
         """Stop checkpointing (idempotent)."""
@@ -291,10 +300,16 @@ def _state_signature(space: Dataspace) -> list[tuple]:
 # WAL segment ``wal-<version>.seg`` (opened when checkpoint <version>
 # commits, so segments chain contiguously):
 #     ("chg", version, [(serial, owner, values), ...], [(serial, owner), ...])
-# One frame is written per dataspace version, so frame versions must
+#     ("end", version)                           # consistent-point marker
+# One chg frame is written per dataspace version, so frame versions must
 # increase by exactly one across the chain; replay stops at the first
 # violation (a repeat, or a gap where a frame vanished whole) as if the
-# frame were corrupt.
+# frame were corrupt.  chg frames are buffered writes; an "end" marker
+# naming the last version written closes them and is the only thing that
+# is fsynced.  Replay applies chg frames only once their marker arrives:
+# frames after the last marker belong to a round that never reached its
+# consistent point and are dropped as one "torn" repair.  Checkpoints are
+# taken only right after a marker, so every segment ends on one.
 
 _MAGIC = b"SDLSEG1\n"
 _HEADER = struct.Struct(">II")
@@ -334,7 +349,7 @@ class RepairEvent:
 
     file: str    # segment file name (not the full path)
     offset: int  # byte offset of the first unusable frame
-    kind: str    # "torn" | "corrupt" | "invalid-checkpoint" | "broken-chain"
+    kind: str    # "torn" (open rounds too) | "corrupt" | "invalid-checkpoint" | "broken-chain"
 
     def __repr__(self) -> str:
         return f"RepairEvent({self.file}:{self.offset} {self.kind})"
@@ -345,8 +360,8 @@ class DurableLoadReport:
     """What :meth:`DurableLog.load` found on disk and how it repaired it."""
 
     checkpoint_version: int = -1   # version of the checkpoint actually loaded
-    end_version: int = -1          # version after replaying the surviving WAL prefix
-    frames_replayed: int = 0       # WAL change frames applied
+    end_version: int = -1          # the consistent point reached: last marked version applied
+    frames_replayed: int = 0       # WAL change frames applied (whole rounds only)
     segments_scanned: int = 0      # segment files opened (checkpoints + WAL)
     checkpoints_skipped: int = 0   # damaged checkpoints skipped over
     repairs: list[RepairEvent] = field(default_factory=list)
@@ -392,34 +407,40 @@ def _scan_frames(
         offset = start + length
 
 
-def _fsync_dir(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class DurableLog(RecoveryLog):
     """A :class:`RecoveryLog` that also persists checkpoints and the WAL.
 
     Layered, not replacing: the in-memory journal/checkpoint machinery is
-    inherited unchanged (``recover``/``verify`` still work and stay the
-    differential baseline), while every checkpoint is additionally
-    committed to ``wal_dir`` as an atomic segment file and every journal
-    change appended to the live WAL segment.
+    inherited (``recover``/``verify`` still work and stay the differential
+    baseline), while every checkpoint is additionally committed to
+    ``wal_dir`` as an atomic segment file and every journal change
+    appended to the live WAL segment.
 
-    Commit protocol (the explicit fsync points):
+    Commit protocol.  The unit of durability is the **consistent point**:
+    a moment at which no transaction is in flight.  The engine marks one
+    at every round boundary, on every exit from ``run()`` and after
+    ``assert_tuples()``; a standalone user marks its own with
+    :meth:`flush` (:meth:`close` and :meth:`verify_durable` imply one).
 
-    * a checkpoint is built in full as ``.tmp``, fsynced, then
-      ``os.replace``-d into place, then the *directory* is fsynced —
-      readers see either the old file set or the new one, never a partial
-      checkpoint under its final name;
-    * a WAL append writes one frame and (under ``sync="always"``, the
-      default) fsyncs before returning; ``sync="checkpoint"`` defers
-      fsync to rotation, trading the tail of the WAL for throughput;
-    * rotation (at each checkpoint) fsyncs and closes the old segment,
-      then creates and fsyncs the new one.
+    * a change only ``write()``s its ``chg`` frame into the segment's
+      file buffer — no flush, no fsync, nothing kept in this object;
+    * :meth:`flush` appends one ``("end", version)`` marker behind the
+      frames written since the last one, flushes, and fsyncs **once**:
+      when it returns, everything up to this consistent point is on disk,
+      and :meth:`load` applies frames only up to the last marker it finds;
+    * ``interval`` is tested only there, so a checkpoint never holds half
+      a transaction and every segment ends on a marker.  A checkpoint is
+      built in full as ``.tmp``, fsynced, then ``os.replace``-d into
+      place, then the *directory* is fsynced — readers see either the old
+      file set or the new one, never a partial checkpoint under its final
+      name; rotation then closes the old segment (the marker just synced
+      it) and creates and fsyncs the new one.
+
+    Between consistent points ``_since_checkpoint`` may pass ``interval``,
+    so *inside* a round longer than the journal the inherited in-memory
+    ``recover()`` / ``verify()`` report a journal gap; at every consistent
+    point ``_since_checkpoint < interval <= JOURNAL_DEPTH`` and they work
+    as before.  Replay after a crash is bounded by ``interval`` + one round.
 
     Opening a ``DurableLog`` starts a fresh durability epoch: stale
     ``*.seg`` files in *wal_dir* are removed before the baseline
@@ -438,21 +459,17 @@ class DurableLog(RecoveryLog):
         wal_dir: str,
         interval: int = 64,
         keep: int = 4,
-        sync: str = "always",
         on_checkpoint: Callable[[Checkpoint], None] | None = None,
         obs=None,
         faults=None,
     ) -> None:
-        if sync not in ("always", "checkpoint"):
-            raise RecoveryError(
-                f"unknown sync mode {sync!r} (choose 'always' or 'checkpoint')"
-            )
         self.wal_dir = os.fspath(wal_dir)
-        self.sync = sync
         self.faults = faults
-        self.wal_frames = 0       # WAL frames appended (this epoch)
-        self.wal_bytes = 0        # bytes handed to the WAL segment
+        self.wal_frames = 0       # WAL change frames appended (this epoch)
+        self.wal_bytes = 0        # bytes handed to the WAL segment, markers included
         self.segments_written = 0  # checkpoint segments committed
+        self.fsyncs = 0           # every os.fsync issued, files and directory
+        self._unmarked: int | None = None  # last version written behind no marker yet
         self._wal_handle = None
         self._wal_path: str | None = None
         os.makedirs(self.wal_dir, exist_ok=True)
@@ -478,6 +495,19 @@ class DurableLog(RecoveryLog):
 
     def _wal_path_for(self, version: int) -> str:
         return os.path.join(self.wal_dir, f"wal-{version:020d}.seg")
+
+    def _fsync(self, fd: int) -> None:
+        os.fsync(fd)
+        self.fsyncs += 1
+        if self.obs is not None:
+            self.obs.count("sdl_wal_fsyncs_total")
+
+    def _fsync_dir(self) -> None:
+        fd = os.open(self.wal_dir, os.O_RDONLY)
+        try:
+            self._fsync(fd)
+        finally:
+            os.close(fd)
 
     def _capture(self) -> Checkpoint:
         checkpoint = super()._capture()
@@ -517,9 +547,9 @@ class DurableLog(RecoveryLog):
         with open(tmp, "wb") as handle:
             handle.write(data)
             handle.flush()
-            os.fsync(handle.fileno())
+            self._fsync(handle.fileno())
         os.replace(tmp, path)
-        _fsync_dir(self.wal_dir)
+        self._fsync_dir()
         self.segments_written += 1
         if obs is not None:
             obs.observe_ns(
@@ -531,15 +561,16 @@ class DurableLog(RecoveryLog):
 
     def _rotate_wal(self, version: int) -> None:
         if self._wal_handle is not None:
-            self.flush()
+            # Checkpoints are taken right behind a marker, whose fsync
+            # already covered everything in the old segment.
             self._wal_handle.close()
         path = self._wal_path_for(version)
         self._wal_handle = open(path, "wb")
         self._wal_path = path
         self._wal_handle.write(_MAGIC)
         self._wal_handle.flush()
-        os.fsync(self._wal_handle.fileno())
-        _fsync_dir(self.wal_dir)
+        self._fsync(self._wal_handle.fileno())
+        self._fsync_dir()
 
     def _retire_segments(self) -> None:
         """Drop checkpoint/WAL segments older than the ``keep`` window."""
@@ -555,10 +586,9 @@ class DurableLog(RecoveryLog):
                 os.unlink(os.path.join(self.wal_dir, name))
 
     def _on_change(self, change: DataspaceChange) -> None:
-        # WAL first, then the inherited counter/capture step: if the
-        # counter triggers a checkpoint, the triggering change is both in
-        # the old segment and covered by the new checkpoint (replay skips
-        # frames at or below the checkpoint version).
+        # A buffered write and nothing else: the change may be one half of
+        # a transaction, so it is neither synced nor checkpointed until
+        # the next consistent point (flush) closes it with a marker.
         record = (
             "chg",
             change.version,
@@ -573,11 +603,9 @@ class DurableLog(RecoveryLog):
             action = faults.fire("wal-append")
             if action is not None:
                 data = _corrupt(data, action, faults.rng)
-        handle = self._wal_handle
-        handle.write(data)
-        if self.sync == "always":
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._wal_handle.write(data)
+        self._unmarked = change.version
+        self._since_checkpoint += 1
         self.wal_frames += 1
         self.wal_bytes += len(data)
         if obs is not None:
@@ -589,16 +617,41 @@ class DurableLog(RecoveryLog):
                 obs.spans.now() - start,
                 {"version": change.version, "bytes": len(data)},
             )
-        super()._on_change(change)
 
     def flush(self) -> None:
-        """Flush and fsync the live WAL segment, staying subscribed."""
-        if self._wal_handle is not None:
-            self._wal_handle.flush()
-            os.fsync(self._wal_handle.fileno())
+        """Mark a consistent point: no transaction is in flight.
+
+        Closes the frames written since the last marker with one ``end``
+        frame, flushes and fsyncs once — everything up to here is durable
+        when this returns — then takes a checkpoint if ``interval``
+        changes have accumulated.  Stays subscribed; free when nothing
+        changed since the last call.
+        """
+        handle = self._wal_handle
+        if handle is None:
+            return
+        if self._unmarked is not None:
+            obs = self.obs
+            start = obs.spans.now() if obs is not None else 0
+            data = _frame(("end", self._unmarked))
+            handle.write(data)
+            handle.flush()
+            self._fsync(handle.fileno())
+            self.wal_bytes += len(data)
+            if obs is not None:
+                obs.count("sdl_wal_bytes_total", amount=len(data))
+                obs.observe_ns(
+                    "wal-append",
+                    start,
+                    obs.spans.now() - start,
+                    {"version": self._unmarked, "bytes": len(data)},
+                )
+            self._unmarked = None
+        if self._since_checkpoint >= self.interval:
+            self._capture()
 
     def close(self) -> None:
-        """Fsync and close the live WAL segment, stop checkpointing."""
+        """Mark a last consistent point, close the segment, stop logging."""
         super().close()
         if self._wal_handle is not None:
             self.flush()
@@ -617,10 +670,12 @@ class DurableLog(RecoveryLog):
         Walks checkpoints newest-first until one passes every frame check
         (skipping damaged ones as counted repairs), loads it into a
         scratch dataspace built with the recorded shard spec, then
-        replays the WAL segment chain from that version forward, stopping
-        at the first torn/corrupt frame or version-order violation.  The
-        result is always a *verified prefix* of the persisted history —
-        corrupt state is truncated and reported, never silently loaded.
+        replays the WAL segment chain from that version forward, marker
+        by marker, stopping at the first torn/corrupt frame or
+        version-order violation.  The result is always the persisted
+        history's state at a *consistent point* — a verified prefix of
+        whole rounds; corrupt or unmarked state is truncated and reported,
+        never silently loaded.
 
         Raises :class:`RecoveryError` when no intact checkpoint survives.
         *faults* drives the ``segment-read`` fault site (short reads and
@@ -770,13 +825,18 @@ class DurableLog(RecoveryLog):
         report: DurableLoadReport,
         faults,
     ) -> None:
-        """Replay WAL segments at/after *from_version*, truncating at the
-        first corruption anywhere in the chain (later segments included:
-        a hole in the middle makes everything after it unreliable)."""
+        """Replay WAL segments at/after *from_version*, marker by marker.
+
+        ``chg`` frames are staged and reach *scratch* only when the ``end``
+        marker naming their last version arrives, so *scratch* is always at
+        a consistent point.  Truncates at the first corruption anywhere in
+        the chain (later segments included: a hole in the middle makes
+        everything after it unreliable); frames no marker closed are
+        dropped as one ``torn`` repair at the first of them."""
         chain = sorted(
             v for kind, v in _segment_files(wal_dir) if kind == "wal" and v >= from_version
         )
-        last_version = from_version
+        last_version = from_version  # last version staged or applied
         for seg_version in chain:
             path = os.path.join(wal_dir, f"wal-{seg_version:020d}.seg")
             name = os.path.basename(path)
@@ -792,15 +852,35 @@ class DurableLog(RecoveryLog):
             if data is None:
                 return
             before = len(report.repairs)
+            # The open round: ``(offset, asserted, retracted)`` of the frames
+            # read but not yet closed by a marker, and the keys they assert
+            # / retract (every retraction is resolved before anything is
+            # applied).
+            staged: list[tuple[int, list, list]] = []
+            asserted_keys: set[tuple[int, int]] = set()
+            retracted_keys: set[tuple[int, int]] = set()
             for offset, record in _scan_frames(data, name, report.repairs):
-                if (
-                    not isinstance(record, tuple)
-                    or len(record) != 4
-                    or record[0] != "chg"
-                    or not isinstance(record[1], int)
-                ):
+                kind = record[0] if isinstance(record, tuple) and record else None
+                if kind == "end" and len(record) == 2:
+                    if record[1] != last_version:
+                        # The marker names the last version its writer
+                        # appended: a frame before it vanished whole.
+                        report.repairs.append(RepairEvent(name, offset, "broken-chain"))
+                        break
+                    for __, asserted, retracted in staged:
+                        for serial, owner, values in asserted:
+                            tid_map[(serial, owner)] = scratch.insert(values, owner=owner).tid
+                        for key in retracted:
+                            scratch.retract(tid_map.pop(key))
+                    report.frames_replayed += len(staged)
+                    report.end_version = last_version
+                    staged.clear()
+                    asserted_keys.clear()
+                    retracted_keys.clear()
+                    continue
+                if kind != "chg" or len(record) != 4 or not isinstance(record[1], int):
                     report.repairs.append(RepairEvent(name, offset, "corrupt"))
-                    return
+                    break
                 __, version, asserted, retracted = record
                 if version != last_version + 1:
                     # One chg frame is written per dataspace version, so
@@ -809,21 +889,26 @@ class DurableLog(RecoveryLog):
                     # replaying past it would apply later changes to a
                     # state that is missing one.
                     report.repairs.append(RepairEvent(name, offset, "broken-chain"))
-                    return
-                for serial, owner, values in asserted:
-                    rebuilt = scratch.insert(values, owner=owner)
-                    tid_map[(serial, owner)] = rebuilt.tid
-                for serial, owner in retracted:
-                    scratch_tid = tid_map.pop((serial, owner), None)
-                    if scratch_tid is None:
-                        report.repairs.append(
-                            RepairEvent(name, offset, "broken-chain")
-                        )
-                        return
-                    scratch.retract(scratch_tid)
+                    break
+                asserted_keys.update((serial, owner) for serial, owner, __ in asserted)
+                resolvable = True
+                for key in retracted:
+                    if key in retracted_keys or not (key in tid_map or key in asserted_keys):
+                        resolvable = False  # nothing before it asserted this instance
+                        break
+                    retracted_keys.add(key)
+                if not resolvable:
+                    report.repairs.append(RepairEvent(name, offset, "broken-chain"))
+                    break
+                staged.append((offset, asserted, retracted))
                 last_version = version
-                report.frames_replayed += 1
-                report.end_version = version
+            if staged:
+                # An interrupted round: its frames are whole, but the
+                # consistent point that would have closed them never
+                # reached the disk, so applying them could stop mid-
+                # transaction.  Segments end on a marker, so this is the
+                # end of the usable chain.
+                report.repairs.append(RepairEvent(name, staged[0][0], "torn"))
             if len(report.repairs) > before:
                 return  # this segment ended in a repair: drop the rest
 
@@ -833,8 +918,9 @@ class DurableLog(RecoveryLog):
     def verify_durable(self) -> DurableLoadReport:
         """Prove the on-disk log rebuilds the live state, end to end.
 
-        Fsyncs the live segment, loads everything back through
-        :meth:`load` (fault-free), and compares state signatures.  Raises
+        Marks a consistent point (the caller vouches that no transaction
+        is in flight), loads everything back through :meth:`load`
+        (fault-free), and compares state signatures.  Raises
         :class:`RecoveryError` on any repair or divergence — an intact
         log must reproduce the live dataspace exactly.
         """

@@ -1,12 +1,14 @@
-"""Property-based durability: every load is an exact historical state.
+"""Property-based durability: every load is an exact, *marked* historical state.
 
-The core theorem: for any operation history, any shard layout, any
-checkpoint interval, and any single seeded corruption of the on-disk
-segments, ``DurableLog.load`` either raises :class:`RecoveryError` or
-returns a dataspace whose state equals the history's state at exactly
-``report.end_version`` — a verified prefix, never an invented or silently
-corrupted state.  The ``chaos`` tests at the bottom run the same check
-through a full engine run; CI's durability job executes them per-seed.
+The core theorem: for any operation history with any consistent points
+marked in it, any shard layout, any checkpoint interval, and any single
+seeded corruption of the on-disk segments, ``DurableLog.load`` either
+raises :class:`RecoveryError` or returns a dataspace whose state equals
+the history's state at exactly ``report.end_version`` — and that version
+is one the history marked (or the baseline): a verified prefix of whole
+rounds, never an invented, silently corrupted or half-applied state.  The
+``chaos`` tests at the bottom run the same check through a full engine
+run; CI's durability job executes them per-seed.
 """
 
 from __future__ import annotations
@@ -22,37 +24,53 @@ from repro.errors import RecoveryError
 from repro.runtime import DurableLog, Engine
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.recovery import _MAGIC
+from tests.test_chaos_properties import assert_atomic
 
 
 def signature(space):
     return sorted((inst.values, inst.tid.owner) for inst in space.instances())
 
 
-# A history is a list of ops: ("insert", payload) or ("retract", k) where k
-# picks among the tuples still alive at that point (modulo its length).
+# A history is a list of ops: ("insert", payload), ("retract", k) where k
+# picks among the tuples still alive at that point (modulo its length), or
+# ("mark",) — a consistent point: the changes since the last one were whole
+# transactions.  Without marks a history is one round, and every property
+# below would hold of a loader that returns the baseline or everything.
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.integers(min_value=0, max_value=9)),
         st.tuples(st.just("retract"), st.integers(min_value=0, max_value=30)),
+        st.just(("mark",)),
     ),
     min_size=1,
-    max_size=60,
+    max_size=80,
 )
 
 
-def apply_history(space, ops):
-    """Apply ops; return the signature after each change (index = version)."""
+def apply_history(space, log, ops):
+    """Apply ops and close the log.
+
+    Returns the signature after each change (index = version) and the
+    versions at which a consistent point was marked — the baseline and the
+    one ``close()`` implies included.
+    """
     live = []
     snapshots = [signature(space)]
-    for kind, arg in ops:
+    marked = {0}
+    for kind, *arg in ops:
         if kind == "insert":
-            live.append(space.insert(("op", arg, len(snapshots))).tid)
+            live.append(space.insert(("op", arg[0], len(snapshots))).tid)
             snapshots.append(signature(space))
+        elif kind == "mark":
+            log.flush()
+            marked.add(len(snapshots) - 1)
         elif live:
-            tid = live.pop(arg % len(live))
+            tid = live.pop(arg[0] % len(live))
             space.retract(tid)
             snapshots.append(signature(space))
-    return snapshots
+    log.close()
+    marked.add(len(snapshots) - 1)
+    return snapshots, marked
 
 
 class TestDurableRoundTripProperty:
@@ -66,8 +84,7 @@ class TestDurableRoundTripProperty:
         wal_dir = str(tmp_path_factory.mktemp("wal"))
         space = Dataspace(shards=shards)
         log = DurableLog(space, wal_dir, interval=interval)
-        snapshots = apply_history(space, ops)
-        log.close()
+        snapshots, __ = apply_history(space, log, ops)
         scratch, report = DurableLog.load(wal_dir)
         assert report.intact
         assert report.end_version == len(snapshots) - 1
@@ -88,8 +105,7 @@ class TestDurableRoundTripProperty:
         wal_dir = str(tmp_path_factory.mktemp("wal"))
         space = Dataspace(shards=shards)
         log = DurableLog(space, wal_dir, interval=interval)
-        snapshots = apply_history(space, ops)
-        log.close()
+        snapshots, marked = apply_history(space, log, ops)
 
         files = [
             p
@@ -107,7 +123,7 @@ class TestDurableRoundTripProperty:
             scratch, report = DurableLog.load(wal_dir)
         except RecoveryError:
             return  # every checkpoint broken: an explicit refusal, not silence
-        assert 0 <= report.end_version < len(snapshots)
+        assert report.end_version in marked
         assert signature(scratch) == snapshots[report.end_version]
         # A flip that mattered is always a counted repair or skipped
         # checkpoint; a flip that didn't (pickle slack) must load intact.
@@ -131,30 +147,27 @@ class TestDurableRoundTripProperty:
             FaultPlan.parse(f"seed={fault_seed}; wal-append:{action}:at={at}")
         )
         log = DurableLog(space, wal_dir, interval=interval, faults=injector)
-        snapshots = apply_history(space, ops)
-        log.close()
+        snapshots, marked = apply_history(space, log, ops)
         try:
             scratch, report = DurableLog.load(wal_dir)
         except RecoveryError:
             return
         head = len(snapshots) - 1
-        assert 0 <= report.end_version <= head
+        assert report.end_version in marked
         assert signature(scratch) == snapshots[report.end_version]
-        if injector.total_fired and report.end_version != head:
-            # The one loss no log can count: a torn *final* append that
-            # persisted nothing is a crash before the write — the disk
-            # holds a clean history one version short.
-            vanished_tail = (
-                action == "torn-write" and at == head and report.end_version == head - 1
-            )
-            assert report.repairs or vanished_tail
+        if report.end_version != head:
+            # Every loss is counted, a torn append that persisted nothing
+            # included: the marker behind it names a version the reader
+            # never saw.  (What no log can count is a crash before any byte
+            # of a round persisted; close() rules that out here.)
+            assert injector.total_fired and report.repairs
 
     @pytest.mark.parametrize("at", [1, 2])
     def test_torn_write_keeping_zero_bytes_is_a_counted_repair(self, tmp_path, at):
         """A torn append that persists nothing drops frame *at* whole, so no
         checksum fails; the version gap it leaves must stop the replay.
         Swept over every fault seed: a few of them draw the empty prefix."""
-        ops = [("insert", k) for k in range(3)]
+        ops = [op for k in range(3) for op in (("insert", k), ("mark",))]
         for fault_seed in range(100):
             wal_dir = str(tmp_path / f"wal-{fault_seed}")
             space = Dataspace()
@@ -162,12 +175,12 @@ class TestDurableRoundTripProperty:
                 FaultPlan.parse(f"seed={fault_seed}; wal-append:torn-write:at={at}")
             )
             log = DurableLog(space, wal_dir, interval=64, faults=injector)
-            snapshots = apply_history(space, ops)
-            log.close()
+            snapshots, __ = apply_history(space, log, ops)
             scratch, report = DurableLog.load(wal_dir)
-            assert signature(scratch) == snapshots[report.end_version], fault_seed
-            if report.end_version != len(snapshots) - 1:
-                assert report.repairs, fault_seed
+            # The damage is in frame *at*, so exactly the marked
+            # transactions before it survive, and the loss is counted.
+            assert report.end_version == at - 1 and report.repairs, fault_seed
+            assert signature(scratch) == snapshots[at - 1], fault_seed
 
 
 def _writer():
@@ -198,7 +211,7 @@ class TestChaosSmoke:
     across its seed matrix (``SDL_CHAOS_SEEDS`` overrides the seed set)."""
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    @pytest.mark.parametrize("action", ["torn-write", "bit-flip"])
+    @pytest.mark.parametrize("action", ["torn-write", "bit-flip", "lost-fsync"])
     @pytest.mark.parametrize("commit", ["live", "group"])
     def test_engine_wal_survives_storage_chaos(self, tmp_path, seed, action, commit):
         engine = Engine(
@@ -231,6 +244,12 @@ class TestChaosSmoke:
             # strict subset of what the engine committed — never invented.
             assert report.repairs or report.checkpoints_skipped
             assert len(got) <= len(live)
+        # Whatever was lost, it was lost in whole transactions: every item
+        # is still in its community or became exactly one done record —
+        # unless the load is the baseline, before the items were asserted.
+        state = scratch.multiset()
+        if state:
+            assert_atomic(state, 3, 4)
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_engine_wal_clean_run_verifies(self, tmp_path, seed):
