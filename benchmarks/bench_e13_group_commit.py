@@ -26,7 +26,7 @@ from repro.core.actions import assert_tuple
 from repro.core.expressions import Var
 from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
-from repro.core.query import exists
+from repro.core.query import Query, exists
 from repro.core.transactions import delayed
 from repro.runtime.engine import Engine
 
@@ -120,7 +120,14 @@ def test_e13_shape_group_collapses_rounds_1_5x(benchmark):
     )
 
 
-def test_e13_shape_contention_degrades_gracefully(benchmark):
+def test_e13_shape_contention_degrades_gracefully(benchmark, monkeypatch):
+    evaluations = [0]
+    real_evaluate = Query.evaluate
+
+    def counting(self, *args, **kwargs):
+        evaluations[0] += 1
+        return real_evaluate(self, *args, **kwargs)
+
     def check():
         group_engine = _contended_engine("group", validate="serial")
         live_engine = _contended_engine("live")
@@ -132,6 +139,18 @@ def test_e13_shape_contention_degrades_gracefully(benchmark):
         assert group.conflicts > 0
         assert group.max_batch == 1
         assert 0.0 < group.conflict_rate < 1.0
+        # A loser is decided on its read side and never evaluated: only
+        # commits and conflict-free failures cost a query evaluation.  The
+        # count is taken on a run without the serial replay, which
+        # evaluates every commit once more.
+        monkeypatch.delenv("SDL_VALIDATE", raising=False)
+        unvalidated = _contended_engine("group")
+        monkeypatch.setattr(Query, "evaluate", counting)
+        counted = unvalidated.run()
+        monkeypatch.undo()
+        assert counted.commits == group.commits
+        failures = unvalidated.trace.counters.failures
+        assert evaluations[0] <= counted.commits + failures
         return group
 
     group = once(benchmark, check)

@@ -74,7 +74,7 @@ _SITE_HELP = {
     "match": "Dataspace.candidates: index probe + snapshot build",
     "plan": "QueryPlanner: selectivity estimation + plan construction (cache misses only)",
     "wakeup": "WakeupIndex.affected: exact shape-keyed wake lookup + FIFO sort",
-    "group-admit": "group round phase B: snapshot evaluation + conflict admission",
+    "group-admit": "group round phase B: read-side probe, snapshot evaluation, conflict admission",
     "group-apply": "group round phase C: applying the admitted batch",
     "parallel-apply": "worker evaluation of one shard-disjoint admitted group",
     "parallel-admit": "worker match evaluation of one shard's admission candidates",

@@ -40,6 +40,14 @@ the admitted writes by shape and :func:`first_conflict` probes it with the
 candidate's own watchers and retracted ids.  :func:`conflicts` and
 :meth:`WriteRecord.touches` state the relation pairwise and serve as the
 test oracle.
+
+**A w-w conflict implies an r-w conflict at the same or an earlier
+admitted index.**  A retracted instance matched one of the candidate's
+query atoms, and the admitted footprint retracting the same tuple id keeps
+an all-positions-known :class:`WriteRecord` for it, which touches that
+atom's watcher (a ``reads_all`` candidate conflicts from the first write
+on).  So the round walk probes with the read side alone, *before*
+evaluating a candidate, and finds the winner the full footprint would.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.core.actions import AssertTuple, Let
 from repro.core.dataspace import Dataspace
-from repro.core.query import FORALL, QueryResult
+from repro.core.patterns import pattern
+from repro.core.query import FORALL, Match, QueryResult
 from repro.core.transactions import Transaction, execute
 from repro.core.tuples import TupleId
 from repro.errors import EngineError
@@ -164,33 +173,23 @@ class Footprint:
 
 def footprint_for(
     txn: Transaction,
-    result: QueryResult | None,
+    result: QueryResult,
     process: "ProcessInstance",
     scope: dict[str, Any],
-    reads: "tuple[bool, tuple[AtomWatcher, ...]] | None" = None,
+    reads: tuple[bool, tuple[AtomWatcher, ...]],
 ) -> Footprint:
     """Record what admission must check of *txn* evaluated (as *result*)
     for *process*: its reads and the tuple ids it retracts.
 
-    That is all :func:`first_conflict` asks of a candidate, and most
-    candidates of a contended round lose, so the rest — retraction
+    *reads* is the candidate's :func:`read_side`, derived once before it
+    was evaluated: the round walk probes the admitted batch with the read
+    side alone, evaluates only a candidate that survives that probe, and
+    calls this for the candidate it admits.  The rest — retraction
     records, predicted asserts, shard-sets — is derived by
-    :func:`complete_footprint`, for the candidate being admitted only.
-
-    *result* is ``None`` when the snapshot evaluation failed — the
-    footprint then carries reads only, so the *failure verdict* still
-    participates in conflict detection (a query that failed against the
-    snapshot may succeed after an earlier admitted write).
-
-    *reads* is an optional precomputed :func:`read_side` result: read
-    derivation depends only on the transaction, view, and scope — all
-    stable across a round — so the parallel-admission prepass extracts
-    it once per dispatched candidate and the admission walk reuses it
-    here instead of re-deriving the subscription.
+    :func:`complete_footprint`.  A failed *result* retracts nothing, so
+    its footprint carries reads only.
     """
-    reads_all, watchers = read_side(txn, process, scope) if reads is None else reads
-    if result is None or not result.success:
-        return Footprint(process.pid, reads_all, watchers, frozenset(), ())
+    reads_all, watchers = reads
     retract_tids = frozenset([inst.tid for inst in result.all_retracted()])
     return Footprint(process.pid, reads_all, watchers, retract_tids, ())
 
@@ -271,9 +270,9 @@ def read_side(
     """Extract *txn*'s read side: ``(reads_all, watchers)``.
 
     Pure in the transaction/view/scope — no dataspace, RNG, or counter
-    access — which is what lets the parallel-admission prepass hoist it
-    out of the admission walk (and would let a worker compute it from a
-    shipped transaction alone).
+    access — which is what lets the round walk decide a loser before
+    evaluating it, and carry a deferred loser's read side into the next
+    round while its transaction and scope are unchanged.
     """
     sub = derive_subscription([txn], process.view, scope, "keys")
     if sub.wake_any:
@@ -494,6 +493,36 @@ def first_conflict(
 # serial-equivalence validation (``validate="serial"``)
 # ----------------------------------------------------------------------
 
+def _retracting_twins(window, recorded: QueryResult, replayed: QueryResult) -> QueryResult:
+    """*replayed*, retracting value-equal twins of what *recorded* retracted.
+
+    Forced bindings do not pin a wildcard field, so the replay may have
+    matched another instance than the batch retracted; the serial run that
+    justifies the batch is the one retracting equal values.  Fails when
+    the replay's window no longer holds them.
+    """
+    retracted = recorded.all_retracted()
+    if not retracted:
+        return replayed
+    twins: list = []
+    taken: set[TupleId] = set()
+    for inst in retracted:
+        twin = next(
+            (
+                candidate
+                for candidate in window.find_matching(pattern(*inst.values))
+                if candidate.tid not in taken
+            ),
+            None,
+        )
+        if twin is None:
+            return QueryResult(False)
+        taken.add(twin.tid)
+        twins.append(twin)
+    match = replayed.matches[0]
+    return QueryResult(True, [Match(match.bindings, match.instances, tuple(twins))])
+
+
 def validate_serial_equivalence(
     pre_rows: Sequence[tuple],
     admitted: Sequence[tuple["ProcessInstance", Transaction, QueryResult]],
@@ -506,8 +535,9 @@ def validate_serial_equivalence(
 
     Rebuilds the round-start dataspace from *pre_rows*, replays every
     admitted transaction in arbitration order — forcing each ∃ query's
-    recorded bindings so the serial run must pick value-equal instances —
-    and asserts the resulting multiset equals the batch-committed one.
+    recorded bindings, and retracting value-equal twins of the instances
+    the batch retracted — and asserts the resulting multiset equals the
+    batch-committed one.
     Effectful callbacks are suppressed, and a private RNG keeps the check
     invisible to the engine's seeded arbitration stream.
 
@@ -525,6 +555,8 @@ def validate_serial_equivalence(
         if txn.query.quantifier != FORALL:
             scope = {**scope, **recorded.bindings}
         replayed = txn.query.evaluate(window.refresh(), scope, rng)
+        if replayed.success and txn.query.quantifier != FORALL:
+            replayed = _retracting_twins(window, recorded, replayed)
         if not replayed.success:
             raise EngineError(
                 f"group commit violated serial equivalence in round "

@@ -116,7 +116,7 @@ class ReplicaSpawned(Event):
 class RoundCommitted(Event):
     """One group-commit round: how the candidate set was disposed of."""
 
-    candidates: int  # transactions evaluated against the round snapshot
+    candidates: int  # transactions surfaced as candidates
     admitted: int    # committed as one batch (serial-equivalent prefix)
     conflicts: int   # losers re-queued to the head of the next round
     tail: int        # items serialized after the batch (selections, pumps, ...)

@@ -71,12 +71,18 @@ __all__ = ["Executor"]
 class Executor:
     """Steps tasks and pumps on behalf of one :class:`Engine`."""
 
-    __slots__ = ("engine", "consensus_waiters", "consensus_dirty", "_consensus_memo")
+    __slots__ = (
+        "engine", "consensus_waiters", "consensus_dirty", "_consensus_memo",
+        "loser_reads",
+    )
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.consensus_waiters: dict[int, Task] = {}  # pid -> main task
         self.consensus_dirty = False
+        # Group mode: the last round's losers -> (txn, scope, read side),
+        # replaced every round (see ``rounds._reads_for``).
+        self.loser_reads: dict[Task, tuple] = {}
         # Memo of the last failed consensus check.  The key must cover
         # everything readiness depends on: the dataspace version, who is
         # waiting, and who is live (a terminating process can unblock a set).
@@ -123,14 +129,13 @@ class Executor:
     def _handle_txn(self, task: Task, txn: Transaction) -> None:
         engine = self.engine
         if txn.mode is Mode.IMMEDIATE:
-            task.send_value = self._attempt(task, txn)
-            engine.scheduler.make_ready(task)
+            outcome = self._attempt(task, txn)
+            self._deliver(task, outcome, outcome)
             return
         if txn.mode is Mode.DELAYED:
             outcome = self._attempt(task, txn)
             if outcome.success:
-                task.send_value = outcome
-                engine.scheduler.make_ready(task)
+                self._deliver(task, outcome, outcome)
             else:
                 task.park = ParkedTxn(txn)
                 self._block(task, self._subscription_for([txn], task), "delayed")
@@ -160,8 +165,7 @@ class Executor:
             if outcome.success:
                 self._unpark(task)
                 self._classify_wake(task, spurious=False)
-                task.send_value = (index, outcome)
-                engine.scheduler.make_ready(task)
+                self._deliver(task, (index, outcome), outcome)
                 return
         consensus_guards = tuple(
             (i, b.guard) for i, b in enumerate(branches) if b.guard.mode is Mode.CONSENSUS
@@ -207,8 +211,7 @@ class Executor:
             if outcome.success:
                 self._unpark(task)
                 self._classify_wake(task, spurious=False)
-                task.send_value = outcome
-                self.engine.scheduler.make_ready(task)
+                self._deliver(task, outcome, outcome)
             else:
                 self._classify_wake(task, spurious=True)
                 self._block(
@@ -393,6 +396,21 @@ class Executor:
             return
         aborted = control is Control.ABORT
         self._process_finished(task.process, aborted)
+
+    def _deliver(self, task: Task, value: Any, outcome: TransactionOutcome) -> None:
+        """Hand *value*, which carries *outcome*, back to *task*.
+
+        The task resumes at its next step, unless *outcome* commits
+        ``abort``.  ABORT always unwinds to the top of the behaviour
+        (``interpreter._exec``), so that task ends here, before a sibling
+        of the same process (a queued replication pump, another replica)
+        can act on behalf of the aborted process in between.
+        """
+        if outcome.control is Control.ABORT:
+            self._task_finished(task, Control.ABORT)
+            return
+        task.send_value = value
+        self.engine.scheduler.make_ready(task)
 
     def _process_finished(self, process: ProcessInstance, aborted: bool) -> None:
         engine = self.engine
@@ -799,10 +817,9 @@ class Executor:
                 index = next(
                     i for i, txn in park.consensus_guards if txn is participant.transaction
                 )
-                task.send_value = (index, outcome)
+                self._deliver(task, (index, outcome), outcome)
             else:
-                task.send_value = outcome
-            engine.scheduler.make_ready(task)
+                self._deliver(task, outcome, outcome)
         if changed:
             self._wake_on_change(changed)
         self._consensus_memo = None

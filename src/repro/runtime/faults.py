@@ -18,8 +18,11 @@ Sites (where the runtime asks):
   makes ``at=``-keyed crash plans comparable across ``group``/``serial``
   runs (the chaos equivalence property).
 * ``post-match`` — a query verdict (success or failure) was just computed.
-* ``batch-admit`` — a group-round candidate is about to be evaluated for
-  admission; ``kill-round`` here defers the round's entire candidate set.
+  In ``commit="group"`` mode only evaluated candidates reach it: a loser
+  decided on its read side alone is never evaluated.
+* ``batch-admit`` — a group-round candidate is about to be considered for
+  admission (before its read-side probe); ``kill-round`` here defers the
+  round's entire candidate set.
 * ``wakeup-deliver`` — a wake is about to be delivered to a parked item.
 * ``pump-spawn`` — a replication pump is being created.
 

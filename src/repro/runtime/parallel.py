@@ -667,13 +667,12 @@ class MatchProbe:
     constructed :class:`~repro.core.plan.PlanStep` — the identical step
     ``plan_for`` would build for a single-atom query — so the walk can
     later consult the real planner exactly once, as serial evaluation
-    does.  ``reads`` optionally carries the precomputed footprint read
-    side (see :func:`repro.runtime.commit.read_side`).
+    does.
     """
 
     __slots__ = (
         "pattern", "arity", "probes", "binders", "repeat_checks",
-        "test", "shard", "reads",
+        "test", "shard",
     )
 
     def __init__(self, pattern, arity, probes, binders, repeat_checks,
@@ -685,7 +684,6 @@ class MatchProbe:
         self.repeat_checks = repeat_checks
         self.test = test
         self.shard = shard
-        self.reads = None
 
     def entry(self, scope: dict) -> tuple:
         """The picklable worker-side evaluation entry for this candidate."""

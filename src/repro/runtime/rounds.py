@@ -11,12 +11,16 @@ One round runs four phases over the items ready at its start:
 * **Phase A — classify**: transactions surface as *candidates* (in
   arbitration order — deferred losers lead, this round's shuffle follows);
   selections, replication pumps, and other control flow go to the *tail*;
-* **Phase B — admit**: every candidate is evaluated against the common
-  round-start snapshot, its footprint recorded, and the largest
-  prefix-compatible subsequence admitted (:mod:`repro.runtime.commit`):
-  each candidate's reads and retracted tuple ids probe the key index of
-  the batch admitted so far (:class:`~repro.runtime.commit.AdmittedBatch`),
-  and only the candidate being admitted has its write half derived.  Under
+* **Phase B — admit**: the largest prefix-compatible subsequence of the
+  candidates is admitted (:mod:`repro.runtime.commit`).  Each candidate's
+  read side first probes the key index of the batch admitted so far
+  (:class:`~repro.runtime.commit.AdmittedBatch`).  A hit makes it a loser
+  *unevaluated*: a w-w conflict implies an r-w conflict at the same or an
+  earlier admitted index, so the reads alone find the winner.  Only a
+  survivor is evaluated against the common round-start snapshot, and only
+  the candidate being admitted has its write half derived.  A deferred
+  loser carries its read side into the next round while its transaction
+  and scope are unchanged (:func:`_reads_for`).  Under
   ``admit="parallel"`` the *match evaluation* half of this phase runs on
   the worker pool over cached shard snapshots
   (:func:`_dispatch_admission`) while the walk itself — validation,
@@ -41,6 +45,7 @@ from repro.core.storage import cut_at_serial
 from repro.core.transactions import Control, Mode, Transaction, TransactionOutcome, execute
 from repro.runtime.commit import (
     AdmittedBatch,
+    Footprint,
     complete_footprint,
     first_conflict,
     footprint_for,
@@ -149,7 +154,9 @@ def run_group_round(executor: "Executor", items: list) -> list:
     admitted: list[tuple[Task, Transaction, Any, str]] = []
     admitted_fps = AdmittedBatch()
     losers: list[Task] = []
-    conflict_count = 0
+    conflict_count = evaluated = 0
+    carried = executor.loser_reads
+    executor.loser_reads = carry = {}
     for position, (task, txn, origin) in enumerate(candidates):
         if task.state is not TaskState.READY:
             continue  # its process died during classification
@@ -173,9 +180,33 @@ def run_group_round(executor: "Executor", items: list) -> list:
                     later_task.queued = True
                     losers.append(later_task)
                 break
-        window = engine.window(process)
-        lens = _SnapshotLens(window, watermark)
         scope = process.scope()
+        reads = _reads_for(carried.get(task), txn, process, scope)
+        # The read side alone decides a loser: a w-w conflict implies an
+        # r-w conflict at the same or an earlier admitted index, so this
+        # probe finds the winner the full footprint would.
+        winner = first_conflict(
+            admitted_fps, Footprint(process.pid, *reads, frozenset(), ())
+        )
+        if winner is not None:
+            # Loser: whatever its query would return is unreliable after
+            # the winner's writes — re-queue unevaluated, never abort or
+            # park.
+            conflict_count += 1
+            if origin == "request":
+                task.pending = txn
+            task.queued = True  # deferred outside the scheduler queues
+            losers.append(task)
+            carry[task] = (txn, scope, reads)
+            engine.trace.emit(
+                ConflictDetected(
+                    engine.step_count, engine.round_count,
+                    process.pid, winner.pid,
+                )
+            )
+            continue
+        evaluated += 1
+        lens = _SnapshotLens(engine.window(process), watermark)
         verdict = admit_verdicts.get(position)
         if verdict is not None:
             result = _resolve_admit(engine, verdict, txn, lens, scope)
@@ -189,30 +220,6 @@ def run_group_round(executor: "Executor", items: list) -> list:
             if action == "abort-txn":
                 _group_failure(executor, task, txn, origin)
                 continue
-        fp = footprint_for(
-            txn,
-            result if result.success else None,
-            process,
-            scope,
-            reads=verdict[0].reads if verdict is not None else None,
-        )
-        winner = first_conflict(admitted_fps, fp)
-        if winner is not None:
-            # Loser: both its success and its failure verdicts are
-            # unreliable after the winner's writes — re-queue, never
-            # abort or park.
-            conflict_count += 1
-            if origin == "request":
-                task.pending = txn
-            task.queued = True  # deferred outside the scheduler queues
-            losers.append(task)
-            engine.trace.emit(
-                ConflictDetected(
-                    engine.step_count, engine.round_count,
-                    task.process.pid, winner.pid,
-                )
-            )
-            continue
         if not result.success:
             # Conflict-free failure is decided *now*, before the batch
             # commits, so a parked task's subscription is registered in
@@ -232,9 +239,10 @@ def run_group_round(executor: "Executor", items: list) -> list:
                 _group_failure(executor, task, txn, origin)
                 continue
         admitted.append((task, txn, result, origin))
-        admitted_fps.append(
-            complete_footprint(fp, txn, result, scope, partitioner if sharded else None)
-        )
+        admitted_fps.append(complete_footprint(
+            footprint_for(txn, result, process, scope, reads),
+            txn, result, scope, partitioner if sharded else None,
+        ))
     if obs is not None:
         obs.observe_ns(
             "group-admit",
@@ -242,6 +250,7 @@ def run_group_round(executor: "Executor", items: list) -> list:
             obs.spans.now() - admit_start,
             {
                 "candidates": len(candidates),
+                "evaluated": evaluated,
                 "admitted": len(admitted),
                 "conflicts": conflict_count,
             },
@@ -433,9 +442,10 @@ def _dispatch_admission(engine, candidates: list, watermark: int) -> dict[int, t
     position; everything not in the dict evaluates serially.
 
     The prepass is **counter- and RNG-free**: eligibility probing uses the
-    memoised pattern compiler (never the planner's cache), the footprint
-    read side is precomputed because subscription derivation is pure, and
-    injected ``admit-dispatch`` faults draw from the injector's RNG only.
+    memoised pattern compiler (never the planner's cache), and injected
+    ``admit-dispatch`` faults draw from the injector's RNG only.  It ships
+    candidates that the walk may then decide as losers on their read side
+    alone; their verdicts are simply never consumed.
     Requires ≥2 home-shard groups — one group means the walk would wait on
     a single worker with no overlap to exploit, so serial evaluation keeps
     its zero-overhead path.  A task that cannot be bundled or answered
@@ -465,16 +475,7 @@ def _dispatch_admission(engine, candidates: list, watermark: int) -> dict[int, t
         if meta is None:
             ineligible += 1
             continue
-        scope = process.scope()
-        try:
-            # Pure and result-independent, so hoisting it off the walk is
-            # safe; a derivation failure surfaces from the serial path's
-            # own ``footprint_for`` at the candidate's walk position.
-            meta.reads = read_side(txn, process, scope)
-        except Exception:
-            ineligible += 1
-            continue
-        groups.setdefault(meta.shard, []).append((position, meta, scope))
+        groups.setdefault(meta.shard, []).append((position, meta, process.scope()))
     if len(groups) < 2:
         return {}
     obs = engine.obs
@@ -612,6 +613,25 @@ def _resolve_admit(engine, verdict: tuple, txn: Transaction, lens, scope) -> Que
     return QueryResult(True, matches)
 
 
+def _reads_for(carried: tuple | None, txn: Transaction, process, scope: dict) -> tuple:
+    """*txn*'s read side, reusing the one a deferred loser carried over.
+
+    :func:`read_side` is pure in (transaction, view, scope) and a process's
+    view never changes, so *carried* — last round's ``(txn, scope, reads)``
+    for this task — is reused iff the transaction is the same object and
+    *scope* maps the same names to the same objects.  Identity, never
+    equality: scope values are user data, and a sibling replica's ``let``
+    replaces the object (``process.env.update``).
+    """
+    if carried is not None:
+        carried_txn, carried_scope, reads = carried
+        if carried_txn is txn and carried_scope.keys() == scope.keys() and all(
+            scope[name] is value for name, value in carried_scope.items()
+        ):
+            return reads
+    return read_side(txn, process, scope)
+
+
 def _group_failure(executor: "Executor", task: Task, txn: Transaction, origin: str) -> None:
     """Dispose of a conflict-free candidate whose snapshot query failed."""
     engine = executor.engine
@@ -650,8 +670,7 @@ def _deliver_commit(
     if origin == "park":
         executor._unpark(task)
     executor._classify_wake(task, spurious=False)
-    task.send_value = outcome
-    executor.engine.scheduler.make_ready(task)
+    executor._deliver(task, outcome, outcome)
 
 
 class _SnapshotLens:

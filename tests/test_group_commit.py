@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.core.actions import assert_tuple
+from repro.core.actions import assert_tuple, let
+from repro.core.constructs import guarded, replicate
 from repro.core.dataspace import Dataspace
 from repro.core.expressions import Var, variables
 from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
-from repro.core.query import exists
+from repro.core.query import Query, exists
 from repro.core.transactions import delayed, immediate
-from repro.errors import EngineError
+from repro.errors import EngineError, SDLError
+from repro.runtime import rounds
 from repro.runtime.commit import (
     Footprint,
     WriteRecord,
@@ -18,7 +20,13 @@ from repro.runtime.commit import (
     validate_serial_equivalence,
 )
 from repro.runtime.engine import Engine
-from repro.runtime.events import ConflictDetected, RoundCommitted, Trace
+from repro.runtime.events import (
+    ConflictDetected,
+    RoundCommitted,
+    Trace,
+    TxnCommitted,
+    TxnFailed,
+)
 from repro.runtime.wakeup import AtomWatcher
 
 
@@ -195,6 +203,111 @@ class TestGroupEvents:
         assert result.conflicts == counters.conflicts
 
 
+class TestReadSideAdmission:
+    """A loser is decided on its read side, before it is evaluated."""
+
+    def test_only_survivors_are_evaluated(self, monkeypatch):
+        # SDL_VALIDATE=serial would replay every admitted transaction
+        # through Query.evaluate as well; this test counts admission only.
+        monkeypatch.delenv("SDL_VALIDATE", raising=False)
+        calls = [0]
+        real = Query.evaluate
+
+        def counting(self, *args, **kwargs):
+            calls[0] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Query, "evaluate", counting)
+        engine = make_contended_engine(
+            8, bumps=4, commit="group", trace=Trace(detail=True)
+        )
+        result = engine.run()
+        assert result.completed and result.commits == 32
+        assert result.conflicts > result.commits  # most candidates lose
+        failures = len(list(engine.trace.of_kind(TxnFailed)))
+        assert calls[0] == result.commits + failures
+
+    def test_every_loser_names_its_rounds_first_admitted(self):
+        engine = make_contended_engine(
+            8, bumps=4, commit="group", trace=Trace(detail=True)
+        )
+        engine.run()
+        first_admitted: dict[int, int] = {}
+        for event in engine.trace.of_kind(TxnCommitted):
+            first_admitted.setdefault(event.round, event.pid)
+        clashes = list(engine.trace.of_kind(ConflictDetected))
+        assert clashes
+        assert all(c.winner == first_admitted[c.round] for c in clashes)
+
+
+def make_let_between_rounds_engine():
+    """A deferred replica whose scope a sibling replica's ``let`` changes.
+
+    Round 3 (fifo order): Q asserts ``<cell, 0, 5>`` and ``<ping>``; R's
+    bump reads ``<ping>`` and the reader replica reads ``<cell, 0, *>``, so
+    both lose to Q; between them the ``let`` replica rebinds ``x`` to 1.
+    Round 4: R's bump leads, retracting ``<cell, 1, 7>``.  The reader now
+    reads ``<cell, 1, *>`` and must lose to it again: its read side from
+    round 3 (``<cell, 0, *>``) no longer describes it.
+    """
+    a, c, x = Var("a"), Var("c"), Var("x")
+    main = ProcessDefinition("M", params=("x",), body=[replicate(
+        guarded(
+            immediate(exists().match(P["goB"].retract())),
+            immediate().then(let("x", 1)),
+        ),
+        guarded(
+            immediate(exists().match(P["goA"].retract())),
+            delayed(exists(a).match(P["cell", x, a].retract())).then(
+                assert_tuple("seen", a)
+            ),
+        ),
+    )])
+    writer = ProcessDefinition("Q", body=[
+        immediate(), immediate(),
+        immediate().then(assert_tuple("cell", 0, 5), assert_tuple("ping")),
+    ])
+    bumper = ProcessDefinition("R", body=[
+        immediate(), immediate(),
+        delayed(exists(c).match(P["ping"].retract(), P["cell", 1, c].retract()))
+        .then(assert_tuple("cell", 1, c + 1)),
+    ])
+    engine = Engine(
+        definitions=[main, writer, bumper], policy="fifo", commit="group",
+        validate="serial", trace=Trace(detail=True),
+    )
+    engine.assert_tuples([("goA",), ("goB",), ("cell", 1, 7)])
+    engine.start("M", (0,))
+    engine.start("Q")
+    engine.start("R")
+    return engine
+
+
+class TestLoserReadSideCarry:
+    def test_carry_is_rederived_after_a_sibling_let(self):
+        engine = make_let_between_rounds_engine()
+        assert engine.run().completed
+        assert engine.dataspace.multiset() == {("cell", 0, 5): 1, ("seen", 8): 1}
+        clashes = [(c.round, c.pid, c.winner)
+                   for c in engine.trace.of_kind(ConflictDetected)]
+        assert clashes == [(3, 3, 2), (3, 1, 2), (4, 1, 3)]
+
+    def test_a_carry_keyed_on_the_task_alone_goes_stale(self, monkeypatch):
+        # The mutation the identity rule guards against: reuse whatever
+        # the task carried, ignoring the scope.  The reader replica then
+        # probes with <cell, 0, *>, passes, and double-retracts <cell, 1, 7>.
+        real = rounds._reads_for
+
+        def task_keyed(carried, txn, process, scope):
+            if carried is not None:
+                return carried[2]
+            return real(None, txn, process, scope)
+
+        monkeypatch.setattr(rounds, "_reads_for", task_keyed)
+        with pytest.raises(SDLError):
+            make_let_between_rounds_engine().run()
+
+
 class TestValidateSerial:
     def test_clean_batches_pass_validation(self):
         engine = make_disjoint_engine(8, commit="group", validate="serial")
@@ -252,6 +365,7 @@ class TestEngineOptions:
 
     def test_default_mode_is_live(self, monkeypatch):
         monkeypatch.delenv("SDL_COMMIT", raising=False)
+        monkeypatch.delenv("SDL_VALIDATE", raising=False)
         assert Engine().commit == "live"
         assert Engine().validate is None
 

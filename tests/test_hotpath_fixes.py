@@ -215,6 +215,38 @@ class TestPumpAfterAbort:
         assert ("looted", 1) not in multiset
         assert result.completed
 
+    def test_live_pump_stops_in_the_round_the_abort_commits(self):
+        # Live mode with the job one round earlier: in round 3 the replica
+        # commits its ABORT transaction, and the pump, stepped next in the
+        # same round, finds <job, 1>.  A committed ABORT used to end the
+        # task only when it resumed (round 4), so the pump fired for the
+        # aborted process in between.
+        a = Var("a")
+        main = ProcessDefinition("Main", body=[replicate(
+            guarded(
+                immediate(exists().match(P["kill"].retract())),
+                immediate().then(ABORT),
+            ),
+            guarded(
+                immediate(exists(a).match(P["job", a].retract())).then(
+                    assert_tuple("looted", a)
+                )
+            ),
+        )])
+        feeder = ProcessDefinition("Feeder", body=[
+            immediate().then(assert_tuple("tick", 1)),
+            immediate().then(assert_tuple("job", 1)),
+        ])
+        engine = Engine(
+            definitions=[main, feeder], policy="fifo", commit="live",
+            on_deadlock="return",
+        )
+        engine.assert_tuples([("kill",)])
+        engine.start("Main")
+        engine.start("Feeder")
+        assert engine.run().completed
+        assert engine.dataspace.multiset() == {("tick", 1): 1, ("job", 1): 1}
+
 
 # ---------------------------------------------------------------------------
 # RecoveryLog: a finished engine must leave no dataspace listener behind

@@ -9,11 +9,22 @@ definitions they replaced stay in the source as oracles
 these properties hold the indexes to them on inputs built to stress the
 hash/``==`` agreement of the value domain (``Atom("x")`` vs ``"x"``,
 ``True`` / ``1`` / ``1.0``).  The two count tests pin that the engine path
-no longer runs the oracles at all.
+no longer runs the oracles at all.  A third property holds the lemma group
+admission rests on: a candidate's read side alone finds the winner its
+full footprint would.
 """
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.actions import assert_tuple
+from repro.core.dataspace import Dataspace
+from repro.core.expressions import Var
+from repro.core.patterns import ANY, pattern
+from repro.core.process import ProcessDefinition, ProcessInstance
+from repro.core.query import Query, QueryAtom
+from repro.core.transactions import Mode, Transaction
 from repro.core.tuples import TupleId, TupleInstance
 from repro.core.values import Atom
 from repro.programs.summation import run_sum2
@@ -22,8 +33,11 @@ from repro.runtime.commit import (
     AdmittedBatch,
     Footprint,
     WriteRecord,
+    complete_footprint,
     conflicts,
     first_conflict,
+    footprint_for,
+    read_side,
 )
 from repro.runtime.wakeup import WAKE_ANY, AtomWatcher, Subscription, WakeupIndex
 
@@ -147,6 +161,93 @@ class TestAdmittedBatchAgainstConflicts:
         for candidate in candidates:
             assert first_conflict(admitted, candidate) is walk(admitted, candidate)
             assert first_conflict([], candidate) is None
+
+
+# ---------------------------------------------------------------------------
+# (iii) the read side alone decides a loser
+# ---------------------------------------------------------------------------
+#
+# A w-w conflict implies an r-w conflict at the same or an earlier admitted
+# index: the shared instance matched one of the candidate's query atoms, so
+# the watcher of that atom is touched by the exact write record the
+# admitted footprint keeps for the same instance.  Hence probing with the
+# reads alone — before evaluating — returns the full footprint's winner.
+
+# The values the engine can store: the domain above minus the tuple.
+field_values = st.sampled_from([0, 1, True, 1.0, 2, "x", Atom("x"), "y"])
+# Query variables, and ``k``, a process parameter the scope binds.
+names = st.sampled_from(["a", "b", "k"])
+
+
+@st.composite
+def fields(draw):
+    kind = draw(st.sampled_from(["value", "value", "var", "any"]))
+    if kind == "value":
+        return draw(field_values)
+    if kind == "var":
+        return Var(draw(names))
+    return ANY
+
+
+@st.composite
+def retracting_txns(draw) -> Transaction:
+    """One or two atoms, at least one retracted, and one assert."""
+    atoms = []
+    for __ in range(draw(st.integers(1, 2))):
+        arity = draw(st.integers(1, 3))
+        atoms.append(QueryAtom(
+            pattern(*[draw(fields()) for __ in range(arity)]),
+            retract=draw(st.booleans()),
+        ))
+    if not any(atom.retract for atom in atoms):
+        atoms[0] = QueryAtom(atoms[0].pattern, retract=True)
+    quantifier = draw(st.sampled_from(["exists", "exists", "forall"]))
+    asserted = pattern(*[draw(st.one_of(field_values, st.builds(Var, names)))
+                         for __ in range(draw(st.integers(1, 3)))])
+    return Transaction(
+        Query(quantifier, ["a", "b"], atoms),
+        Mode.DELAYED,
+        [assert_tuple(*asserted)],
+    )
+
+
+rows = st.lists(field_values, min_size=1, max_size=3).map(tuple)
+OWNER = ProcessDefinition("P", params=("k",))
+
+
+def evaluated(space, txn, pid, k):
+    process = ProcessInstance(pid, OWNER, (k,))
+    scope = process.scope()
+    reads = read_side(txn, process, scope)
+    result = txn.query.evaluate(space, scope, random.Random(pid))
+    return reads, result, scope, footprint_for(txn, result, process, scope, reads)
+
+
+class TestReadSideDecidesLosers:
+    @given(
+        st.lists(rows, min_size=1, max_size=10),
+        st.lists(st.tuples(retracting_txns(), field_values), max_size=5),
+        retracting_txns(),
+        field_values,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reads_only_probe_finds_the_full_footprints_winner(
+        self, data, admitted_txns, candidate, k
+    ):
+        space = Dataspace()
+        space.insert_many(data)
+        batch = AdmittedBatch()
+        admitted = []
+        for pid, (txn, param) in enumerate(admitted_txns, start=1):
+            __, result, scope, fp = evaluated(space, txn, pid, param)
+            if result.success:
+                admitted.append(complete_footprint(fp, txn, result, scope))
+                batch.append(admitted[-1])
+        reads, __, __, full = evaluated(space, candidate, 99, k)
+        reads_only = Footprint(99, *reads, frozenset(), ())
+        winner = walk(admitted, full)
+        assert first_conflict(batch, full) is winner
+        assert first_conflict(batch, reads_only) is winner
 
 
 # ---------------------------------------------------------------------------

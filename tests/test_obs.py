@@ -315,6 +315,14 @@ class TestEngineIntegration:
             "sdl_checkpoint_seconds",
         ):
             assert m[site]["data"]["count"] > 0, site
+        # Phase B spans: a candidate is either deferred on its read side
+        # (a conflict) or evaluated; only evaluated ones can be admitted.
+        admits = [e for e in run.engine.obs.spans.events() if e["name"] == "group-admit"]
+        assert admits
+        for span in admits:
+            assert span["evaluated"] + span["conflicts"] == span["candidates"]
+            assert span["admitted"] <= span["evaluated"]
+        assert sum(span["conflicts"] for span in admits) > 0
 
     def test_consensus_site(self):
         from repro.programs.summation import run_sum1
