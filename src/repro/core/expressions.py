@@ -12,10 +12,15 @@ overloading::
 Expressions evaluate against an :class:`EvalContext`, which carries the
 current variable bindings and (for dataspace-membership tests, defined in
 :mod:`repro.core.query`) the window under examination.
+
+A *pure* expression (:func:`is_pure`) also compiles, once, into a closure
+over a plain mapping of bindings (:func:`kernel`).  The hot paths call the
+closure; :meth:`Expr.evaluate` stays the reference it is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Any, Callable, Iterable, Mapping
 
@@ -31,13 +36,21 @@ __all__ = [
     "BinOp",
     "UnOp",
     "Call",
+    "Kernel",
     "as_expr",
     "conjuncts",
+    "evaluate_under",
+    "evaluator",
     "fn",
     "is_pure",
+    "kernel",
     "lift",
     "variables",
 ]
+
+#: A compiled expression: ``fn(env) -> value`` over a plain mapping of
+#: bindings (see :func:`kernel`).
+Kernel = Callable[[Mapping[str, Any]], Any]
 
 
 class Bindings:
@@ -86,18 +99,11 @@ class Bindings:
     def as_dict(self) -> dict[str, Any]:
         return dict(self._map)
 
-    @classmethod
-    def over(cls, mapping: dict[str, Any]) -> "Bindings":
-        """Bindings that read *mapping* live instead of copying it.
-
-        For a caller that owns *mapping* and mutates it between
-        evaluations (the planned join's search environment): build the
-        view once, evaluate many times.  Never hand one out — it is only
-        as immutable as its owner keeps the dict.
-        """
-        view = cls()
-        view._map = mapping
-        return view
+    @property
+    def mapping(self) -> Mapping[str, Any]:
+        """The bindings as a plain mapping, not copied: what a compiled
+        :func:`kernel` reads.  Read-only by contract."""
+        return self._map
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bindings):
@@ -133,19 +139,24 @@ class EvalContext:
 class Expr:
     """Base class for expression AST nodes.
 
-    Subclasses implement :meth:`evaluate` and :meth:`free_variables`.
+    Subclasses implement :meth:`evaluate` and :meth:`free_variables`; the
+    pure kinds also compile themselves into a closure (:func:`kernel`).
     Operator overloads build composite nodes so that test predicates read
     like the paper's notation (``~`` negation, ``&`` conjunction, ``|``
     disjunction).
     """
 
-    __slots__ = ()
+    # ``_kernel``: a pure node's memoised closure (see :func:`kernel`).
+    __slots__ = ("_kernel",)
 
     def evaluate(self, ctx: EvalContext) -> Any:
         raise NotImplementedError
 
     def free_variables(self) -> frozenset[str]:
         raise NotImplementedError
+
+    def _compile(self) -> Kernel:
+        raise TypeError(f"{type(self).__name__} is not a pure expression: it has no kernel")
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: Any) -> "Expr":
@@ -263,6 +274,20 @@ class Var(Expr):
     def free_variables(self) -> frozenset[str]:
         return frozenset((self.name,))
 
+    def _compile(self) -> Kernel:
+        name = self.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+
+        return var
+
+    def __reduce__(self):
+        return (type(self), (self.name,))
+
     def __repr__(self) -> str:
         return self.name
 
@@ -280,6 +305,13 @@ class Const(Expr):
 
     def free_variables(self) -> frozenset[str]:
         return frozenset()
+
+    def _compile(self) -> Kernel:
+        value = self.value
+        return lambda env: value
+
+    def __reduce__(self):
+        return (type(self), (self.value,))
 
     def __repr__(self) -> str:
         return value_repr(self.value)
@@ -302,6 +334,42 @@ class BinOp(Expr):
     def free_variables(self) -> frozenset[str]:
         return self.left.free_variables() | self.right.free_variables()
 
+    def _compile(self) -> Kernel:
+        op, left, right = self.op, self.left, self.right
+        # A variable operand is read inline instead of through a closure of
+        # its own, so ``a > 87`` and ``l2 > l1`` are one frame each.
+        if isinstance(left, Var) and isinstance(right, Const):
+            name, value = left.name, right.value
+
+            def binop(env):
+                try:
+                    operand = env[name]
+                except KeyError:
+                    raise UnboundVariableError(name) from None
+                return op(operand, value)
+
+        elif isinstance(left, Var) and isinstance(right, Var):
+            names = (left.name, right.name)
+            fetch = operator.itemgetter(*names)
+
+            def binop(env):
+                try:
+                    x, y = fetch(env)
+                except KeyError:
+                    raise _unbound(names, env) from None
+                return op(x, y)
+
+        else:
+            first, second = kernel(left), kernel(right)
+
+            def binop(env):
+                return op(first(env), second(env))
+
+        return binop
+
+    def __reduce__(self):
+        return (type(self), (self.symbol, self.op, self.left, self.right))
+
     def __repr__(self) -> str:
         return f"({self.left!r} {self.symbol} {self.right!r})"
 
@@ -321,6 +389,13 @@ class UnOp(Expr):
 
     def free_variables(self) -> frozenset[str]:
         return self.operand.free_variables()
+
+    def _compile(self) -> Kernel:
+        op, operand = self.op, kernel(self.operand)
+        return lambda env: op(operand(env))
+
+    def __reduce__(self):
+        return (type(self), (self.symbol, self.op, self.operand))
 
     def __repr__(self) -> str:
         return f"{self.symbol}{self.operand!r}"
@@ -350,6 +425,27 @@ class Call(Expr):
             out |= arg.free_variables()
         return out
 
+    def _compile(self) -> Kernel:
+        func, args = self.func, self.args
+        if len(args) > 1 and all(isinstance(arg, Var) for arg in args):
+            # ``neighbor(p1, p2)``: every argument fetched in one C call.
+            names = tuple(arg.name for arg in args)
+            fetch = operator.itemgetter(*names)
+
+            def call(env):
+                try:
+                    values = fetch(env)
+                except KeyError:
+                    raise _unbound(names, env) from None
+                return func(*values)
+
+            return call
+        kernels = tuple(kernel(arg) for arg in args)
+        return lambda env: func(*[arg(env) for arg in kernels])
+
+    def __reduce__(self):
+        return (type(self), (self.func, self.args, self.name))
+
     def __repr__(self) -> str:
         inner = ",".join(repr(a) for a in self.args)
         return f"{self.name}({inner})"
@@ -371,8 +467,9 @@ def is_pure(expr: Any) -> bool:
     window (and may consume the RNG for arbitration), so it — like any
     expression kind this module does not define — is conservatively
     impure.  The one definition: worker eligibility
-    (:mod:`repro.runtime.parallel`) and test pushdown
-    (:mod:`repro.core.plan`) both rest on it.
+    (:mod:`repro.runtime.parallel`), test pushdown
+    (:mod:`repro.core.plan`) and compilation (:func:`kernel`) all rest
+    on it.
     """
     if isinstance(expr, (Var, Const)):
         return True
@@ -395,6 +492,48 @@ def conjuncts(expr: Expr) -> list[Expr]:
     if isinstance(expr, BinOp) and expr.op is _logical_and:
         return conjuncts(expr.left) + conjuncts(expr.right)
     return [expr]
+
+
+def _unbound(names: tuple[str, ...], env: Mapping[str, Any]) -> UnboundVariableError:
+    """The error :meth:`Expr.evaluate` raises: for the first of *names*
+    missing from *env*."""
+    return UnboundVariableError(next(name for name in names if name not in env))
+
+
+def kernel(expr: Expr) -> Kernel:
+    """The compiled closure of the pure expression *expr*: ``fn(env)``.
+
+    ``kernel(expr)(env)`` is ``expr.evaluate(EvalContext(Bindings(env)))``
+    — the same value, or the same exception.  Operands are evaluated in
+    the same order, ``&`` and ``|`` evaluate both sides (never
+    short-circuiting), a name missing from *env* raises
+    :class:`UnboundVariableError`, and every other exception propagates
+    unchanged.  Built on first use and memoised on the node; a hot caller
+    keeps the closure itself.  Pure nodes pickle from their fields alone,
+    so a closure never crosses a process boundary.  An impure node
+    (:func:`is_pure`) has no kernel: ``TypeError``.
+    """
+    try:
+        return expr._kernel
+    except AttributeError:
+        compiled = expr._kernel = expr._compile()
+        return compiled
+
+
+def evaluate_under(expr: Expr, env: Mapping[str, Any]) -> Any:
+    """The reference evaluation of *expr* under plain-mapping bindings,
+    without a window."""
+    return expr.evaluate(EvalContext(Bindings(env)))
+
+
+def evaluator(expr: Expr) -> Kernel:
+    """``fn(env)`` evaluating any *expr* under plain-mapping bindings,
+    without a window: its :func:`kernel` when pure, else
+    :func:`evaluate_under` (where a ``Membership`` raises for want of a
+    window).  Not memoised: callers keep the result."""
+    if is_pure(expr):
+        return kernel(expr)
+    return functools.partial(evaluate_under, expr)
 
 
 def lift(func: Callable[..., Any], name: str | None = None) -> Callable[..., Call]:

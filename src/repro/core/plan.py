@@ -7,10 +7,11 @@ the index probes of every pattern on every call, and pays a
 removes all three costs while preserving the semantics exactly:
 
 * each :class:`~repro.core.patterns.Pattern` is **compiled once** into a
-  :class:`CompiledPattern` — per-element kind/position arrays splitting the
-  fields into *static probes* (pure constants, resolved at compile time),
-  *expression slots* (evaluable once the referenced variables are bound),
-  and *variable slots* (bind on first occurrence, probe thereafter);
+  :class:`~repro.core.patterns.CompiledPattern` — per-element kind/position
+  arrays splitting the fields into *static probes* (pure constants,
+  resolved at compile time), *expression slots* (evaluable once the
+  referenced variables are bound, through their compiled closures), and
+  *variable slots* (bind on first occurrence, probe thereafter);
 
 * a :class:`Plan` **reorders the binding atoms by estimated selectivity**:
   estimates read the dataspace's live index-bucket sizes
@@ -37,7 +38,9 @@ removes all three costs while preserving the semantics exactly:
   the deeper atoms are probed for it.  The naive walk asks
   ``neighbor(p1, p2)`` of the worker-model region labeling only after
   probing both thresholds of every label pair; here it is asked as soon
-  as ``p2`` is bound.  The caller still evaluates the whole test on every
+  as ``p2`` is bound, by calling the conjunct's compiled closure
+  (:func:`~repro.core.expressions.kernel`) on the search's own
+  environment.  The caller still evaluates the whole test on every
   yielded match, and a filter that raises is ignored (an exception is not
   a verdict), so verdicts and match sets are those of the leaf-only
   evaluation; what differs is fewer probes, no RNG draws for the pruned
@@ -58,22 +61,16 @@ from __future__ import annotations
 import random
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.core.expressions import (
-    Bindings,
-    Const,
-    EvalContext,
-    Expr,
-    conjuncts,
-    is_pure,
-)
+from repro.core.expressions import Expr, conjuncts, is_pure, kernel
 from repro.core.matching import _rotated  # the one arbitration-rotation rule
 from repro.core.patterns import (
-    LitElement,
+    CompiledPattern,
     Pattern,
-    VarElement,
-    WildElement,
+    compile_pattern,
+    literal_error,
 )
 from repro.core.tuples import TupleId, TupleInstance
+from repro.errors import SDLError
 
 __all__ = [
     "CompiledPattern",
@@ -95,77 +92,6 @@ _UNKNOWN_PROBE_EXPONENT = 0.5
 #: workloads hold a handful of plans; the bound only guards pathological
 #: pattern-churning callers.
 _MAX_CACHE_ENTRIES = 1024
-
-
-def _eval_expr(expr: Expr, env: Mapping[str, Any]) -> Any:
-    """Evaluate a literal-element expression under plain-dict bindings."""
-    if isinstance(expr, Const):
-        return expr.value
-    return expr.evaluate(EvalContext(Bindings(env)))
-
-
-class CompiledPattern:
-    """The once-per-pattern compilation: element kinds split by role.
-
-    Independent of any binding environment — the per-step specialisation
-    (which variable slots probe vs bind) happens in :class:`PlanStep`,
-    where the bound-variable set is statically known from the plan order.
-    """
-
-    __slots__ = (
-        "pattern",
-        "arity",
-        "static_probes",
-        "expr_slots",
-        "var_slots",
-        "binding_names",
-        "expr_free",
-        "free_names",
-    )
-
-    def __init__(self, pattern: Pattern) -> None:
-        self.pattern = pattern
-        self.arity = pattern.arity
-        static_probes: list[tuple[int, Any]] = []
-        expr_slots: list[tuple[int, Expr, frozenset[str]]] = []
-        var_slots: list[tuple[int, str]] = []
-        for position, element in enumerate(pattern.elements):
-            if isinstance(element, WildElement):
-                continue
-            if isinstance(element, VarElement):
-                var_slots.append((position, element.name))
-            else:
-                assert isinstance(element, LitElement)
-                expr = element.expr
-                if isinstance(expr, Const):
-                    static_probes.append((position, expr.value))
-                else:
-                    expr_slots.append((position, expr, expr.free_variables()))
-        self.static_probes = tuple(static_probes)
-        self.expr_slots = tuple(expr_slots)
-        self.var_slots = tuple(var_slots)
-        self.binding_names = frozenset(name for __, name in var_slots)
-        free: frozenset[str] = frozenset()
-        for __, __, names in expr_slots:
-            free |= names
-        self.expr_free = free
-        self.free_names = free | self.binding_names
-
-    def __repr__(self) -> str:
-        return (
-            f"CompiledPattern({self.pattern!r}, "
-            f"static={len(self.static_probes)}, exprs={len(self.expr_slots)}, "
-            f"vars={len(self.var_slots)})"
-        )
-
-
-def compile_pattern(pattern: Pattern) -> CompiledPattern:
-    """Compile *pattern* once; the result is memoised on the pattern."""
-    compiled = pattern._compiled
-    if compiled is None:
-        compiled = CompiledPattern(pattern)
-        pattern._compiled = compiled
-    return compiled
 
 
 def scan_spec(
@@ -201,13 +127,13 @@ def scan_spec(
             repeats.append((position, first_seen[name]))
         else:
             first_seen[name] = position
-    for position, expr, free in compiled.expr_slots:
+    for position, __, free in compiled.expr_slots:
         if free & first_seen.keys():
             return None  # reads a same-pattern binder: value is per-candidate
         if not free <= bound.keys():
             return None  # unbound free variable: let the naive walk raise
         try:
-            probes.append((position, _eval_expr(expr, bound)))
+            probes.append((position, compiled.evaluators[position](bound)))
         except Exception:
             return None  # evaluation fails: fall back, raise per-candidate
     return probes, repeats
@@ -263,7 +189,9 @@ class PlanStep:
         # eligibility they always are at this step (an expression over a
         # never-bound variable keeps its textual position and raises at
         # evaluation exactly as the naive walk would).
-        self.probe_exprs = tuple((pos, expr) for pos, expr, __ in compiled.expr_slots)
+        self.probe_exprs = tuple(
+            (pos, compiled.evaluators[pos], expr) for pos, expr, __ in compiled.expr_slots
+        )
         self.binders = tuple(binders)
         self.repeat_checks = tuple(repeat_checks)
 
@@ -271,14 +199,20 @@ class PlanStep:
         """The concrete ``(position, value)`` probes under *env*.
 
         Static probes are precomputed; bound-variable probes are dict
-        lookups; expression probes evaluate once per environment state
-        (not once per candidate, as the naive walk pays).
+        lookups; expression probes call their compiled closure once per
+        environment state (not once per candidate, as the naive walk
+        pays), and one that raises is a :class:`~repro.errors.QueryError`.
         """
         probes = list(self.static_probes)
         for position, name in self.probe_vars:
             probes.append((position, env[name]))
-        for position, expr in self.probe_exprs:
-            probes.append((position, _eval_expr(expr, env)))
+        for position, evaluate, expr in self.probe_exprs:
+            try:
+                probes.append((position, evaluate(env)))
+            except SDLError:
+                raise
+            except Exception as exc:
+                raise literal_error(expr, env, exc) from exc
         return probes
 
     def __repr__(self) -> str:
@@ -294,10 +228,11 @@ class Plan:
         self.steps = tuple(steps)
         self.order = tuple(step.index for step in steps)
         self.patterns = tuple(patterns)  # keeps id()-keyed cache entries alive
-        # (test, its early filters): a query's patterns and test are built
-        # together, so one remembered pair is the whole cache; a plan shared
-        # by two tests merely re-resolves when they alternate.
-        self._filters: tuple[Expr | None, tuple | None] = (None, None)
+        # (test, its early filters, their kernels): a query's patterns and
+        # test are built together, so one remembered triple is the whole
+        # cache; a plan shared by two tests merely re-resolves when they
+        # alternate.
+        self._filters: tuple = (None, None, None)
 
     def early_filters(self, test: Expr) -> tuple | None:
         """Per-depth early filters of *test* under this join order.
@@ -311,11 +246,22 @@ class Plan:
         when nothing can be filtered early, else a tuple indexed by depth
         whose entries are ``None`` or a tuple of conjuncts.
         """
-        remembered, filters = self._filters
-        if remembered is not test:
+        return self._resolved(test)[1]
+
+    def filter_kernels(self, test: Expr) -> tuple | None:
+        """:meth:`early_filters` compiled: the same shape, each conjunct
+        replaced by its closure (:func:`~repro.core.expressions.kernel`)."""
+        return self._resolved(test)[2]
+
+    def _resolved(self, test: Expr) -> tuple:
+        memo = self._filters
+        if memo[0] is not test:
             filters = self._place(test)
-            self._filters = (test, filters)
-        return filters
+            kernels = None if filters is None else tuple(
+                checks and tuple(map(kernel, checks)) for checks in filters
+            )
+            memo = self._filters = (test, filters, kernels)
+        return memo
 
     def _place(self, test: Expr) -> tuple | None:
         last = len(self.steps) - 1
@@ -380,10 +326,10 @@ def _estimate(
                     best = float(size)
             elif name in bound_names:
                 unknown_probes += 1
-        for position, expr, free in compiled.expr_slots:
-            if free <= set(bound_values):
+        for position, __, free in compiled.expr_slots:
+            if free <= bound_values.keys():
                 try:
-                    value = _eval_expr(expr, bound_values)
+                    value = compiled.evaluators[position](bound_values)
                 except Exception:
                     unknown_probes += 1
                     continue
@@ -555,10 +501,9 @@ class QueryPlanner:
         same order; only the RNG draws of the pruned subtrees are skipped.
         """
         plan = self.plan_for(patterns, bound)
-        filters = None if test is None else plan.early_filters(test)
+        # Each filter is a compiled closure over the search's own env dict.
+        filters = None if test is None else plan.filter_kernels(test)
         env: dict[str, Any] = dict(bound)
-        # Filters read the search's own environment, live.
-        ctx = None if filters is None else EvalContext(Bindings.over(env))
         total = len(plan.steps)
         used: list[TupleInstance | None] = [None] * total
         used_tids: set[TupleId] = set()
@@ -589,7 +534,7 @@ class QueryPlanner:
                 if checks is not None:
                     for check in checks:
                         try:
-                            if not check.evaluate(ctx):
+                            if not check(env):
                                 admitted = False
                                 break
                         except Exception:

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core.expressions import Bindings, EvalContext, Expr, Var
+from repro.core.expressions import Bindings, EvalContext, Expr, Var, is_pure, kernel
 from repro.core.matching import iter_joint_matches
 from repro.core.patterns import Pattern
 from repro.core.tuples import TupleId, TupleInstance
@@ -161,7 +161,7 @@ class Query:
 
     __slots__ = (
         "quantifier", "variables", "atoms", "test", "negated", "require_nonempty",
-        "_patterns", "_retract_mask",
+        "_patterns", "_retract_mask", "_check",
     )
 
     def __init__(
@@ -183,11 +183,21 @@ class Query:
         self.test = test
         self.negated = negated
         self.require_nonempty = require_nonempty
+        #: The test compiled on first use (see :meth:`_passes_test`).
+        self._check: Any = None
         if negated:
             if any(a.retract for a in self.atoms):
                 raise QueryError("a negated query may not retract tuples")
             if quantifier == FORALL:
                 raise QueryError("negation applies to existential queries only")
+
+    def __reduce__(self):
+        # Rebuild from the fields alone: the compiled test is a closure.
+        return (
+            Query,
+            (self.quantifier, self.variables, self.atoms, self.test,
+             self.negated, self.require_nonempty),
+        )
 
     # ------------------------------------------------------------------
     def is_trivial(self) -> bool:
@@ -202,16 +212,24 @@ class Query:
         window: Any,
         rng: random.Random | None,
     ) -> bool:
-        if self.test is None:
+        test = self.test
+        if test is None:
             return True
-        ctx = EvalContext(Bindings(bindings), window=window, rng=rng)
+        check = self._check
+        if check is None:
+            # A pure test runs as its compiled closure over the bindings
+            # dict; ``False`` marks an impure one, which needs the window.
+            check = self._check = kernel(test) if is_pure(test) else False
         try:
-            return bool(self.test.evaluate(ctx))
+            if check is False:
+                ctx = EvalContext(Bindings(bindings), window=window, rng=rng)
+                return bool(test.evaluate(ctx))
+            return bool(check(bindings))
         except SDLError:
             raise
         except Exception as exc:
             raise QueryError(
-                f"test {self.test!r} cannot be evaluated under "
+                f"test {test!r} cannot be evaluated under "
                 f"{Bindings(bindings)!r}: {type(exc).__name__}: {exc}"
             ) from exc
 

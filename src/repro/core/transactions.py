@@ -40,13 +40,14 @@ from repro.core.expressions import Bindings, EvalContext
 from repro.core.query import Query, QueryBuilder, QueryResult, TRUE_QUERY
 from repro.core.tuples import TupleInstance
 from repro.core.views import Window
-from repro.errors import ExportViolation, TransactionError
+from repro.errors import ExportViolation, SDLError, TransactionError
 
 __all__ = [
     "Mode",
     "Control",
     "Transaction",
     "TransactionOutcome",
+    "action_error",
     "execute",
     "immediate",
     "delayed",
@@ -231,7 +232,12 @@ def _apply_per_match(
 ) -> None:
     ctx = EvalContext(Bindings(env), window=window, rng=rng)
     if isinstance(action, AssertTuple):
-        values = action.pattern.instantiate(ctx)
+        try:
+            values = action.pattern.instantiate(ctx)
+        except SDLError:
+            raise
+        except Exception as exc:
+            raise action_error(action, env, exc) from exc
         if not window.exports_value(values):
             if export_policy == "drop":
                 return
@@ -241,10 +247,28 @@ def _apply_per_match(
         else:
             outcome.asserted.append(dataspace.insert(values, owner))
     elif isinstance(action, Spawn):
-        args = tuple(a.evaluate(ctx) for a in action.args)
+        try:
+            args = tuple(a.evaluate(ctx) for a in action.args)
+        except SDLError:
+            raise
+        except Exception as exc:
+            raise action_error(action, env, exc) from exc
         outcome.spawned.append((action.process_name, args))
     elif isinstance(action, CallPython):
         action.callback(dict(env))
+
+
+def action_error(
+    action: Action, env: Mapping[str, Any], exc: Exception
+) -> TransactionError:
+    """The typed error for an assertion template or spawn argument that
+    raised *exc* under *env*: the action, the bindings and ``Type: msg``,
+    as for a raising test (``Query._passes_test``)."""
+    what = f"spawn {action!r}" if isinstance(action, Spawn) else repr(action)
+    return TransactionError(
+        f"{what} cannot be evaluated under {Bindings(env)!r}: "
+        f"{type(exc).__name__}: {exc}"
+    )
 
 
 # ----------------------------------------------------------------------

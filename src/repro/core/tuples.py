@@ -13,29 +13,43 @@ tuple may leave other instances of it in the dataspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterator
 
-from repro.core.values import check_value, value_repr
+from repro.core.values import Identifier, check_value, value_repr
 from repro.errors import ArityError
 
 __all__ = ["TupleId", "TupleInstance", "make_tuple"]
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class TupleId:
-    """Unique identifier of a tuple instance.
+class TupleId(Identifier):
+    """Unique identifier of a tuple instance: the pair ``(serial, owner)``.
 
     ``owner`` is the process id (pid) of the asserting process; ``serial`` is
     a dataspace-wide monotonically increasing counter, so identifiers double
     as assertion timestamps.  Environment-created tuples (the initial
     dataspace) carry owner ``0``.
+
+    A ``tuple`` underneath, so hashing, equality and ordering (serial
+    first) run in C: the planned join tests ``tid in used_tids`` for every
+    candidate.  A ``TupleId`` therefore equals the plain tuple ``(serial,
+    owner)``; it is still not an SDL value
+    (:class:`~repro.core.values.Identifier`).
     """
 
-    serial: int
-    owner: int
+    __slots__ = ()
+
+    def __new__(cls, serial: int, owner: int) -> "TupleId":
+        return tuple.__new__(cls, (serial, owner))
+
+    serial = property(itemgetter(0), doc="Dataspace-wide assertion counter.")
+    owner = property(itemgetter(1), doc="Pid of the asserting process.")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return (self[0], self[1])
 
     def __repr__(self) -> str:
-        return f"#{self.serial}@{self.owner}"
+        return f"#{self[0]}@{self[1]}"
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.errors import ValueDomainError
 
-__all__ = ["Atom", "NIL", "is_value", "check_value", "value_repr"]
+__all__ = ["Atom", "Identifier", "NIL", "is_value", "check_value", "value_repr"]
 
 
 class Atom(str):
@@ -58,6 +58,18 @@ class Atom(str):
 #: the end of a linked list.
 NIL = Atom("nil")
 
+
+class Identifier(tuple):
+    """Base of tuple-shaped identifiers (:class:`~repro.core.tuples.TupleId`).
+
+    A tuple so that hashing and comparison run in C, but metadata rather
+    than data — tuple identifiers "are ignored by application programs" —
+    so :func:`is_value` rejects it.
+    """
+
+    __slots__ = ()
+
+
 _SCALAR_TYPES = (str, int, float, bool)
 
 
@@ -65,7 +77,7 @@ def is_value(obj: Any) -> bool:
     """Return True if *obj* belongs to the SDL value domain."""
     if isinstance(obj, _SCALAR_TYPES):
         return True
-    if isinstance(obj, tuple):
+    if isinstance(obj, tuple) and not isinstance(obj, Identifier):
         return all(is_value(item) for item in obj)
     return False
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.dataspace import Dataspace, DataspaceChange
-from repro.core.expressions import Bindings, EvalContext, Expr
+from repro.core.expressions import Expr, evaluator
 from repro.core.patterns import Pattern, VarElement, pattern as make_pattern
 from repro.core.tuples import TupleId, TupleInstance
 from repro.errors import ViewError
@@ -70,7 +70,7 @@ class ViewRule:
     configuration-context atoms (``where``) evaluated against the full
     dataspace."""
 
-    __slots__ = ("pattern", "guard", "where")
+    __slots__ = ("pattern", "guard", "where", "_check")
 
     def __init__(
         self,
@@ -86,6 +86,12 @@ class ViewRule:
         #: evaluated, not here.
         self.guard = guard
         self.where = tuple(where)
+        #: The guard's evaluator, built on first use (:meth:`covers`).
+        self._check: Any = None
+
+    def __reduce__(self):
+        # Rebuild from the fields alone: the compiled guard is a closure.
+        return (ViewRule, (self.pattern, self.guard, self.where))
 
     def covers(
         self,
@@ -105,8 +111,10 @@ class ViewRule:
         if self.where and not _where_satisfiable(dataspace, self.where, merged):
             return False
         if self.guard is not None:
-            ctx = EvalContext(Bindings(merged))
-            if not bool(self.guard.evaluate(ctx)):
+            check = self._check
+            if check is None:
+                check = self._check = evaluator(self.guard)
+            if not bool(check(merged)):
                 return False
         return True
 

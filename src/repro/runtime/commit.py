@@ -61,7 +61,7 @@ from repro.core.patterns import pattern
 from repro.core.query import FORALL, Match, QueryResult
 from repro.core.transactions import Transaction, execute
 from repro.core.tuples import TupleId
-from repro.errors import EngineError
+from repro.errors import EngineError, QueryError
 from repro.runtime.wakeup import AtomWatcher, _expr_watchers, derive_subscription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -310,9 +310,13 @@ def _assert_intents(
     for action in asserts:
         arity = action.pattern.arity
         for env in envs:
-            intents.append(
-                WriteRecord(arity, action.pattern.index_constants(env))
-            )
+            try:
+                known = action.pattern.index_constants(env)
+            except QueryError:
+                # A raising field predicts nothing (an unbounded write);
+                # applying the assertion raises the transaction's error.
+                known = ()
+            intents.append(WriteRecord(arity, known))
     return intents
 
 

@@ -110,8 +110,8 @@ from repro.core.dataspace import DataspaceChange
 from repro.core.expressions import Bindings, EvalContext, is_pure
 from repro.core.plan import PlanStep, compile_pattern
 from repro.core.storage import cut_at_serial
-from repro.core.transactions import Control, Transaction, TransactionOutcome
-from repro.errors import ExportViolation, TransactionError
+from repro.core.transactions import Control, Transaction, TransactionOutcome, action_error
+from repro.errors import ExportViolation, SDLError, TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.query import Query, QueryResult
@@ -325,11 +325,17 @@ def _evaluate_one(
                 )
                 for env in match_envs:
                     ctx = EvalContext(Bindings(env))
-                    if isinstance(action, AssertTuple):
-                        plan.ops.append(("assert", action.pattern.instantiate(ctx)))
-                    else:
-                        args = tuple(a.evaluate(ctx) for a in action.args)
-                        plan.ops.append(("spawn", action.process_name, args))
+                    try:
+                        if isinstance(action, AssertTuple):
+                            op = ("assert", action.pattern.instantiate(ctx))
+                        else:
+                            args = tuple(a.evaluate(ctx) for a in action.args)
+                            op = ("spawn", action.process_name, args)
+                    except SDLError:
+                        raise
+                    except Exception as exc:
+                        raise action_error(action, env, exc) from exc
+                    plan.ops.append(op)
             else:  # pragma: no cover - guarded by worker_eligible
                 raise TransactionError(f"unknown action {action!r}")
     except Exception as exc:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.core.actions import Let
 from repro.core.query import Match, QueryResult
 from repro.core.storage import cut_at_serial
 from repro.core.transactions import Control, Mode, Transaction, TransactionOutcome, execute
@@ -64,6 +65,7 @@ from repro.runtime.parallel import (
     worker_eligible,
 )
 from repro.runtime.scheduler import ParkedTxn, Pump, Task, TaskState
+from repro.runtime.wakeup import WAKE_ANY, Subscription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.executor import Executor
@@ -218,13 +220,13 @@ def run_group_round(executor: "Executor", items: list) -> list:
                 executor.crash_process(process, "post-match")
                 continue
             if action == "abort-txn":
-                _group_failure(executor, task, txn, origin)
+                _group_failure(executor, task, txn, origin, reads)
                 continue
         if not result.success:
             # Conflict-free failure is decided *now*, before the batch
             # commits, so a parked task's subscription is registered in
             # time to see the batch's own writes.
-            _group_failure(executor, task, txn, origin)
+            _group_failure(executor, task, txn, origin, reads)
             continue
         if faults is not None:
             # About to commit: admission is decided, effects are not yet
@@ -236,7 +238,7 @@ def run_group_round(executor: "Executor", items: list) -> list:
                 executor.crash_process(process, "pre-commit")
                 continue  # evicted from the batch; peers are unaffected
             if action == "abort-txn":
-                _group_failure(executor, task, txn, origin)
+                _group_failure(executor, task, txn, origin, reads)
                 continue
         admitted.append((task, txn, result, origin))
         admitted_fps.append(complete_footprint(
@@ -632,8 +634,18 @@ def _reads_for(carried: tuple | None, txn: Transaction, process, scope: dict) ->
     return read_side(txn, process, scope)
 
 
-def _group_failure(executor: "Executor", task: Task, txn: Transaction, origin: str) -> None:
-    """Dispose of a conflict-free candidate whose snapshot query failed."""
+def _group_failure(
+    executor: "Executor", task: Task, txn: Transaction, origin: str,
+    reads: tuple | None = None,
+) -> None:
+    """Dispose of a conflict-free candidate whose snapshot query failed.
+
+    A delayed candidate parks on the subscription its read side (*reads*,
+    from :func:`_reads_for`, under the same scope) already derived.  It is
+    derived again only where the two differ or there is none: under a
+    ``wake_filter`` other than ``"keys"``, or when ``let`` bodies added
+    watchers of their own (:func:`~repro.runtime.commit.read_side`).
+    """
     engine = executor.engine
     engine.trace.emit(
         TxnFailed(
@@ -649,12 +661,16 @@ def _group_failure(executor: "Executor", task: Task, txn: Transaction, origin: s
     executor._classify_wake(task, spurious=True)
     if origin == "request":
         task.park = ParkedTxn(txn)
-    executor._block(
-        task,
-        executor._subscription_for([txn], task),
-        "delayed",
-        requeue=(origin == "park"),
-    )
+    if (
+        reads is not None
+        and engine.wake_filter == "keys"
+        and not any(isinstance(action, Let) for action in txn.actions)
+    ):
+        reads_all, watchers = reads
+        sub = WAKE_ANY if reads_all else Subscription(watchers)
+    else:
+        sub = executor._subscription_for([txn], task)
+    executor._block(task, sub, "delayed", requeue=(origin == "park"))
 
 
 def _deliver_commit(

@@ -15,6 +15,7 @@ from repro import (
     repeat,
     variables,
 )
+from repro.core.actions import spawn
 from repro.core.dataspace import Dataspace
 
 
@@ -128,3 +129,71 @@ class TestRaisingTest:
         with pytest.raises(errors.UnboundVariableError) as caught:
             query.evaluate(ds)
         assert caught.value.name == "ghost" and caught.value.__cause__ is None
+
+
+MODES = pytest.mark.parametrize(
+    "options",
+    [{"plan": "on"}, {"plan": "off"}, {"commit": "group"}],
+    ids=["planned", "naive", "group"],
+)
+
+
+def _started(definitions, rows, name, args=(), **options):
+    engine = Engine(definitions=definitions, seed=3, **options)
+    engine.assert_tuples(rows)
+    engine.start(name, args)
+    return engine
+
+
+class TestRaisingLiteral:
+    """A pattern field, an assertion template or a spawn argument that
+    cannot be evaluated is a typed error naming it and the bindings
+    (SEMANTICS §6), never a raw Python exception out of ``Engine.run()``."""
+
+    @MODES
+    def test_query_atom_literal_is_a_query_error(self, options):
+        k, alpha = variables("k alpha")
+        probe = ProcessDefinition(
+            "Probe", params=("k",),
+            body=[immediate(exists(alpha).match(P[k // 0, alpha]))],
+        )
+        engine = _started([probe], [(1, 2)], "Probe", (1,), **options)
+        with pytest.raises(errors.QueryError) as caught:
+            engine.run()
+        assert isinstance(caught.value.__cause__, ZeroDivisionError)
+        message = str(caught.value)
+        assert "(k // 0)" in message and "k=1" in message
+
+    @MODES
+    def test_assert_template_is_a_transaction_error(self, options):
+        (alpha,) = variables("alpha")
+        move = ProcessDefinition(
+            "Move",
+            body=[
+                immediate(exists(alpha).match(P["src", alpha].retract()))
+                .then(assert_tuple("dst", alpha // 0))
+            ],
+        )
+        engine = _started([move], [("src", 1)], "Move", **options)
+        with pytest.raises(errors.TransactionError) as caught:
+            engine.run()
+        assert isinstance(caught.value.__cause__, ZeroDivisionError)
+        message = str(caught.value)
+        assert "(alpha // 0)" in message and "alpha=1" in message
+
+    @MODES
+    def test_spawn_argument_is_a_transaction_error(self, options):
+        (alpha,) = variables("alpha")
+        parent = ProcessDefinition(
+            "Parent",
+            body=[
+                immediate(exists(alpha).match(P["n", alpha]))
+                .then(spawn("Child", alpha // 0))
+            ],
+        )
+        child = ProcessDefinition("Child", params=("x",), body=[immediate()])
+        engine = _started([parent, child], [("n", 1)], "Parent", **options)
+        with pytest.raises(errors.TransactionError) as caught:
+            engine.run()
+        assert isinstance(caught.value.__cause__, ZeroDivisionError)
+        assert "spawn Child((alpha // 0))" in str(caught.value)

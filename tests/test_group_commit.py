@@ -308,6 +308,35 @@ class TestLoserReadSideCarry:
             make_let_between_rounds_engine().run()
 
 
+class TestFailedCandidateParking:
+    def test_a_failed_candidate_parks_on_its_read_side(self, monkeypatch):
+        # One subscription per evaluated candidate: a delayed candidate
+        # whose snapshot query fails parks on the watchers its read side
+        # already derived instead of deriving them a second time.
+        from repro.programs.summation import run_sum2
+        from repro.runtime import commit, executor
+
+        calls = {"derive": 0, "read_side": 0}
+
+        def counting(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module in (commit, executor):
+            monkeypatch.setattr(
+                module, "derive_subscription",
+                counting("derive", module.derive_subscription),
+            )
+        monkeypatch.setattr(rounds, "read_side", counting("read_side", rounds.read_side))
+        run = run_sum2(list(range(16)), seed=3, commit="group", wake_filter="keys")
+        assert run.total == sum(range(16))
+        assert run.engine.trace.counters.failures > 0
+        assert calls["derive"] == calls["read_side"] > 0
+
+
 class TestValidateSerial:
     def test_clean_batches_pass_validation(self):
         engine = make_disjoint_engine(8, commit="group", validate="serial")

@@ -1,0 +1,230 @@
+"""Compiled kernels against their references (SEMANTICS §12, Kernels).
+
+``kernel(expr)(env)`` must agree with ``expr.evaluate`` under the same
+bindings — the same value, or an exception of the same type — and the
+compiled ``Pattern.match`` / ``index_constants`` / ``instantiate`` with
+the per-element walks over ``PatternElement``.  The properties pin no
+``max_examples``, so ``--hypothesis-profile=ci`` (the CI chaos job)
+deepens them.  ``test_kernel_equals_evaluate`` fails if ``&`` or ``|`` is
+compiled to short-circuit: its explicit examples raise only when both
+sides are evaluated.
+"""
+
+import operator
+import pickle
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from repro.core.dataspace import Dataspace
+from repro.core.expressions import (
+    Bindings,
+    Const,
+    EvalContext,
+    Var,
+    kernel,
+    lift,
+    variables,
+)
+from repro.core.patterns import ANY, LitElement, P, VarElement, WildElement, pattern
+from repro.core.plan import build_plan
+from repro.core.query import Membership, exists
+from repro.core.views import import_rule
+from repro.errors import PatternError, QueryError, SDLError, UnboundVariableError
+
+NAMES = ("a", "b", "c")
+A, GHOST = Var("a"), Var("ghost")
+
+
+def _picky(value):
+    if value == 2:
+        raise ValueError("picky(2)")
+    return value > 0
+
+
+picky = lift(_picky, "picky")
+pair = lift(lambda x, y: (x, y), "pair")
+
+BINARY = (
+    operator.add,
+    operator.sub,
+    operator.mul,
+    operator.truediv,
+    operator.floordiv,
+    operator.mod,
+    operator.lt,
+    operator.le,
+    operator.eq,
+    operator.ne,
+    operator.and_,
+    operator.or_,
+)
+leaves = st.one_of(st.sampled_from(NAMES).map(Var), st.integers(-2, 3).map(Const))
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(BINARY), children, children).map(
+            lambda t: t[0](t[1], t[2])
+        ),
+        st.tuples(st.sampled_from((operator.neg, operator.invert)), children).map(
+            lambda t: t[0](t[1])
+        ),
+        children.map(picky),
+        st.tuples(children, children).map(lambda t: pair(*t)),
+    )
+
+
+exprs = st.recursive(leaves, _grow, max_leaves=8)
+scalars = st.one_of(st.integers(-2, 3), st.booleans(), st.just("x"), st.just((1, 2)))
+envs = st.dictionaries(st.sampled_from(NAMES), scalars)
+
+
+def outcome(thunk):
+    """``("ok", value)``, or ``("raised", the exception's type)``."""
+    try:
+        return "ok", thunk()
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+def evaluated(expr, env):
+    return expr.evaluate(EvalContext(Bindings(env)))
+
+
+class TestKernelDifferential:
+    @given(exprs, envs)
+    @example((A > 5) & (A // 0 > 1), {"a": 1})
+    @example((A > 0) | picky(A), {"a": 2})
+    @example(A + GHOST, {"a": 1})
+    @example(pair(A, GHOST), {"a": 1})
+    @example(Const(1) // A, {"a": 0})
+    def test_kernel_equals_evaluate(self, expr, env):
+        assert outcome(lambda: kernel(expr)(env)) == outcome(lambda: evaluated(expr, env))
+
+    def test_missing_name_is_an_unbound_variable_error(self):
+        for expr in (GHOST, A + GHOST, GHOST > 1, pair(A, GHOST), picky(GHOST), -GHOST):
+            with pytest.raises(UnboundVariableError) as caught:
+                kernel(expr)({"a": 1})
+            assert caught.value.name == "ghost"
+
+    def test_memoised_on_the_node(self):
+        expr = picky(A) & (A > 1)
+        assert kernel(expr) is kernel(expr)
+
+    def test_impure_nodes_have_no_kernel(self):
+        with pytest.raises(TypeError):
+            kernel(Membership(P["r", ANY]))
+
+    def test_early_filters_run_as_kernels(self):
+        a, b, c = variables("a b c")
+        plan = build_plan([P["r", a], P["s", b], P["t", c]], frozenset(), {}, Dataspace())
+        first, second = a > 0, b > a
+        test = first & second & (c > b)
+        assert plan.early_filters(test) == ((first,), (second,), None)
+        assert plan.filter_kernels(test) == ((kernel(first),), (kernel(second),), None)
+
+
+class TestNeverPickled:
+    """A closure cannot cross a process boundary: whatever holds one
+    rebuilds from its fields and compiles again on first use."""
+
+    def test_expression(self):
+        a, b = variables("a b")
+        expr = (lift(max, "max")(a, b + 1) > -a) & ~(b == 0)
+        env = {"a": 2, "b": 1}
+        value = kernel(expr)(env)
+        clone = pickle.loads(pickle.dumps(expr))
+        assert repr(clone) == repr(expr)
+        assert kernel(clone) is not kernel(expr)
+        assert kernel(clone)(env) == value
+
+    def test_pattern_query_and_view_rule(self):
+        a = Var("a")
+        ds = Dataspace()
+        ds.insert(("r", 2))
+        pat = P["r", a + 0]
+        query = exists(a).match(P["r", a]).such_that(a > 1).build()
+        rule = import_rule("r", a, guard=a > 1)
+        # used once each, so that each holds its compiled state
+        assert pat.match(("r", 2), {"a": 2}) == {}
+        assert query.evaluate(ds).success
+        assert rule.covers(("r", 2), ds, {})
+        assert pickle.loads(pickle.dumps(pat)).match(("r", 2), {"a": 2}) == {}
+        assert pickle.loads(pickle.dumps(query)).evaluate(ds).success
+        assert pickle.loads(pickle.dumps(rule)).covers(("r", 2), ds, {})
+
+
+fields = st.one_of(st.just(ANY), st.sampled_from(NAMES).map(Var), st.integers(0, 2), exprs)
+patterns = st.lists(fields, min_size=1, max_size=4).map(lambda fs: pattern(*fs))
+rows = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
+bounds = st.dictionaries(st.sampled_from(NAMES), st.integers(0, 2))
+
+
+def walk_match(pat, values, bound):
+    """``Pattern.match`` as the per-element walk."""
+    if len(values) != len(pat.elements):
+        return None
+    new = {}
+    for element, value in zip(pat.elements, values):
+        got = element.match(value, {**bound, **new} if new else bound)
+        if got is None:
+            return None
+        new.update(got)
+    return new
+
+
+def walk_index_constants(pat, bound):
+    """``Pattern.index_constants`` as the per-element walk."""
+    probes = []
+    for position, element in enumerate(pat.elements):
+        if isinstance(element, LitElement):
+            if element.free_variables() <= set(bound):
+                probes.append((position, evaluated(element.expr, bound)))
+        elif isinstance(element, VarElement) and element.name in bound:
+            probes.append((position, bound[element.name]))
+    return probes
+
+
+def walk_instantiate(pat, bound):
+    """``Pattern.instantiate`` as the per-element walk."""
+    ctx = EvalContext(Bindings(bound))
+    out = []
+    for element in pat.elements:
+        if isinstance(element, WildElement):
+            raise PatternError("cannot assert a tuple containing a wildcard")
+        if isinstance(element, VarElement):
+            out.append(ctx.bindings.get(element.name))
+        else:
+            out.append(element.expr.evaluate(ctx))
+    return tuple(out)
+
+
+def unwrapped(thunk):
+    """:func:`outcome`, reading a pattern field's typed error as the
+    exception it wraps."""
+    try:
+        return "ok", thunk()
+    except QueryError as exc:
+        assert "pattern field" in str(exc)
+        assert not isinstance(exc.__cause__, SDLError)
+        return "raised", type(exc.__cause__)
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+class TestCompiledPatternDifferential:
+    @given(patterns, rows, bounds)
+    def test_match_equals_the_element_walk(self, pat, values, bound):
+        got = unwrapped(lambda: pat.match(values, bound))
+        assert got == outcome(lambda: walk_match(pat, values, bound))
+
+    @given(patterns, bounds)
+    def test_index_constants_equal_the_element_walk(self, pat, bound):
+        got = unwrapped(lambda: pat.index_constants(bound))
+        assert got == outcome(lambda: walk_index_constants(pat, bound))
+
+    @given(patterns, bounds)
+    def test_instantiate_equals_the_element_walk(self, pat, bound):
+        got = outcome(lambda: pat.instantiate(EvalContext(Bindings(bound))))
+        assert got == outcome(lambda: walk_instantiate(pat, bound))

@@ -1,8 +1,11 @@
 """Unit tests for tuple instances and identifiers (repro.core.tuples)."""
 
+import pickle
+
 import pytest
 
 from repro.core.tuples import TupleId, make_tuple
+from repro.core.values import is_value
 from repro.errors import ArityError, ValueDomainError
 
 
@@ -21,6 +24,31 @@ class TestTupleId:
     def test_hashable_and_equal_by_value(self):
         assert TupleId(1, 1) == TupleId(1, 1)
         assert len({TupleId(1, 1), TupleId(1, 1)}) == 1
+
+    def test_is_the_pair_it_names(self):
+        # A tuple underneath: hash, equality and order are the pair's.
+        tid = TupleId(5, 2)
+        assert isinstance(tid, tuple) and tid == (5, 2)
+        assert hash(tid) == hash((5, 2))
+        assert TupleId(1, 3) != TupleId(3, 1)
+        ids = [TupleId(2, 0), TupleId(1, 9), TupleId(1, 3)]
+        assert sorted(ids) == [TupleId(1, 3), TupleId(1, 9), TupleId(2, 0)]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        clone = pickle.loads(pickle.dumps(TupleId(serial=5, owner=2), protocol))
+        assert type(clone) is TupleId
+        assert (clone, clone.serial, clone.owner, repr(clone)) == ((5, 2), 5, 2, "#5@2")
+
+    def test_fields_are_read_only(self):
+        tid = TupleId(5, 2)
+        with pytest.raises(AttributeError):
+            tid.serial = 6
+
+    def test_an_identifier_is_not_a_value(self):
+        assert not is_value(TupleId(1, 0))
+        with pytest.raises(ValueDomainError):
+            make_tuple(("x", TupleId(1, 0)), serial=2, owner=0)
 
 
 class TestMakeTuple:
