@@ -4,6 +4,9 @@
 process society undergo continuous change."  The society assigns process
 ids (pids), records genealogy (which process spawned which), and tracks
 liveness — the consensus engine quantifies over *live* society members.
+
+The live set is kept, not scanned: ``spawn`` adds to it and the two
+``mark_*`` methods are the only ways out, each bumping :attr:`generation`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ class ProcessSociety:
     def __init__(self, definitions: Iterable[ProcessDefinition] = ()) -> None:
         self._definitions: dict[str, ProcessDefinition] = {}
         self._instances: dict[int, ProcessInstance] = {}
+        #: pid -> instance for live members, in spawn (= pid) order.
+        self._live: dict[int, ProcessInstance] = {}
+        #: Bumped whenever the live set changes.
+        self.generation = 0
         self._next_pid = 1
         self._spawn_count = 0
         for definition in definitions:
@@ -60,6 +67,8 @@ class ProcessSociety:
         self._next_pid += 1
         instance = ProcessInstance(pid, definition, args, spawner, created_at)
         self._instances[pid] = instance
+        self._live[pid] = instance
+        self.generation += 1
         self._spawn_count += 1
         return instance
 
@@ -72,6 +81,7 @@ class ProcessSociety:
     def mark_terminated(self, pid: int, aborted: bool = False) -> None:
         instance = self.get(pid)
         instance.status = ProcessStatus.ABORTED if aborted else ProcessStatus.TERMINATED
+        self._leave(pid)
 
     def mark_crashed(self, pid: int) -> None:
         """Record a crash-stop failure: the instance is dead, not aborted.
@@ -81,12 +91,21 @@ class ProcessSociety:
         supervisors, and the ``"crashed"`` run reason can tell them apart.
         """
         self.get(pid).status = ProcessStatus.CRASHED
+        self._leave(pid)
+
+    def _leave(self, pid: int) -> None:
+        if self._live.pop(pid, None) is not None:
+            self.generation += 1
 
     def live(self) -> list[ProcessInstance]:
-        return [p for p in self._instances.values() if p.is_live()]
+        return list(self._live.values())
 
     def live_pids(self) -> frozenset[int]:
-        return frozenset(p.pid for p in self._instances.values() if p.is_live())
+        return frozenset(self._live)
+
+    def find_live(self, pid: int) -> ProcessInstance | None:
+        """The live instance with *pid*, or ``None`` if it is not live."""
+        return self._live.get(pid)
 
     def all_instances(self) -> Iterator[ProcessInstance]:
         return iter(self._instances.values())
@@ -96,7 +115,7 @@ class ProcessSociety:
         return self._spawn_count
 
     def __len__(self) -> int:
-        return len([p for p in self._instances.values() if p.is_live()])
+        return len(self._live)
 
     def __repr__(self) -> str:
         live = len(self)

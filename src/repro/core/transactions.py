@@ -193,7 +193,12 @@ def execute(
     for action in txn.actions:
         if isinstance(action, Let):
             ctx = EvalContext(Bindings(env_for_once), window=window, rng=rng)
-            value = action.expr.evaluate(ctx)
+            try:
+                value = action.expr.evaluate(ctx)
+            except SDLError:
+                raise
+            except Exception as exc:
+                raise action_error(action, env_for_once, exc) from exc
             outcome.lets[action.name] = value
             env_for_once[action.name] = value
         elif isinstance(action, (Exit, Abort, Skip)):
@@ -261,8 +266,8 @@ def _apply_per_match(
 def action_error(
     action: Action, env: Mapping[str, Any], exc: Exception
 ) -> TransactionError:
-    """The typed error for an assertion template or spawn argument that
-    raised *exc* under *env*: the action, the bindings and ``Type: msg``,
+    """The typed error for an assertion template, spawn argument or ``let``
+    body that raised *exc* under *env*: the action, the bindings and ``Type: msg``,
     as for a raising test (``Query._passes_test``)."""
     what = f"spawn {action!r}" if isinstance(action, Spawn) else repr(action)
     return TransactionError(

@@ -49,10 +49,10 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.dataspace import Dataspace, DataspaceChange
-from repro.core.expressions import Expr, evaluator
-from repro.core.patterns import Pattern, VarElement, pattern as make_pattern
+from repro.core.expressions import Bindings, Const, Expr, evaluator, is_pure
+from repro.core.patterns import LitElement, Pattern, VarElement, pattern as make_pattern
 from repro.core.tuples import TupleId, TupleInstance
-from repro.errors import ViewError
+from repro.errors import SDLError, ViewError
 
 __all__ = [
     "ViewRule",
@@ -70,7 +70,7 @@ class ViewRule:
     configuration-context atoms (``where``) evaluated against the full
     dataspace."""
 
-    __slots__ = ("pattern", "guard", "where", "_check")
+    __slots__ = ("pattern", "guard", "where", "_check", "_guard_first")
 
     def __init__(
         self,
@@ -88,6 +88,19 @@ class ViewRule:
         self.where = tuple(where)
         #: The guard's evaluator, built on first use (:meth:`covers`).
         self._check: Any = None
+        #: The guard may be asked before the ``where`` atoms: it is pure and
+        #: no atom has a literal expression field, so ``where`` cannot raise
+        #: and the order changes no verdict and no exception.
+        self._guard_first = (
+            bool(self.where)
+            and guard is not None
+            and is_pure(guard)
+            and not any(
+                isinstance(element, LitElement) and not isinstance(element.expr, Const)
+                for atom in self.where
+                for element in atom.elements
+            )
+        )
 
     def __reduce__(self):
         # Rebuild from the fields alone: the compiled guard is a closure.
@@ -102,21 +115,43 @@ class ViewRule:
         """Does this rule cover the value tuple *values*?
 
         *params* are the owning process's parameters, visible to the
-        pattern, the guard, and the ``where`` atoms.
+        pattern, the guard, and the ``where`` atoms.  The reference order
+        is pattern, ``where``, guard; a guard that raises is a
+        :class:`~repro.errors.ViewError` where that order reaches it.  When
+        the guard may go first (``_guard_first``) a false guard skips the
+        ``where`` probe, and a raising one is reported only if ``where``
+        passes — the same verdict and the same error either way.
         """
         new = self.pattern.match(values, params)
         if new is None:
             return False
         merged = {**params, **new}
+        if self._guard_first:
+            try:
+                if not self._passes_guard(merged):
+                    return False
+            except SDLError:
+                if _where_satisfiable(dataspace, self.where, merged):
+                    raise
+                return False
+            return _where_satisfiable(dataspace, self.where, merged)
         if self.where and not _where_satisfiable(dataspace, self.where, merged):
             return False
-        if self.guard is not None:
-            check = self._check
-            if check is None:
-                check = self._check = evaluator(self.guard)
-            if not bool(check(merged)):
-                return False
-        return True
+        return self.guard is None or self._passes_guard(merged)
+
+    def _passes_guard(self, env: dict[str, Any]) -> bool:
+        check = self._check
+        if check is None:
+            check = self._check = evaluator(self.guard)
+        try:
+            return bool(check(env))
+        except SDLError:
+            raise
+        except Exception as exc:
+            raise ViewError(
+                f"guard of view rule {self!r} cannot be evaluated under "
+                f"{Bindings(env)!r}: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def __repr__(self) -> str:
         parts = [repr(self.pattern)]
@@ -221,7 +256,7 @@ class View:
     whenever the view covers the entire dataspace".
     """
 
-    __slots__ = ("imports", "exports", "unrestricted", "config_dependent")
+    __slots__ = ("imports", "exports", "unrestricted", "config_dependent", "_routes")
 
     def __init__(
         self,
@@ -242,6 +277,9 @@ class View:
         self.config_dependent = bool(self.imports) and any(
             rule.where for rule in self.imports
         )
+        #: arity -> (rules without a constant head, {head value: rules}),
+        #: built on first use (:meth:`imports_value`).
+        self._routes: dict[int, tuple] = {}
 
     @classmethod
     def full(cls) -> "View":
@@ -252,7 +290,21 @@ class View:
     ) -> bool:
         if self.imports is None:
             return True
-        return any(rule.covers(values, dataspace, params) for rule in self.imports)
+        return any(rule.covers(values, dataspace, params) for rule in self._routed(values))
+
+    def _routed(self, values: tuple) -> tuple[ViewRule, ...]:
+        """The import rules whose pattern can match *values*, in rule order.
+
+        :meth:`Pattern.match` fails a rule of another arity, or one whose
+        position 0 is a constant unequal to ``values[0]``, before anything
+        else, so skipping those rules changes no verdict.  A value equal to
+        no rule's head constant gets the rules without one.
+        """
+        route = self._routes.get(len(values))
+        if route is None:
+            route = self._routes[len(values)] = _route(self.imports, len(values))
+        general, by_head = route
+        return by_head.get(values[0], general) if by_head else general
 
     def exports_value(
         self, values: tuple, dataspace: Dataspace, params: Mapping[str, Any]
@@ -270,6 +322,30 @@ class View:
         imp = "ALL" if self.imports is None else list(self.imports)
         exp = "ALL" if self.exports is None else list(self.exports)
         return f"View(import={imp}, export={exp})"
+
+
+def _head_constant(rule: ViewRule) -> tuple[bool, Any]:
+    element = rule.pattern.elements[0]
+    if isinstance(element, LitElement) and isinstance(element.expr, Const):
+        return True, element.expr.value
+    return False, None
+
+
+def _route(rules: tuple[ViewRule, ...], arity: int) -> tuple:
+    """``(general, by_head)`` for the *arity* rules (:meth:`View._routed`)."""
+    rules = tuple(rule for rule in rules if rule.pattern.arity == arity)
+    heads = [_head_constant(rule) for rule in rules]
+    general = tuple(rule for rule, (fixed, __) in zip(rules, heads) if not fixed)
+    by_head: dict[Any, tuple[ViewRule, ...]] = {}
+    for fixed, value in heads:
+        # ``value == value`` leaves out NaN, which Pattern.match never
+        # equals but a dict lookup would find by identity.
+        if fixed and value == value and value not in by_head:
+            by_head[value] = tuple(
+                rule for rule, (has, head) in zip(rules, heads)
+                if not has or head == value
+            )
+    return general, by_head
 
 
 #: The unrestricted view covering the entire dataspace.

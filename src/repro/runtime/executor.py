@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.consensus import (
+    ConsensusIndex,
     ConsensusParticipant,
     evaluate_composite,
     partition,
@@ -72,21 +73,27 @@ class Executor:
     """Steps tasks and pumps on behalf of one :class:`Engine`."""
 
     __slots__ = (
-        "engine", "consensus_waiters", "consensus_dirty", "_consensus_memo",
-        "loser_reads",
+        "engine", "consensus_waiters", "consensus_dirty", "consensus_index",
+        "_waiter_generation", "_consensus_memo", "loser_reads",
     )
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.consensus_waiters: dict[int, Task] = {}  # pid -> main task
         self.consensus_dirty = False
+        #: Detection state kept across attempts (SEMANTICS §5).
+        self.consensus_index = ConsensusIndex()
+        #: Bumped whenever a pid joins or leaves ``consensus_waiters``.
+        self._waiter_generation = 0
         # Group mode: the last round's losers -> (txn, scope, read side),
         # replaced every round (see ``rounds._reads_for``).
         self.loser_reads: dict[Task, tuple] = {}
-        # Memo of the last failed consensus check.  The key must cover
-        # everything readiness depends on: the dataspace version, who is
-        # waiting, and who is live (a terminating process can unblock a set).
-        self._consensus_memo: tuple[int, frozenset[int], frozenset[int]] | None = None
+        # Memo of the last failed consensus check.  It must cover everything
+        # readiness depends on: the dataspace version, who is waiting, and
+        # who is live (a terminating process can unblock a set).  The
+        # generations decide the common case; the two sets catch a change
+        # that was undone within one version.
+        self._consensus_memo: tuple | None = None
 
     # ------------------------------------------------------------------
     # task stepping
@@ -149,8 +156,7 @@ class Executor:
         task.park = ParkedTxn(txn)
         task.state = TaskState.CONSENSUS
         task.process.status = ProcessStatus.CONSENSUS_WAIT
-        self.consensus_waiters[task.process.pid] = task
-        self.consensus_dirty = True
+        self._add_waiter(task)
         engine.trace.emit(
             TaskBlocked(engine.step_count, engine.round_count, task.process.pid, "consensus")
         )
@@ -188,9 +194,8 @@ class Executor:
                 raise EngineError(f"consensus guard in a replica of {task.process!r}")
             task.state = TaskState.CONSENSUS
             task.process.status = ProcessStatus.CONSENSUS_WAIT
-            self.consensus_waiters[task.process.pid] = task
             engine.wakeups.add(task, sub)
-            self.consensus_dirty = True
+            self._add_waiter(task)
             engine.trace.emit(
                 TaskBlocked(
                     engine.step_count, engine.round_count, task.process.pid,
@@ -416,7 +421,8 @@ class Executor:
         engine = self.engine
         engine.society.mark_terminated(process.pid, aborted)
         engine.drop_window(process.pid)
-        self.consensus_waiters.pop(process.pid, None)
+        self._drop_waiter(process.pid)
+        self.consensus_index.forget(process.pid)
         self.consensus_dirty = True  # a terminated process may unblock a set
         engine.supervisor.notify_finished(process.pid, aborted)
         engine.trace.emit(
@@ -446,7 +452,7 @@ class Executor:
             if item.process.pid == pid:
                 item.state = TaskState.DONE
                 engine.wakeups.discard(item.tid)
-        self.consensus_waiters.pop(pid, None)
+        self._drop_waiter(pid)
         self.consensus_dirty = True  # the departure may unblock a set
 
     # ------------------------------------------------------------------
@@ -466,6 +472,7 @@ class Executor:
         self._detach_process(process.pid)
         engine.society.mark_crashed(process.pid)
         engine.drop_window(process.pid)
+        self.consensus_index.forget(process.pid)
         engine.trace.emit(
             ProcessCrashed(
                 engine.step_count, engine.round_count, process.pid, process.name, site
@@ -615,7 +622,7 @@ class Executor:
     def _unpark(self, task: Task) -> None:
         task.park = None
         self.engine.wakeups.discard(task.tid)
-        self.consensus_waiters.pop(task.process.pid, None)
+        self._drop_waiter(task.process.pid)
         if task.process.status in (ProcessStatus.BLOCKED, ProcessStatus.CONSENSUS_WAIT):
             task.process.status = ProcessStatus.RUNNING
 
@@ -684,61 +691,74 @@ class Executor:
         )
         return fired
 
+    def _add_waiter(self, task: Task) -> None:
+        pid = task.process.pid
+        if pid not in self.consensus_waiters:
+            self._waiter_generation += 1
+        self.consensus_waiters[pid] = task
+        self.consensus_dirty = True
+
+    def _drop_waiter(self, pid: int) -> None:
+        if self.consensus_waiters.pop(pid, None) is not None:
+            self._waiter_generation += 1
+
     def _try_consensus(self) -> bool:
+        """Fire the first ready consensus set, in :func:`partition` order.
+
+        The closure is kept in :attr:`consensus_index`: every waiter's
+        footprint is folded in, components a blocker witness still rules
+        out are skipped without a walk or a runner scan, and the rest are
+        gathered and evaluated exactly as a from-scratch partition would
+        order them.  Blocked components never reach evaluation, so they
+        draw nothing from the RNG either way.
+        """
         engine = self.engine
         self.consensus_dirty = False
-        if not self.consensus_waiters:
+        waiters = self.consensus_waiters
+        if not waiters:
             return False
-        key = (
-            engine.dataspace.version,
-            frozenset(self.consensus_waiters),
-            engine.society.live_pids(),
-        )
-        if self._consensus_memo == key:
+        society = engine.society
+        version = engine.dataspace.version
+        generations = (society.generation, self._waiter_generation)
+        memo = self._consensus_memo
+        if memo is not None and memo[0] == version and (
+            memo[1] == generations
+            or memo[2] == (frozenset(waiters), society.live_pids())
+        ):
             return False
 
-        waiter_windows = {
-            pid: engine.window(task.process)
-            for pid, task in self.consensus_waiters.items()
-        }
-        components = partition(waiter_windows)
-        live_others = [
-            proc for proc in engine.society.live()
-            if proc.pid not in self.consensus_waiters
-        ]
-        for component in components:
-            footprint: set = set()
-            for pid in component:
-                footprint.update(waiter_windows[pid].footprint())
-            if self._component_blocked_by_runner(footprint, live_others):
-                continue
+        windows = {pid: engine.window(task.process) for pid, task in waiters.items()}
+        index = self.consensus_index
+        index.sync({pid: window.footprint() for pid, window in windows.items()})
+
+        def runner_footprint(pid: int):
+            if pid in waiters:
+                return None
+            process = society.find_live(pid)
+            return None if process is None else engine.window(process).footprint()
+
+        def runners() -> list[int]:
+            return [p.pid for p in society.live() if p.pid not in waiters]
+
+        for component in index.unblocked(windows, runners, runner_footprint):
             participants = self._gather_participants(component)
             if participants is None:
                 continue
             effect = evaluate_composite(participants, engine.rng)
             if effect is None:
                 continue
+            # Firing is the irreversible step: confirm the set against the
+            # from-scratch closure first.
+            if component not in partition(windows):
+                raise EngineError(
+                    f"maintained consensus set {sorted(component)} is not a "
+                    "component of the waiters' import overlap"
+                )
             self._fire_consensus(participants, effect)
             return True
-        self._consensus_memo = key
-        return False
-
-    def _component_blocked_by_runner(
-        self, footprint: set, live_others: list[ProcessInstance]
-    ) -> bool:
-        """Is some live, non-waiting process part of this consensus set?
-
-        Uses the runners' (delta-maintained, index-probed) footprints so the
-        test is an O(min(|window|, |component|)) set intersection per
-        runner rather than a per-tuple import-rule evaluation.
-        """
-        if not footprint:
-            return False
-        for proc in live_others:
-            other = self.engine.window(proc).footprint()
-            small, large = (other, footprint) if len(other) < len(footprint) else (footprint, other)
-            if any(tid in large for tid in small):
-                return True
+        self._consensus_memo = (
+            version, generations, (frozenset(waiters), society.live_pids())
+        )
         return False
 
     def _gather_participants(self, component: frozenset[int]) -> list[ConsensusParticipant] | None:
@@ -807,7 +827,8 @@ class Executor:
         # resume every participant
         for participant in participants:
             pid = participant.pid
-            task = self.consensus_waiters.pop(pid)
+            task = self.consensus_waiters[pid]
+            self._drop_waiter(pid)
             engine.wakeups.discard(task.tid)
             outcome = outcomes[pid]
             self._after_commit(task.process, participant.transaction, outcome)

@@ -30,7 +30,9 @@ def random_property_list(
     names: set[str] = set()
     while len(names) < length:
         names.add("".join(rng.choices(string.ascii_lowercase, k=name_length)))
-    ordered = list(names)
+    # Sorted first: a set's iteration order depends on the string hash
+    # seed, and the list must be a function of *seed* alone.
+    ordered = sorted(names)
     rng.shuffle(ordered)
     rows = []
     for index, name in enumerate(ordered):

@@ -15,8 +15,10 @@ from repro import (
     repeat,
     variables,
 )
-from repro.core.actions import spawn
+from repro.core.actions import let, spawn
 from repro.core.dataspace import Dataspace
+from repro.core.patterns import ANY
+from repro.core.views import View, import_rule
 
 
 class TestHierarchy:
@@ -197,3 +199,52 @@ class TestRaisingLiteral:
             engine.run()
         assert isinstance(caught.value.__cause__, ZeroDivisionError)
         assert "spawn Child((alpha // 0))" in str(caught.value)
+
+    @MODES
+    def test_let_body_is_a_transaction_error(self, options):
+        (alpha,) = variables("alpha")
+        counter = ProcessDefinition(
+            "Counter",
+            body=[immediate(exists(alpha).match(P["n", alpha])).then(let("n", alpha // 0))],
+        )
+        engine = _started([counter], [("n", 1)], "Counter", **options)
+        with pytest.raises(errors.TransactionError) as caught:
+            engine.run()
+        assert isinstance(caught.value.__cause__, ZeroDivisionError)
+        assert "let n = (alpha // 0)" in str(caught.value)
+
+
+class TestRaisingViewGuard:
+    """An import guard that cannot be evaluated is a :class:`ViewError`
+    naming the rule and the bindings, raised where the reference order
+    (pattern, ``where``, guard) reaches the guard (SEMANTICS §6)."""
+
+    def _window(self, rows, **rule):
+        (x,) = variables("x")
+        space = Dataspace()
+        space.insert_many(rows)
+        view = View(imports=[import_rule("item", x, guard=(10 // x) > 1, **rule)])
+        return view.window(space)
+
+    def test_footprint_and_candidates_raise_a_view_error(self):
+        for read in (
+            lambda window: window.footprint(),
+            lambda window: window.candidates(P["item", ANY]),
+        ):
+            with pytest.raises(errors.ViewError) as caught:
+                read(self._window([("item", 0)]))
+            assert isinstance(caught.value.__cause__, ZeroDivisionError)
+            message = str(caught.value)
+            assert "<'item',x> if ((10 // x) > 1)" in message and "{x=0}" in message
+            assert "ZeroDivisionError: " in message
+
+    def test_a_failing_where_still_decides_first(self):
+        window = self._window([("item", 0)], where=[P["open", variables("x")[0]]])
+        assert window.footprint() == frozenset()
+        assert window.candidates(P["item", ANY]) == []
+
+    def test_a_passing_where_reaches_the_guard(self):
+        (x,) = variables("x")
+        window = self._window([("item", 0), ("open", 0)], where=[P["open", x]])
+        with pytest.raises(errors.ViewError):
+            window.footprint()

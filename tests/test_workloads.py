@@ -1,5 +1,10 @@
 """Unit tests for the workload generators (repro.workloads)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.values import NIL
@@ -18,6 +23,8 @@ from repro.workloads import (
     stripe_image,
 )
 from repro.workloads.images import neighbor
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestArrays:
@@ -69,6 +76,24 @@ class TestPropertyLists:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             random_property_list(0)
+
+    def test_a_function_of_its_seed_alone(self):
+        # names were once drawn into a set, so the list followed the string
+        # hash seed of the interpreter
+        script = (
+            "from repro.workloads import random_property_list as r; "
+            "print([str(row[1]) for row in r(12, seed=7)])"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        lists = {
+            subprocess.run(
+                [sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(lists) == 1
+        assert lists == {repr([str(row[1]) for row in random_property_list(12, seed=7)]) + "\n"}
 
 
 class TestImages:
