@@ -37,16 +37,17 @@ Under ``head`` partitioning the observable behavior is identical to the
 load-bearing for the differential test suite:
 
 * **serial order, maintained** — serials only grow, so within one store
-  dict insertion order equals ascending-serial order.  A cross-shard
-  *probe-less* read of an arity is served from a per-arity
-  ``tid -> instance`` order kept on the facade: built once (lazily, on the
-  first such read) by merging the shards' buckets, then kept current in
-  O(1) per admit/retract — append is global serial order — so the read is
-  ``list(order.values())``, exactly what a single store does.  What remains
-  cross-shard (position >= 1 field probes, column scans, ``by_field``)
-  concatenates the shards' ascending runs and sorts them on serial in C
-  (:func:`~repro.core.storage.merge_serial_lists`).  Either way the result
-  is a single store's iteration order exactly;
+  every bucket iterates in ascending-serial order (admits append).  A
+  cross-shard *probe-less* read of an arity is served from a per-arity
+  serial list kept on the facade: built once (lazily, on the first such
+  read) by merging the shards' buckets, then kept current — an admit
+  appends (global serial order), a retract bisects on serial and deletes
+  — so the read hands that list out uncopied, exactly as a single store
+  hands out its arity bucket.  What remains cross-shard (position >= 1
+  field probes, column scans, ``by_field``) concatenates the shards'
+  ascending runs and sorts them on serial in C
+  (:func:`~repro.core.storage.merge_serial_lists`).  Either way the
+  result is a single store's iteration order exactly;
 * **global bucket selection** — :meth:`candidates` picks the narrowest
   index bucket by *global* size with the same first-wins tie-break as a
   single store, so seeded-RNG arbitration over the result is unchanged.
@@ -62,6 +63,7 @@ from repro.core.plan import scan_spec
 from repro.core.storage import (
     BaseStore,
     Partitioner,
+    _delete_row,
     merge_by_serial,
     merge_serial_lists,
     resolve_shards,
@@ -161,11 +163,12 @@ class Dataspace:
         self._instances: dict[TupleId, TupleInstance] = {}
         #: The last :data:`JOURNAL_DEPTH` change events, one per version.
         self._journal: deque[DataspaceChange] = deque(maxlen=JOURNAL_DEPTH)
-        #: Multi-shard only: arity -> ``{tid: instance}`` in global serial
-        #: order, for the arities that have been read probe-less (see
-        #: :meth:`_arity_ordered`).  Admissions append and retracts delete,
-        #: so it holds exactly the live tuples of those arities.
-        self._arity_order: dict[int, dict[TupleId, TupleInstance]] = {}
+        #: Multi-shard only: arity -> serial-ascending instance list, for
+        #: the arities that have been read probe-less (see
+        #: :meth:`_arity_ordered`).  Admissions append and retracts
+        #: bisect and delete, so it holds exactly the live tuples of those
+        #: arities.
+        self._arity_order: dict[int, list[TupleInstance]] = {}
         self._serial = 0
         self._version = 0
         #: Listeners keyed by registration token: the same callable may be
@@ -271,7 +274,7 @@ class Dataspace:
                 parts.setdefault(shard_of(instance.values), []).append(instance)
                 order = arity_order.get(instance.arity)
                 if order is not None:
-                    order[instance.tid] = instance
+                    order.append(instance)
             for shard, batch in parts.items():
                 self.stores[shard].admit_many(batch)
         kind = DataspaceChange.BATCH if len(instances) > 1 else DataspaceChange.ASSERT
@@ -290,7 +293,7 @@ class Dataspace:
             self.stores[shard].admit(instance)
             order = self._arity_order.get(instance.arity)
             if order is not None:
-                order[instance.tid] = instance
+                order.append(instance)
         return instance
 
     def retract(self, tid: TupleId) -> TupleInstance:
@@ -326,22 +329,21 @@ class Dataspace:
         self._bump(kind, (), tuple(instances))
         return instances
 
-    def _arity_ordered(self, arity: int) -> dict[TupleId, TupleInstance]:
+    def _arity_ordered(self, arity: int) -> list[TupleInstance]:
         """All instances of *arity* in global serial order (sharded layouts).
 
         The first probe-less read of an arity merges the shards' buckets
-        once; :meth:`_admit` / :meth:`insert_many` / :meth:`_unindex` then
-        keep the order current, so later reads re-assemble nothing.  An
-        arity never read this way is never tracked.
+        once (into a fresh list: the stores' own buckets are never
+        aliased); :meth:`_admit` / :meth:`insert_many` append and
+        :meth:`_unindex` bisects and deletes, so later reads re-assemble
+        nothing and hand the list out uncopied.  An arity never read this
+        way is never tracked.
         """
         order = self._arity_order.get(arity)
         if order is None:
-            order = self._arity_order[arity] = {
-                inst.tid: inst
-                for inst in merge_serial_lists(
-                    s.arity_candidates(arity) for s in self.stores
-                )
-            }
+            order = self._arity_order[arity] = merge_serial_lists(
+                s.arity_candidates(arity) for s in self.stores
+            )
         return order
 
     def _unindex(self, instance: TupleInstance) -> None:
@@ -355,7 +357,7 @@ class Dataspace:
         self.stores[shard].remove(instance)
         order = self._arity_order.get(instance.arity)
         if order is not None:
-            del order[instance.tid]
+            _delete_row(order, instance)
 
     def _bump(
         self,
@@ -416,15 +418,17 @@ class Dataspace:
     # content addressing
     # ------------------------------------------------------------------
     def by_arity(self, arity: int) -> Mapping[TupleId, TupleInstance]:
-        """All instances with the given arity (live view; do not mutate).
+        """All instances with the given arity, as a fresh serial-ordered
+        ``tid -> instance`` dict built on demand (a snapshot, not a view).
 
-        Sharded layouts return the facade's maintained serial order (and
-        start maintaining it); prefer :meth:`arity_size` when only the
-        count matters.
+        Sharded layouts build it from the facade's maintained serial order
+        (and start maintaining it).  Each call is O(bucket): prefer
+        :meth:`arity_size` when only the count matters, and the planner's
+        :meth:`candidates_probed` for enumeration.
         """
         if self._single is not None:
             return self._single.arity_bucket(arity)
-        return self._arity_ordered(arity)
+        return {inst.tid: inst for inst in self._arity_ordered(arity)}
 
     def by_field(self, arity: int, position: int, value: Any) -> Mapping[TupleId, TupleInstance]:
         """All instances of *arity* with *value* at *position* (live view).
@@ -475,9 +479,11 @@ class Dataspace:
         """Instances that could match *pat* under the bindings *bound*.
 
         The narrowest single-field index determinable from the pattern's
-        constants is consulted; the result is a snapshot list so the caller
-        may mutate the dataspace while iterating.  Candidates are *not*
-        guaranteed to match — callers must still run :meth:`Pattern.match`.
+        constants is consulted.  Candidates are *not* guaranteed to match —
+        callers must still run :meth:`Pattern.match`.  The result may be an
+        index bucket itself, uncopied: it is read-only and valid until the
+        next mutation of the dataspace (SEMANTICS §12), so a caller that
+        mutates must stop iterating first (or copy).
 
         Layout-independence: bucket choice uses *global* bucket sizes with
         the single store's first-wins tie-break, a probe-less scan reads the
@@ -528,7 +534,7 @@ class Dataspace:
         if best_probe is None:
             if obs is not None:
                 obs.count("sdl_shard_queries_total", route="cross")
-            return list(self._arity_ordered(arity).values())
+            return self._arity_ordered(arity)
         position, value = best_probe
         if best_shard >= 0:
             if obs is not None:
@@ -561,6 +567,13 @@ class Dataspace:
         intersections are merged by serial.  Every way the
         output is the full intersection in ascending-serial order, which a
         single store produces too, so layouts are indistinguishable.
+
+        Aliasing contract: a probe-less fetch returns the store's arity
+        bucket (or the maintained arity order) itself, uncopied, so every
+        result is read-only and valid until the next mutation of the
+        dataspace: no caller may sort it, append to it or hold it across
+        an insert or retract.  Query evaluation never mutates the
+        dataspace (SEMANTICS §12), so every search is safe.
         """
         obs = self._obs
         start = obs.spans.now() if obs is not None else 0
@@ -586,7 +599,7 @@ class Dataspace:
                         s.candidates_probed(arity, probes) for s in self.stores
                     )
                 else:
-                    out = list(self._arity_ordered(arity).values())
+                    out = self._arity_ordered(arity)
         if obs is not None:
             obs.observe_ns(
                 "match",

@@ -8,7 +8,11 @@ Distinct atoms must bind **distinct tuple instances** (multiset semantics:
 
 Nondeterministic choice ("an arbitrary one of them is selected") is realised
 by rotating each candidate list by a seeded-RNG offset, which keeps the
-search O(matches) while remaining genuinely arbitrary across seeds.
+search O(matches) while remaining genuinely arbitrary across seeds.  The
+offset is drawn by :func:`rotation_start`, the one arbitration rule: this
+walk builds the rotated copy (:func:`_rotated`), the planner
+(:mod:`repro.core.plan`) visits the same rows in the same order by
+starting at the offset instead of copying.
 """
 
 from __future__ import annotations
@@ -18,14 +22,24 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.tuples import TupleId, TupleInstance
 
-__all__ = ["iter_joint_matches", "first_joint_match"]
+__all__ = ["iter_joint_matches", "first_joint_match", "rotation_start"]
+
+
+def rotation_start(n: int, rng: random.Random | None) -> int:
+    """The arbitration offset into *n* candidate rows.
+
+    Draws ``rng.randrange(n)`` iff *rng* is set and ``n >= 2``; otherwise
+    draws nothing and returns 0.  Every arbitration rotation calls this,
+    so every path consumes the RNG stream identically.
+    """
+    if rng is None or n < 2:
+        return 0
+    return rng.randrange(n)
 
 
 def _rotated(items: list, rng: random.Random | None) -> list:
     """Rotate *items* by a random offset (arbitrary but cheap choice order)."""
-    if rng is None or len(items) < 2:
-        return items
-    start = rng.randrange(len(items))
+    start = rotation_start(len(items), rng)
     if start == 0:
         return items
     return items[start:] + items[:start]

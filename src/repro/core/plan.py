@@ -59,10 +59,11 @@ differential testing — `docs/SEMANTICS.md` §12.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.expressions import Expr, conjuncts, is_pure, kernel
-from repro.core.matching import _rotated  # the one arbitration-rotation rule
+from repro.core.matching import rotation_start  # the one arbitration rule
 from repro.core.patterns import (
     CompiledPattern,
     Pattern,
@@ -382,7 +383,8 @@ def build_plan(
 
 
 def _fetch_candidates(window: Any, step: PlanStep, env: dict[str, Any]) -> list[TupleInstance]:
-    """Probe-intersected candidates for *step* from any window-like object."""
+    """Probe-intersected candidates for *step* from any window-like object
+    (read-only, valid until the next dataspace mutation)."""
     probes = step.probes_for(env)
     fetch = getattr(window, "candidates_probed", None)
     if fetch is not None:
@@ -503,6 +505,10 @@ class QueryPlanner:
         plan = self.plan_for(patterns, bound)
         # Each filter is a compiled closure over the search's own env dict.
         filters = None if test is None else plan.filter_kernels(test)
+        # A snapshot lens reports how many of the live rows it shows
+        # (``(rows, n)``) instead of slicing them; any other window shows
+        # all of its rows.
+        cut = getattr(window, "candidates_cut", None)
         env: dict[str, Any] = dict(bound)
         total = len(plan.steps)
         used: list[TupleInstance | None] = [None] * total
@@ -517,36 +523,55 @@ class QueryPlanner:
                 return
             step = steps[depth]
             checks = None if filters is None else filters[depth]
-            for inst in _rotated(_fetch_candidates(window, step, env), rng):
-                tid = inst.tid
-                if tid in used_tids or tid in excluded:
-                    continue
-                values = inst.values
-                admitted = True
-                for position, first in step.repeat_checks:
-                    if values[position] != values[first]:
-                        admitted = False
-                        break
-                if not admitted:
-                    continue
-                for position, name in step.binders:
-                    env[name] = values[position]
-                if checks is not None:
-                    for check in checks:
-                        try:
-                            if not check(env):
-                                admitted = False
-                                break
-                        except Exception:
-                            pass  # not a verdict: the leaf decides, or raises
-                if admitted:
-                    used[step.index] = inst
-                    used_tids.add(tid)
-                    yield from search(depth + 1)
-                    used_tids.discard(tid)
-                    used[step.index] = None
-                for __, name in step.binders:
-                    del env[name]
+            if cut is None:
+                rows = _fetch_candidates(window, step, env)
+                n = len(rows)
+            else:
+                rows, n = cut(step.compiled.arity, step.probes_for(env))
+            # Visit rows[k:n] then rows[:k] — the naive walk's rotated copy
+            # (matching._rotated) — without building it: two list
+            # iterators, the first started at the offset, so each row is
+            # produced in C and a search that stops early pays O(1).
+            k = rotation_start(n, rng)
+            if not k and n == len(rows):
+                segments = (rows,)
+            else:
+                tail = iter(rows)
+                tail.__setstate__(k)
+                if n < len(rows):
+                    tail = islice(tail, n - k)
+                segments = (tail, islice(rows, k))
+            for segment in segments:
+                for inst in segment:
+                    tid = inst.tid
+                    if tid in used_tids or tid in excluded:
+                        continue
+                    values = inst.values
+                    admitted = True
+                    for position, first in step.repeat_checks:
+                        if values[position] != values[first]:
+                            admitted = False
+                            break
+                    if not admitted:
+                        continue
+                    for position, name in step.binders:
+                        env[name] = values[position]
+                    if checks is not None:
+                        for check in checks:
+                            try:
+                                if not check(env):
+                                    admitted = False
+                                    break
+                            except Exception:
+                                pass  # not a verdict: the leaf decides, or raises
+                    if admitted:
+                        used[step.index] = inst
+                        used_tids.add(tid)
+                        yield from search(depth + 1)
+                        used_tids.discard(tid)
+                        used[step.index] = None
+                    for __, name in step.binders:
+                        del env[name]
 
         return search(0)
 

@@ -22,11 +22,12 @@ Two shard strategies exist today:
 Orthogonally to the shard layout, two **storage backends** implement the
 same store interface (:func:`resolve_store`):
 
-* :class:`TupleStore` (``"object"``, the default) — the original
-  dict-of-dicts design: every probe dereferences ``TupleInstance`` objects
-  and every admit maintains one ``(arity, position, value)`` bucket per
-  field.  It stays the live differential baseline, exactly as the naive
-  matcher does for the planner;
+* :class:`TupleStore` (``"object"``, the default) — buckets of
+  ``TupleInstance`` references: a serial-ascending list per arity, which a
+  probe-less fetch hands out uncopied, and a ``tid -> instance`` dict per
+  ``(arity, position, value)`` field key, one maintained per field on
+  every admit.  It stays the live differential baseline, exactly as the
+  naive matcher does for the planner;
 * :class:`ColumnarStore` (``"columnar"``) — a struct-of-arrays layout:
   per-arity **column groups** hold one contiguous value column per field
   (plain lists, promoted to ``array('q')`` when a column is homogeneous
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import zlib
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Iterable
@@ -81,6 +82,7 @@ __all__ = [
     "merge_by_serial",
     "merge_serial_lists",
     "cut_at_serial",
+    "cut_len",
 ]
 
 
@@ -151,6 +153,9 @@ class BaseStore:
     def candidates_probed(
         self, arity: int, probes: list[tuple[int, Any]]
     ) -> list[TupleInstance]:
+        """The probe intersection in serial order (store-local half of
+        ``Dataspace.candidates_probed``).  It may be a bucket itself:
+        read-only, valid until the next mutation."""
         raise NotImplementedError
 
     def debug_by_arity(self) -> dict:
@@ -165,13 +170,18 @@ class BaseStore:
 
 
 class TupleStore(BaseStore):
-    """One storage shard's content indexes, as dicts of instances.
+    """One storage shard's content indexes over ``TupleInstance`` objects.
 
     The original per-tuple-object backend and the live differential
-    baseline for :class:`ColumnarStore` — every index is a dict of
-    ``TupleInstance`` references, so dict insertion order equals
-    ascending-serial order in every table (admissions only append; dict
-    deletion preserves order).
+    baseline for :class:`ColumnarStore`.  An arity bucket is a ``list`` in
+    ascending-serial order: admissions append (serials come from one
+    monotone counter) and a removal bisects on ``tid.serial`` and deletes
+    the row, so a probe-less fetch hands the bucket out as is, uncopied —
+    read-only and valid until the next mutation (SEMANTICS §12).  A field
+    bucket is a ``tid -> instance`` dict (insertion order is serial order;
+    deletion preserves it): retracts touch one per field, where an O(1)
+    delete beats a bisection, and a field probe copies its usually small
+    bucket.
     """
 
     __slots__ = ("count", "by_arity", "by_field")
@@ -181,7 +191,7 @@ class TupleStore(BaseStore):
     def __init__(self, shard: int, indexed: bool = True) -> None:
         super().__init__(shard, indexed)
         self.count = 0
-        self.by_arity: dict[int, dict[TupleId, TupleInstance]] = {}
+        self.by_arity: dict[int, list[TupleInstance]] = {}
         self.by_field: dict[tuple[int, int, Any], dict[TupleId, TupleInstance]] = {}
 
     def __len__(self) -> int:
@@ -190,7 +200,11 @@ class TupleStore(BaseStore):
     def admit(self, instance: TupleInstance) -> None:
         """Index an already-built instance (serial assigned by the facade)."""
         self.count += 1
-        self.by_arity.setdefault(instance.arity, {})[instance.tid] = instance
+        rows = self.by_arity.get(instance.arity)
+        if rows is None:
+            self.by_arity[instance.arity] = [instance]
+        else:
+            rows.append(instance)
         if self.indexed:
             for position, value in enumerate(instance.values):
                 key = (instance.arity, position, value)
@@ -199,10 +213,10 @@ class TupleStore(BaseStore):
     def remove(self, instance: TupleInstance) -> None:
         """Unindex one instance; raises ``KeyError`` when absent."""
         tid = instance.tid
-        arity_bucket = self.by_arity[instance.arity]
-        del arity_bucket[tid]
+        rows = self.by_arity[instance.arity]
+        _delete_row(rows, instance)
         self.count -= 1
-        if not arity_bucket:
+        if not rows:
             del self.by_arity[instance.arity]
         if self.indexed:
             for position, value in enumerate(instance.values):
@@ -220,14 +234,13 @@ class TupleStore(BaseStore):
         return len(self.by_field.get((arity, position, value), ()))
 
     def arity_bucket(self, arity: int) -> dict:
-        return self.by_arity.get(arity, {})
+        return {inst.tid: inst for inst in self.by_arity.get(arity, ())}
 
     def field_bucket(self, arity: int, position: int, value: Any) -> dict:
         return self.by_field.get((arity, position, value), {})
 
     def arity_candidates(self, arity: int) -> list[TupleInstance]:
-        bucket = self.by_arity.get(arity)
-        return list(bucket.values()) if bucket else []
+        return self.by_arity.get(arity) or []
 
     def field_candidates(
         self, arity: int, position: int, value: Any
@@ -237,7 +250,8 @@ class TupleStore(BaseStore):
 
     # -- candidate enumeration -----------------------------------------
     def candidates(self, pat, bound) -> list[TupleInstance]:
-        """Single-store candidate fetch: narrowest index bucket, first wins."""
+        """Single-store candidate fetch: narrowest index bucket, first wins
+        (a probe-less fetch is the arity bucket itself, uncopied)."""
         best: dict[TupleId, TupleInstance] | None = None
         if self.indexed:
             for position, value in pat.index_constants(bound):
@@ -248,7 +262,7 @@ class TupleStore(BaseStore):
                     best = bucket
             if best is not None:
                 return list(best.values())
-        return list(self.by_arity.get(pat.arity, {}).values())
+        return self.by_arity.get(pat.arity) or []
 
     def candidates_probed(
         self, arity: int, probes: list[tuple[int, Any]]
@@ -260,7 +274,8 @@ class TupleStore(BaseStore):
         value filters.  The output — the full probe intersection in
         ascending-serial order — is independent of which bucket was
         enumerated, so per-shard results union to exactly the global
-        intersection.
+        intersection.  With no probes it is the arity bucket itself,
+        uncopied: read-only, valid until the next mutation.
         """
         best: dict[TupleId, TupleInstance] | None = None
         best_position = -1
@@ -273,21 +288,27 @@ class TupleStore(BaseStore):
                     best = bucket
                     best_position = position
         if best is None:
-            best = self.by_arity.get(arity, {})
-            rest = probes if not self.indexed else []
+            rows = self.by_arity.get(arity) or []
+            if not probes:
+                return rows
+            rest = probes  # no field index: filter the arity bucket
         else:
+            rows = best.values()
             rest = [probe for probe in probes if probe[0] != best_position]
         if rest:
             return [
                 inst
-                for inst in best.values()
+                for inst in rows
                 if all(inst.values[position] == value for position, value in rest)
             ]
-        return list(best.values())
+        return list(rows)
 
     # -- inspection ----------------------------------------------------
     def debug_by_arity(self) -> dict:
-        return self.by_arity
+        return {
+            arity: {inst.tid: inst for inst in rows}
+            for arity, rows in self.by_arity.items()
+        }
 
     def debug_by_field(self) -> dict:
         return self.by_field
@@ -1018,14 +1039,39 @@ def merge_by_serial(buckets: Iterable) -> list[TupleInstance]:
     return merge_serial_lists(bucket.values() for bucket in buckets)
 
 
+def _delete_row(rows: list[TupleInstance], instance: TupleInstance) -> None:
+    """Delete *instance* from serial-ascending *rows* (``KeyError`` if absent).
+
+    Bisection finds the one row that can hold its serial; that row must
+    carry *instance*'s tid.  A tid match, not identity: the parallel
+    worker's shard snapshot replays retractions shipped as pickled copies.
+    """
+    tid = instance.tid
+    index = bisect_left(rows, tid.serial, key=_serial_of)
+    if index == len(rows) or rows[index].tid != tid:
+        raise KeyError(tid)
+    del rows[index]
+
+
+def cut_len(rows: list[TupleInstance], serial: int) -> int:
+    """How many of serial-ascending *rows* were asserted at or before *serial*.
+
+    Rows ascend by serial, so the survivors of a snapshot watermark are a
+    prefix and its length is one bisection — no slice is built.  The
+    snapshot lens hands the planner ``(rows, cut_len(rows, serial))``.
+    """
+    if not rows or rows[-1].tid.serial <= serial:
+        return len(rows)
+    return bisect_right(rows, serial, key=_serial_of)
+
+
 def cut_at_serial(rows: list[TupleInstance], serial: int) -> list[TupleInstance]:
     """The instances of serial-ascending *rows* asserted at or before *serial*.
 
-    The one watermark filter (the snapshot lens and the ``admit="parallel"``
-    worker both call it, so their row counts agree by construction).  Rows
-    ascend by serial, so the survivors are a prefix: *rows* itself when
-    nothing is hidden, else a slice found by bisection.
+    The list form of :func:`cut_len` (same bisection, so the planner's
+    prefix, the naive walk's list and the ``admit="parallel"`` worker's
+    row count agree by construction): *rows* itself when nothing is
+    hidden, else the prefix slice.
     """
-    if not rows or rows[-1].tid.serial <= serial:
-        return rows
-    return rows[: bisect_right(rows, serial, key=_serial_of)]
+    n = cut_len(rows, serial)
+    return rows if n == len(rows) else rows[:n]

@@ -552,7 +552,12 @@ class Window:
     def candidates_probed(
         self, arity: int, probes: list[tuple[int, Any]]
     ) -> list[TupleInstance]:
-        """Probe-intersected candidates within the window (planner path)."""
+        """Probe-intersected candidates within the window (planner path).
+
+        An unrestricted window passes the dataspace's rows through, so the
+        result may be a store bucket itself: read-only, valid until the
+        next mutation (``Dataspace.candidates_probed``).
+        """
         raw = self.dataspace.candidates_probed(arity, probes)
         if self.view.imports is None:
             return raw

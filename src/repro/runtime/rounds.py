@@ -42,7 +42,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.actions import Let
 from repro.core.query import Match, QueryResult
-from repro.core.storage import cut_at_serial
+from repro.core.matching import rotation_start
+from repro.core.storage import cut_at_serial, cut_len
 from repro.core.transactions import Control, Mode, Transaction, TransactionOutcome, execute
 from repro.runtime.commit import (
     AdmittedBatch,
@@ -571,7 +572,7 @@ def _resolve_admit(engine, verdict: tuple, txn: Transaction, lens, scope) -> Que
         pool.note_admit_fallback("verdict-mismatch")
         return query.evaluate(lens, scope, engine.rng)
     engine.planner.plan_for([meta.pattern], scope)
-    k = engine.rng.randrange(n) if n >= 2 else 0
+    k = rotation_start(n, engine.rng)
     if query.negated:
         return QueryResult(not passes)
     pass_rows = {row for row, __ in passes}
@@ -698,8 +699,11 @@ class _SnapshotLens:
     what a synchronous parallel step of unboundedly many replicas would
     see.  Every candidate list is serial-ascending (serials are issued by
     one monotone counter and every store and window preserves admission
-    order), so hiding the later tuples is cutting a prefix
-    (:func:`~repro.core.storage.cut_at_serial`), not filtering each row.
+    order), so hiding the later tuples is cutting a prefix, not filtering
+    each row.  The planner is handed the live rows plus the prefix length
+    (:meth:`candidates_cut`, :func:`~repro.core.storage.cut_len`) and
+    visits only that prefix; the list-returning fetches below slice it
+    (:func:`~repro.core.storage.cut_at_serial`, the same bisection).
     """
 
     __slots__ = ("window", "max_serial")
@@ -725,6 +729,12 @@ class _SnapshotLens:
         return cut_at_serial(
             self.window.candidates_probed(arity, probes), self.max_serial
         )
+
+    def candidates_cut(self, arity, probes) -> tuple[list, int]:
+        """``(rows, n)``: the window's live rows, of which the first *n*
+        are visible — :meth:`candidates_probed` without the slice."""
+        rows = self.window.candidates_probed(arity, probes)
+        return rows, cut_len(rows, self.max_serial)
 
     def find_matching(self, pat, bound=None) -> list:
         # Each candidate matches against its own copy of the bindings

@@ -185,9 +185,9 @@ def test_facade_arity_order_equals_kway_merge_and_single_store(script, store, sh
             for space in (early, later, never):
                 assert merged_arity(space, arity) == expected
             # white box: the maintained order, read without triggering a build
-            assert serials(early._arity_order[arity].values()) == expected
+            assert serials(early._arity_order[arity]) == expected
             if step >= late:
-                assert serials(later._arity_order[arity].values()) == expected
+                assert serials(later._arity_order[arity]) == expected
             assert serials(early.candidates(SCAN[arity])) == expected
     assert never._arity_order == {}  # arities never scanned are never tracked
     for arity in (2, 3):
