@@ -133,11 +133,14 @@ class Footprint:
     ``validate_plan`` holds worker plans inside ``write_shards``.
     Admission itself does not consult the shard-sets — it probes the
     :class:`AdmittedBatch` key index.
+
+    ``read_key`` caches the read side's content key (:meth:`content_key`),
+    under which a batch shares one verdict among content-equal probes.
     """
 
     __slots__ = (
         "pid", "reads_all", "watchers", "retract_tids", "writes",
-        "read_shards", "write_shards", "retract_shards",
+        "read_shards", "write_shards", "retract_shards", "read_key",
     )
 
     def __init__(
@@ -159,6 +162,22 @@ class Footprint:
         self.read_shards = read_shards
         self.write_shards = write_shards
         self.retract_shards = retract_shards
+        self.read_key: tuple | None = None
+
+    def content_key(self) -> tuple:
+        """``(reads_all, ((arity, positions, values), ...))``, built once.
+
+        Everything :meth:`AdmittedBatch.first_conflict_index` reads of a
+        probe without retracted ids: two probes with equal keys (under the
+        dict equality the batch's tables use) get the same answer.
+        """
+        key = self.read_key
+        if key is None:
+            key = self.read_key = (
+                self.reads_all,
+                tuple([(w.arity, w.positions, w.values) for w in self.watchers]),
+            )
+        return key
 
     def __repr__(self) -> str:
         reads = "ANY" if self.reads_all else f"{len(self.watchers)} watchers"
@@ -342,6 +361,11 @@ def conflicts(later: Footprint, earlier: Footprint) -> bool:
     )
 
 
+#: A memo miss in :meth:`AdmittedBatch.first_conflict_index` (``None`` is
+#: an answer: no conflict).
+_UNASKED = object()
+
+
 class _WriteGroup:
     """The admitted writes of one ``(arity, known positions)`` shape.
 
@@ -408,9 +432,14 @@ class AdmittedBatch:
     ``(arity, known positions)`` (a predicted assert's unknown positions
     are simply absent from its shape, so it is indexed like an exact
     retraction — there is no residual list to walk).
+
+    Between two appends the answer is a pure function of the batch and the
+    candidate, so a read-only candidate's answer is memoised under its
+    :meth:`Footprint.content_key`: every loser probing with the same reads
+    as an earlier one costs one dict hit.  ``append`` clears the memo.
     """
 
-    __slots__ = ("_footprints", "_retracts", "_first_write", "_groups")
+    __slots__ = ("_footprints", "_retracts", "_first_write", "_groups", "_verdicts")
 
     def __init__(self, footprints: Iterable[Footprint] = ()) -> None:
         self._footprints: list[Footprint] = []
@@ -418,6 +447,8 @@ class AdmittedBatch:
         self._first_write: int | None = None  # first footprint with any write
         #: arity -> known positions -> group.
         self._groups: dict[int, dict[tuple[int, ...], _WriteGroup]] = {}
+        #: content key of a read-only probe -> its answer, for this batch.
+        self._verdicts: dict[tuple, int | None] = {}
         for footprint in footprints:
             self.append(footprint)
 
@@ -430,6 +461,7 @@ class AdmittedBatch:
     def append(self, footprint: Footprint) -> None:
         index = len(self._footprints)
         self._footprints.append(footprint)
+        self._verdicts.clear()
         retracts = self._retracts
         for tid in footprint.retract_tids:
             retracts.setdefault(tid, index)
@@ -450,8 +482,24 @@ class AdmittedBatch:
 
         Equal to the index the pairwise :func:`conflicts` walk stops at:
         the minimum over w-w (a shared retracted tid) and r-w (an admitted
-        write touching one of the candidate's watchers).
+        write touching one of the candidate's watchers).  A candidate
+        without retracted ids is answered from the memo when a
+        content-equal one was asked since the last append; an unhashable
+        key (a watcher value that cannot be hashed) skips the memo.
         """
+        if candidate.retract_tids:
+            return self._walk(candidate)
+        key = candidate.content_key()
+        verdicts = self._verdicts
+        try:
+            index = verdicts.get(key, _UNASKED)
+        except TypeError:
+            return self._walk(candidate)
+        if index is _UNASKED:
+            index = verdicts[key] = self._walk(candidate)
+        return index
+
+    def _walk(self, candidate: Footprint) -> int | None:
         best: int | None = None
         retracts = self._retracts
         if retracts:

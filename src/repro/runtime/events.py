@@ -10,6 +10,10 @@ that: every semantically meaningful runtime occurrence is emitted as an
 
 ``Trace`` keeps cheap aggregate counters unconditionally and the full event
 list only when ``detail=True``, so benchmarks can run with counters alone.
+An event object is built only when something records it: a hot emitter
+whose event nothing reads (``Trace.recording`` false: no detail, no
+observer) bumps the counter :meth:`Trace.emit` would have bumped instead
+— the group-commit loser path does this for ``ConflictDetected``.
 """
 
 from __future__ import annotations
@@ -200,6 +204,75 @@ class TraceCounters:
     checkpoints: int = 0
 
 
+def _count_commit(counters: TraceCounters, event: TxnCommitted) -> None:
+    counters.commits += 1
+    counters.asserts += event.asserted
+    counters.retracts += event.retracted
+    counters.reads += event.reads
+
+
+def _count_wake_resolved(counters: TraceCounters, event: WakeResolved) -> None:
+    if event.spurious:
+        counters.spurious_wakeups += 1
+    else:
+        counters.precise_wakeups += 1
+
+
+def _count_consensus(counters: TraceCounters, event: ConsensusFired) -> None:
+    counters.consensus_rounds += 1
+    counters.consensus_participants += len(event.pids)
+
+
+def _count_round(counters: TraceCounters, event: RoundCommitted) -> None:
+    counters.group_rounds += 1
+    counters.batch_commits += event.admitted
+    if event.admitted > counters.max_batch:
+        counters.max_batch = event.admitted
+
+
+def _bump(name: str) -> Callable[[TraceCounters, Event], None]:
+    """Counting that adds one to the counter *name*."""
+
+    def count(counters: TraceCounters, event: Event) -> None:
+        setattr(counters, name, getattr(counters, name) + 1)
+
+    return count
+
+
+#: The counted event kinds, in precedence order: an event counts under the
+#: first kind it is an instance of.
+_COUNTED: tuple[tuple[type, Callable[[TraceCounters, Event], None]], ...] = (
+    (TxnCommitted, _count_commit),
+    (TxnFailed, _bump("failures")),
+    (TaskBlocked, _bump("blocks")),
+    (TaskWoken, _bump("wakeups")),
+    (WakeResolved, _count_wake_resolved),
+    (ConsensusFired, _count_consensus),
+    (ProcessCreated, _bump("processes_created")),
+    (ProcessFinished, _bump("processes_finished")),
+    (ReplicaSpawned, _bump("replicas")),
+    (RoundCommitted, _count_round),
+    (ConflictDetected, _bump("conflicts")),
+    (ProcessCrashed, _bump("crashes")),
+    (ProcessRestarted, _bump("restarts")),
+    (SupervisorEscalated, _bump("escalations")),
+    (CheckpointTaken, _bump("checkpoints")),
+)
+
+
+def _counting_for(kind: type) -> Callable[[TraceCounters, Event], None] | None:
+    """How an event of exactly *kind* is counted (``None``: not at all)."""
+    for counted, count in _COUNTED:
+        if issubclass(kind, counted):
+            return count
+    return None
+
+
+#: ``type(event)`` -> its counting function; other kinds (subclasses, the
+#: uncounted ones) are resolved by :func:`_counting_for` on first sight.
+_COUNTING: dict[type, Callable[[TraceCounters, Event], None] | None] = dict(_COUNTED)
+
+
 class Trace:
     """Event sink with aggregate counters and optional full event history."""
 
@@ -226,48 +299,24 @@ class Trace:
 
         return detach
 
+    @property
+    def recording(self) -> bool:
+        """Does anything read events: the detailed history or an observer?
+
+        When not, an emitter may bump the event's counter itself instead of
+        building the event.  Ask per event, not once per run: an observer
+        attached mid-run must see every later event.
+        """
+        return self.detail or bool(self._observers)
+
     def emit(self, event: Event) -> None:
-        counters = self.counters
-        if isinstance(event, TxnCommitted):
-            counters.commits += 1
-            counters.asserts += event.asserted
-            counters.retracts += event.retracted
-            counters.reads += event.reads
-        elif isinstance(event, TxnFailed):
-            counters.failures += 1
-        elif isinstance(event, TaskBlocked):
-            counters.blocks += 1
-        elif isinstance(event, TaskWoken):
-            counters.wakeups += 1
-        elif isinstance(event, WakeResolved):
-            if event.spurious:
-                counters.spurious_wakeups += 1
-            else:
-                counters.precise_wakeups += 1
-        elif isinstance(event, ConsensusFired):
-            counters.consensus_rounds += 1
-            counters.consensus_participants += len(event.pids)
-        elif isinstance(event, ProcessCreated):
-            counters.processes_created += 1
-        elif isinstance(event, ProcessFinished):
-            counters.processes_finished += 1
-        elif isinstance(event, ReplicaSpawned):
-            counters.replicas += 1
-        elif isinstance(event, RoundCommitted):
-            counters.group_rounds += 1
-            counters.batch_commits += event.admitted
-            if event.admitted > counters.max_batch:
-                counters.max_batch = event.admitted
-        elif isinstance(event, ConflictDetected):
-            counters.conflicts += 1
-        elif isinstance(event, ProcessCrashed):
-            counters.crashes += 1
-        elif isinstance(event, ProcessRestarted):
-            counters.restarts += 1
-        elif isinstance(event, SupervisorEscalated):
-            counters.escalations += 1
-        elif isinstance(event, CheckpointTaken):
-            counters.checkpoints += 1
+        kind = type(event)
+        try:
+            count = _COUNTING[kind]
+        except KeyError:
+            count = _COUNTING[kind] = _counting_for(kind)
+        if count is not None:
+            count(self.counters, event)
         if self.detail:
             self.events.append(event)
         for observer in list(self._observers.values()):

@@ -85,8 +85,8 @@ class Executor:
         self.consensus_index = ConsensusIndex()
         #: Bumped whenever a pid joins or leaves ``consensus_waiters``.
         self._waiter_generation = 0
-        # Group mode: the last round's losers -> (txn, scope, read side),
-        # replaced every round (see ``rounds._reads_for``).
+        # Group mode: the last round's losers -> (txn, scope, read side,
+        # probe), replaced every round (see ``rounds._reads_for``).
         self.loser_reads: dict[Task, tuple] = {}
         # Memo of the last failed consensus check.  It must cover everything
         # readiness depends on: the dataspace version, who is waiting, and

@@ -19,8 +19,10 @@ One round runs four phases over the items ready at its start:
   earlier admitted index, so the reads alone find the winner.  Only a
   survivor is evaluated against the common round-start snapshot, and only
   the candidate being admitted has its write half derived.  A deferred
-  loser carries its read side into the next round while its transaction
-  and scope are unchanged (:func:`_reads_for`).  Under
+  loser carries its read side and its probe into the next round while its
+  transaction and scope are unchanged (:func:`_reads_for`), the batch
+  answers content-equal probes once, and a ``ConflictDetected`` event is
+  built only when the trace records it.  Under
   ``admit="parallel"`` the *match evaluation* half of this phase runs on
   the worker pool over cached shard snapshots
   (:func:`_dispatch_admission`) while the walk itself — validation,
@@ -184,13 +186,11 @@ def run_group_round(executor: "Executor", items: list) -> list:
                     losers.append(later_task)
                 break
         scope = process.scope()
-        reads = _reads_for(carried.get(task), txn, process, scope)
+        reads, probe = _reads_for(carried.get(task), txn, process, scope)
         # The read side alone decides a loser: a w-w conflict implies an
         # r-w conflict at the same or an earlier admitted index, so this
         # probe finds the winner the full footprint would.
-        winner = first_conflict(
-            admitted_fps, Footprint(process.pid, *reads, frozenset(), ())
-        )
+        winner = first_conflict(admitted_fps, probe)
         if winner is not None:
             # Loser: whatever its query would return is unreliable after
             # the winner's writes — re-queue unevaluated, never abort or
@@ -200,13 +200,17 @@ def run_group_round(executor: "Executor", items: list) -> list:
                 task.pending = txn
             task.queued = True  # deferred outside the scheduler queues
             losers.append(task)
-            carry[task] = (txn, scope, reads)
-            engine.trace.emit(
-                ConflictDetected(
-                    engine.step_count, engine.round_count,
-                    process.pid, winner.pid,
+            carry[task] = (txn, scope, reads, probe)
+            trace = engine.trace
+            if trace.recording:
+                trace.emit(
+                    ConflictDetected(
+                        engine.step_count, engine.round_count,
+                        process.pid, winner.pid,
+                    )
                 )
-            )
+            else:
+                trace.counters.conflicts += 1  # what emit would count
             continue
         evaluated += 1
         lens = _SnapshotLens(engine.window(process), watermark)
@@ -617,22 +621,25 @@ def _resolve_admit(engine, verdict: tuple, txn: Transaction, lens, scope) -> Que
 
 
 def _reads_for(carried: tuple | None, txn: Transaction, process, scope: dict) -> tuple:
-    """*txn*'s read side, reusing the one a deferred loser carried over.
+    """``(reads, probe)``: *txn*'s read side and its reads-only admission
+    probe, reusing the pair a deferred loser carried over.
 
     :func:`read_side` is pure in (transaction, view, scope) and a process's
-    view never changes, so *carried* — last round's ``(txn, scope, reads)``
-    for this task — is reused iff the transaction is the same object and
-    *scope* maps the same names to the same objects.  Identity, never
-    equality: scope values are user data, and a sibling replica's ``let``
-    replaces the object (``process.env.update``).
+    view never changes, so *carried* — last round's ``(txn, scope, reads,
+    probe)`` for this task — is reused iff the transaction is the same
+    object and *scope* maps the same names to the same objects.  Identity,
+    never equality: scope values are user data, and a sibling replica's
+    ``let`` replaces the object (``process.env.update``).  The probe keeps
+    its cached content key (:meth:`Footprint.content_key`) with it.
     """
     if carried is not None:
-        carried_txn, carried_scope, reads = carried
+        carried_txn, carried_scope, reads, probe = carried
         if carried_txn is txn and carried_scope.keys() == scope.keys() and all(
             scope[name] is value for name, value in carried_scope.items()
         ):
-            return reads
-    return read_side(txn, process, scope)
+            return reads, probe
+    reads = read_side(txn, process, scope)
+    return reads, Footprint(process.pid, *reads, frozenset(), ())
 
 
 def _group_failure(

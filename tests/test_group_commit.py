@@ -240,7 +240,7 @@ class TestReadSideAdmission:
         assert all(c.winner == first_admitted[c.round] for c in clashes)
 
 
-def make_let_between_rounds_engine():
+def make_let_between_rounds_engine(detail=True):
     """A deferred replica whose scope a sibling replica's ``let`` changes.
 
     Round 3 (fifo order): Q asserts ``<cell, 0, 5>`` and ``<ping>``; R's
@@ -274,7 +274,7 @@ def make_let_between_rounds_engine():
     ])
     engine = Engine(
         definitions=[main, writer, bumper], policy="fifo", commit="group",
-        validate="serial", trace=Trace(detail=True),
+        validate="serial", trace=Trace(detail=detail),
     )
     engine.assert_tuples([("goA",), ("goB",), ("cell", 1, 7)])
     engine.start("M", (0,))
@@ -300,7 +300,7 @@ class TestLoserReadSideCarry:
 
         def task_keyed(carried, txn, process, scope):
             if carried is not None:
-                return carried[2]
+                return carried[2], carried[3]
             return real(None, txn, process, scope)
 
         monkeypatch.setattr(rounds, "_reads_for", task_keyed)

@@ -11,7 +11,8 @@ hash/``==`` agreement of the value domain (``Atom("x")`` vs ``"x"``,
 ``True`` / ``1`` / ``1.0``).  The two count tests pin that the engine path
 no longer runs the oracles at all.  A third property holds the lemma group
 admission rests on: a candidate's read side alone finds the winner its
-full footprint would.
+full footprint would, and a fourth that the batch's memoised verdicts
+(shared by content-equal read-only probes) are the walk they replace.
 """
 
 import random
@@ -248,6 +249,114 @@ class TestReadSideDecidesLosers:
         winner = walk(admitted, full)
         assert first_conflict(batch, full) is winner
         assert first_conflict(batch, reads_only) is winner
+
+
+# ---------------------------------------------------------------------------
+# (iv) a memoised verdict is the walk it replaced
+# ---------------------------------------------------------------------------
+#
+# Between two appends, a read-only probe's answer is a pure function of the
+# batch and its content key, so AdmittedBatch memoises it under that key.
+# Probes are drawn from a small pool and asked again as distinct but
+# content-equal copies; their values add one shared NaN object (equal to
+# itself only by identity) and fresh NaNs (equal to nothing), which the
+# memo may only miss on.  Writes stay NaN-free: the pairwise oracle
+# compares with ``!=``, under which even a shared NaN never touches.
+
+SHARED_NAN = float("nan")
+probe_values = st.one_of(
+    values, st.just(SHARED_NAN), st.builds(float, st.just("nan"))
+)
+
+
+@st.composite
+def probe_watchers(draw) -> AtomWatcher:
+    arity = draw(arities)
+    positions = draw(st.lists(st.integers(0, arity - 1), unique=True, max_size=arity))
+    return AtomWatcher(arity, tuple((p, draw(probe_values)) for p in positions))
+
+
+@st.composite
+def probes(draw) -> Footprint:
+    """Mostly read-only, as the round walk asks; some carry retract ids."""
+    return Footprint(
+        draw(st.integers(1, 99)),
+        draw(st.sampled_from([False, False, False, True])),
+        draw(st.lists(probe_watchers(), max_size=3)),
+        frozenset(draw(st.lists(tids, max_size=2)) if draw(st.booleans()) else ()),
+        (),
+    )
+
+
+def content_equal_copy(probe: Footprint) -> Footprint:
+    return Footprint(
+        probe.pid + 100,
+        probe.reads_all,
+        [AtomWatcher(w.arity, w.probes) for w in probe.watchers],
+        probe.retract_tids,
+        (),
+    )
+
+
+def pairwise_index(admitted, candidate):
+    return next(
+        (i for i, earlier in enumerate(admitted) if conflicts(candidate, earlier)),
+        None,
+    )
+
+
+memo_ops = st.one_of(
+    st.tuples(st.just("append"), footprints()),
+    st.tuples(st.just("probe"), st.integers(0, 3), st.booleans()),
+)
+
+
+class TestVerdictMemo:
+    @given(st.lists(probes(), min_size=1, max_size=4), st.lists(memo_ops, max_size=24))
+    @settings(deadline=None)
+    def test_memoised_answer_is_the_memo_free_walk(self, pool, script):
+        batch = AdmittedBatch()
+        appended: list[Footprint] = []
+        for op in script:
+            if op[0] == "append":
+                batch.append(op[1])
+                appended.append(op[1])
+                continue
+            __, choice, copy = op
+            probe = pool[choice % len(pool)]
+            if copy:
+                probe = content_equal_copy(probe)
+            got = batch.first_conflict_index(probe)
+            # A fresh batch over the same footprints has an empty memo.
+            assert got == AdmittedBatch(appended).first_conflict_index(probe)
+            assert got == pairwise_index(appended, probe)
+
+    def test_content_equal_probes_share_one_walk(self, monkeypatch):
+        walks = []
+        real = AdmittedBatch._walk
+        monkeypatch.setattr(
+            AdmittedBatch, "_walk", lambda self, fp: walks.append(fp) or real(self, fp)
+        )
+        batch = AdmittedBatch([Footprint(1, False, (), frozenset(),
+                                         [WriteRecord(2, {0: "tok", 1: 0})])])
+        takers = [Footprint(pid, False, [AtomWatcher(2, ((0, "tok"),))], frozenset(), ())
+                  for pid in range(2, 6)]
+        assert [batch.first_conflict_index(t) for t in takers] == [0] * 4
+        assert len(walks) == 1
+        # Retract ids are never memoised; an unhashable key skips the memo.
+        retracting = Footprint(9, False, takers[0].watchers, frozenset([TupleId(1, 0)]), ())
+        unhashable = Footprint(9, False, [AtomWatcher(3, ((0, [1]),))], frozenset(), ())
+        for __ in range(2):
+            assert batch.first_conflict_index(retracting) == 0
+            assert batch.first_conflict_index(unhashable) is None
+        assert len(walks) == 5
+
+    def test_append_forgets_the_answers(self):
+        watcher = AtomWatcher(2, ((0, "tok"),))
+        batch = AdmittedBatch([Footprint(1, False, (), frozenset(), ())])
+        assert batch.first_conflict_index(Footprint(2, False, [watcher], frozenset(), ())) is None
+        batch.append(Footprint(3, False, (), frozenset(), [WriteRecord(2, {0: "tok"})]))
+        assert batch.first_conflict_index(Footprint(4, False, [watcher], frozenset(), ())) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,17 @@ def _run(
     worker_timeout=None,
     obs=None,
 ):
-    """One community run; the admission knob is the only variable."""
+    """One community run; the admission knob is the only variable.
+
+    The planner is pinned on: dispatch needs it (``_dispatch_admission``
+    returns nothing without one), and the naive walk is swept by every
+    other suite under ``SDL_PLAN=off``.
+    """
     engine = Engine(
         definitions=[community_worker(), pair_merger()],
         seed=seed,
         commit=commit,
+        plan="on",
         shards=shards,
         store=store,
         workers=workers,
