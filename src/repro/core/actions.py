@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from repro.core.expressions import Var, as_expr
+from repro.core.expressions import Var, as_expr, is_pure
 from repro.core.patterns import Pattern, pattern as make_pattern
 from repro.errors import ActionError
 
@@ -34,6 +34,7 @@ __all__ = [
     "Abort",
     "Skip",
     "CallPython",
+    "pure_actions",
     "let",
     "assert_tuple",
     "spawn",
@@ -172,3 +173,31 @@ def validate_actions(actions: tuple[Action, ...], quantifier: str) -> None:
         for action in actions:
             if isinstance(action, Let):
                 raise ActionError("let is ambiguous under a ∀ query; use ∃")
+
+
+def pure_actions(actions: tuple[Action, ...]) -> bool:
+    """Is every action in the pure fragment?
+
+    ``let`` bodies, assertion templates and spawn arguments built from
+    window-free, RNG-free expressions (:func:`~repro.core.expressions.is_pure`),
+    plus the control actions.  ``CallPython`` is a host effect and never
+    pure.  Pure actions read no window, and may be staged off the main
+    process.
+    """
+    for action in actions:
+        if isinstance(action, (Exit, Abort, Skip)):
+            continue
+        if isinstance(action, Let):
+            if not is_pure(action.expr):
+                return False
+        elif isinstance(action, AssertTuple):
+            for element in action.pattern.elements:
+                expr = getattr(element, "expr", None)
+                if expr is not None and not is_pure(expr):
+                    return False
+        elif isinstance(action, Spawn):
+            if not all(is_pure(arg) for arg in action.args):
+                return False
+        else:  # CallPython, or a future action kind
+            return False
+    return True

@@ -12,10 +12,12 @@ The paper (Section 2.2)::
   ready, then commits as part of a composite transaction
   (:mod:`repro.core.consensus`).
 
-This module is scheduler-agnostic: :func:`execute` performs the atomic
-data transformation of a single transaction against a window and reports a
-:class:`TransactionOutcome`; the runtime engine decides *when* to call it
-(and, for delayed/consensus, when to retry).
+This module is scheduler-agnostic.  A transaction is *staged*, then
+*applied*: :func:`stage` evaluates the query and the action list against a
+window into a :class:`TransactionOutcome` without touching anything, and
+:func:`apply` is the only code that then mutates the dataspace, so an
+action that raises leaves ``(D, S)`` as it was.  The runtime engine
+decides *when* to call them (and, for delayed/consensus, when to retry).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.actions import (
     Abort,
@@ -34,6 +36,7 @@ from repro.core.actions import (
     Let,
     Skip,
     Spawn,
+    pure_actions,
     validate_actions,
 )
 from repro.core.expressions import Bindings, EvalContext
@@ -48,6 +51,10 @@ __all__ = [
     "Transaction",
     "TransactionOutcome",
     "action_error",
+    "stage",
+    "stage_actions",
+    "settle",
+    "apply",
     "execute",
     "immediate",
     "delayed",
@@ -76,9 +83,14 @@ class Control(enum.Enum):
 
 
 class Transaction:
-    """An immutable transaction: query, mode, action list, optional label."""
+    """An immutable transaction: query, mode, action list, optional label.
 
-    __slots__ = ("query", "mode", "actions", "label")
+    ``pure`` says whether every action is in the pure fragment
+    (:func:`~repro.core.actions.pure_actions`): such a list reads no
+    window while it is staged, and may be staged on a pool worker.
+    """
+
+    __slots__ = ("query", "mode", "actions", "label", "pure")
 
     def __init__(
         self,
@@ -94,9 +106,7 @@ class Transaction:
         self.actions = tuple(actions)
         self.label = label
         validate_actions(self.actions, self.query.quantifier)
-        if mode is Mode.IMMEDIATE and self.query.is_trivial() and not self.actions:
-            # Legal but useless; allowed for tests.
-            pass
+        self.pure = pure_actions(self.actions)
 
     def with_actions(self, *actions: Action) -> "Transaction":
         return Transaction(self.query, self.mode, self.actions + tuple(actions), self.label)
@@ -116,7 +126,18 @@ class Transaction:
 
 @dataclass(slots=True)
 class TransactionOutcome:
-    """Everything a committed (or failed) transaction did."""
+    """A transaction's effect: staged by :func:`stage`, carried out by
+    :func:`apply`.
+
+    Staging fills everything but ``asserted``: the instances the query
+    retracts, the export-checked values to assert (``assertions``, for
+    ``owner``), spawns, ``let`` values, control and the ``CallPython``
+    callbacks with their bindings.  ``asserted`` holds the instances
+    :func:`apply` inserted for it (left empty on the members of a
+    consensus composite, whose assertions are reported on the composite).
+    ``error`` is what an action raised while staging; :func:`settle`
+    raises it.
+    """
 
     success: bool
     control: Control = Control.NONE
@@ -126,20 +147,167 @@ class TransactionOutcome:
     spawned: list[tuple[str, tuple]] = field(default_factory=list)
     match_count: int = 0
     reads: int = 0
+    owner: int = 0
+    assertions: list[tuple] = field(default_factory=list)
+    callbacks: list[tuple[Callable, dict[str, Any]]] = field(default_factory=list)
+    error: Exception | None = None
 
     @classmethod
     def failure(cls) -> "TransactionOutcome":
         return cls(success=False)
 
 
-def check_ready(
+def stage(
     txn: Transaction,
     window: Window,
     params: Mapping[str, Any],
+    owner: int,
     rng: random.Random | None = None,
-) -> QueryResult:
-    """Evaluate the query side only (no effects) — used for readiness probes."""
-    return txn.query.evaluate(window.refresh(), params, rng)
+    result: QueryResult | None = None,
+    export_policy: str = "error",
+    before: Sequence[QueryResult] = (),
+) -> TransactionOutcome:
+    """Evaluate *txn* for the process owning *window* into its effect.
+
+    Nothing is mutated: the dataspace changes only when :func:`apply`
+    carries the effect out.  The query is evaluated against the window
+    (unless a pre-computed *result* is supplied), then the action list:
+    per-match actions (assertions, spawns, callbacks) once per ∀ match,
+    once in total under ∃; ``let`` and control actions once.  Actions read
+    the window minus the retractions staged so far: *result*'s, and those
+    of *before*, the results staged ahead of this one in a composite.
+
+    Raises what an action raised, or :class:`ExportViolation`; either way
+    nothing has been applied.
+    """
+    if result is None:
+        result = txn.query.evaluate(window.refresh(), params, rng)
+    if not result.success:
+        return TransactionOutcome.failure()
+    matches = result.matches
+    effect = stage_actions(
+        TransactionOutcome(success=True),
+        txn.actions,
+        dict(result.bindings) if matches else dict(params),
+        [match.bindings for match in matches],
+        window if txn.pure else _Unretracted(window, (*before, result)),
+        rng,
+    )
+    return settle(effect, result, window, owner, export_policy, before)
+
+
+def stage_actions(
+    effect: TransactionOutcome,
+    actions: Sequence[Action],
+    once_env: dict[str, Any],
+    match_bindings: Sequence[Mapping[str, Any]],
+    window: Any = None,
+    rng: random.Random | None = None,
+) -> TransactionOutcome:
+    """Evaluate *actions* into *effect*, touching nothing.
+
+    ``let`` bodies extend *once_env* (in place); per-match actions run
+    under each of *match_bindings* plus the ``let`` values, or under
+    *once_env* when there are none.  *window* serves ``Membership``
+    sub-queries; the worker pool stages the pure fragment with none.  An
+    action that raises stops the staging: its error (typed by
+    :func:`action_error`) is kept in ``effect.error``, after what was
+    staged before it.
+    """
+    lets = effect.lets
+    action = env = None
+    try:
+        for action in actions:
+            if isinstance(action, Let):
+                env = once_env
+                ctx = EvalContext(Bindings(env), window=window, rng=rng)
+                lets[action.name] = once_env[action.name] = action.expr.evaluate(ctx)
+            elif isinstance(action, Exit):
+                effect.control = Control.EXIT
+            elif isinstance(action, Abort):
+                effect.control = Control.ABORT
+            elif isinstance(action, Skip):
+                pass
+            else:
+                envs = (
+                    [{**bindings, **lets} for bindings in match_bindings]
+                    if match_bindings
+                    else [once_env]
+                )
+                for env in envs:
+                    ctx = EvalContext(Bindings(env), window=window, rng=rng)
+                    if isinstance(action, AssertTuple):
+                        effect.assertions.append(action.pattern.instantiate(ctx))
+                    elif isinstance(action, Spawn):
+                        args = tuple(arg.evaluate(ctx) for arg in action.args)
+                        effect.spawned.append((action.process_name, args))
+                    elif isinstance(action, CallPython):
+                        effect.callbacks.append((action.callback, dict(env)))
+                    else:  # pragma: no cover - future action kinds
+                        raise TransactionError(f"unknown action {action!r}")
+    except SDLError as exc:
+        effect.error = exc
+    except Exception as exc:
+        effect.error = action_error(action, env, exc)
+        effect.error.__cause__ = exc
+    return effect
+
+
+def settle(
+    effect: TransactionOutcome,
+    result: QueryResult,
+    window: Window,
+    owner: int,
+    export_policy: str = "error",
+    before: Sequence[QueryResult] = (),
+) -> TransactionOutcome:
+    """Complete a staged action half — :func:`stage`'s own or a pool
+    worker's — on the main process.
+
+    Records the query half from *result* (its retractions and reads),
+    export-checks the staged assertions in order, then raises the error
+    an action raised: the order a serial evaluation meets them in.  The
+    ``where`` atoms of an export rule read the dataspace minus the
+    retractions of *result* and of *before*.  Under
+    ``export_policy="drop"`` a value outside the export set is dropped.
+    """
+    effect.owner = owner
+    matches = result.matches
+    effect.match_count = len(matches)
+    reads = 0
+    for match in matches:
+        effect.retracted.extend(match.retracted)
+        reads += len(match.instances)
+    effect.reads = reads
+    assertions = effect.assertions
+    view = window.view
+    if assertions and view.exports is not None:
+        space = _Unretracted(window.dataspace, (*before, result))
+        kept = []
+        for values in assertions:
+            if view.exports_value(values, space, window.params):
+                kept.append(values)
+            elif export_policy != "drop":
+                raise ExportViolation(str(owner), values)
+        effect.assertions = kept
+    if effect.error is not None:
+        raise effect.error
+    return effect
+
+
+def apply(effects: Sequence[TransactionOutcome], dataspace: Any) -> list[TupleInstance]:
+    """Carry out staged *effects* as one transaction and return the
+    asserted instances: every retraction, then every assertion, each in
+    effect order.  The only code that mutates the dataspace for a
+    transaction; the callers run the staged callbacks afterwards."""
+    for effect in effects:
+        for inst in effect.retracted:
+            dataspace.retract(inst.tid)
+    asserted = []
+    for effect in effects:
+        for values in effect.assertions:
+            asserted.append(dataspace.insert(values, effect.owner))
+    return asserted
 
 
 def execute(
@@ -149,118 +317,68 @@ def execute(
     owner: int,
     rng: random.Random | None = None,
     result: QueryResult | None = None,
-    assert_sink: list[tuple[tuple, int]] | None = None,
     export_policy: str = "error",
-    suppress_callbacks: bool = False,
 ) -> TransactionOutcome:
-    """Atomically apply *txn* for the process owning *window*.
+    """:func:`stage`, :func:`apply`, then the staged callbacks, in action
+    order — for callers that do not split the transaction."""
+    effect = stage(txn, window, params, owner, rng, result, export_policy)
+    if effect.success:
+        effect.asserted = apply((effect,), window.dataspace)
+        for callback, env in effect.callbacks:
+            callback(env)
+    return effect
 
-    The query is evaluated against the window (unless a pre-computed
-    *result* is supplied — the consensus engine evaluates members itself),
-    matched retract-tagged instances are retracted from the underlying
-    dataspace, and the action list is carried out: per-match actions
-    (assertions, spawns, callbacks) run once per ∀ match, once total under
-    ∃; ``let``/control actions run once.
 
-    If *assert_sink* is given, assertions are appended to it as
-    ``(values, owner)`` pairs instead of being inserted — the consensus
-    engine uses this to realise "retractions first, then the corresponding
-    additions" across all participants.
+class _Unretracted:
+    """A window, or a dataspace, minus the instances staged query
+    *results* retract.
 
-    *suppress_callbacks* skips ``CallPython`` actions: the serial-replay
-    validator re-executes committed transactions against a scratch
-    dataspace and must not fire user effects twice.
+    ``Membership`` sub-queries of a transaction's actions, and the
+    ``where`` atoms of its export rules, read through it, so they see what
+    they would after the retractions, before anything is applied.  Rows
+    keep their order, so a search draws from the RNG as it would over the
+    retracted window; only the planner's join-order estimates still read
+    the dataspace as the transaction found it.  A retraction can only
+    shrink a ``where``-view's imports, so over such a window the rows
+    left are decided again against the dataspace minus the retractions.
     """
-    dataspace = window.dataspace
-    if result is None:
-        result = txn.query.evaluate(window.refresh(), params, rng)
-    if not result.success:
-        return TransactionOutcome.failure()
 
-    outcome = TransactionOutcome(success=True, match_count=len(result.matches))
-    outcome.reads = sum(len(m.instances) for m in result.matches)
+    __slots__ = ("source", "results", "_hidden")
 
-    # 1. retraction of selected tuples
-    for match in result.matches:
-        for inst in match.retracted:
-            dataspace.retract(inst.tid)
-            outcome.retracted.append(inst)
+    def __init__(self, source: Any, results: Sequence[QueryResult]) -> None:
+        self.source = source
+        self.results = results
+        self._hidden: set | None = None
 
-    # 2. action list
-    once_bindings = result.bindings if result.matches else dict(params)
-    env_for_once = dict(once_bindings)
+    @property
+    def planner(self):
+        return getattr(self.source, "planner", None)
 
-    for action in txn.actions:
-        if isinstance(action, Let):
-            ctx = EvalContext(Bindings(env_for_once), window=window, rng=rng)
-            try:
-                value = action.expr.evaluate(ctx)
-            except SDLError:
-                raise
-            except Exception as exc:
-                raise action_error(action, env_for_once, exc) from exc
-            outcome.lets[action.name] = value
-            env_for_once[action.name] = value
-        elif isinstance(action, (Exit, Abort, Skip)):
-            if isinstance(action, Exit):
-                outcome.control = Control.EXIT
-            elif isinstance(action, Abort):
-                outcome.control = Control.ABORT
-        elif isinstance(action, (AssertTuple, Spawn, CallPython)):
-            match_envs = (
-                [{**m.bindings, **outcome.lets} for m in result.matches]
-                if result.matches
-                else [env_for_once]
-            )
-            if suppress_callbacks and isinstance(action, CallPython):
-                continue
-            for env in match_envs:
-                _apply_per_match(
-                    action, env, window, dataspace, owner, rng, outcome,
-                    assert_sink, export_policy,
-                )
-        else:  # pragma: no cover - future action kinds
-            raise TransactionError(f"unknown action {action!r}")
-    return outcome
+    def _visible(self, rows: list[TupleInstance]) -> list[TupleInstance]:
+        hidden = self._hidden
+        if hidden is None:
+            hidden = self._hidden = {
+                inst.tid
+                for result in self.results
+                for match in result.matches
+                for inst in match.retracted
+            }
+        if not hidden:
+            return rows
+        rows = [inst for inst in rows if inst.tid not in hidden]
+        view = getattr(self.source, "view", None)
+        if view is not None and view.config_dependent:
+            space = _Unretracted(self.source.dataspace, self.results)
+            space._hidden = hidden
+            params = self.source.params
+            rows = [inst for inst in rows if view.imports_value(inst.values, space, params)]
+        return rows
 
+    def candidates(self, pat: Any, bound: Mapping[str, Any] | None = None) -> list[TupleInstance]:
+        return self._visible(self.source.candidates(pat, bound))
 
-def _apply_per_match(
-    action: Action,
-    env: dict[str, Any],
-    window: Window,
-    dataspace: Any,
-    owner: int,
-    rng: random.Random | None,
-    outcome: TransactionOutcome,
-    assert_sink: list[tuple[tuple, int]] | None,
-    export_policy: str = "error",
-) -> None:
-    ctx = EvalContext(Bindings(env), window=window, rng=rng)
-    if isinstance(action, AssertTuple):
-        try:
-            values = action.pattern.instantiate(ctx)
-        except SDLError:
-            raise
-        except Exception as exc:
-            raise action_error(action, env, exc) from exc
-        if not window.exports_value(values):
-            if export_policy == "drop":
-                return
-            raise ExportViolation(str(owner), values)
-        if assert_sink is not None:
-            assert_sink.append((values, owner))
-        else:
-            outcome.asserted.append(dataspace.insert(values, owner))
-    elif isinstance(action, Spawn):
-        try:
-            args = tuple(a.evaluate(ctx) for a in action.args)
-        except SDLError:
-            raise
-        except Exception as exc:
-            raise action_error(action, env, exc) from exc
-        outcome.spawned.append((action.process_name, args))
-    elif isinstance(action, CallPython):
-        action.callback(dict(env))
+    def candidates_probed(self, arity: int, probes: list) -> list[TupleInstance]:
+        return self._visible(self.source.candidates_probed(arity, probes))
 
 
 def action_error(

@@ -59,7 +59,7 @@ from repro.core.actions import AssertTuple, Let
 from repro.core.dataspace import Dataspace
 from repro.core.patterns import pattern
 from repro.core.query import FORALL, Match, QueryResult
-from repro.core.transactions import Transaction, execute
+from repro.core.transactions import Transaction, apply, stage
 from repro.core.tuples import TupleId
 from repro.errors import EngineError, QueryError
 from repro.runtime.wakeup import AtomWatcher, _expr_watchers, derive_subscription
@@ -590,7 +590,7 @@ def validate_serial_equivalence(
     recorded bindings, and retracting value-equal twins of the instances
     the batch retracted — and asserts the resulting multiset equals the
     batch-committed one.
-    Effectful callbacks are suppressed, and a private RNG keeps the check
+    The staged callbacks are never run, and a private RNG keeps the check
     invisible to the engine's seeded arbitration stream.
 
     Raises :class:`EngineError` on any divergence — a conflict the admission
@@ -615,16 +615,7 @@ def validate_serial_equivalence(
                 f"{round_count}: {txn!r} (pid {process.pid}) committed in "
                 f"the batch but fails when replayed serially"
             )
-        execute(
-            txn,
-            window,
-            scope,
-            owner=process.pid,
-            rng=rng,
-            result=replayed,
-            export_policy=export_policy,
-            suppress_callbacks=True,
-        )
+        apply((stage(txn, window, scope, process.pid, rng, replayed, export_policy),), scratch)
     if scratch.multiset() != dict(post_multiset):
         raise EngineError(
             f"group commit violated serial equivalence in round "

@@ -29,7 +29,8 @@ from repro.core.transactions import (
     Mode,
     Transaction,
     TransactionOutcome,
-    execute,
+    apply,
+    stage,
 )
 from repro.core.tuples import TupleInstance
 from repro.errors import EngineError
@@ -334,17 +335,12 @@ class Executor:
                         raise _Crashed
                     if action == "abort-txn":
                         continue
-                outcome = execute(
-                    guard,
-                    window,
-                    scope,
-                    owner=pump.process.pid,
-                    rng=engine.rng,
-                    result=result,
-                    export_policy=engine.export_policy,
+                outcome = stage(
+                    guard, window, scope, pump.process.pid, engine.rng, result,
+                    engine.export_policy,
                 )
                 engine.step_count += 1
-                self._after_commit(pump.process, guard, outcome)
+                self._commit(pump.process, guard, outcome)
                 engine.trace.emit(
                     ReplicaSpawned(engine.step_count, engine.round_count, pump.process.pid, index)
                 )
@@ -514,68 +510,52 @@ class Executor:
     # ------------------------------------------------------------------
     def _attempt(self, task: Task, txn: Transaction) -> TransactionOutcome:
         engine = self.engine
-        window = engine.window(task.process)
-        if engine.faults is None:
-            outcome = execute(
-                txn,
-                window,
-                task.process.scope(),
-                owner=task.process.pid,
-                rng=engine.rng,
-                export_policy=engine.export_policy,
-            )
+        process = task.process
+        window = engine.window(process)
+        scope = process.scope()
+        result = txn.query.evaluate(window.refresh(), scope, engine.rng)
+        if engine.faults is not None and self._faulted(process, result.success):
+            outcome = TransactionOutcome.failure()
         else:
-            outcome = self._attempt_with_faults(task, txn, window)
+            outcome = stage(
+                txn, window, scope, process.pid, engine.rng, result, engine.export_policy
+            )
         if outcome.success:
-            self._after_commit(task.process, txn, outcome)
+            self._commit(process, txn, outcome)
         else:
             engine.trace.emit(
                 TxnFailed(
-                    engine.step_count, engine.round_count, task.process.pid,
+                    engine.step_count, engine.round_count, process.pid,
                     txn.mode.name, txn.label,
                 )
             )
         return outcome
 
-    def _attempt_with_faults(self, task: Task, txn: Transaction, window) -> TransactionOutcome:
-        """The :meth:`_attempt` body with fault sites threaded through.
+    def _faulted(self, process: ProcessInstance, matched: bool) -> bool:
+        """Fire the ``post-match`` site, and for a match about to commit
+        the ``pre-commit`` site, between the query and staging.  A crash
+        unwinds with :class:`_Crashed`; ``abort-txn`` answers True.
 
-        The query is evaluated *here* (then handed to :func:`execute` via
-        ``result=``) so the ``post-match`` and ``pre-commit`` sites can sit
-        between verdict and effects; the RNG stream is identical to the
-        fault-free path because ``execute`` skips re-evaluation.  The
-        ``pre-commit`` site fires only on about-to-commit attempts, making
-        its per-process occurrence count equal the process's commit index —
+        ``pre-commit`` fires only on about-to-commit attempts, so its
+        per-process occurrence count equals the process's commit index —
         the property that keeps ``at=``-keyed plans aligned across commit
         modes.
         """
-        engine = self.engine
-        faults = engine.faults
-        process = task.process
-        scope = process.scope()
-        result = txn.query.evaluate(window.refresh(), scope, engine.rng)
-        action = faults.fire("post-match", process.pid, process.name)
-        if action == "crash":
-            self.crash_process(process, "post-match")
-            raise _Crashed
-        if action == "abort-txn":
-            return TransactionOutcome.failure()
-        if result.success:
-            action = faults.fire("pre-commit", process.pid, process.name)
+        for site in ("post-match", "pre-commit") if matched else ("post-match",):
+            action = self.engine.faults.fire(site, process.pid, process.name)
             if action == "crash":
-                self.crash_process(process, "pre-commit")
+                self.crash_process(process, site)
                 raise _Crashed
             if action == "abort-txn":
-                return TransactionOutcome.failure()
-        return execute(
-            txn,
-            window,
-            scope,
-            owner=process.pid,
-            rng=engine.rng,
-            result=result,
-            export_policy=engine.export_policy,
-        )
+                return True
+        return False
+
+    def _commit(
+        self, process: ProcessInstance, txn: Transaction, outcome: TransactionOutcome
+    ) -> None:
+        """Apply a staged *outcome*, then do what follows a commit."""
+        outcome.asserted = apply((outcome,), self.engine.dataspace)
+        self._after_commit(process, txn, outcome)
 
     def _after_commit(
         self, process: ProcessInstance, txn: Transaction, outcome: TransactionOutcome
@@ -600,6 +580,9 @@ class Executor:
         )
         if outcome.asserted or outcome.retracted:
             self._wake_on_change(outcome.asserted + outcome.retracted)
+        # Last, so a raising callback finds the commit fully accounted for.
+        for callback, env in outcome.callbacks:
+            callback(env)
 
     # ------------------------------------------------------------------
     # blocking and wakeups
@@ -796,22 +779,26 @@ class Executor:
         return None
 
     def _fire_consensus(self, participants: list[ConsensusParticipant], effect) -> None:
+        """Commit the composite: stage every participant in pid order,
+        each against its window minus the retractions staged before it,
+        then apply all retractions and all assertions once."""
         engine = self.engine
-        sink: list[tuple[tuple, int]] = []
+        staged: list = []
         outcomes: dict[int, TransactionOutcome] = {}
         for participant in sorted(participants, key=lambda p: p.pid):
-            outcome = execute(
+            result = effect.results[participant.pid]
+            outcomes[participant.pid] = stage(
                 participant.transaction,
                 participant.window,
                 participant.scope,
-                owner=participant.pid,
-                rng=engine.rng,
-                result=effect.results[participant.pid],
-                assert_sink=sink,
-                export_policy=engine.export_policy,
+                participant.pid,
+                engine.rng,
+                result,
+                engine.export_policy,
+                staged,
             )
-            outcomes[participant.pid] = outcome
-        asserted = [engine.dataspace.insert(values, owner) for values, owner in sink]
+            staged.append(result)
+        asserted = apply(list(outcomes.values()), engine.dataspace)
         engine.trace.emit(
             ConsensusFired(
                 engine.step_count,
@@ -821,7 +808,7 @@ class Executor:
                 len(asserted),
             )
         )
-        changed: list[TupleInstance] = list(asserted)
+        changed = asserted
         for outcome in outcomes.values():
             changed.extend(outcome.retracted)
         # resume every participant

@@ -47,9 +47,9 @@ process, once per dispatched group, so schedules are deterministic):
 * ``worker-exec`` — a shard-disjoint group is about to be shipped to a
   pool worker.  ``worker-crash`` kills the worker process mid-evaluation
   (breaking the pool), ``worker-hang`` makes it sleep past the engine's
-  deadline, ``garbage-plan`` returns a corrupted
-  :class:`~repro.runtime.parallel.ActionPlan` that main-side validation
-  must reject before replay.
+  deadline, ``garbage-plan`` returns a corrupted staged effect
+  (:class:`~repro.core.transactions.TransactionOutcome`) that main-side
+  validation must reject before it is applied.
 * ``admit-dispatch`` — an admission task (one shard's batch of match
   candidates, ``admit="parallel"``) is about to be shipped to a pool
   worker.  ``worker-crash`` is the apply-phase crash at admission time;

@@ -4,25 +4,29 @@ The paper's §3 community model promises that processes in disjoint
 communities "proceed with full parallelism".  Group commit (PR 2) proves
 an admitted batch conflict-free, and sharded storage (PR 6) labels every
 footprint with the shards it touches — this module cashes both in: when
-an admitted batch partitions into **shard-disjoint groups**, the pure
-*evaluation* half of each group's apply phase runs on a worker, and only
-the *mutation* half is replayed on the main process, in admitted order.
+an admitted batch partitions into **shard-disjoint groups**, each
+group's action lists are *staged* on a worker, and only the *apply* half
+runs on the main process, in admitted order.
 
 The split is what makes determinism cheap instead of heroic:
 
 * a worker receives only picklable, dataspace-free inputs — the action
   list, the once-environment, and the per-match binding dicts — and
-  returns an :class:`ActionPlan`: the ordered ``assert``/``spawn`` ops,
-  ``let`` values, control effect, and any exception the evaluation
-  raised, exactly as serial :func:`~repro.core.transactions.execute`
-  would have produced them;
-* the main process then **replays** every plan in admitted order against
-  the live dataspace (:func:`replay_plan`): serials, versions, journal
-  entries, wakeups, spawn pids, and checkpoint contents are assigned by
-  the same code on the same process as ``workers=1``, so they are
-  bit-identical by construction rather than by reconciliation;
+  stages them with the main process's own
+  :func:`~repro.core.transactions.stage_actions` into a
+  :class:`~repro.core.transactions.TransactionOutcome`: the assertion
+  values, spawns, ``let`` values, control, and any error an action
+  raised;
+* the main process then validates each effect (:func:`validate_plan`),
+  settles it — the query's retractions, the export check, the raise of
+  a staged error — and applies it in admitted order
+  (:func:`~repro.core.transactions.apply`), so an action that raised on
+  a worker applies nothing.  Serials, versions, journal entries,
+  wakeups, spawn pids, and checkpoint contents are assigned by the same
+  code on the same process as ``workers=1``, so they are bit-identical
+  by construction rather than by reconciliation;
 * the engine RNG is never shipped to a worker.  Eligibility
-  (:func:`worker_eligible`) admits only *pure* action lists — no
+  (``Transaction.pure``) admits only *pure* action lists — no
   ``CallPython``, no window-reading ``Membership`` sub-queries — which
   by definition never consume the RNG, so the main-process RNG stream is
   untouched by where evaluation ran.
@@ -46,11 +50,12 @@ quarantines the group straight to serial — one deadline is the most a
 wedged worker may cost a round.  A broken pool (a worker died
 mid-evaluation) is discarded, respawned, and the group retried with
 capped backoff up to ``retries`` times before quarantining.  Returned
-plans are **validated** against the candidate's admitted footprint
-(:func:`validate_plan`) before replay — op shapes, op counts implied by
-the admitted match multiplicity, and shard containment of every assert —
-so a garbage plan is rejected and re-executed serially rather than
-mutating state the admission proof never covered.  Repeated failure
+effects are **validated** against the candidate's admitted footprint
+(:func:`validate_plan`) before they are applied — field shapes, the
+assertion and spawn counts implied by the admitted match multiplicity,
+and shard containment of every assertion — so a garbage effect is
+rejected and staged again on the main process rather than mutating state
+the admission proof never covered.  Repeated failure
 (``_QUARANTINE_LIMIT`` quarantines or rejects) disables the pool for the
 rest of the run: full degradation to serial apply.  Seeded worker faults
 (``worker-exec`` site: ``worker-crash``/``worker-hang``/``garbage-plan``)
@@ -97,34 +102,23 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolEx
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from repro.core.actions import (
-    Abort,
-    AssertTuple,
-    CallPython,
-    Exit,
-    Let,
-    Skip,
-    Spawn,
-)
+from repro.core.actions import AssertTuple, Spawn
 from repro.core.dataspace import DataspaceChange
 from repro.core.expressions import Bindings, EvalContext, is_pure
 from repro.core.plan import PlanStep, compile_pattern
 from repro.core.storage import cut_at_serial
-from repro.core.transactions import Control, Transaction, TransactionOutcome, action_error
-from repro.errors import ExportViolation, SDLError, TransactionError
+from repro.core.transactions import (
+    Control, Transaction, TransactionOutcome, stage_actions,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.query import Query, QueryResult
-    from repro.core.views import Window
 
 __all__ = [
     "WorkerSpec",
     "resolve_workers",
-    "worker_eligible",
     "partition_disjoint",
-    "ActionPlan",
     "evaluate_candidates",
-    "replay_plan",
     "validate_plan",
     "ship_shard",
     "load_shard",
@@ -193,40 +187,6 @@ def resolve_workers(spec: "str | int | None") -> WorkerSpec | None:
 
 
 # ----------------------------------------------------------------------
-# eligibility: the pure-action fragment
-# ----------------------------------------------------------------------
-
-def worker_eligible(txn: Transaction) -> bool:
-    """Can *txn*'s action list be evaluated off the main process?
-
-    True iff every action is in the pure fragment: ``let`` bodies, assert
-    templates, and spawn arguments built from window-free expressions,
-    plus the control actions.  ``CallPython`` is a host effect and always
-    ineligible.  Queries are *not* examined — they were already evaluated
-    on the main process during admission.
-    """
-    for action in txn.actions:
-        if isinstance(action, (Exit, Abort, Skip)):
-            continue
-        if isinstance(action, Let):
-            if not is_pure(action.expr):
-                return False
-        elif isinstance(action, AssertTuple):
-            for element in action.pattern.elements:
-                expr = getattr(element, "expr", None)
-                if expr is not None and not is_pure(expr):
-                    return False
-        elif isinstance(action, Spawn):
-            if not all(is_pure(arg) for arg in action.args):
-                return False
-        elif isinstance(action, CallPython):
-            return False
-        else:  # pragma: no cover - future action kinds
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
 # group partitioning
 # ----------------------------------------------------------------------
 
@@ -266,145 +226,27 @@ def partition_disjoint(
 
 
 # ----------------------------------------------------------------------
-# the worker side: pure action evaluation
+# the worker side: pure action staging
 # ----------------------------------------------------------------------
-
-class ActionPlan:
-    """The effect list of one candidate's evaluated actions.
-
-    ``ops`` is the ordered mutation script — ``("assert", values)`` and
-    ``("spawn", name, args)`` entries exactly as serial ``execute`` would
-    have performed them; ``error`` carries the exception (if any) the
-    evaluation raised after the recorded ops, so replay can reproduce a
-    partial serial failure bit-for-bit.
-    """
-
-    __slots__ = ("ops", "lets", "control", "error")
-
-    def __init__(self) -> None:
-        self.ops: list[tuple] = []
-        self.lets: dict[str, Any] = {}
-        self.control = Control.NONE
-        self.error: BaseException | None = None
-
-    def __repr__(self) -> str:
-        err = f", error={self.error!r}" if self.error is not None else ""
-        return f"ActionPlan(ops={len(self.ops)}, control={self.control.name}{err})"
-
-
-def _evaluate_one(
-    actions: tuple, once_env: dict[str, Any], match_bindings: list[dict[str, Any]]
-) -> ActionPlan:
-    """Evaluate one candidate's pure action list into an :class:`ActionPlan`.
-
-    Mirrors the action half of :func:`repro.core.transactions.execute`
-    statement for statement — same env threading, same per-match loops —
-    with mutations recorded instead of performed.  Exceptions are caught
-    into ``plan.error`` after the ops already recorded, matching the
-    partial effects a serial failure would have applied.
-    """
-    plan = ActionPlan()
-    env_for_once = dict(once_env)
-    try:
-        for action in actions:
-            if isinstance(action, Let):
-                ctx = EvalContext(Bindings(env_for_once))
-                value = action.expr.evaluate(ctx)
-                plan.lets[action.name] = value
-                env_for_once[action.name] = value
-            elif isinstance(action, (Exit, Abort, Skip)):
-                if isinstance(action, Exit):
-                    plan.control = Control.EXIT
-                elif isinstance(action, Abort):
-                    plan.control = Control.ABORT
-            elif isinstance(action, (AssertTuple, Spawn)):
-                match_envs = (
-                    [{**bindings, **plan.lets} for bindings in match_bindings]
-                    if match_bindings
-                    else [env_for_once]
-                )
-                for env in match_envs:
-                    ctx = EvalContext(Bindings(env))
-                    try:
-                        if isinstance(action, AssertTuple):
-                            op = ("assert", action.pattern.instantiate(ctx))
-                        else:
-                            args = tuple(a.evaluate(ctx) for a in action.args)
-                            op = ("spawn", action.process_name, args)
-                    except SDLError:
-                        raise
-                    except Exception as exc:
-                        raise action_error(action, env, exc) from exc
-                    plan.ops.append(op)
-            else:  # pragma: no cover - guarded by worker_eligible
-                raise TransactionError(f"unknown action {action!r}")
-    except Exception as exc:
-        plan.error = exc
-    return plan
-
 
 def evaluate_candidates(
     candidates: list[tuple[tuple, dict[str, Any], list[dict[str, Any]]]]
-) -> tuple[list[ActionPlan], int]:
-    """Worker entry point: evaluate one shard-disjoint group of candidates.
+) -> tuple[list[TransactionOutcome], int]:
+    """Worker entry point: stage one shard-disjoint group of candidates.
 
-    Returns the plans (one per candidate, in group order) and the
-    wall-clock nanoseconds the evaluation took — the per-worker apply
-    histogram's sample.  Must stay a module-level function: process
-    pools pickle it by reference.
+    Each candidate's pure action list is staged by the same
+    :func:`~repro.core.transactions.stage_actions` the main process
+    uses, without a window.  Returns the effects (one per candidate, in
+    group order) and the wall-clock nanoseconds the staging took — the
+    per-worker apply histogram's sample.  Must stay a module-level
+    function: process pools pickle it by reference.
     """
     start = time.perf_counter_ns()
-    plans = [
-        _evaluate_one(actions, once_env, match_bindings)
+    effects = [
+        stage_actions(TransactionOutcome(success=True), actions, once_env, match_bindings)
         for actions, once_env, match_bindings in candidates
     ]
-    return plans, time.perf_counter_ns() - start
-
-
-# ----------------------------------------------------------------------
-# the main-process side: plan replay
-# ----------------------------------------------------------------------
-
-def replay_plan(
-    plan: ActionPlan,
-    result: "QueryResult",
-    window: "Window",
-    owner: int,
-    export_policy: str = "error",
-) -> TransactionOutcome:
-    """Apply a worker-evaluated plan to the live dataspace, in admitted order.
-
-    This is the mutation half of :func:`~repro.core.transactions.execute`:
-    retract the query's selected instances, then perform the recorded ops
-    against the dataspace through the owner's window (export checks
-    included — views are main-process state and never ship to workers).
-    Serial numbers, journal versions, and listener notifications are all
-    assigned here, so the outcome is indistinguishable from serial apply.
-    """
-    dataspace = window.dataspace
-    outcome = TransactionOutcome(success=True, match_count=len(result.matches))
-    outcome.reads = sum(len(m.instances) for m in result.matches)
-    for match in result.matches:
-        for inst in match.retracted:
-            dataspace.retract(inst.tid)
-            outcome.retracted.append(inst)
-    for op in plan.ops:
-        if op[0] == "assert":
-            values = op[1]
-            if not window.exports_value(values):
-                if export_policy == "drop":
-                    continue
-                raise ExportViolation(str(owner), values)
-            outcome.asserted.append(dataspace.insert(values, owner))
-        else:  # spawn
-            outcome.spawned.append((op[1], op[2]))
-    outcome.lets = dict(plan.lets)
-    outcome.control = plan.control
-    if plan.error is not None:
-        # The serial path would have raised here, after the ops above
-        # were already applied — reproduce the same partial failure.
-        raise plan.error
-    return outcome
+    return effects, time.perf_counter_ns() - start
 
 
 def ship_shard(dataspace, shard: int) -> bytes:
@@ -755,75 +597,74 @@ def prepare_match(query: "Query", process, partitioner) -> MatchProbe | None:
 
 
 def validate_plan(
-    plan: "ActionPlan",
+    plan: TransactionOutcome,
     txn: Transaction,
     result: "QueryResult",
     footprint=None,
     partitioner=None,
 ) -> str | None:
-    """Check a worker-returned plan against what admission promised.
+    """Check a worker-staged effect against what admission promised.
 
-    Returns ``None`` when the plan may be replayed, otherwise a short
-    rejection reason.  The checks are exactly the obligations the worker
-    was trusted with and nothing more:
+    Returns ``None`` when the effect may be settled and applied, otherwise
+    a short rejection reason.  The checks are exactly the obligations the
+    worker was trusted with and nothing more:
 
-    * **shape** — ``ops``/``lets``/``control``/``error`` carry the types
-      replay consumes, every op is a well-formed ``assert``/``spawn``;
-    * **multiplicity** — the op count equals (emitting actions ×
-      admitted match count), the number a serial execution of this
-      action list over this query result would have produced (a plan
-      whose evaluation raised may stop short, never run long);
-    * **footprint containment** — every asserted value routes to a shard
+    * **shape** — a committing :class:`TransactionOutcome` whose
+      ``assertions``/``spawned``/``lets``/``control``/``error`` carry the
+      types settling consumes, every assertion a values tuple and every
+      spawn a ``(name, args)`` pair, and nothing only the main process
+      stages (retractions, asserted instances, callbacks);
+    * **multiplicity** — assertions plus spawns number (emitting actions
+      × admitted match count), what staging this action list over this
+      query result yields (an effect whose staging raised may stop short,
+      never run long);
+    * **footprint containment** — every assertion routes to a shard
       inside the candidate's admitted ``write_shards``.  Admission proved
-      the batch conflict-free *under those footprints*; an op outside
-      them would mutate state the proof never covered.
+      the batch conflict-free *under those footprints*; an assertion
+      outside them would mutate state the proof never covered.
 
-    A rejected plan is not an error: the candidate re-executes serially
-    (pure actions, so re-evaluation is effect-free), and the reject is
-    counted — garbage must never reach the dataspace silently.
+    A rejected effect is not an error: the candidate is staged again on
+    the main process (pure actions, so staging is effect-free), and the
+    reject is counted — garbage must never reach the dataspace silently.
     """
-    if type(plan) is not ActionPlan:
+    if type(plan) is not TransactionOutcome or plan.success is not True:
         return "not-a-plan"
-    ops = plan.ops
-    if not isinstance(ops, list):
+    assertions, spawned = plan.assertions, plan.spawned
+    if not isinstance(assertions, list) or not isinstance(spawned, list):
         return "malformed-ops"
     if not isinstance(plan.lets, dict):
         return "malformed-lets"
     if not isinstance(plan.control, Control):
         return "malformed-control"
-    if plan.error is not None and not isinstance(plan.error, BaseException):
+    if plan.error is not None and not isinstance(plan.error, Exception):
         return "malformed-error"
+    if plan.retracted or plan.asserted or plan.callbacks:
+        return "unknown-op"
     emitting = sum(
         1 for action in txn.actions if isinstance(action, (AssertTuple, Spawn))
     )
     expected = emitting * (len(result.matches) or 1)
-    if plan.error is None:
-        if len(ops) != expected:
-            return "op-count"
-    elif len(ops) > expected:
+    staged = len(assertions) + len(spawned)
+    if staged > expected or (plan.error is None and staged != expected):
         return "op-count"
     write_shards = None if footprint is None else footprint.write_shards
-    for op in ops:
-        if not isinstance(op, tuple) or not op:
+    for values in assertions:
+        if not isinstance(values, tuple):
             return "malformed-op"
-        if op[0] == "assert":
-            if len(op) != 2 or not isinstance(op[1], tuple):
-                return "malformed-op"
-            if (
-                partitioner is not None
-                and write_shards is not None
-                and partitioner.shard_of_values(op[1]) not in write_shards
-            ):
-                return "footprint-escape"
-        elif op[0] == "spawn":
-            if (
-                len(op) != 3
-                or not isinstance(op[1], str)
-                or not isinstance(op[2], tuple)
-            ):
-                return "malformed-op"
-        else:
-            return "unknown-op"
+        if (
+            partitioner is not None
+            and write_shards is not None
+            and partitioner.shard_of_values(values) not in write_shards
+        ):
+            return "footprint-escape"
+    for entry in spawned:
+        if (
+            not isinstance(entry, tuple)
+            or len(entry) != 2
+            or not isinstance(entry[0], str)
+            or not isinstance(entry[1], tuple)
+        ):
+            return "malformed-op"
     return None
 
 
@@ -925,12 +766,13 @@ def _hang_worker(payload: Any, seconds: float):
 
 
 def _garbage_worker(payload: Any):
-    """Injected ``garbage-plan``: evaluate honestly, then corrupt every
-    plan with an op that main-side validation must reject before replay."""
-    plans, elapsed = evaluate_candidates(payload)
-    for plan in plans:
-        plan.ops.append(("assert", "__garbage__"))  # not a values tuple
-    return plans, elapsed
+    """Injected ``garbage-plan``: stage honestly, then corrupt every effect
+    with an assertion that main-side validation must reject before it is
+    applied."""
+    effects, elapsed = evaluate_candidates(payload)
+    for effect in effects:
+        effect.assertions.append("__garbage__")  # not a values tuple
+    return effects, elapsed
 
 
 def _stale_snapshot_worker(task: Any):
@@ -1040,7 +882,7 @@ class WorkerPool:
         self.respawns = 0
         #: Groups degraded to serial after exhausting their budget.
         self.quarantined = 0
-        #: Worker plans rejected by main-side validation before replay.
+        #: Worker effects rejected by main-side validation before apply.
         self.plan_rejects = 0
         #: Rounds in which at least one admission task ran on a worker.
         self.admit_rounds = 0
@@ -1065,7 +907,7 @@ class WorkerPool:
             self.disabled = True
 
     def note_reject(self, reason: str) -> None:
-        """Record a validation reject (called from the replay loop)."""
+        """Record a validation reject (called from the Phase C apply loop)."""
         self.plan_rejects += 1
         if self.obs is not None:
             self.obs.count("sdl_worker_plan_rejects_total", reason=reason)
@@ -1158,7 +1000,7 @@ class WorkerPool:
     def dispatch(
         self,
         payloads: list[list[tuple[tuple, dict[str, Any], list[dict[str, Any]]]]],
-    ) -> list[tuple[list[ActionPlan], int] | None]:
+    ) -> list[tuple[list[TransactionOutcome], int] | None]:
         """Evaluate one round's groups on the shared pool, supervised.
 
         Returns one ``(plans, elapsed_ns)`` entry per payload, or ``None``
@@ -1194,7 +1036,7 @@ class WorkerPool:
         inflight = sum(1 for f in futures if f is not None)
         if inflight > self.peak_inflight:
             self.peak_inflight = inflight
-        results: list[tuple[list[ActionPlan], int] | None] = []
+        results: list[tuple[list[TransactionOutcome], int] | None] = []
         for payload, future in zip(payloads, futures):
             if future is None:
                 self.fallbacks += 1

@@ -46,7 +46,9 @@ from repro.core.actions import Let
 from repro.core.query import Match, QueryResult
 from repro.core.matching import rotation_start
 from repro.core.storage import cut_at_serial, cut_len
-from repro.core.transactions import Control, Mode, Transaction, TransactionOutcome, execute
+from repro.core.transactions import (
+    Control, Mode, Transaction, TransactionOutcome, settle, stage,
+)
 from repro.runtime.commit import (
     AdmittedBatch,
     Footprint,
@@ -60,12 +62,9 @@ from repro.runtime.events import ConflictDetected, RoundCommitted, TxnFailed
 from repro.runtime.interpreter import TxnRequest
 from repro.runtime.parallel import (
     _TASK_ENTRIES,
-    ActionPlan,
     partition_disjoint,
     prepare_match,
-    replay_plan,
     validate_plan,
-    worker_eligible,
 )
 from repro.runtime.scheduler import ParkedTxn, Pump, Task, TaskState
 from repro.runtime.wakeup import WAKE_ANY, Subscription
@@ -273,24 +272,25 @@ def run_group_round(executor: "Executor", items: list) -> list:
 
     # Phase C — apply the admitted batch in arbitration order.  When the
     # batch splits into shard-disjoint groups of worker-eligible
-    # candidates, their pure action evaluation is dispatched to the
-    # worker pool (plan), joined, and the resulting plans *replayed* here
-    # in admitted order (merge) — every dataspace mutation, serial,
-    # journal entry, and wakeup still happens on this process, in this
-    # loop, so results are bit-identical to serial apply (see
-    # `repro.runtime.parallel`).  Everything else executes inline.
+    # candidates, their pure action lists are staged on the worker pool
+    # and the returned effects settled and applied here, in admitted
+    # order — every dataspace mutation, serial, journal entry, and wakeup
+    # still happens on this process, in this loop, so results are
+    # bit-identical to serial apply (see `repro.runtime.parallel`).
+    # Everything else is staged inline.
     apply_start = obs.spans.now() if obs is not None else 0
     plans = _parallel_plans(engine, admitted, admitted_fps, sharded, apply_start)
     applied: list[tuple[Task, Transaction, Any]] = []
     for position, (task, txn, result, origin) in enumerate(admitted):
         if task.state is not TaskState.READY:
             continue  # its process crashed after admission (fault injection)
+        window = engine.window(task.process)
         plan = plans.get(position)
         if plan is not None:
-            # The worker is untrusted: before its plan touches the live
-            # dataspace, prove it stays inside what admission proved —
-            # op shapes, the admitted match multiplicity, and the
-            # footprint's write shards.  A reject re-executes serially.
+            # The worker is untrusted: before its effect is settled,
+            # prove it stays inside what admission proved — field shapes,
+            # the admitted match multiplicity, and the footprint's write
+            # shards.  A reject is staged again here.
             reason = validate_plan(
                 plan,
                 txn,
@@ -302,22 +302,13 @@ def run_group_round(executor: "Executor", items: list) -> list:
                 engine.pool.note_reject(reason)
                 plan = None
         if plan is not None:
-            outcome = replay_plan(
-                plan,
-                result,
-                engine.window(task.process),
-                owner=task.process.pid,
-                export_policy=engine.export_policy,
+            outcome = settle(
+                plan, result, window, task.process.pid, engine.export_policy
             )
         else:
-            outcome = execute(
-                txn,
-                engine.window(task.process),
-                task.process.scope(),
-                owner=task.process.pid,
-                rng=engine.rng,
-                result=result,
-                export_policy=engine.export_policy,
+            outcome = stage(
+                txn, window, task.process.scope(), task.process.pid, engine.rng,
+                result, engine.export_policy,
             )
         _deliver_commit(executor, task, txn, outcome, origin)
         applied.append((task, txn, result))
@@ -368,13 +359,13 @@ def _parallel_plans(
     admitted_fps: AdmittedBatch,
     sharded: bool,
     apply_start: int,
-) -> dict[int, ActionPlan]:
-    """Phase C plan/dispatch/join: worker plans keyed by batch position.
+) -> dict[int, TransactionOutcome]:
+    """Phase C plan/dispatch/join: worker-staged effects keyed by batch
+    position.
 
     The dispatch rule: a candidate ships to a worker iff its read side is
-    shard-bounded and its action list is pure
-    (:func:`~repro.runtime.parallel.worker_eligible`), and the eligible
-    candidates split into at least two groups disjoint on
+    shard-bounded and its action list is pure (``Transaction.pure``), and
+    the eligible candidates split into at least two groups disjoint on
     ``read_shards | retract_shards`` — the shards a candidate's verdict
     depends on and contends in.  The write side is deliberately *not* a
     grouping key: assert/assert commutes (the same asymmetry the
@@ -382,7 +373,7 @@ def _parallel_plans(
     community logging to one ``done`` shard — must not collapse the
     batch into a single group.  One group means no parallelism to
     exploit, so serial apply keeps its zero-overhead path.  Candidates
-    without a plan (ineligible, cross-shard, or fallen back) execute
+    without a plan (ineligible, cross-shard, or fallen back) are staged
     inline in the merge loop.
     """
     pool = engine.pool
@@ -395,7 +386,7 @@ def _parallel_plans(
         fp = admitted_fps[position]
         if fp.read_shards is None:
             continue
-        if not worker_eligible(txn):
+        if not txn.pure:
             continue
         labelled.append((position, fp.read_shards | fp.retract_shards))
     if len(labelled) < 2:
@@ -415,7 +406,7 @@ def _parallel_plans(
             payload.append((txn.actions, once_env, match_bindings))
         payloads.append(payload)
     results = pool.dispatch(payloads)
-    plans: dict[int, ActionPlan] = {}
+    plans: dict[int, TransactionOutcome] = {}
     obs = engine.obs
     dispatched = fallbacks = 0
     for group, outcome in zip(groups, results):
@@ -688,8 +679,9 @@ def _deliver_commit(
     outcome: TransactionOutcome,
     origin: str,
 ) -> None:
-    """Hand a batch-committed outcome back to its suspended task."""
-    executor._after_commit(task.process, txn, outcome)
+    """Apply a batch-admitted, staged outcome and hand it back to its
+    suspended task."""
+    executor._commit(task.process, txn, outcome)
     task.pending = None
     if origin == "park":
         executor._unpark(task)

@@ -1,5 +1,7 @@
 """Engine tests: immediate transactions, sequencing, spawning, termination."""
 
+import inspect
+
 import pytest
 
 from repro.core.actions import ABORT, EXIT, assert_tuple, let, spawn
@@ -142,8 +144,14 @@ class TestLimitsAndDeterminism:
                 )
             )
         ]
+        engine = Engine(definitions=[ProcessDefinition("Main", body=looper)], seed=1)
+        engine.assert_tuples([("x", 0)])
+        engine.start("Main")
         with pytest.raises(StepLimitExceeded):
-            single(looper, rows=[("x", 0)], seed=1)
+            engine.run(max_steps=2_000)
+        # The 10**6-step run at this default is a CI soak step
+        # (benchmarks/soak_step_limit.py), which also asserts flat RSS.
+        assert inspect.signature(Engine.run).parameters["max_steps"].default == 1_000_000
 
     def test_same_seed_same_run(self):
         a = Var("a")

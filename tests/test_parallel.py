@@ -39,7 +39,6 @@ from repro.runtime.parallel import (
     partition_disjoint,
     resolve_workers,
     ship_shard,
-    worker_eligible,
 )
 
 a = Var("a")
@@ -87,22 +86,22 @@ class TestWorkerEligibility:
             Exit(),
             Abort(),
         )
-        assert worker_eligible(txn)
+        assert txn.pure
 
     def test_pure_call_is_eligible(self):
         double = lift(lambda x: x * 2, name="double")
-        assert worker_eligible(_txn(let(Var("n"), double(a))))
+        assert _txn(let(Var("n"), double(a))).pure
 
     def test_call_python_is_ineligible(self):
-        assert not worker_eligible(_txn(CallPython(lambda bindings: None)))
+        assert not _txn(CallPython(lambda bindings: None)).pure
 
     def test_membership_pins_to_main(self):
         # A window-reading sub-query anywhere in the action list — let
         # body, assert template, or spawn argument — disqualifies it.
         probe = Membership(P["flag", b])
-        assert not worker_eligible(_txn(let(Var("n"), probe)))
-        assert not worker_eligible(_txn(assert_tuple("saw", probe)))
-        assert not worker_eligible(_txn(spawn("Child", probe)))
+        assert not _txn(let(Var("n"), probe)).pure
+        assert not _txn(assert_tuple("saw", probe)).pure
+        assert not _txn(spawn("Child", probe)).pure
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,20 @@ from repro.core.actions import ABORT, EXIT, CallPython, assert_tuple, let, spawn
 from repro.core.dataspace import Dataspace
 from repro.core.expressions import Var, variables
 from repro.core.patterns import ANY, P
-from repro.core.query import exists, forall
+from repro.core.query import Membership, exists, forall
 from repro.core.transactions import (
     Control,
     Mode,
-    check_ready,
+    apply,
     consensus,
     delayed,
     execute,
     immediate,
+    settle,
+    stage,
+    TransactionOutcome,
 )
-from repro.core.views import FULL_VIEW, View
+from repro.core.views import FULL_VIEW, View, import_rule
 from repro.errors import ExportViolation
 
 
@@ -142,6 +145,26 @@ class TestExecuteSemantics:
         assert outcome.success
         assert seen[0]["a"] < 90
 
+    def test_callbacks_run_after_apply_in_action_order(self, years):
+        seen = []
+        a = Var("a")
+        txn = (
+            immediate(forall(a).match(P["year", a].retract()).such_that(a > 87))
+            .then(
+                CallPython(lambda env: seen.append(
+                    ("first", years.count_matching(P["got", ANY]), len(years))
+                )),
+                assert_tuple("got", a),
+                CallPython(lambda env: seen.append(("second", env["a"]))),
+            )
+            .build()
+        )
+        run(txn, years)
+        # Per match, in action order, once the whole effect is applied.
+        assert [entry[0] for entry in seen] == ["first", "first", "second", "second"]
+        assert seen[:2] == [("first", 2, 4)] * 2
+        assert sorted(entry[1] for entry in seen[2:]) == [88, 90]
+
     def test_forall_actions_run_per_match(self, years):
         a = Var("a")
         txn = (
@@ -169,22 +192,82 @@ class TestExecuteSemantics:
         assert outcome.success
         assert outcome.retracted[0].values == result.matches[0].retracted[0].values
 
-    def test_assert_sink_defers_insertion(self, space):
-        sink: list = []
-        txn = immediate().then(assert_tuple("x", 1)).build()
-        window = FULL_VIEW.window(space, {})
-        outcome = execute(txn, window, {}, owner=3, assert_sink=sink)
-        assert outcome.success
-        assert len(space) == 0
-        assert sink == [(("x", 1), 3)]
-
-    def test_check_ready_has_no_effects(self, years):
+    def test_composite_applies_all_retractions_then_all_assertions(self, years):
+        # The consensus composite (paper §2.2): participants are staged in
+        # pid order, each net of the retractions staged before it, and
+        # applied once — every retraction, then every assertion.
         a = Var("a")
-        txn = delayed(exists(a).match(P["year", a].retract())).build()
+
+        def take(test):
+            return (
+                immediate(exists(a).match(P["year", a].retract()).such_that(test))
+                .then(assert_tuple("took", a))
+                .build()
+            )
+
         window = FULL_VIEW.window(years, {})
-        result = check_ready(txn, window, {})
-        assert result.success
-        assert len(years) == 4  # nothing retracted
+        version = years.version
+        first = stage(take(a < 87), window, {}, 1)
+        second = stage(take(a > 88), window, {}, 2)
+        assert years.version == version  # staging touched nothing
+        assert first.assertions == [("took", 85)]
+        assert second.assertions == [("took", 90)]
+        asserted = apply([first, second], years)
+        kinds = [change.kind for change in years.changes_since(version)]
+        assert kinds == ["retract", "retract", "assert", "assert"]
+        assert [inst.owner for inst in asserted] == [1, 2]
+        assert years.count_matching(P["took", ANY]) == 2
+
+    def test_actions_read_the_window_minus_staged_retractions(self, years):
+        a = Var("a")
+        left = let("left", Membership(P["year", 90]))
+        take = exists(a).match(P["year", a].retract()).such_that(a > 89)
+        window = FULL_VIEW.window(years, {})
+        assert stage(immediate(take).then(left).build(), window, {}, 1).lets == {
+            "left": False
+        }
+        # A later member of a composite reads net of the earlier ones.
+        peek = immediate().then(left).build()
+        result = take.build().evaluate(window, {})
+        assert stage(peek, window, {}, 2, before=[result]).lets == {"left": False}
+        assert stage(peek, window, {}, 2).lets == {"left": True}
+
+    def test_actions_do_not_read_their_own_assertions(self, space):
+        txn = (
+            immediate()
+            .then(assert_tuple("new", 1), let("seen", Membership(P["new", 1])))
+            .build()
+        )
+        outcome = run(txn, space)
+        assert outcome.lets == {"seen": False}
+        assert space.multiset() == {("new", 1): 1}
+
+    def test_stage_has_no_effects(self, years):
+        a = Var("a")
+        seen = []
+        txn = (
+            delayed(exists(a).match(P["year", a].retract()))
+            .then(assert_tuple("got", a), CallPython(seen.append))
+            .build()
+        )
+        window = FULL_VIEW.window(years, {})
+        version = years.version
+        effect = stage(txn, window, {}, 1)
+        assert effect.success
+        assert len(effect.retracted) == 1 and len(effect.assertions) == 1
+        assert len(years) == 4 and years.version == version  # nothing applied
+        assert seen == []  # callbacks run only after apply
+
+    def test_settle_takes_the_query_half_from_the_result(self, years):
+        # Whatever a (worker) effect claims, the counts come from the result.
+        a = Var("a")
+        window = FULL_VIEW.window(years, {})
+        result = exists(a).match(P["year", a].retract()).such_that(a > 89).build()
+        result = result.evaluate(window, {})
+        claimed = TransactionOutcome(success=True, reads=99, match_count=7, owner=5)
+        effect = settle(claimed, result, window, 1)
+        assert (effect.reads, effect.match_count, effect.owner) == (1, 1, 1)
+        assert [inst.values for inst in effect.retracted] == [("year", 90)]
 
 
 class TestViewInteraction:
@@ -203,6 +286,41 @@ class TestViewInteraction:
         txn = immediate().then(assert_tuple("other", 1)).build()
         with pytest.raises(ExportViolation):
             run(txn, years, view=view)
+
+    @pytest.mark.parametrize("retract", [False, True])
+    @pytest.mark.parametrize("policy", ["drop", "error"])
+    def test_export_where_reads_minus_staged_retractions(self, years, policy, retract):
+        # An export rule's ``where`` witness retracted by the transaction
+        # itself no longer supports the assertion.
+        a, v = variables("a v")
+        view = View(exports=[import_rule("found", v, where=[P["year", v]])])
+        pattern = P["year", a].retract() if retract else P["year", a]
+        txn = immediate(exists(a).match(pattern).such_that(a > 89))
+        txn = txn.then(assert_tuple("found", a)).build()
+        before = years.multiset()
+        if retract and policy == "error":
+            with pytest.raises(ExportViolation):
+                run(txn, years, view=view, export_policy=policy)
+            assert years.multiset() == before
+            return
+        outcome = run(txn, years, view=view, export_policy=policy)
+        assert outcome.success
+        assert years.count_matching(P["found", 90]) == (0 if retract else 1)
+
+    def test_where_view_membership_reads_minus_staged_retractions(self, years):
+        # An import decision resting on a retracted witness is decided
+        # again: the tuple leaves the window the action reads.
+        a, v = variables("a v")
+        years.insert(("gate", 88))
+        view = View(imports=[
+            import_rule("year", v, where=[P["gate", v]]),
+            import_rule("gate", v),
+        ])
+        seen = let("seen", Membership(P["year", 88]))
+        keep = immediate(exists(a).match(P["gate", a])).then(seen).build()
+        take = immediate(exists(a).match(P["gate", a].retract())).then(seen).build()
+        assert run(keep, years, view=view).lets == {"seen": True}
+        assert run(take, years, view=view).lets == {"seen": False}
 
     def test_export_violation_dropped_when_configured(self, years):
         view = View(exports=[P["found", ANY]])

@@ -18,13 +18,12 @@ import pytest
 
 from repro.core.actions import assert_tuple, spawn
 from repro.core.storage import resolve_shards
-from repro.core.transactions import Control
+from repro.core.transactions import Control, TransactionOutcome
 from repro.errors import EngineError, FaultPlanError
 from repro.runtime.engine import Engine
 from repro.runtime.faults import FaultPlan
 from repro.runtime.parallel import (
     _EXECUTORS,
-    ActionPlan,
     WorkerSpec,
     _crash_worker,
     _executor_alive,
@@ -50,84 +49,99 @@ def _result(n_matches=0):
     return types.SimpleNamespace(matches=[{}] * n_matches)
 
 
-def _plan(ops):
-    plan = ActionPlan()
-    plan.ops = ops
-    return plan
+def _plan(assertions=(), spawned=()):
+    """A worker-staged effect: what ``evaluate_candidates`` returns."""
+    return TransactionOutcome(
+        success=True, assertions=list(assertions), spawned=list(spawned)
+    )
 
 
 class TestValidatePlan:
     def test_valid_plan_passes(self):
-        assert validate_plan(_plan([("assert", ("out", 0))]), _txn(), _result()) is None
+        assert validate_plan(_plan([("out", 0)]), _txn(), _result()) is None
 
     def test_valid_spawn_passes(self):
         txn = types.SimpleNamespace(actions=[spawn("W", 1)])
-        assert validate_plan(_plan([("spawn", "W", (1,))]), txn, _result()) is None
+        assert validate_plan(_plan(spawned=[("W", (1,))]), txn, _result()) is None
 
     def test_error_plan_may_stop_short_never_run_long(self):
-        plan = _plan([])
+        plan = _plan()
         plan.error = RuntimeError("worker-side failure")
         assert validate_plan(plan, _txn(2), _result()) is None
-        plan.ops = [("assert", ("a",))] * 3
+        plan.assertions = [("a",)] * 3
         assert validate_plan(plan, _txn(2), _result()) == "op-count"
 
     def test_not_a_plan(self):
         assert validate_plan("garbage", _txn(), _result()) == "not-a-plan"
+        assert validate_plan(TransactionOutcome.failure(), _txn(0), _result()) == "not-a-plan"
 
     def test_subclass_is_not_a_plan(self):
         # type-exact on purpose: a worker returning a lookalike class is
         # exactly the forgery this check exists to stop.
-        class Fake(ActionPlan):
+        class Fake(TransactionOutcome):
             pass
 
-        assert validate_plan(Fake(), _txn(0), _result()) == "not-a-plan"
+        assert validate_plan(Fake(success=True), _txn(0), _result()) == "not-a-plan"
 
     def test_malformed_ops(self):
-        plan = _plan([])
-        plan.ops = ("assert",)  # tuple, not list
+        plan = _plan()
+        plan.assertions = (("out", 0),)  # tuple, not list
+        assert validate_plan(plan, _txn(), _result()) == "malformed-ops"
+        plan = _plan()
+        plan.spawned = None
         assert validate_plan(plan, _txn(), _result()) == "malformed-ops"
 
     def test_malformed_lets(self):
-        plan = _plan([("assert", ("out", 0))])
+        plan = _plan([("out", 0)])
         plan.lets = []
         assert validate_plan(plan, _txn(), _result()) == "malformed-lets"
 
     def test_malformed_control(self):
-        plan = _plan([("assert", ("out", 0))])
+        plan = _plan([("out", 0)])
         plan.control = "NONE"
         assert validate_plan(plan, _txn(), _result()) == "malformed-control"
         plan.control = Control.NONE
         assert validate_plan(plan, _txn(), _result()) is None
 
     def test_malformed_error(self):
-        plan = _plan([("assert", ("out", 0))])
+        plan = _plan([("out", 0)])
         plan.error = "boom"  # not an exception instance
         assert validate_plan(plan, _txn(), _result()) == "malformed-error"
 
     def test_op_count_per_match(self):
-        plan = _plan([("assert", ("out", 0))])
+        plan = _plan([("out", 0)])
         assert validate_plan(plan, _txn(1), _result(3)) == "op-count"
-        plan.ops = [("assert", ("out", i)) for i in range(3)]
+        plan.assertions = [("out", i) for i in range(3)]
         assert validate_plan(plan, _txn(1), _result(3)) is None
 
     @pytest.mark.parametrize(
         "op",
         [
-            ("assert", "__garbage__"),  # the _garbage_worker signature
-            ("assert",),
-            ("assert", ("x",), "extra"),
-            (),
-            "assert",
-            ("spawn", 7, ()),
-            ("spawn", "W", [1]),
-            ("spawn", "W"),
+            ("assertions", "__garbage__"),  # the _garbage_worker signature
+            ("assertions", ["out", 0]),
+            ("spawned", ["W", ()]),
+            ("spawned", ()),
+            pytest.param(("assertions", "assert"), id="assert"),
+            ("spawned", (7, ())),
+            ("spawned", ("W", [1])),
+            ("spawned", ("W",)),
         ],
     )
     def test_malformed_op(self, op):
-        assert validate_plan(_plan([op]), _txn(), _result()) == "malformed-op"
+        field, value = op
+        txn = _txn() if field == "assertions" else types.SimpleNamespace(
+            actions=[spawn("W", 1)]
+        )
+        plan = _plan(**{field: [value]})
+        assert validate_plan(plan, txn, _result()) == "malformed-op"
 
     def test_unknown_op(self):
-        assert validate_plan(_plan([("retract", 1)]), _txn(), _result()) == "unknown-op"
+        # Retractions, asserted instances and callbacks are staged on the
+        # main process only; a worker effect carrying one is forged.
+        for field in ("retracted", "asserted", "callbacks"):
+            plan = _plan([("out", 0)])
+            setattr(plan, field, [object()])
+            assert validate_plan(plan, _txn(), _result()) == "unknown-op"
 
     def test_footprint_escape(self):
         partitioner = resolve_shards(4)
@@ -136,7 +150,7 @@ class TestValidatePlan:
         stranger = next(s for s in range(4) if s != home)
         ok = types.SimpleNamespace(write_shards=frozenset({home}))
         escape = types.SimpleNamespace(write_shards=frozenset({stranger}))
-        plan = _plan([("assert", values)])
+        plan = _plan([values])
         assert validate_plan(plan, _txn(), _result(), ok, partitioner) is None
         assert (
             validate_plan(plan, _txn(), _result(), escape, partitioner)
@@ -145,7 +159,7 @@ class TestValidatePlan:
 
     def test_no_partitioner_skips_containment(self):
         escape = types.SimpleNamespace(write_shards=frozenset())
-        plan = _plan([("assert", ("out", 0))])
+        plan = _plan([("out", 0)])
         assert validate_plan(plan, _txn(), _result(), escape, None) is None
 
 
