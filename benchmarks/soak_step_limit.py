@@ -1,11 +1,19 @@
-"""Soak: a runaway loop runs to Engine.run()'s default step limit in flat memory.
+"""Soak: long runs stay in flat memory.
 
-One process retracts ``<x, a>`` and asserts ``<x, a + 1>`` forever; the
-run must stop with ``StepLimitExceeded`` after the default ``max_steps``
-(10**6 steps), and the resident set size must stay flat while it runs.
-A sampling thread reads RSS from ``/proc/self/statm`` every half second;
-the growth from the sample at 20 % of the run to the last sample must
-stay under ``MAX_GROWTH_MB``.  About a minute on one core.
+1. *Runaway loop.*  One process retracts ``<x, a>`` and asserts
+   ``<x, a + 1>`` forever; the run must stop with ``StepLimitExceeded``
+   after the default ``max_steps`` (10**6 steps).
+2. *Parked relay.*  ``RELAY_WIDTH`` delayed processes wait, each on its
+   own ``<ping, k, v>`` behind a view that imports only that tuple; the
+   one whose tuple is there retracts it, asserts the next and spawns
+   ``Relay(k + RELAY_WIDTH)``, then retires — forever, until
+   ``RELAY_STEPS``.  Process table, task table, window table, wakeup
+   index, plan cache and kernel cache must stay bounded by the program
+   (one query, one bound-name shape), not grow with the run.
+
+For both, a sampling thread reads RSS from ``/proc/self/statm`` every half
+second; the growth from the sample at 20 % of the run to the last sample
+must stay under ``MAX_GROWTH_MB``.  About a minute and a half on one core.
 
     PYTHONPATH=src python benchmarks/soak_step_limit.py
 
@@ -19,18 +27,24 @@ import os
 import threading
 import time
 
-from repro.core.actions import assert_tuple
+from repro.core.actions import assert_tuple, spawn
 from repro.core.constructs import guarded, repeat
 from repro.core.expressions import Var
 from repro.core.patterns import P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
-from repro.core.transactions import immediate
+from repro.core.society import RETIRED_DEPTH
+from repro.core.transactions import delayed, immediate
+from repro.core.views import import_rule
 from repro.errors import StepLimitExceeded
 from repro.runtime.engine import Engine
 
-#: The RSS growth the soak allows from 20 % of the run to its end.
+#: The RSS growth the soak allows from 20 % of a run to its end.
 MAX_GROWTH_MB = 8.0
+#: Parked relay processes alive at any time.
+RELAY_WIDTH = 64
+#: Steps the relay runs for (each relay takes about three).
+RELAY_STEPS = 400_000
 
 
 def rss_mb() -> float:
@@ -39,17 +53,10 @@ def rss_mb() -> float:
     return resident_pages * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
-def main() -> None:
-    default = inspect.signature(Engine.run).parameters["max_steps"].default
-    assert default == 1_000_000, default
-    a = Var("a")
-    looper = ProcessDefinition("Main", body=[repeat(guarded(
-        immediate(exists(a).match(P["x", a].retract())).then(assert_tuple("x", a + 1))
-    ))])
-    engine = Engine(definitions=[looper], seed=1)
-    engine.assert_tuples([("x", 0)])
-    engine.start("Main")
-
+def soak(engine: Engine, limit: int, label: str, **run_options) -> None:
+    """Run *engine* (``run(**run_options)``) into ``StepLimitExceeded`` at
+    its step *limit*, sampling RSS; assert it stays flat from 20 % of the
+    run on."""
     samples: list[tuple[int, float]] = []
     done = threading.Event()
 
@@ -61,26 +68,80 @@ def main() -> None:
     start = time.perf_counter()
     sampler.start()
     try:
-        engine.run()
+        engine.run(**run_options)
     except StepLimitExceeded:
         pass
     else:
-        raise AssertionError("the loop ended before the default step limit")
+        raise AssertionError(f"{label}: the loop ended before the step limit")
     finally:
         done.set()
         sampler.join()
     elapsed = time.perf_counter() - start
     samples.append((engine.step_count, rss_mb()))
-    assert engine.step_count >= default, engine.step_count
+    assert engine.step_count >= limit, engine.step_count
+
+    settled = [mb for steps, mb in samples if steps >= limit // 5]
+    growth = settled[-1] - settled[0]
+    for steps, mb in samples:
+        print(f"{label}: {steps:>9} steps  {mb:7.1f} MB")
+    print(f"{label}: {engine.step_count} steps in {elapsed:.1f} s, RSS growth {growth:+.2f} MB")
+    assert growth < MAX_GROWTH_MB, f"{label}: RSS grew {growth:.2f} MB"
+
+
+def runaway_loop() -> None:
+    default = inspect.signature(Engine.run).parameters["max_steps"].default
+    assert default == 1_000_000, default
+    a = Var("a")
+    looper = ProcessDefinition("Main", body=[repeat(guarded(
+        immediate(exists(a).match(P["x", a].retract())).then(assert_tuple("x", a + 1))
+    ))])
+    engine = Engine(definitions=[looper], seed=1)
+    engine.assert_tuples([("x", 0)])
+    engine.start("Main")
+    soak(engine, default, "loop")  # at run()'s default limit
     (row,) = engine.dataspace.multiset()  # one <x, n> tuple throughout
     assert row[0] == "x" and row[1] > 0, row
 
-    settled = [mb for steps, mb in samples if steps >= default // 5]
-    growth = settled[-1] - settled[0]
-    for steps, mb in samples:
-        print(f"{steps:>9} steps  {mb:7.1f} MB")
-    print(f"{engine.step_count} steps in {elapsed:.1f} s, RSS growth {growth:+.2f} MB")
-    assert growth < MAX_GROWTH_MB, f"RSS grew {growth:.2f} MB"
+
+def parked_relay() -> None:
+    k, v = Var("k"), Var("v")
+    relay = ProcessDefinition(
+        "Relay",
+        params=("k",),
+        body=[
+            delayed(exists(v).match(P["ping", k, v].retract())).then(
+                assert_tuple("ping", k + 1, v + 1), spawn("Relay", k + RELAY_WIDTH)
+            )
+        ],
+        imports=[import_rule("ping", k, Var("any"))],
+    )
+    engine = Engine(definitions=[relay], seed=1)
+    engine.assert_tuples([("ping", 0, 0)])
+    for first in range(RELAY_WIDTH):
+        engine.start("Relay", (first,))
+    soak(engine, RELAY_STEPS, "relay", max_steps=RELAY_STEPS)
+    (row,) = engine.dataspace.multiset()  # one <ping, k, k> tuple throughout
+    assert row[0] == "ping" and row[1] == row[2] > RELAY_STEPS // 4, row
+    planner = engine.planner
+    bounds = {
+        "live processes": (len(engine.society), RELAY_WIDTH + 1),
+        "kept instances": (
+            sum(1 for __ in engine.society.all_instances()), RELAY_WIDTH + 1 + RETIRED_DEPTH
+        ),
+        "tasks": (len(engine.tasks), RELAY_WIDTH + 1),
+        "windows": (len(engine._windows), RELAY_WIDTH + 1),
+        "wakeup registrations": (len(engine.wakeups), RELAY_WIDTH),
+        "plans": (planner.cache_size, 1),
+        "kernels": (planner.kernel_count, 1),
+    }
+    for what, (size, bound) in bounds.items():
+        print(f"relay: {what:<22} {size:>6}  (bound {bound})")
+        assert size <= bound, f"relay: {size} {what}, bound {bound}"
+
+
+def main() -> None:
+    runaway_loop()
+    parked_relay()
 
 
 if __name__ == "__main__":

@@ -272,7 +272,7 @@ class Dataspace:
             parts: dict[int, list[TupleInstance]] = {}
             for instance in instances:
                 parts.setdefault(shard_of(instance.values), []).append(instance)
-                order = arity_order.get(instance.arity)
+                order = arity_order.get(len(instance.values))
                 if order is not None:
                     order.append(instance)
             for shard, batch in parts.items():
@@ -291,7 +291,7 @@ class Dataspace:
         else:
             shard = self.partitioner.shard_of_values(instance.values)
             self.stores[shard].admit(instance)
-            order = self._arity_order.get(instance.arity)
+            order = self._arity_order.get(len(instance.values))
             if order is not None:
                 order.append(instance)
         return instance
@@ -355,7 +355,7 @@ class Dataspace:
             return
         shard = self.partitioner.shard_of_values(instance.values)
         self.stores[shard].remove(instance)
-        order = self._arity_order.get(instance.arity)
+        order = self._arity_order.get(len(instance.values))
         if order is not None:
             _delete_row(order, instance)
 

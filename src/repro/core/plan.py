@@ -31,6 +31,13 @@ removes all three costs while preserving the semantics exactly:
   ``(atoms-signature, bound-variable set)``, with hit/miss counters
   surfaced through ``repro.obs`` and :class:`~repro.runtime.engine.RunResult`;
 
+* a query is **compiled into an attempt kernel** once per (query,
+  bound-variable set) (:func:`compile_kernel`): the plan's join written
+  out as nested loops with the test and the ∃/∀/¬ evaluation inside, one
+  generated function that :meth:`Query.evaluate` calls per attempt —
+  :meth:`QueryPlanner.iter_matches` stays the join of ``Membership``
+  sub-queries and the reference the kernels are tested against;
+
 * **a test is a join filter, not a leaf check**: the pure top-level
   ``&``-conjuncts of the query's ``such_that`` test are evaluated at the
   first join depth that binds their variables (:meth:`Plan.early_filters`),
@@ -59,10 +66,10 @@ differential testing — `docs/SEMANTICS.md` §12.
 from __future__ import annotations
 
 import random
-from itertools import islice
-from typing import Any, Iterator, Mapping, Sequence
+from itertools import chain, islice
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.core.expressions import Expr, conjuncts, is_pure, kernel
+from repro.core.expressions import Bindings, EvalContext, Expr, conjuncts, is_pure, kernel
 from repro.core.matching import rotation_start  # the one arbitration rule
 from repro.core.patterns import (
     CompiledPattern,
@@ -70,6 +77,7 @@ from repro.core.patterns import (
     compile_pattern,
     literal_error,
 )
+from repro.core.query import Match, QueryResult, predicate_error
 from repro.core.tuples import TupleId, TupleInstance
 from repro.errors import SDLError
 
@@ -382,36 +390,256 @@ def build_plan(
     return Plan(steps, patterns)
 
 
-def _fetch_candidates(window: Any, step: PlanStep, env: dict[str, Any]) -> list[TupleInstance]:
-    """Probe-intersected candidates for *step* from any window-like object
-    (read-only, valid until the next dataspace mutation)."""
-    probes = step.probes_for(env)
-    fetch = getattr(window, "candidates_probed", None)
-    if fetch is not None:
-        return fetch(step.compiled.arity, probes)
-    # Fallback for bare window-likes exposing only ``candidates``: fetch by
-    # pattern, then apply the probes as direct value filters.
-    raw = window.candidates(step.compiled.pattern, env)
-    if not probes:
-        return raw
-    return [
-        inst for inst in raw
-        if all(inst.values[position] == value for position, value in probes)
+def _rotated_rows(rows: list, n: int, k: int) -> Any:
+    """Visit ``rows[k:n]`` then ``rows[:k]`` — the naive walk's rotated
+    copy (``matching._rotated``) of the first *n* rows — without building
+    it: a list iterator started at the offset, chained with the head, so
+    each row is produced in C and a search that stops early pays O(1)."""
+    if not k and n == len(rows):
+        return rows
+    tail = iter(rows)
+    tail.__setstate__(k)
+    if n < len(rows):
+        tail = islice(tail, n - k)
+    return chain(tail, islice(rows, k))
+
+
+# ----------------------------------------------------------------------
+# attempt kernels
+# ----------------------------------------------------------------------
+
+#: Compiled code, by generated source (:func:`define`).
+_CODE: dict[str, Any] = {}
+
+
+def define(source: str, namespace: dict[str, Any]) -> Callable:
+    """Run the generated *source* — ``def generated(...)`` — in
+    *namespace* and return that function.
+
+    Generated source names its constants and reads them as globals from
+    *namespace*, so it depends on a shape only (a plan's, an action
+    list's): each shape is compiled once per interpreter, however many
+    engines build it.
+    """
+    code = _CODE.get(source)
+    if code is None:
+        if len(_CODE) >= _MAX_CACHE_ENTRIES:
+            _CODE.clear()
+        code = _CODE[source] = compile(source, "<generated>", "exec")
+    exec(code, namespace)
+    return namespace["generated"]
+
+
+def _relevant(patterns: Sequence[Pattern]) -> frozenset[str]:
+    """The variable names a plan for *patterns* depends on being bound."""
+    relevant: frozenset[str] = frozenset()
+    for pattern in patterns:
+        relevant |= compile_pattern(pattern).free_names
+    return relevant
+
+
+def _tuple(items: Sequence[str]) -> str:
+    """The source of a tuple display of the expressions *items*."""
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def compile_kernel(query: Any, plan: Plan, filters: tuple | None) -> Callable:
+    """Compile *query* under *plan*, with the per-depth early *filters*
+    (:meth:`QueryPlanner.join_filters`), into its attempt kernel,
+    ``kernel(window, params, rng, excluded) -> QueryResult``.
+
+    The kernel is :meth:`Query.evaluate` over :meth:`QueryPlanner.iter_matches`
+    with every per-attempt decision taken here, once: one nested loop per
+    plan step with the step's static probes, bound-variable and
+    expression probes, repeat checks, binders and early filters written
+    out, and the test, the retract mask and the ∃/∀/¬ evaluation at the
+    innermost level.  It visits the rows in the same rotated order, draws
+    the RNG exactly where the search does (one ``randrange(n)`` per
+    fetched list of ``n >= 2`` rows, :func:`rotation_start`), keeps the
+    same environment (binders are deleted on the way out, so an error
+    message names the same bindings) and raises the same errors.  An
+    impure test (``Membership``) is evaluated generically at the leaf, as
+    :meth:`Query._passes_test` does.
+    """
+    steps = plan.steps
+    test = query.test
+    depth_of = {step.index: depth for depth, step in enumerate(steps)}
+    consts: dict[str, Any] = {
+        "QueryResult": QueryResult, "Match": Match, "SDLError": SDLError,
+        "rotated": _rotated_rows, "literal_error": literal_error,
+        "predicate_error": predicate_error, "Bindings": Bindings,
+        "EvalContext": EvalContext, "TEST": test,
+    }
+    forall = query.quantifier == "forall"
+    lines = [
+        "def generated(window, params, rng, excluded):",
+        "    env = dict(params)",
+        "    cut = getattr(window, 'candidates_cut', None)",
+        "    if cut is None:",
+        "        fetch = window.candidates_probed",
     ]
+    if forall:
+        lines += ["    excluded = set(excluded)", "    seen = set()", "    matches = []"]
+
+    def emit(depth: int, pad: str) -> None:
+        if depth == len(steps):
+            leaf(pad)
+            return
+        step = steps[depth]
+        probes = []
+        for i, probe in enumerate(step.static_probes):
+            consts[f"S{depth}_{i}"] = probe
+            probes.append(f"S{depth}_{i}")
+        probes += [f"({position}, env[{name!r}])" for position, name in step.probe_vars]
+        for i, (position, evaluate, expr) in enumerate(step.probe_exprs):
+            consts[f"E{depth}_{i}"], consts[f"X{depth}_{i}"] = evaluate, expr
+            lines.extend(pad + line for line in (
+                "try:",
+                f"    e{depth}_{i} = E{depth}_{i}(env)",
+                "except SDLError:",
+                "    raise",
+                "except Exception as exc:",
+                f"    raise literal_error(X{depth}_{i}, env, exc) from exc",
+            ))
+            probes.append(f"({position}, e{depth}_{i})")
+        arity = step.compiled.arity
+        rows, n = f"rows{depth}", f"n{depth}"
+        # Distinct atoms bind distinct instances; only an earlier step of
+        # the same arity can have chosen this row.
+        used = "".join(
+            f" or tid{depth} == tid{earlier}"
+            for earlier in range(depth)
+            if steps[earlier].compiled.arity == arity
+        )
+        lines.extend(pad + line for line in (
+            f"probes{depth} = [{', '.join(probes)}]",
+            "if cut is None:",
+            f"    {rows} = fetch({arity}, probes{depth})",
+            f"    {n} = len({rows})",
+            "else:",
+            f"    {rows}, {n} = cut({arity}, probes{depth})",
+            f"if {n} > 1 and rng is not None:",
+            f"    {rows} = rotated({rows}, {n}, rng.randrange({n}))",
+            f"elif {n} < len({rows}):",
+            f"    {rows} = {rows}[:{n}]",
+            f"for inst{depth} in {rows}:",
+            f"    tid{depth} = inst{depth}.tid",
+            f"    if tid{depth} in excluded{used}:",
+            "        continue",
+            f"    values{depth} = inst{depth}.values",
+        ))
+        inner = pad + "    "
+        for position, first in step.repeat_checks:
+            lines.append(f"{inner}if values{depth}[{position}] != values{depth}[{first}]:")
+            lines.append(f"{inner}    continue")
+        for position, name in step.binders:
+            lines.append(f"{inner}env[{name!r}] = values{depth}[{position}]")
+        checks = None if filters is None else filters[depth]
+        if checks:
+            # A filter that raises has given no verdict (iter_matches).
+            lines.append(f"{inner}admitted = True")
+            for i, check in enumerate(checks):
+                consts[f"F{depth}_{i}"] = check
+                guard = inner
+                if i:
+                    lines.append(f"{inner}if admitted:")
+                    guard += "    "
+                lines.extend(guard + line for line in (
+                    "try:",
+                    f"    admitted = True if F{depth}_{i}(env) else False",
+                    "except Exception:",
+                    "    pass",
+                ))
+            lines.append(f"{inner}if admitted:")
+            emit(depth + 1, inner + "    ")
+        else:
+            emit(depth + 1, inner)
+        for __, name in step.binders:
+            lines.append(f"{inner}del env[{name!r}]")
+
+    def leaf(pad: str) -> None:
+        instances = tuple(f"inst{depth_of[i]}" for i in range(len(steps)))
+        retracted = tuple(
+            f"inst{depth_of[i]}" for i, kill in enumerate(query._retract_mask) if kill
+        )
+        match = f"Match(bindings, {_tuple(instances)}, {_tuple(retracted)})"
+        if forall and steps:
+            # Excluded by a match accepted after this row was chosen.
+            lines.append(pad + "if not (" + " or ".join(
+                f"tid{depth} in excluded" for depth in range(len(steps))
+            ) + "):")
+            pad += "    "
+        copied = False
+        if test is not None:
+            if is_pure(test):
+                consts["T"] = kernel(test)
+                source, scope = "T(env)", "env"
+            else:
+                lines.append(pad + "bindings = dict(env)")
+                copied = True
+                source = "TEST.evaluate(EvalContext(Bindings(bindings), window=window, rng=rng))"
+                scope = "bindings"
+            lines.extend(pad + line for line in (
+                "try:",
+                f"    passed = True if {source} else False",
+                "except SDLError:",
+                "    raise",
+                "except Exception as exc:",
+                f"    raise predicate_error(TEST, {scope}, exc) from exc",
+                "if passed:",
+            ))
+            pad += "    "
+        if query.negated:
+            lines.append(pad + "return QueryResult(False)")
+            return
+        if not copied:
+            lines.append(pad + "bindings = dict(env)")
+        if not forall:
+            lines.append(pad + f"return QueryResult(True, [{match}])")
+            return
+        names = [f"bindings.get({v!r})" for v in query.variables]
+        tids = tuple(r.replace("inst", "tid") for r in retracted)
+        ordered = f"tuple(sorted({_tuple(tids)}))" if len(tids) > 1 else _tuple(tids)
+        lines.extend(pad + line for line in (
+            f"signature = ({_tuple(names)}, {ordered})",
+            "if signature not in seen:",
+            "    seen.add(signature)",
+            *(f"    excluded.add({t})" for t in tids),
+            f"    matches.append({match})",
+        ))
+
+    emit(0, "    ")
+    if query.negated:
+        lines.append("    return QueryResult(True)")
+    elif not forall:
+        lines.append("    return QueryResult(False)")
+    else:
+        if query.require_nonempty:
+            lines += ["    if not matches:", "        return QueryResult(False)"]
+        lines.append("    return QueryResult(True, matches)")
+    return define("\n".join(lines) + "\n", consts)
 
 
 class QueryPlanner:
-    """Per-engine planning service: plan cache plus the planned join.
+    """Per-engine planning service: plan and kernel caches plus the planned join.
 
-    The cache is two-level: the atoms signature (identity of the pattern
-    tuple — patterns are immutable and built once per program) maps to the
-    set of *relevant* variable names plus the per-bound-set plans, so two
-    calls whose parameter environments differ only in names the query never
-    mentions share one plan.  Cached entries hold strong references to
-    their patterns, keeping the identity keys valid for the entry lifetime.
+    The plan cache is two-level: the atoms signature (identity of the
+    pattern tuple — patterns are immutable and built once per program)
+    maps to the set of *relevant* variable names plus the per-bound-set
+    plans, so two calls whose parameter environments differ only in names
+    the query never mentions share one plan.  Cached entries hold strong
+    references to their patterns, keeping the identity keys valid for the
+    entry lifetime.
+
+    The kernel cache (:meth:`kernel_for`) holds one attempt kernel per
+    (query, relevant bound names), built from that plan, and
+    :attr:`kernels` remembers each query's latest kernel with the full
+    parameter names it was resolved under, which is all
+    :meth:`Query.evaluate` looks at on a hit.  Either lookup counts as a
+    plan-cache hit, as the :meth:`plan_for` call it replaces would have.
     """
 
-    __slots__ = ("dataspace", "obs", "hits", "misses", "_cache")
+    __slots__ = ("dataspace", "obs", "hits", "misses", "kernels", "_cache", "_shapes")
 
     def __init__(self, dataspace: Any, obs: Any = None) -> None:
         self.dataspace = dataspace
@@ -420,6 +648,10 @@ class QueryPlanner:
         self.misses = 0
         # atoms-key -> (patterns, relevant names, {bound-key -> Plan})
         self._cache: dict[tuple, tuple[tuple, frozenset, dict]] = {}
+        #: query -> (parameter names, kernel) of its latest evaluation.
+        self.kernels: dict[Any, tuple[frozenset, Callable]] = {}
+        # (query, relevant bound names) -> kernel
+        self._shapes: dict[tuple, Callable] = {}
 
     # ------------------------------------------------------------------
     # plan cache
@@ -429,21 +661,58 @@ class QueryPlanner:
         return sum(len(plans) for __, __, plans in self._cache.values())
 
     @property
+    def kernel_count(self) -> int:
+        """Compiled attempt kernels: one per (query, bound-name shape)."""
+        return len(self._shapes)
+
+    @property
     def hit_rate(self) -> float:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
+
+    def kernel_for(self, query: Any, params: Mapping[str, Any]) -> Callable:
+        """The attempt kernel of *query* under the names bound in *params*
+        (:func:`compile_kernel` over :meth:`plan_for`'s plan), remembered
+        in :attr:`kernels` for the next evaluation."""
+        shape = frozenset(name for name in params if name in _relevant(query._patterns))
+        compiled = self._shapes.get((query, shape))
+        if compiled is None:
+            plan = self.plan_for(query._patterns, params)
+            compiled = compile_kernel(query, plan, self.join_filters(plan, query.test))
+            if len(self._shapes) >= _MAX_CACHE_ENTRIES:
+                self._flush_kernels()
+            self._shapes[query, shape] = compiled
+        else:
+            self.hits += 1
+            if self.obs is not None:
+                self.obs.count("sdl_plan_cache_total", result="hit")
+        if len(self.kernels) >= _MAX_CACHE_ENTRIES:
+            self.kernels.clear()
+        self.kernels[query] = (frozenset(params), compiled)
+        return compiled
+
+    def join_filters(self, plan: Plan, test: Expr | None) -> tuple | None:
+        """The join filters of *test* under *plan* that the planned join
+        applies (:meth:`Plan.filter_kernels`): in :meth:`iter_matches`
+        and, compiled in, in every kernel.  Overriding this to return
+        ``None`` gives the leaf-only planner that test pushdown is checked
+        against (SEMANTICS §12)."""
+        return None if test is None else plan.filter_kernels(test)
+
+    def _flush_kernels(self) -> None:
+        """Forget every kernel (their plans were flushed, or too many)."""
+        self.kernels.clear()
+        self._shapes.clear()
 
     def plan_for(self, patterns: Sequence[Pattern], bound: Mapping[str, Any]) -> Plan:
         """The cached (or freshly built) plan for *patterns* under *bound*."""
         atoms_key = tuple(map(id, patterns))
         entry = self._cache.get(atoms_key)
         if entry is None:
-            relevant: frozenset[str] = frozenset()
-            for pattern in patterns:
-                relevant |= compile_pattern(pattern).free_names
-            entry = (tuple(patterns), relevant, {})
+            entry = (tuple(patterns), _relevant(patterns), {})
             if len(self._cache) >= _MAX_CACHE_ENTRIES:
                 self._cache.clear()
+                self._flush_kernels()
             self._cache[atoms_key] = entry
         __, relevant, plans = entry
         bound_key = frozenset(name for name in bound if name in relevant)
@@ -467,6 +736,7 @@ class QueryPlanner:
             plan = build_plan(patterns, bound_key, bound, self.dataspace)
         if len(plans) >= _MAX_CACHE_ENTRIES:
             plans.clear()
+            self._flush_kernels()
         plans[bound_key] = plan
         return plan
 
@@ -504,7 +774,7 @@ class QueryPlanner:
         """
         plan = self.plan_for(patterns, bound)
         # Each filter is a compiled closure over the search's own env dict.
-        filters = None if test is None else plan.filter_kernels(test)
+        filters = self.join_filters(plan, test)
         # A snapshot lens reports how many of the live rows it shows
         # (``(rows, n)``) instead of slicing them; any other window shows
         # all of its rows.
@@ -523,55 +793,42 @@ class QueryPlanner:
                 return
             step = steps[depth]
             checks = None if filters is None else filters[depth]
+            probes = step.probes_for(env)
             if cut is None:
-                rows = _fetch_candidates(window, step, env)
+                rows = window.candidates_probed(step.compiled.arity, probes)
                 n = len(rows)
             else:
-                rows, n = cut(step.compiled.arity, step.probes_for(env))
-            # Visit rows[k:n] then rows[:k] — the naive walk's rotated copy
-            # (matching._rotated) — without building it: two list
-            # iterators, the first started at the offset, so each row is
-            # produced in C and a search that stops early pays O(1).
-            k = rotation_start(n, rng)
-            if not k and n == len(rows):
-                segments = (rows,)
-            else:
-                tail = iter(rows)
-                tail.__setstate__(k)
-                if n < len(rows):
-                    tail = islice(tail, n - k)
-                segments = (tail, islice(rows, k))
-            for segment in segments:
-                for inst in segment:
-                    tid = inst.tid
-                    if tid in used_tids or tid in excluded:
-                        continue
-                    values = inst.values
-                    admitted = True
-                    for position, first in step.repeat_checks:
-                        if values[position] != values[first]:
-                            admitted = False
-                            break
-                    if not admitted:
-                        continue
-                    for position, name in step.binders:
-                        env[name] = values[position]
-                    if checks is not None:
-                        for check in checks:
-                            try:
-                                if not check(env):
-                                    admitted = False
-                                    break
-                            except Exception:
-                                pass  # not a verdict: the leaf decides, or raises
-                    if admitted:
-                        used[step.index] = inst
-                        used_tids.add(tid)
-                        yield from search(depth + 1)
-                        used_tids.discard(tid)
-                        used[step.index] = None
-                    for __, name in step.binders:
-                        del env[name]
+                rows, n = cut(step.compiled.arity, probes)
+            for inst in _rotated_rows(rows, n, rotation_start(n, rng)):
+                tid = inst.tid
+                if tid in used_tids or tid in excluded:
+                    continue
+                values = inst.values
+                admitted = True
+                for position, first in step.repeat_checks:
+                    if values[position] != values[first]:
+                        admitted = False
+                        break
+                if not admitted:
+                    continue
+                for position, name in step.binders:
+                    env[name] = values[position]
+                if checks is not None:
+                    for check in checks:
+                        try:
+                            if not check(env):
+                                admitted = False
+                                break
+                        except Exception:
+                            pass  # not a verdict: the leaf decides, or raises
+                if admitted:
+                    used[step.index] = inst
+                    used_tids.add(tid)
+                    yield from search(depth + 1)
+                    used_tids.discard(tid)
+                    used[step.index] = None
+                for __, name in step.binders:
+                    del env[name]
 
         return search(0)
 

@@ -156,12 +156,20 @@ class QueryResult:
         return out
 
 
+def predicate_error(test: Expr, bindings: Mapping[str, Any], exc: Exception) -> QueryError:
+    """The typed error for a test that raised *exc* under *bindings*."""
+    return QueryError(
+        f"test {test!r} cannot be evaluated under "
+        f"{Bindings(bindings)!r}: {type(exc).__name__}: {exc}"
+    )
+
+
 class Query:
     """An immutable, evaluable SDL query."""
 
     __slots__ = (
         "quantifier", "variables", "atoms", "test", "negated", "require_nonempty",
-        "_patterns", "_retract_mask", "_check",
+        "_patterns", "_retract_mask", "_check", "_trivial",
     )
 
     def __init__(
@@ -185,6 +193,7 @@ class Query:
         self.require_nonempty = require_nonempty
         #: The test compiled on first use (see :meth:`_passes_test`).
         self._check: Any = None
+        self._trivial = self.is_trivial()
         if negated:
             if any(a.retract for a in self.atoms):
                 raise QueryError("a negated query may not retract tuples")
@@ -228,10 +237,7 @@ class Query:
         except SDLError:
             raise
         except Exception as exc:
-            raise QueryError(
-                f"test {test!r} cannot be evaluated under "
-                f"{Bindings(bindings)!r}: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise predicate_error(test, bindings, exc) from exc
 
     def evaluate(
         self,
@@ -254,38 +260,58 @@ class Query:
         dataspace net of earlier participants' retractions.
 
         When *window* carries a query planner (``window.planner``, attached
-        by the engine unless ``plan="off"``), the join runs through the
-        planner's selectivity-ordered compiled kernels; otherwise through
-        the naive textual-order walk.  Both enumerate the same match set —
-        only which arbitrary match a given seed lands on differs.  The
-        planner is also handed the test, whose pure conjuncts it applies as
-        early join filters; every match it yields is still tested here, in
-        full (``_passes_test``).
+        by the engine unless ``plan="off"``), the query runs as its attempt
+        kernel: the planned join, the test and the quantifier compiled once
+        per (query, bound-name shape) into one function
+        (:meth:`QueryPlanner.kernel_for`, `docs/SEMANTICS.md` §12).  The
+        kernel of the last shape is found with one lookup and one
+        comparison of the parameter names.  Without a planner the query
+        runs the naive textual-order walk (:meth:`_walk`).  Both enumerate
+        the same match set — only which arbitrary match a given seed lands
+        on differs.
         """
-        bound = dict(params or {})
+        if params is None:
+            params = {}
+        planner = getattr(window, "planner", None)
+        if planner is None:
+            return self._walk(window, params, rng, excluded)
+        if self._trivial:
+            return QueryResult(True, [Match(dict(params), (), ())])
+        latest = planner.kernels.get(self)
+        if latest is None or params.keys() != latest[0]:
+            return planner.kernel_for(self, params)(window, params, rng, excluded)
+        planner.hits += 1
+        if planner.obs is not None:
+            planner.obs.count("sdl_plan_cache_total", result="hit")
+        return latest[1](window, params, rng, excluded)
+
+    def _walk(
+        self,
+        window: Any,
+        params: Mapping[str, Any],
+        rng: random.Random | None,
+        excluded: frozenset[TupleId] | set[TupleId],
+    ) -> QueryResult:
+        """:meth:`evaluate` over the naive textual-order walk
+        (:func:`~repro.core.matching.iter_joint_matches`): the
+        ``plan="off"`` path and the differential oracle of the kernels."""
+        bound = dict(params)
         patterns = self._patterns
         retract_mask = self._retract_mask
-        planner = getattr(window, "planner", None)
-        if planner is not None:
-            test = self.test
-
-            def joint(excl):
-                return planner.iter_matches(window, patterns, bound, rng, excl, test)
-        else:
-            def joint(excl):
-                return iter_joint_matches(window, patterns, bound, rng, excl)
 
         if self.negated:
-            for bindings, __ in joint(excluded):
+            for bindings, __ in iter_joint_matches(window, patterns, bound, rng, excluded):
                 if self._passes_test(bindings, window, rng):
                     return QueryResult(False)
             return QueryResult(True)
 
-        if self.is_trivial():
+        if self._trivial:
             return QueryResult(True, [Match(bound, (), ())])
 
         if self.quantifier == EXISTS:
-            for bindings, instances in joint(excluded):
+            for bindings, instances in iter_joint_matches(
+                window, patterns, bound, rng, excluded
+            ):
                 if not self._passes_test(bindings, window, rng):
                     continue
                 retracted = tuple(
@@ -299,13 +325,13 @@ class Query:
         # matcher consults it live (per-depth at selection time plus a
         # re-check at the leaf), so accepting a retracting match simply
         # continues the same enumeration under the updated exclusion set —
-        # one O(n) pass instead of the former full restart after every
-        # retracting match.  Query evaluation never mutates the window, so
-        # the candidate space is stable across the whole enumeration.
+        # one O(n) pass instead of a full restart after every retracting
+        # match.  Query evaluation never mutates the window, so the
+        # candidate space is stable across the whole enumeration.
         consumed: set[TupleId] = set(excluded)
         seen_signatures: set[tuple] = set()
         matches: list[Match] = []
-        for bindings, instances in joint(consumed):
+        for bindings, instances in iter_joint_matches(window, patterns, bound, rng, consumed):
             if not self._passes_test(bindings, window, rng):
                 continue
             retracted = tuple(

@@ -7,16 +7,24 @@ liveness — the consensus engine quantifies over *live* society members.
 
 The live set is kept, not scanned: ``spawn`` adds to it and the two
 ``mark_*`` methods are the only ways out, each bumping :attr:`generation`.
+Finished instances stay inspectable (status, spawner) for the most recent
+:data:`RETIRED_DEPTH` of them, so a program that spawns and retires
+processes forever runs in bounded memory.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.process import ProcessDefinition, ProcessInstance, ProcessStatus
 from repro.errors import ProcessError, UnknownProcessError
 
-__all__ = ["ProcessSociety"]
+__all__ = ["ProcessSociety", "RETIRED_DEPTH"]
+
+#: Finished (terminated, aborted or crashed) instances kept for
+#: inspection; older ones are forgotten, oldest first.
+RETIRED_DEPTH = 4096
 
 
 class ProcessSociety:
@@ -29,6 +37,8 @@ class ProcessSociety:
         self._live: dict[int, ProcessInstance] = {}
         #: Bumped whenever the live set changes.
         self.generation = 0
+        #: Pids of the kept finished instances, oldest first.
+        self._retired: deque[int] = deque()
         self._next_pid = 1
         self._spawn_count = 0
         for definition in definitions:
@@ -96,6 +106,10 @@ class ProcessSociety:
     def _leave(self, pid: int) -> None:
         if self._live.pop(pid, None) is not None:
             self.generation += 1
+            retired = self._retired
+            retired.append(pid)
+            if len(retired) > RETIRED_DEPTH:
+                del self._instances[retired.popleft()]
 
     def live(self) -> list[ProcessInstance]:
         return list(self._live.values())
@@ -108,6 +122,8 @@ class ProcessSociety:
         return self._live.get(pid)
 
     def all_instances(self) -> Iterator[ProcessInstance]:
+        """The live instances and the last :data:`RETIRED_DEPTH` finished
+        ones, in spawn order."""
         return iter(self._instances.values())
 
     @property

@@ -200,31 +200,36 @@ class TupleStore(BaseStore):
     def admit(self, instance: TupleInstance) -> None:
         """Index an already-built instance (serial assigned by the facade)."""
         self.count += 1
-        rows = self.by_arity.get(instance.arity)
+        values = instance.values
+        arity = len(values)
+        rows = self.by_arity.get(arity)
         if rows is None:
-            self.by_arity[instance.arity] = [instance]
+            self.by_arity[arity] = [instance]
         else:
             rows.append(instance)
         if self.indexed:
-            for position, value in enumerate(instance.values):
-                key = (instance.arity, position, value)
-                self.by_field.setdefault(key, {})[instance.tid] = instance
+            tid = instance.tid
+            for position, value in enumerate(values):
+                self.by_field.setdefault((arity, position, value), {})[tid] = instance
 
     def remove(self, instance: TupleInstance) -> None:
         """Unindex one instance; raises ``KeyError`` when absent."""
         tid = instance.tid
-        rows = self.by_arity[instance.arity]
+        values = instance.values
+        arity = len(values)
+        rows = self.by_arity[arity]
         _delete_row(rows, instance)
         self.count -= 1
         if not rows:
-            del self.by_arity[instance.arity]
+            del self.by_arity[arity]
         if self.indexed:
-            for position, value in enumerate(instance.values):
-                key = (instance.arity, position, value)
-                field_bucket = self.by_field[key]
+            by_field = self.by_field
+            for position, value in enumerate(values):
+                key = (arity, position, value)
+                field_bucket = by_field[key]
                 del field_bucket[tid]
                 if not field_bucket:
-                    del self.by_field[key]
+                    del by_field[key]
 
     # -- sizes and buckets ---------------------------------------------
     def arity_size(self, arity: int) -> int:
@@ -295,6 +300,9 @@ class TupleStore(BaseStore):
         else:
             rows = best.values()
             rest = [probe for probe in probes if probe[0] != best_position]
+        if len(rest) == 1:
+            ((position, value),) = rest
+            return [inst for inst in rows if inst.values[position] == value]
         if rest:
             return [
                 inst
@@ -410,7 +418,7 @@ class ColumnarStore(BaseStore):
         return group
 
     def admit(self, instance: TupleInstance) -> None:
-        group = self._group(instance.arity)
+        group = self._group(len(instance.values))
         row = len(group.insts)
         group.serials.append(instance.tid.serial)
         group.insts.append(instance)
@@ -440,7 +448,7 @@ class ColumnarStore(BaseStore):
         """
         batches: dict[int, list[TupleInstance]] = {}
         for instance in instances:
-            batches.setdefault(instance.arity, []).append(instance)
+            batches.setdefault(len(instance.values), []).append(instance)
         rows = self.rows
         for arity, batch in batches.items():
             group = self._group(arity)
@@ -477,7 +485,7 @@ class ColumnarStore(BaseStore):
     # -- removal + compaction ------------------------------------------
     def remove(self, instance: TupleInstance) -> None:
         row = self.rows.pop(instance.tid)  # KeyError contract, as TupleStore
-        group = self.groups[instance.arity]
+        group = self.groups[len(instance.values)]
         group.insts[row] = None
         group.dead += 1
         if self.indexed and group.arity:

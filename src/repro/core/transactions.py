@@ -39,11 +39,15 @@ from repro.core.actions import (
     pure_actions,
     validate_actions,
 )
-from repro.core.expressions import Bindings, EvalContext
+from repro.core.expressions import Bindings, Const, EvalContext, is_pure, kernel
+from repro.core.patterns import LitElement, Pattern, VarElement
+from repro.core.plan import define
 from repro.core.query import Query, QueryBuilder, QueryResult, TRUE_QUERY
 from repro.core.tuples import TupleInstance
 from repro.core.views import Window
-from repro.errors import ExportViolation, SDLError, TransactionError
+from repro.errors import (
+    ExportViolation, PatternError, SDLError, TransactionError, UnboundVariableError,
+)
 
 __all__ = [
     "Mode",
@@ -53,6 +57,7 @@ __all__ = [
     "action_error",
     "stage",
     "stage_actions",
+    "compile_actions",
     "settle",
     "apply",
     "execute",
@@ -90,7 +95,7 @@ class Transaction:
     window while it is staged, and may be staged on a pool worker.
     """
 
-    __slots__ = ("query", "mode", "actions", "label", "pure")
+    __slots__ = ("query", "mode", "actions", "label", "pure", "stager")
 
     def __init__(
         self,
@@ -107,6 +112,13 @@ class Transaction:
         self.label = label
         validate_actions(self.actions, self.query.quantifier)
         self.pure = pure_actions(self.actions)
+        #: The action list resolved once, on first staging
+        #: (:func:`compile_actions`).
+        self.stager: Callable | None = None
+
+    def __reduce__(self):
+        # Rebuild from the fields alone: the stager is generated code.
+        return (Transaction, (self.query, self.mode, self.actions, self.label))
 
     def with_actions(self, *actions: Action) -> "Transaction":
         return Transaction(self.query, self.mode, self.actions + tuple(actions), self.label)
@@ -185,10 +197,12 @@ def stage(
     if not result.success:
         return TransactionOutcome.failure()
     matches = result.matches
-    effect = stage_actions(
+    stager = txn.stager
+    if stager is None:
+        stager = txn.stager = compile_actions(txn.actions)
+    effect = stager(
         TransactionOutcome(success=True),
-        txn.actions,
-        dict(result.bindings) if matches else dict(params),
+        dict(matches[0].bindings) if matches else dict(params),
         [match.bindings for match in matches],
         window if txn.pure else _Unretracted(window, (*before, result)),
         rng,
@@ -212,45 +226,114 @@ def stage_actions(
     sub-queries; the worker pool stages the pure fragment with none.  An
     action that raises stops the staging: its error (typed by
     :func:`action_error`) is kept in ``effect.error``, after what was
-    staged before it.
+    staged before it.  A :class:`Transaction` keeps this function for its
+    own actions, compiled (``Transaction.stager``).
     """
-    lets = effect.lets
-    action = env = None
-    try:
-        for action in actions:
-            if isinstance(action, Let):
-                env = once_env
-                ctx = EvalContext(Bindings(env), window=window, rng=rng)
-                lets[action.name] = once_env[action.name] = action.expr.evaluate(ctx)
-            elif isinstance(action, Exit):
-                effect.control = Control.EXIT
-            elif isinstance(action, Abort):
-                effect.control = Control.ABORT
-            elif isinstance(action, Skip):
-                pass
-            else:
-                envs = (
-                    [{**bindings, **lets} for bindings in match_bindings]
-                    if match_bindings
-                    else [once_env]
-                )
-                for env in envs:
-                    ctx = EvalContext(Bindings(env), window=window, rng=rng)
-                    if isinstance(action, AssertTuple):
-                        effect.assertions.append(action.pattern.instantiate(ctx))
-                    elif isinstance(action, Spawn):
-                        args = tuple(arg.evaluate(ctx) for arg in action.args)
-                        effect.spawned.append((action.process_name, args))
-                    elif isinstance(action, CallPython):
-                        effect.callbacks.append((action.callback, dict(env)))
-                    else:  # pragma: no cover - future action kinds
-                        raise TransactionError(f"unknown action {action!r}")
-    except SDLError as exc:
-        effect.error = exc
-    except Exception as exc:
-        effect.error = action_error(action, env, exc)
-        effect.error.__cause__ = exc
-    return effect
+    return compile_actions(tuple(actions))(effect, once_env, match_bindings, window, rng)
+
+
+def compile_actions(actions: tuple[Action, ...]) -> Callable:
+    """*actions* resolved once into ``stager(effect, once_env,
+    match_bindings, window, rng)``, which is :func:`stage_actions` for
+    them.
+
+    Every action is written out in order: a template's fields (and a
+    spawn's arguments, a ``let`` body) are their compiled closures when
+    pure (:func:`~repro.core.expressions.kernel`) and the generic
+    evaluation under an :class:`EvalContext` otherwise; a variable field
+    reads the environment and raises :class:`UnboundVariableError` as
+    ``Bindings.get`` does.  Fields are evaluated left to right, up to the
+    first wildcard, as :meth:`Pattern.instantiate` does.  Without a
+    ``let`` in the list a match's bindings are its environment as they
+    are (the merge with no ``let`` values is a copy nobody writes).
+    """
+    consts: dict[str, Any] = {
+        "SDLError": SDLError, "UnboundVariableError": UnboundVariableError,
+        "PatternError": PatternError, "TransactionError": TransactionError,
+        "action_error": action_error, "EvalContext": EvalContext,
+        "Bindings": Bindings, "EXIT": Control.EXIT, "ABORT": Control.ABORT,
+    }
+    merged = any(isinstance(action, Let) for action in actions)
+    body: list[str] = []
+
+    def value(name: str, expr: Any) -> None:
+        """Emit ``name = <expr under env>``."""
+        consts[name.upper()] = expr
+        if is_pure(expr):
+            consts[f"K{name}"] = kernel(expr)
+            body.append(f"{name} = K{name}(env)")
+        else:
+            body.append(
+                f"{name} = {name.upper()}.evaluate("
+                "EvalContext(Bindings(env), window=window, rng=rng))"
+            )
+
+    def template(i: int, pattern: Pattern) -> str:
+        fields = []
+        for position, element in enumerate(pattern.elements):
+            name = f"v{i}_{position}"
+            if isinstance(element, VarElement):
+                body.extend((
+                    "try:",
+                    f"    {name} = env[{element.name!r}]",
+                    "except KeyError:",
+                    f"    raise UnboundVariableError({element.name!r}) from None",
+                ))
+            elif isinstance(element, LitElement) and isinstance(element.expr, Const):
+                consts[name] = element.expr.value
+            elif isinstance(element, LitElement):
+                value(name, element.expr)
+            else:  # a wildcard
+                body.append("raise PatternError('cannot assert a tuple containing a wildcard')")
+                break
+            fields.append(name)
+        return "(" + "".join(f"{name}, " for name in fields) + ")"
+
+    for i, action in enumerate(actions):
+        consts[f"A{i}"] = action
+        if isinstance(action, (Exit, Abort, Skip)):
+            if not isinstance(action, Skip):
+                body.append(f"effect.control = {'EXIT' if isinstance(action, Exit) else 'ABORT'}")
+            continue
+        body.append(f"action = A{i}")
+        if isinstance(action, Let):
+            body.append("env = once_env")
+            value(f"l{i}", action.expr)
+            body.append(f"lets[{action.name!r}] = once_env[{action.name!r}] = l{i}")
+            continue
+        start = len(body)
+        if isinstance(action, AssertTuple):
+            built = template(i, action.pattern)
+            body.append(f"effect.assertions.append({built})")
+        elif isinstance(action, Spawn):
+            for j, arg in enumerate(action.args):
+                value(f"s{i}_{j}", arg)
+            args = "".join(f"s{i}_{j}, " for j in range(len(action.args)))
+            body.append(f"effect.spawned.append(({action.process_name!r}, ({args})))")
+        elif isinstance(action, CallPython):
+            body.append(f"effect.callbacks.append((A{i}.callback, dict(env)))")
+        else:  # pragma: no cover - future action kinds
+            body.append(f"raise TransactionError('unknown action ' + repr(A{i}))")
+        # Per match: the loop over this action's environments.
+        envs = "[{**b, **lets} for b in match_bindings]" if merged else "match_bindings"
+        body[start:] = [
+            f"for env in ({envs} if match_bindings else (once_env,)):",
+            *("    " + line for line in body[start:]),
+        ]
+    lines = [
+        "def generated(effect, once_env, match_bindings, window, rng):",
+        "    lets = effect.lets",
+        "    action = env = None",
+        "    try:",
+        *("        " + line for line in body or ["pass"]),
+        "    except SDLError as exc:",
+        "        effect.error = exc",
+        "    except Exception as exc:",
+        "        effect.error = action_error(action, env, exc)",
+        "        effect.error.__cause__ = exc",
+        "    return effect",
+    ]
+    return define("\n".join(lines) + "\n", consts)
 
 
 def settle(

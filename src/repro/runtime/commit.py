@@ -230,7 +230,7 @@ def complete_footprint(
     """
     retracted = result.all_retracted()
     writes = [
-        WriteRecord(inst.arity, enumerate(inst.values)) for inst in retracted
+        WriteRecord(len(inst.values), enumerate(inst.values)) for inst in retracted
     ]
     writes.extend(_assert_intents(txn, result, scope))
     footprint.writes = tuple(writes)

@@ -32,7 +32,7 @@ from repro.core.dataspace import Dataspace
 from repro.core.plan import QueryPlanner, resolve_plan_mode
 from repro.core.process import ProcessDefinition, ProcessInstance
 from repro.core.society import ProcessSociety
-from repro.core.views import Window, WindowStats
+from repro.core.views import FULL_VIEW, Window, WindowStats
 from repro.errors import DeadlockError, EngineError, StepLimitExceeded
 from repro.obs import Observability, resolve_obs
 from repro.runtime.events import CheckpointTaken, ProcessCreated, ProcessRestarted, Trace
@@ -361,9 +361,14 @@ class Engine:
             self.scheduler.round_size = 1
         self.wakeups = WakeupIndex(obs=self.obs)
         self.executor = Executor(self)
+        #: The unfinished tasks (a task leaves when it is done).
         self.tasks: dict[int, Task] = {}
         self._windows: dict[int, Window] = {}
         self._window_stats = WindowStats()  # absorbed from dropped windows
+        #: The one window of every process with an unrestricted view: it
+        #: holds no per-process state (no memo, no params it reads).
+        self._full_window = FULL_VIEW.window(self.dataspace)
+        self._full_window.planner = self.planner
         # Recovery: in-memory checkpoints (``checkpoint_interval=``), or —
         # when a WAL directory is configured (``wal_dir=`` / SDL_WAL_DIR /
         # ``--wal-dir``) — the durable layer on top of them: checksummed
@@ -726,11 +731,15 @@ class Engine:
     # ------------------------------------------------------------------
     def spawn(self, name: str, args: Seq[Any], spawner: int | None) -> ProcessInstance:
         instance = self.society.spawn(name, args, spawner, created_at=self.step_count)
-        self.trace.emit(
-            ProcessCreated(
-                self.step_count, self.round_count, instance.pid, name, tuple(args), spawner
+        trace = self.trace
+        if trace.recording:
+            trace.emit(
+                ProcessCreated(
+                    self.step_count, self.round_count, instance.pid, name, tuple(args), spawner
+                )
             )
-        )
+        else:
+            trace.counters.processes_created += 1  # what emit would count
         self.make_task(instance, interpret(instance.definition.body.body), TaskKind.MAIN)
         return instance
 
@@ -743,7 +752,10 @@ class Engine:
     def window(self, process: ProcessInstance) -> Window:
         window = self._windows.get(process.pid)
         if window is None:
-            window = process.view.window(self.dataspace, process.params)
+            view = process.view
+            if view.unrestricted:
+                return self._full_window
+            window = view.window(self.dataspace, process.params)
             window.planner = self.planner
             self._windows[process.pid] = window
         return window
@@ -758,6 +770,7 @@ class Engine:
         """Aggregate window counters: dropped windows plus live ones."""
         total = WindowStats()
         total.absorb(self._window_stats)
+        total.absorb(self._full_window.stats)
         for window in self._windows.values():
             total.absorb(window.stats)
         return total

@@ -10,10 +10,13 @@ that: every semantically meaningful runtime occurrence is emitted as an
 
 ``Trace`` keeps cheap aggregate counters unconditionally and the full event
 list only when ``detail=True``, so benchmarks can run with counters alone.
-An event object is built only when something records it: a hot emitter
-whose event nothing reads (``Trace.recording`` false: no detail, no
-observer) bumps the counter :meth:`Trace.emit` would have bumped instead
-— the group-commit loser path does this for ``ConflictDetected``.
+An event object is built only when something records it: every hot
+emitter — commits, failures, blocks, wakes, wake resolutions, replicas,
+process creation and completion, group-commit conflicts — checks
+``Trace.recording`` and, when nothing reads the event (no detail, no
+observer), bumps the counter :meth:`Trace.emit` would have bumped instead
+(``_COUNTED`` says which).  Rarer events (rounds, consensus, crashes,
+restarts, checkpoints) always go through :meth:`Trace.emit`.
 """
 
 from __future__ import annotations
@@ -277,11 +280,28 @@ class Trace:
     """Event sink with aggregate counters and optional full event history."""
 
     def __init__(self, detail: bool = False) -> None:
-        self.detail = detail
         self.events: list[Event] = []
         self.counters = TraceCounters()
         self._observers: dict[int, Callable[[Event], None]] = {}
         self._observer_token = 0
+        #: Does anything read events: the detailed history or an observer?
+        #: When not, a hot emitter bumps the event's counter itself
+        #: instead of building the event.  Kept current by the ``detail``
+        #: setter and by :meth:`observe`, so an emitter reads a plain
+        #: attribute per event — and an observer attached mid-run sees
+        #: every later event.
+        self.recording = False
+        self.detail = detail
+
+    @property
+    def detail(self) -> bool:
+        """Keep the full event list (``events``)?"""
+        return self._detail
+
+    @detail.setter
+    def detail(self, value: bool) -> None:
+        self._detail = value
+        self.recording = bool(value) or bool(self._observers)
 
     def observe(self, callback: Callable[[Event], None]) -> Callable[[], None]:
         """Attach a live observer (used by visualization processes).
@@ -293,21 +313,13 @@ class Trace:
         self._observer_token += 1
         token = self._observer_token
         self._observers[token] = callback
+        self.recording = True
 
         def detach() -> None:
             self._observers.pop(token, None)
+            self.recording = bool(self._detail) or bool(self._observers)
 
         return detach
-
-    @property
-    def recording(self) -> bool:
-        """Does anything read events: the detailed history or an observer?
-
-        When not, an emitter may bump the event's counter itself instead of
-        building the event.  Ask per event, not once per run: an observer
-        attached mid-run must see every later event.
-        """
-        return self.detail or bool(self._observers)
 
     def emit(self, event: Event) -> None:
         kind = type(event)
@@ -317,7 +329,7 @@ class Trace:
             count = _COUNTING[kind] = _counting_for(kind)
         if count is not None:
             count(self.counters, event)
-        if self.detail:
+        if self._detail:
             self.events.append(event)
         for observer in list(self._observers.values()):
             observer(event)

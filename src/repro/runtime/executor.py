@@ -158,9 +158,7 @@ class Executor:
         task.state = TaskState.CONSENSUS
         task.process.status = ProcessStatus.CONSENSUS_WAIT
         self._add_waiter(task)
-        engine.trace.emit(
-            TaskBlocked(engine.step_count, engine.round_count, task.process.pid, "consensus")
-        )
+        self._blocked(task, "consensus")
 
     def _handle_select(self, task: Task, branches: tuple[GuardedSequence, ...]) -> None:
         engine = self.engine
@@ -197,12 +195,7 @@ class Executor:
             task.process.status = ProcessStatus.CONSENSUS_WAIT
             engine.wakeups.add(task, sub)
             self._add_waiter(task)
-            engine.trace.emit(
-                TaskBlocked(
-                    engine.step_count, engine.round_count, task.process.pid,
-                    "selection+consensus",
-                )
-            )
+            self._blocked(task, "selection+consensus")
         else:
             self._block(task, sub, "selection")
 
@@ -236,9 +229,15 @@ class Executor:
         if item.woken:
             item.woken = False
             engine = self.engine
-            engine.trace.emit(
-                WakeResolved(engine.step_count, engine.round_count, item.process.pid, spurious)
-            )
+            trace = engine.trace
+            if trace.recording:
+                trace.emit(
+                    WakeResolved(engine.step_count, engine.round_count, item.process.pid, spurious)
+                )
+            elif spurious:  # what emit would count
+                trace.counters.spurious_wakeups += 1
+            else:
+                trace.counters.precise_wakeups += 1
 
     # ------------------------------------------------------------------
     # replication
@@ -290,9 +289,7 @@ class Executor:
             pump,
             self._subscription_for([b.guard for b in pump.replication.branches], pump),
         )
-        engine.trace.emit(
-            TaskBlocked(engine.step_count, engine.round_count, pump.process.pid, "replication")
-        )
+        self._blocked(pump, "replication")
 
     def _pump_fire_batch(self, pump: Pump) -> bool:
         """Fire a maximal parallel batch of replica transactions.
@@ -341,9 +338,15 @@ class Executor:
                 )
                 engine.step_count += 1
                 self._commit(pump.process, guard, outcome)
-                engine.trace.emit(
-                    ReplicaSpawned(engine.step_count, engine.round_count, pump.process.pid, index)
-                )
+                trace = engine.trace
+                if trace.recording:
+                    trace.emit(
+                        ReplicaSpawned(
+                            engine.step_count, engine.round_count, pump.process.pid, index
+                        )
+                    )
+                else:
+                    trace.counters.replicas += 1  # what emit would count
                 fired_any = True
                 progress = True
                 if outcome.control is Control.ABORT:
@@ -386,6 +389,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _task_finished(self, task: Task, control: Control) -> None:
         task.state = TaskState.DONE
+        self.engine.tasks.pop(task.tid, None)
         if task.kind is TaskKind.REPLICA:
             if control is Control.ABORT:
                 self._abort_process(task.process)
@@ -421,11 +425,15 @@ class Executor:
         self.consensus_index.forget(process.pid)
         self.consensus_dirty = True  # a terminated process may unblock a set
         engine.supervisor.notify_finished(process.pid, aborted)
-        engine.trace.emit(
-            ProcessFinished(
-                engine.step_count, engine.round_count, process.pid, process.name, aborted
+        trace = engine.trace
+        if trace.recording:
+            trace.emit(
+                ProcessFinished(
+                    engine.step_count, engine.round_count, process.pid, process.name, aborted
+                )
             )
-        )
+        else:
+            trace.counters.processes_finished += 1  # what emit would count
 
     def _abort_process(self, process: ProcessInstance) -> None:
         self._detach_process(process.pid)
@@ -440,10 +448,10 @@ class Executor:
         surface as a phantom deadlock participant.
         """
         engine = self.engine
-        for task in engine.tasks.values():
-            if task.process.pid == pid and task.state is not TaskState.DONE:
-                task.state = TaskState.DONE
-                engine.wakeups.discard(task.tid)
+        for task in [task for task in engine.tasks.values() if task.process.pid == pid]:
+            task.state = TaskState.DONE
+            del engine.tasks[task.tid]
+            engine.wakeups.discard(task.tid)
         for item in list(engine.wakeups.items()):
             if item.process.pid == pid:
                 item.state = TaskState.DONE
@@ -499,9 +507,7 @@ class Executor:
             item.state = TaskState.READY
             item.woken = True
             engine.scheduler.enqueue(item)
-            engine.trace.emit(
-                TaskWoken(engine.step_count, engine.round_count, item.process.pid)
-            )
+            self._woken(item)
             delivered = True
         return delivered
 
@@ -523,13 +529,22 @@ class Executor:
         if outcome.success:
             self._commit(process, txn, outcome)
         else:
-            engine.trace.emit(
+            self._failed(process, txn)
+        return outcome
+
+    def _failed(self, process: ProcessInstance, txn: Transaction) -> None:
+        """Record that *txn*, attempted by *process*, did not commit."""
+        engine = self.engine
+        trace = engine.trace
+        if trace.recording:
+            trace.emit(
                 TxnFailed(
                     engine.step_count, engine.round_count, process.pid,
                     txn.mode.name, txn.label,
                 )
             )
-        return outcome
+        else:
+            trace.counters.failures += 1  # what emit would count
 
     def _faulted(self, process: ProcessInstance, matched: bool) -> bool:
         """Fire the ``post-match`` site, and for a match about to commit
@@ -565,19 +580,27 @@ class Executor:
             process.env.update(outcome.lets)
         for name, args in outcome.spawned:
             engine.spawn(name, args, spawner=process.pid)
-        engine.trace.emit(
-            TxnCommitted(
-                engine.step_count,
-                engine.round_count,
-                process.pid,
-                txn.mode.name,
-                txn.label,
-                len(outcome.retracted),
-                len(outcome.asserted),
-                outcome.match_count,
-                outcome.reads,
+        trace = engine.trace
+        if trace.recording:
+            trace.emit(
+                TxnCommitted(
+                    engine.step_count,
+                    engine.round_count,
+                    process.pid,
+                    txn.mode.name,
+                    txn.label,
+                    len(outcome.retracted),
+                    len(outcome.asserted),
+                    outcome.match_count,
+                    outcome.reads,
+                )
             )
-        )
+        else:  # what emit would count (events._count_commit)
+            counters = trace.counters
+            counters.commits += 1
+            counters.asserts += len(outcome.asserted)
+            counters.retracts += len(outcome.retracted)
+            counters.reads += outcome.reads
         if outcome.asserted or outcome.retracted:
             self._wake_on_change(outcome.asserted + outcome.retracted)
         # Last, so a raising callback finds the commit fully accounted for.
@@ -598,9 +621,27 @@ class Executor:
         task.process.status = ProcessStatus.BLOCKED
         engine.wakeups.add(task, sub)
         if not requeue:
-            engine.trace.emit(
-                TaskBlocked(engine.step_count, engine.round_count, task.process.pid, kind)
+            self._blocked(task, kind)
+
+    def _blocked(self, item: Any, kind: str) -> None:
+        """Record that *item* parked (``TaskBlocked``)."""
+        engine = self.engine
+        trace = engine.trace
+        if trace.recording:
+            trace.emit(
+                TaskBlocked(engine.step_count, engine.round_count, item.process.pid, kind)
             )
+        else:
+            trace.counters.blocks += 1  # what emit would count
+
+    def _woken(self, item: Any) -> None:
+        """Record that *item* was woken (``TaskWoken``)."""
+        engine = self.engine
+        trace = engine.trace
+        if trace.recording:
+            trace.emit(TaskWoken(engine.step_count, engine.round_count, item.process.pid))
+        else:
+            trace.counters.wakeups += 1  # what emit would count
 
     def _unpark(self, task: Task) -> None:
         task.park = None
@@ -621,9 +662,7 @@ class Executor:
                     item.state = TaskState.READY
                     item.woken = True
                     engine.scheduler.enqueue(item)
-                    engine.trace.emit(
-                        TaskWoken(engine.step_count, engine.round_count, item.process.pid)
-                    )
+                    self._woken(item)
                 # Pure consensus transactions are re-examined by the
                 # consensus engine, not rescheduled.
                 continue
@@ -643,9 +682,7 @@ class Executor:
             item.state = TaskState.READY
             item.woken = True
             engine.scheduler.enqueue(item)
-            engine.trace.emit(
-                TaskWoken(engine.step_count, engine.round_count, item.process.pid)
-            )
+            self._woken(item)
 
     # ------------------------------------------------------------------
     # group-commit rounds (engine option ``commit="group"``)

@@ -58,7 +58,7 @@ from repro.runtime.commit import (
     read_side,
     validate_serial_equivalence,
 )
-from repro.runtime.events import ConflictDetected, RoundCommitted, TxnFailed
+from repro.runtime.events import ConflictDetected, RoundCommitted
 from repro.runtime.interpreter import TxnRequest
 from repro.runtime.parallel import (
     _TASK_ENTRIES,
@@ -646,12 +646,7 @@ def _group_failure(
     watchers of their own (:func:`~repro.runtime.commit.read_side`).
     """
     engine = executor.engine
-    engine.trace.emit(
-        TxnFailed(
-            engine.step_count, engine.round_count, task.process.pid,
-            txn.mode.name, txn.label,
-        )
-    )
+    executor._failed(task.process, txn)
     task.pending = None
     if txn.mode is Mode.IMMEDIATE:
         task.send_value = TransactionOutcome.failure()

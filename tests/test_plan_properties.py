@@ -157,9 +157,8 @@ class Withheld(QueryPlanner):
 
     __slots__ = ()
 
-    def iter_matches(self, window, patterns, bound, rng=None,
-                     excluded=frozenset(), test=None):
-        return super().iter_matches(window, patterns, bound, rng, excluded)
+    def join_filters(self, plan, test):
+        return None
 
 
 class SeesWindow(Expr):

@@ -1,0 +1,257 @@
+"""Attempt kernels against the evaluation loop they replace.
+
+On the planner path :meth:`Query.evaluate` calls the query's attempt
+kernel (:func:`repro.core.plan.compile_kernel`, SEMANTICS §12): the
+planned join, the test and the ∃/∀/¬ evaluation compiled once per (query,
+bound-name shape).  The reference below is that path as it was before:
+the ∃/∀/¬ loop over :meth:`QueryPlanner.iter_matches` with the leaf test
+of :meth:`Query._passes_test`.  For random queries — retract masks, pure,
+raising and impure (``Membership``) tests, raising pattern literals,
+unbound names, excluded instances — over random dataspaces seen through
+a plain window, a ``where``-view window and the group snapshot lens, the
+kernel must return the same :class:`QueryResult`, raise the same error
+and leave the RNG in the same state.  The naive textual-order walk
+(``plan="off"``) must agree on verdicts and read-only ∀ match sets.
+
+The caches are bounded by the program, not the run: a Sum2 society of
+1 023 processes with distinct ``(k, j)`` compiles one kernel and plans
+once.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.dataspace import Dataspace
+from repro.core.expressions import Var, lift, variables
+from repro.core.patterns import ANY, P
+from repro.core.plan import QueryPlanner
+from repro.core.query import Match, Membership, Query, QueryResult
+from repro.core.views import FULL_VIEW, View, import_rule
+from repro.errors import SDLError
+from repro.programs.summation import run_sum2
+from repro.runtime.rounds import _SnapshotLens
+
+A, B, C = variables("a b c")
+NAMES = ("r", "s")
+VALUES = st.integers(min_value=0, max_value=3)
+
+
+def _inverse(x):
+    return 6 // x  # raises ZeroDivisionError at 0
+
+
+def _frail(x):
+    if x == 3:
+        raise ValueError("three")
+    return x > 0
+
+
+inverse, frail = lift(_inverse), lift(_frail)
+
+rows = st.lists(st.tuples(st.sampled_from(NAMES), VALUES, VALUES), max_size=10)
+
+fields = st.one_of(
+    st.just(ANY),
+    st.sampled_from((A, B, C)),
+    VALUES,
+    st.sampled_from((A + 1, inverse(B))),  # a raising literal
+)
+
+atoms = st.tuples(st.sampled_from(NAMES), fields, fields).map(lambda t: P[t[0], t[1], t[2]])
+
+pure_tests = st.sampled_from((A < B, frail(A), (B >= C) & (A != 2)))
+impure_tests = st.sampled_from((
+    Membership(P["s", A, ANY]),
+    ~Membership(P["r", ANY, B]),
+    Membership(P["s", ANY, C], test=(C > 1)),
+))
+tests = st.one_of(
+    st.none(),
+    pure_tests,
+    impure_tests,
+    st.tuples(pure_tests, impure_tests).map(lambda pair: pair[0] & pair[1]),
+)
+
+
+@st.composite
+def queries(draw):
+    patterns = draw(st.lists(atoms, min_size=1, max_size=3))
+    test = draw(tests)
+    kind = draw(st.sampled_from(("exists", "forall", "no")))
+    if kind == "no":
+        return Query("exists", (A, B, C), patterns, test, negated=True)
+    mask = draw(st.lists(st.booleans(), min_size=len(patterns), max_size=len(patterns)))
+    atoms_ = [p.retract() if kill else p for p, kill in zip(patterns, mask)]
+    return Query(kind, (A, B, C), atoms_, test, require_nonempty=draw(st.booleans()))
+
+
+params = st.dictionaries(st.sampled_from(("a", "b", "c", "unused")), VALUES, max_size=2)
+
+
+def reference(query, window, bound, rng, excluded):
+    """``Query.evaluate`` before attempt kernels: the loop over
+    :meth:`QueryPlanner.iter_matches`."""
+    bound = dict(bound)
+    if query.is_trivial():
+        return QueryResult(True, [Match(bound, (), ())])
+
+    def joint(excl):
+        return window.planner.iter_matches(
+            window, query._patterns, bound, rng, excl, query.test
+        )
+
+    if query.negated:
+        for bindings, __ in joint(excluded):
+            if query._passes_test(bindings, window, rng):
+                return QueryResult(False)
+        return QueryResult(True)
+    mask = query._retract_mask
+    if query.quantifier == "exists":
+        for bindings, instances in joint(excluded):
+            if not query._passes_test(bindings, window, rng):
+                continue
+            retracted = tuple(i for i, kill in zip(instances, mask) if kill)
+            return QueryResult(True, [Match(bindings, tuple(instances), retracted)])
+        return QueryResult(False)
+    consumed = set(excluded)
+    seen = set()
+    matches = []
+    for bindings, instances in joint(consumed):
+        if not query._passes_test(bindings, window, rng):
+            continue
+        retracted = tuple(i for i, kill in zip(instances, mask) if kill)
+        signature = (
+            tuple(bindings.get(v) for v in query.variables),
+            tuple(sorted(i.tid for i in retracted)),
+        )
+        if signature in seen:
+            continue
+        seen.add(signature)
+        consumed.update(i.tid for i in retracted)
+        matches.append(Match(bindings, tuple(instances), retracted))
+    if query.require_nonempty and not matches:
+        return QueryResult(False)
+    return QueryResult(True, matches)
+
+
+def outcome(evaluate, *args):
+    """The result, or the error's type and message."""
+    try:
+        return evaluate(*args)
+    except SDLError as exc:
+        return type(exc), str(exc)
+
+
+WHERE_VIEW = View(imports=[
+    import_rule("r", Var("x"), Var("y"), where=[P["s", Var("y"), ANY]]),
+    import_rule("s", ANY, ANY),
+])
+
+
+def windows(early, late, shape):
+    """A window of *shape* over *early* then *late*, with a planner; the
+    lens shows *early* only."""
+    ds = Dataspace()
+    ds.insert_many(early)
+    watermark = ds.serial
+    ds.insert_many(late)
+    view = WHERE_VIEW if shape == "where" else FULL_VIEW
+    window = view.window(ds)
+    window.planner = QueryPlanner(ds)
+    shown = _SnapshotLens(window, watermark) if shape == "lens" else window
+    return ds, shown
+
+
+#: ``∀`` whose retracting outer row is consumed by the first match under
+#: it: the second inner row must be pruned at the leaf.
+CONSUMED_OUTER = Query("forall", (A, B, C), [P["r", A, ANY].retract(), P["s", B, ANY]])
+#: A literal that raises after a sibling subtree bound ``c``: the error
+#: names the bindings of the raising row only.
+RAISES_AFTER_SUBTREE = Query("forall", (A, B, C), [P["r", B, ANY], P["s", inverse(B), C]])
+
+
+class TestKernelEqualsReference:
+    @given(
+        rows, rows, queries(), params, st.sampled_from(("plain", "where", "lens")),
+        st.lists(st.integers(0, 19), max_size=3), st.integers(0, 2**32 - 1),
+    )
+    @example(
+        [("r", 1, 0), ("s", 1, 1), ("s", 2, 2)], [], CONSUMED_OUTER, {}, "plain", [], 0
+    )
+    @example([("r", 1, 0), ("r", 0, 0), ("s", 6, 2)], [], RAISES_AFTER_SUBTREE, {}, "plain", [], 0)
+    @example([("r", 1, 0), ("r", 0, 0), ("s", 6, 2)], [], RAISES_AFTER_SUBTREE, {}, "plain", [], 1)
+    @example(  # the lens shows 3 of the 4 rows: the offset is drawn over 3
+        [("r", 0, 0), ("r", 1, 1), ("r", 2, 2)], [("r", 3, 3)],
+        Query("exists", (A, B, C), [P["r", A, ANY]]), {}, "lens", [], 0,
+    )
+    @settings(deadline=None)
+    def test_same_result_error_and_rng_state(
+        self, early, late, query, bound, shape, excluded_at, seed
+    ):
+        ds, window = windows(early, late, shape)
+        tids = sorted(ds.tids())
+        excluded = frozenset(tids[i] for i in excluded_at if i < len(tids))
+        rng_ref, rng_kernel = random.Random(seed), random.Random(seed)
+        expected = outcome(reference, query, window.refresh(), bound, rng_ref, excluded)
+        got = outcome(query.evaluate, window.refresh(), bound, rng_kernel, excluded)
+        assert got == expected
+        assert rng_kernel.getstate() == rng_ref.getstate()
+        # A second attempt takes the remembered kernel, not a new one.
+        again = outcome(query.evaluate, window, bound, random.Random(seed), excluded)
+        assert again == expected
+        assert window.planner.kernel_count == 1
+
+
+class TestKernelAgainstNaiveWalk:
+    @given(rows, queries(), params, st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_verdicts_and_read_only_match_sets(self, tuples, query, bound, seed):
+        ds = Dataspace()
+        ds.insert_many(tuples)
+        planned = FULL_VIEW.window(ds)
+        planned.planner = QueryPlanner(ds)
+        naive = FULL_VIEW.window(ds)
+        on = outcome(query.evaluate, planned, bound, random.Random(seed))
+        off = outcome(query.evaluate, naive, bound, random.Random(seed))
+        if not (isinstance(on, QueryResult) and isinstance(off, QueryResult)):
+            return  # pushdown may spare the planned path an error (SEMANTICS §12)
+        assert on.success == off.success
+        if query.quantifier == "forall" and not query.retracts() and on.success:
+            def signatures(result):
+                return sorted(
+                    tuple(m.bindings.get(v) for v in query.variables) for m in result.matches
+                )
+
+            assert signatures(on) == signatures(off)
+
+
+class TestBoundedCaches:
+    def test_sum2_compiles_one_kernel_for_a_thousand_processes(self):
+        run = run_sum2(list(range(1024)), seed=3, plan="on")
+        planner = run.engine.planner
+        assert run.total == sum(range(1024)) and run.result.commits == 1023
+        # One query, one bound-name shape ({k, j}): one kernel, one plan.
+        assert planner.kernel_count == 1
+        assert len(planner.kernels) == 1
+        assert planner.cache_size == 1
+        assert run.result.plan_misses == 1
+
+    def test_plan_for_runs_once_per_query_and_shape(self, monkeypatch):
+        calls = []
+        real = QueryPlanner.plan_for
+
+        def counting(self, patterns, bound):
+            calls.append(frozenset(bound))
+            return real(self, patterns, bound)
+
+        monkeypatch.setattr(QueryPlanner, "plan_for", counting)
+        # (Parallel admission touches the plan cache once per shipped
+        # candidate, as its serial evaluation would have.)
+        run = run_sum2(list(range(64)), seed=3, plan="on", admit="serial")
+        assert run.result.commits == 63
+        assert calls == [frozenset({"k", "j"})]
+        # Every later attempt counts a hit, as its plan_for call would have.
+        assert run.result.plan_hits + run.result.plan_misses > 63
