@@ -10,10 +10,18 @@
    ``RELAY_STEPS``.  Process table, task table, window table, wakeup
    index, plan cache and kernel cache must stay bounded by the program
    (one query, one bound-name shape), not grow with the run.
+3. *Consensus communities.*  ``COMMUNITY_WIDTH`` members at a time, in
+   communities of ``COMMUNITY_SIZE``, each behind a ``where``-view keyed
+   on its community's cell numbers; each asserts its cell, meets its
+   community at a consensus that retracts the cells, spawns its successor
+   ``COMMUNITY_WIDTH`` cells on and retires — so the guard keys take
+   ever-new values until ``COMMUNITY_STEPS``.  The window router's routes,
+   key tables and inboxes, the consensus index and the window table must
+   stay bounded by the program, not grow with the run.
 
 For both, a sampling thread reads RSS from ``/proc/self/statm`` every half
 second; the growth from the sample at 20 % of the run to the last sample
-must stay under ``MAX_GROWTH_MB``.  About a minute and a half on one core.
+must stay under ``MAX_GROWTH_MB``.  About two minutes on one core.
 
     PYTHONPATH=src python benchmarks/soak_step_limit.py
 
@@ -29,13 +37,14 @@ import time
 
 from repro.core.actions import assert_tuple, spawn
 from repro.core.constructs import guarded, repeat
+from repro.core.dataspace import JOURNAL_DEPTH
 from repro.core.expressions import Var
 from repro.core.patterns import P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
 from repro.core.society import RETIRED_DEPTH
-from repro.core.transactions import delayed, immediate
-from repro.core.views import import_rule
+from repro.core.transactions import consensus, delayed, immediate
+from repro.core.views import MAX_ROUTER_KEYS, WindowRouter, import_rule
 from repro.errors import StepLimitExceeded
 from repro.runtime.engine import Engine
 
@@ -45,6 +54,11 @@ MAX_GROWTH_MB = 8.0
 RELAY_WIDTH = 64
 #: Steps the relay runs for (each relay takes about three).
 RELAY_STEPS = 400_000
+#: Consensus members alive at any time, and members per community.
+COMMUNITY_WIDTH = 16
+COMMUNITY_SIZE = 4
+#: Steps the communities run for: several times ``MAX_ROUTER_KEYS`` cells.
+COMMUNITY_STEPS = 100_000
 
 
 def rss_mb() -> float:
@@ -139,9 +153,61 @@ def parked_relay() -> None:
         assert size <= bound, f"relay: {size} {what}, bound {bound}"
 
 
+def consensus_communities() -> None:
+    g, h, v = Var("g"), Var("h"), Var("v")
+    same = (h // COMMUNITY_SIZE) == (g // COMMUNITY_SIZE)
+    member = ProcessDefinition(
+        "Member",
+        params=("g",),
+        body=[
+            immediate().then(assert_tuple("cell", g, 0), assert_tuple("live", g)),
+            consensus(exists(v).match(P["cell", g, v].retract())).then(
+                spawn("Member", g + COMMUNITY_WIDTH)
+            ),
+            immediate(exists().match(P["live", g].retract())),
+        ],
+        imports=[
+            import_rule("cell", h, v, guard=same, where=[P["live", h]]),
+            import_rule("live", h, guard=same),
+        ],
+    )
+    engine = Engine(definitions=[member], seed=1)
+    for first in range(COMMUNITY_WIDTH):
+        engine.start("Member", (first,))
+    soak(engine, COMMUNITY_STEPS, "consensus", max_steps=COMMUNITY_STEPS)
+    fired = engine.trace.counters.consensus_rounds
+    assert fired > COMMUNITY_STEPS // 20, fired
+    router = WindowRouter.of(engine.dataspace)
+    bounds = {
+        "live processes": (len(engine.society), 2 * COMMUNITY_WIDTH),
+        "windows": (len(engine._windows), 2 * COMMUNITY_WIDTH),
+        "router members": (len(router.members), 2 * COMMUNITY_WIDTH),
+        "router routes": (len(router.routes), 2),
+        "router key tables": (len(router.tables), 2),
+        "router key entries": (
+            sum(
+                len(table.admitting) + sum(len(seen) for seen in table.members.values())
+                for table in router.tables.values()
+            ),
+            2 * MAX_ROUTER_KEYS,
+        ),
+        "inbox entries": (
+            max((len(w._inbox) + len(w._support) for w in router.members), default=0),
+            JOURNAL_DEPTH,
+        ),
+        "consensus index pids": (
+            len(engine.executor.consensus_index.pids()), 2 * COMMUNITY_WIDTH
+        ),
+    }
+    for what, (size, bound) in bounds.items():
+        print(f"consensus: {what:<22} {size:>6}  (bound {bound})")
+        assert size <= bound, f"consensus: {size} {what}, bound {bound}"
+
+
 def main() -> None:
     runaway_loop()
     parked_relay()
+    consensus_communities()
 
 
 if __name__ == "__main__":

@@ -25,9 +25,15 @@ instance.  Materialising the full import *footprint* (needed by the
 consensus engine's overlap test) is explicit.
 
 Both the memo and the footprint are **maintained, not recomputed**: a
-window remembers the dataspace version it last saw and, on refresh, pulls
-the delta journal (:meth:`Dataspace.changes_since`) instead of discarding
-its state; only a journal gap forces a full invalidation.  Retracted
+window remembers the dataspace version it last saw and, on refresh, folds
+in the changes since then instead of discarding its state; only a journal
+gap forces a full invalidation.  A window without a footprint pulls the
+delta journal (:meth:`Dataspace.changes_since`) itself.  Once its
+footprint is materialised it joins the dataspace's :class:`WindowRouter`,
+which pulls the journal once per version for all its members and files
+each changed instance only into the inboxes of the windows that can import
+it; the window then drains its inboxes and answers lookups by footprint
+membership, keeping no memo.  Retracted
 instances are evicted and asserted instances are classified on arrival.
 For ordinary rules (pattern + guard) that is everything, because an import
 decision depends only on the tuple's own values and the process parameters.
@@ -46,9 +52,10 @@ refreshes so the incrementality is observable from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.dataspace import Dataspace, DataspaceChange
+from repro.core.dataspace import JOURNAL_DEPTH, Dataspace, DataspaceChange
 from repro.core.expressions import Bindings, Const, Expr, evaluator, is_pure
 from repro.core.patterns import LitElement, Pattern, VarElement, pattern as make_pattern
 from repro.core.tuples import TupleId, TupleInstance
@@ -59,6 +66,7 @@ __all__ = [
     "View",
     "Window",
     "WindowStats",
+    "WindowRouter",
     "FULL_VIEW",
     "import_rule",
     "export_rule",
@@ -354,7 +362,14 @@ FULL_VIEW = View.full()
 
 @dataclass(slots=True)
 class WindowStats:
-    """Reactivity counters for one window (aggregated into ``RunResult``)."""
+    """Reactivity counters for one window (aggregated into ``RunResult``).
+
+    ``hits`` counts import decisions answered without a rule: from the
+    memo, or, for a routed window (one whose footprint is materialised),
+    by membership in the footprint — every row of a routed window's
+    enumeration is such a hit.  ``misses`` counts decisions the rules had
+    to make on a lookup; classification during refresh counts as neither.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -385,6 +400,7 @@ class Window:
     __slots__ = (
         "dataspace", "view", "params", "stats", "planner",
         "_memo", "_memo_version", "_footprint", "_footprint_frozen", "_seeds",
+        "_router", "_inbox", "_support",
     )
 
     def __init__(self, dataspace: Dataspace, view: View, params: dict[str, Any]) -> None:
@@ -406,6 +422,13 @@ class Window:
         #: :func:`_support_seeds` of a ``where``-view, resolved on the first
         #: delta refresh (they depend only on the view and the params).
         self._seeds: list[tuple] | None = None
+        #: The dataspace's :class:`WindowRouter` while this window is one
+        #: of its members (from the first materialised footprint on), and
+        #: the two inboxes it files changed instances into: ``_inbox`` for
+        #: the import rules, ``_support`` for the ``where`` support seeds.
+        self._router: WindowRouter | None = None
+        self._inbox: _Inbox | None = None
+        self._support: _Inbox | None = None
 
     def refresh(self) -> "Window":
         """Reconcile memoised import decisions with the dataspace."""
@@ -417,6 +440,19 @@ class Window:
             self._footprint_frozen = None
             self._memo_version = version
             return self
+        router = self._router
+        if router is not None:
+            if version - self._memo_version <= JOURNAL_DEPTH:
+                router.catch_up()
+                if self._router is not None:
+                    self._drain()
+                    self.stats.delta_refreshes += 1
+                    self._memo_version = version
+                    return self
+            else:
+                # Further behind than the journal reaches: the journal
+                # gap below, exactly as for a window outside the router.
+                router.leave(self)
         changes = self.dataspace.changes_since(self._memo_version)
         if changes is None:
             self._memo.clear()
@@ -430,45 +466,65 @@ class Window:
         return self
 
     def _apply_deltas(self, changes: Sequence[DataspaceChange]) -> None:
-        """Fold journal deltas into the memo and (if materialised) footprint.
+        """Fold journal deltas into the memo of a window outside the
+        router (which holds no footprint: that joins the router).
 
-        Retracted instances are evicted and, once the footprint exists,
-        asserted instances are classified on arrival.  Absent ``where``
-        atoms that is all: a rule's coverage of a tuple depends only on the
-        tuple's values and the (fixed) process params, so decisions for
-        surviving instances cannot be perturbed by other instances coming
-        or going.  With ``where`` atoms they can, and :meth:`_reclassify`
-        re-decides exactly the instances the changes may have perturbed.
+        Retracted instances are evicted; asserted ones are decided on first
+        lookup.  Absent ``where`` atoms that is all: a rule's coverage of a
+        tuple depends only on the tuple's values and the (fixed) process
+        params, so decisions for surviving instances cannot be perturbed by
+        other instances coming or going.  With ``where`` atoms they can,
+        and :meth:`_reclassify` re-decides exactly the memoised instances
+        the changes may have perturbed.
         """
         memo = self._memo
-        footprint = self._footprint
         for change in changes:
             for inst in change.retracted:
                 memo.pop(inst.tid, None)
-                if footprint is not None and inst.tid in footprint:
-                    footprint.discard(inst.tid)
-                    self._footprint_frozen = None
-            if footprint is not None:
-                for inst in change.asserted:
-                    covered = self.view.imports_value(
-                        inst.values, self.dataspace, self.params
-                    )
-                    memo[inst.tid] = covered
-                    if covered:
-                        footprint.add(inst.tid)
-                        self._footprint_frozen = None
         if self.view.config_dependent:
-            self._reclassify(changes)
+            self._reclassify(
+                inst for change in changes for inst in change.asserted + change.retracted
+            )
 
-    def _reclassify(self, changes: Sequence[DataspaceChange]) -> None:
-        """Re-decide the instances whose ``where`` support *changes* touched.
+    def _drain(self) -> None:
+        """Fold a routed window's inboxes into its footprint.
+
+        An instance filed for the import rules is decided again if it is
+        still live and evicted otherwise; one filed for the support seeds
+        goes through :meth:`_reclassify`.  The inboxes are emptied only
+        after the fold: a raising guard leaves them whole, so the next
+        refresh raises again, as a journal refresh does.
+        """
+        inbox = self._inbox
+        if inbox:
+            dataspace = self.dataspace
+            footprint = self._footprint
+            decide = self.view.imports_value
+            params = self.params
+            for inst in inbox:
+                tid = inst.tid
+                if tid in dataspace and decide(inst.values, dataspace, params):
+                    if tid not in footprint:
+                        footprint.add(tid)
+                        self._footprint_frozen = None
+                elif tid in footprint:
+                    footprint.discard(tid)
+                    self._footprint_frozen = None
+            inbox.clear()
+        support = self._support
+        if support:
+            self._reclassify(support)
+            support.clear()
+
+    def _reclassify(self, changed: Iterable[TupleInstance]) -> None:
+        """Re-decide the instances whose ``where`` support *changed* touched.
 
         Every changed instance (asserted or retracted) is tested against
         the window's support seeds; one that can be a ``where`` witness
         names, through the variables it shares with the rule head, the head
-        instances whose verdict it can flip.  Those — restricted to the
-        memoised ones while the footprint is not materialised — get the
-        ordinary decision again.  Verdicts come from
+        instances whose verdict it can flip.  Those get the ordinary
+        decision again: into the footprint of a routed window, into the
+        memo (the memoised ones only) of any other.  Verdicts come from
         :meth:`View.imports_value` against the *current* dataspace, so
         neither fold order nor re-deciding a superset matters.
         """
@@ -478,19 +534,18 @@ class Window:
         # Keyed by probe list, so several witnesses of one head instance
         # cost one fetch; a dict, so the fetch order is the journal's.
         fetches: dict[tuple, None] = {}
-        for change in changes:
-            for inst in change.asserted + change.retracted:
-                values = inst.values
-                for arity, fixed, repeats, head_arity, head_probes, links in seeds:
-                    if (
-                        len(values) == arity
-                        and all(values[pos] == value for pos, value in fixed)
-                        and all(values[a] == values[b] for a, b in repeats)
-                    ):
-                        probes = head_probes + tuple(
-                            (head_pos, values[pos]) for head_pos, pos in links
-                        )
-                        fetches[head_arity, probes] = None
+        for inst in changed:
+            values = inst.values
+            for arity, fixed, repeats, head_arity, head_probes, links in seeds:
+                if (
+                    len(values) == arity
+                    and all(values[pos] == value for pos, value in fixed)
+                    and all(values[a] == values[b] for a, b in repeats)
+                ):
+                    probes = head_probes + tuple(
+                        (head_pos, values[pos]) for head_pos, pos in links
+                    )
+                    fetches[head_arity, probes] = None
         memo = self._memo
         footprint = self._footprint
         for head_arity, probes in fetches:
@@ -501,8 +556,9 @@ class Window:
                 covered = self.view.imports_value(
                     inst.values, self.dataspace, self.params
                 )
-                memo[tid] = covered
-                if footprint is not None and covered != (tid in footprint):
+                if footprint is None:
+                    memo[tid] = covered
+                elif covered != (tid in footprint):
                     if covered:
                         footprint.add(tid)
                     else:
@@ -513,6 +569,13 @@ class Window:
         if self.view.imports is None:
             return True
         self.refresh()
+        if self._router is not None:
+            if inst.tid in self.dataspace:
+                self.stats.hits += 1
+                return inst.tid in self._footprint
+            # Not live, so not in any footprint: decided, not remembered.
+            self.stats.misses += 1
+            return self.view.imports_value(inst.values, self.dataspace, self.params)
         return self._decide(inst)
 
     def _decide(self, inst: TupleInstance) -> bool:
@@ -533,10 +596,15 @@ class Window:
 
     def _imported(self, raw: list[TupleInstance]) -> list[TupleInstance]:
         """Filter one enumeration through the import rules of a restricted
-        view: one refresh, then a memo lookup per row."""
+        view: one refresh, then a footprint membership test per row for a
+        routed window (every row is live) and a memo lookup otherwise."""
         if not raw:
             return raw
         self.refresh()
+        if self._router is not None:
+            self.stats.hits += len(raw)
+            footprint = self._footprint
+            return [inst for inst in raw if inst.tid in footprint]
         decide = self._decide
         return [inst for inst in raw if decide(inst)]
 
@@ -587,11 +655,13 @@ class Window:
 
         Used by the consensus engine's ``needs`` overlap test.  Computed
         rule-by-rule through the dataspace's content-addressing indexes, so
-        a narrowly-scoped view pays O(|window|), not O(|D|), and thereafter
-        maintained **incrementally** from the delta journal: an unrelated
-        mutation costs O(delta), not a recompute — this is what keeps
-        consensus detection tractable for societies of thousands of
-        processes.
+        a narrowly-scoped view pays O(|window|), not O(|D|); a keyable
+        rule's guard is asked once per key value, and ``covers`` only for
+        the candidates it admits.  Thereafter the window is a member of the
+        dataspace's :class:`WindowRouter` and maintained **incrementally**:
+        a mutation costs the windows it can reach O(delta), and the others
+        nothing — this is what keeps consensus detection tractable for
+        societies of thousands of processes.
         """
         self.refresh()
         if self.view.imports is None:
@@ -601,17 +671,30 @@ class Window:
         if self._footprint is None:
             self.stats.footprint_recomputes += 1
             out: set[TupleId] = set()
+            verdicts: dict[ViewRule, dict[Any, bool]] = {}
             for rule in self.view.imports:
+                admits = _key_filter(rule, self.params, verdicts.setdefault(rule, {}))
                 for inst in self.dataspace.candidates(rule.pattern, self.params):
-                    if inst.tid not in out and rule.covers(
-                        inst.values, self.dataspace, self.params
+                    if (
+                        inst.tid not in out
+                        and (admits is None or admits(inst.values))
+                        and rule.covers(inst.values, self.dataspace, self.params)
                     ):
                         out.add(inst.tid)
+            WindowRouter.of(self.dataspace).join(self, verdicts)
             self._footprint = out
             self._footprint_frozen = None
         if self._footprint_frozen is None:
             self._footprint_frozen = frozenset(self._footprint)
         return self._footprint_frozen
+
+    def detach(self) -> None:
+        """Leave the dataspace's router and drop the footprint (a dropped
+        process's window).  A detached window that is used again catches
+        up from the journal, as a window never materialised does."""
+        if self._router is not None:
+            self._router.leave(self)
+            self._footprint = self._footprint_frozen = None
 
     def overlaps(self, other: "Window") -> bool:
         """The paper's ``p needs q``: ``Import(p) ∩ Import(q) ∩ D ≠ ∅``."""
@@ -622,3 +705,308 @@ class Window:
 
     def exports_value(self, values: tuple) -> bool:
         return self.view.exports_value(values, self.dataspace, self.params)
+
+
+#: Key verdicts one keyed rule keeps before its table starts over (the
+#: router's bound, like the planner's ``_MAX_CACHE_ENTRIES``).
+MAX_ROUTER_KEYS = 4096
+
+#: The route of a rule or seed whose position 0 is no constant: every
+#: change of its arity.
+_ANY_HEAD = object()
+
+#: A routed window's ``_memo_version`` once the router dropped it: no
+#: journal reaches back to it, so its next refresh is a full invalidation.
+_GAP = -JOURNAL_DEPTH - 2
+
+
+class _Inbox(list):
+    """Changed instances filed for one routed window, oldest first."""
+
+    __slots__ = ("window",)
+
+
+def _head(fixed: Iterable[tuple[int, Any]]) -> Any:
+    """The value *fixed* (``(position, value)`` pairs) gives position 0,
+    else :data:`_ANY_HEAD`: the route a pattern or seed is filed under."""
+    for position, value in fixed:
+        if position == 0:
+            try:
+                hash(value)
+            except TypeError:
+                break
+            # NaN equals no field, but a dict finds the same object.
+            if value == value:
+                return value
+    return _ANY_HEAD
+
+
+def _rule_key(rule: ViewRule, params: Mapping[str, Any]) -> tuple | None:
+    """``(names, positions)`` when *rule* is keyable under *params*: its
+    guard is pure and reads, beyond the params, only *names*, which the
+    pattern binds at *positions*; no pattern literal can raise; and no
+    ``where`` atom is asked before the guard.  Then a tuple whose key
+    fields the guard rejects is not covered, whatever else holds."""
+    guard = rule.guard
+    if guard is None or not is_pure(guard) or (rule.where and not rule._guard_first):
+        return None
+    first: dict[str, int] = {}
+    for position, element in enumerate(rule.pattern.elements):
+        if isinstance(element, LitElement) and not isinstance(element.expr, Const):
+            return None
+        if isinstance(element, VarElement) and element.name not in params:
+            first.setdefault(element.name, position)
+    names = tuple(sorted(guard.free_variables() - params.keys()))
+    if not names or any(name not in first for name in names):
+        return None
+    return names, tuple(first[name] for name in names)
+
+
+def _guard_admits(
+    rule: ViewRule, names: tuple[str, ...], params: Mapping[str, Any], key: Any
+) -> bool:
+    """Does *rule*'s guard, under *params* and the key fields *names* =
+    *key*, leave the tuple to ``covers``?  A raising guard does: the
+    classification that follows raises the same :class:`ViewError`."""
+    env = dict(params)
+    if len(names) == 1:
+        env[names[0]] = key
+    else:
+        env.update(zip(names, key))
+    try:
+        return rule._passes_guard(env)
+    except SDLError:
+        return True
+
+
+def _key_filter(rule: ViewRule, params: Mapping[str, Any], seen: dict[Any, bool]):
+    """``values -> bool``, the guard's verdict on a tuple's key fields
+    asked once per key and kept in *seen*, for a rule keyable under
+    *params*; else ``None``."""
+    key = _rule_key(rule, params)
+    if key is None:
+        return None
+    names, positions = key
+    key_of = itemgetter(*positions)
+
+    def admits(values: tuple) -> bool:
+        k = key_of(values)
+        verdict = seen.get(k)
+        if verdict is None:
+            verdict = seen[k] = _guard_admits(rule, names, params, k)
+        return verdict
+
+    return admits
+
+
+class _KeyTable:
+    """One keyable rule's routes for one key shape: per key value, the
+    inboxes of the member windows whose guard admits it.
+
+    Each member keeps its own verdict per key, asked once under its own
+    params.  A member joining or leaving clears only the inbox tuples,
+    which the next change of each key rebuilds from those verdicts, so
+    churn costs no guard evaluation and nothing per stale key.
+    """
+
+    __slots__ = ("rule", "names", "positions", "key_of", "members", "admitting")
+
+    def __init__(self, rule: ViewRule, names: tuple[str, ...], positions: tuple[int, ...]) -> None:
+        self.rule = rule
+        self.names = names
+        self.positions = positions
+        self.key_of = itemgetter(*positions)
+        #: member -> its guard verdict per key value.
+        self.members: dict[Window, dict[Any, bool]] = {}
+        #: key value -> the inboxes of the members admitting it.
+        self.admitting: dict[Any, tuple[_Inbox, ...]] = {}
+
+    def admitted(self, key: Any) -> tuple[_Inbox, ...]:
+        if len(self.admitting) >= MAX_ROUTER_KEYS:
+            self.admitting.clear()
+        inboxes = []
+        for window, seen in self.members.items():
+            verdict = seen.get(key)
+            if verdict is None:
+                if len(seen) >= MAX_ROUTER_KEYS:
+                    seen.clear()
+                verdict = seen[key] = _guard_admits(self.rule, self.names, window.params, key)
+            if verdict:
+                inboxes.append(window._inbox)
+        admitting = self.admitting[key] = tuple(inboxes)
+        return admitting
+
+    def join(self, window: Window, seen: dict[Any, bool]) -> None:
+        self.members[window] = seen
+        self.admitting.clear()
+
+    def leave(self, window: Window) -> None:
+        del self.members[window]
+        self.admitting.clear()
+
+
+class _Route:
+    """What one ``(arity, head)`` is filed to: inboxes taking every
+    change, and key tables."""
+
+    __slots__ = ("plain", "keyed")
+
+    def __init__(self) -> None:
+        self.plain: list[_Inbox] = []
+        self.keyed: list[_KeyTable] = []
+
+
+class WindowRouter:
+    """Files each journal change of one dataspace into the inboxes of the
+    windows that can import it (SEMANTICS §7, *Routing*).
+
+    Every window whose footprint is materialised is a member.  The router
+    pulls :meth:`Dataspace.changes_since` once per version — it is no
+    listener — and files each changed instance under its ``(arity,
+    position-0 value)``.  On that route a member's import rule either
+    takes every change, or, when its guard is keyable (:func:`_rule_key`),
+    only the changes whose key fields its guard admits; each support seed
+    of a ``where``-view takes every change of its route.  A member's
+    refresh catches the router up and then drains its own inboxes
+    (:meth:`Window._drain`), so a change costs the windows it can reach,
+    not the society.
+
+    A router that falls off the journal, or an inbox that would hold more
+    than :data:`JOURNAL_DEPTH` entries, is a journal gap for the windows
+    concerned: they leave and fully invalidate at their next refresh.
+    """
+
+    __slots__ = ("dataspace", "version", "routes", "tables", "members")
+
+    def __init__(self, dataspace: Dataspace) -> None:
+        self.dataspace = dataspace
+        self.version = dataspace.version
+        #: ``(arity, head)`` -> :class:`_Route`; ``head`` may be ``_ANY_HEAD``.
+        self.routes: dict[tuple, _Route] = {}
+        #: ``((arity, head), rule, positions)`` -> :class:`_KeyTable`,
+        #: shared by every member with that rule, route and key shape.
+        self.tables: dict[tuple, _KeyTable] = {}
+        #: member -> the ``((arity, head), inbox or key table)`` it joined.
+        self.members: dict[Window, list[tuple]] = {}
+
+    @classmethod
+    def of(cls, dataspace: Dataspace) -> "WindowRouter":
+        """The dataspace's router, created on first use."""
+        router = getattr(dataspace, "_window_router", None)
+        if router is None:
+            router = dataspace._window_router = cls(dataspace)
+        return router
+
+    def catch_up(self) -> None:
+        """File every change since the last call."""
+        version = self.dataspace.version
+        if self.version == version:
+            return
+        changes = self.dataspace.changes_since(self.version)
+        self.version = version
+        if changes is None:
+            for window in list(self.members):
+                self._gap(window)
+            return
+        if not self.members:
+            return
+        routes = self.routes
+        overflowed: list[_Inbox] = []
+        for change in changes:
+            for inst in change.retracted + change.asserted:
+                values = inst.values
+                route = routes.get((len(values), values[0]))
+                if route is not None:
+                    self._file(inst, route, overflowed)
+                route = routes.get((len(values), _ANY_HEAD))
+                if route is not None:
+                    self._file(inst, route, overflowed)
+        for inbox in overflowed:
+            if inbox.window in self.members:
+                inbox.clear()  # the entries are dropped, so the window
+                self._gap(inbox.window)  # must start over
+
+    @staticmethod
+    def _file(inst: TupleInstance, route: _Route, overflowed: list[_Inbox]) -> None:
+        for inbox in route.plain:
+            inbox.append(inst)
+            if len(inbox) == JOURNAL_DEPTH + 1:
+                overflowed.append(inbox)
+        for table in route.keyed:
+            key = table.key_of(inst.values)
+            inboxes = table.admitting.get(key)
+            if inboxes is None:
+                inboxes = table.admitted(key)
+            for inbox in inboxes:
+                inbox.append(inst)
+                if len(inbox) == JOURNAL_DEPTH + 1:
+                    overflowed.append(inbox)
+
+    def join(self, window: Window, verdicts: Mapping[ViewRule, dict[Any, bool]]) -> None:
+        """Make *window*, whose footprint is current, a member; *verdicts*
+        are its guards' key verdicts so far, per keyable rule."""
+        self.catch_up()
+        window._router = self
+        window._memo.clear()
+        window._inbox = _Inbox()
+        window._support = _Inbox()
+        window._inbox.window = window._support.window = window
+        params = window.params
+        entries: list[tuple] = []
+        for rule in window.view.imports:
+            at = (rule.pattern.arity, _head(_params_fix(rule.pattern, params)))
+            key = _rule_key(rule, params)
+            if key is None:
+                entries.append(self._plain(at, window._inbox))
+                continue
+            names, positions = key
+            table = self.tables.get((at, rule, positions))
+            if table is None:
+                table = self.tables[at, rule, positions] = _KeyTable(rule, names, positions)
+                self._route(at).keyed.append(table)
+            if window not in table.members:
+                table.join(window, verdicts[rule])
+                entries.append((at, table))
+        if window.view.config_dependent:
+            if window._seeds is None:
+                window._seeds = _support_seeds(window.view, params)
+            for arity, fixed, *__ in window._seeds:
+                entries.append(self._plain((arity, _head(fixed)), window._support))
+        self.members[window] = entries
+
+    def _route(self, at: tuple) -> _Route:
+        route = self.routes.get(at)
+        if route is None:
+            route = self.routes[at] = _Route()
+        return route
+
+    def _plain(self, at: tuple, inbox: _Inbox) -> tuple:
+        route = self._route(at)
+        if not any(other is inbox for other in route.plain):
+            route.plain.append(inbox)
+        return at, inbox
+
+    def leave(self, window: Window) -> None:
+        """Stop filing for *window* (its caller decides what becomes of
+        the footprint)."""
+        entries = self.members.pop(window, None)
+        if entries is None:
+            return
+        for at, target in entries:
+            route = self.routes.get(at)
+            if route is None:
+                continue  # emptied by an earlier entry (a repeated rule)
+            if isinstance(target, _KeyTable):
+                target.leave(window)
+                if not target.members:
+                    route.keyed.remove(target)
+                    del self.tables[at, target.rule, target.positions]
+            else:
+                route.plain[:] = [inbox for inbox in route.plain if inbox is not target]
+            if not route.plain and not route.keyed:
+                del self.routes[at]
+        window._router = window._inbox = window._support = None
+
+    def _gap(self, window: Window) -> None:
+        self.leave(window)
+        window._memo_version = _GAP

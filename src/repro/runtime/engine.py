@@ -167,7 +167,9 @@ class RunResult:
 
     @property
     def window_hit_rate(self) -> float:
-        """Fraction of import decisions served from window memos."""
+        """Fraction of import decisions served without asking a rule:
+        from a window's memo or, for a routed window, by membership in its
+        footprint (``WindowStats``)."""
         probes = self.window_hits + self.window_misses
         return self.window_hits / probes if probes else 0.0
 
@@ -764,6 +766,7 @@ class Engine:
         """Forget a finished process's window, keeping its counters."""
         window = self._windows.pop(pid, None)
         if window is not None:
+            window.detach()
             self._window_stats.absorb(window.stats)
 
     def window_stats(self) -> WindowStats:

@@ -1,0 +1,368 @@
+"""Routed windows against windows built from scratch (SEMANTICS §7, *Routing*).
+
+Once its footprint is materialised, a window is a member of its
+dataspace's :class:`~repro.core.views.WindowRouter`: the router files each
+journal change under its ``(arity, head)`` and, for a rule whose guard is
+keyable, the key fields the guard reads, and the window's refresh drains
+only its own inboxes.  The oracle is a fresh window over the same view and
+params: after every mutation step, across a journal gap, and with one
+window left unrefreshed while an inbox overflows, every window must have
+the fresh window's footprint, answer ``imports_instance`` as it does, and
+raise a :class:`~repro.errors.ViewError` exactly when it does.
+
+The windows share one view, with a different ``p`` each, so they share
+the router's key tables.  The properties pin no ``max_examples``, so
+``--hypothesis-profile=ci`` deepens them; the explicit tests below catch
+verdicts shared across params, dropped seed routes, an overflowing inbox
+that does not invalidate, and a refresh that does not catch the router up.
+The last class audits, inside every consensus attempt of the labeling and
+E8 programs, each footprint the attempt reads.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core.actions import assert_tuple
+from repro.core.dataspace import JOURNAL_DEPTH, Dataspace
+from repro.core.expressions import Var, lift
+from repro.core.patterns import ANY, P
+from repro.core.process import ProcessDefinition
+from repro.core.query import exists
+from repro.core.transactions import consensus, immediate
+from repro.core.views import (
+    MAX_ROUTER_KEYS, View, Window, WindowRouter, _rule_key, import_rule,
+)
+from repro.errors import ViewError
+from repro.programs import run_community_labeling
+from repro.runtime.engine import Engine
+from repro.runtime.executor import Executor
+from repro.workloads import random_blob_image
+from tests.test_properties import mutations, rows, where_rules
+
+X, Y, P_ = Var("x"), Var("y"), Var("p")
+
+
+def _odd_sum(a, b):
+    return (a + b) % 2 == 1
+
+
+def _pair(a, b, c):
+    return (a + 2 * b) % 3 != c
+
+
+def _inverse(a, b):
+    return 1 // (a - b) >= 0  # raises where a == b
+
+
+#: Keyed on one head field: a lifted pure function of ``x`` and ``p``.
+KEYED = import_rule("item", X, ANY, guard=lift(_odd_sum, "odd_sum")(X, P_))
+#: Keyed on two head fields.
+TWO_FIELD = import_rule("sup", X, Y, guard=lift(_pair, "pair")(X, Y, P_))
+#: A literal field that may not match: never keyed, so routed by head only.
+UNKEYABLE = import_rule("item", X, X + 1, guard=(X != P_))
+#: Keyed, and raising when ``x == p``.
+RAISING = import_rule("sup", X, guard=lift(_inverse, "inverse")(X, P_))
+
+EXTRAS = [KEYED, TWO_FIELD, UNKEYABLE, RAISING]
+PARAMS = [{"p": p} for p in (0, 1, 2)]
+
+
+@st.composite
+def views(draw):
+    rules = draw(st.lists(where_rules(), max_size=2))
+    extras = draw(st.lists(st.sampled_from(EXTRAS), min_size=1, max_size=4, unique=True))
+    return View(imports=draw(st.permutations(rules + extras)))
+
+
+def _footprint(window):
+    try:
+        return window.footprint()
+    except ViewError:
+        return ViewError
+
+
+def assert_like_fresh(windows, ds):
+    """Each window against a window built now from its view and params."""
+    for window in windows:
+        fresh = window.view.window(ds, window.params)
+        got, expected = _footprint(window), _footprint(fresh)
+        assert got == expected
+        if expected is not ViewError:
+            for inst in ds.instances():
+                assert window.imports_instance(inst) == fresh.imports_instance(inst)
+        fresh.detach()
+
+
+def _apply(ds, op, arg):
+    live = list(ds.instances())
+    if op == "insert":
+        ds.insert(arg)
+    elif op == "insert_many":
+        ds.insert_many(arg)
+    elif live and op == "retract":
+        ds.retract(live[arg % len(live)].tid)
+    elif live:
+        ds.retract_many({live[i % len(live)].tid for i in arg})
+
+
+#: A flood arrives in this many changes, so only the window that sleeps
+#: through all of them holds more than ``JOURNAL_DEPTH`` entries.
+CHUNKS = 4
+
+
+def _flood(arity: int) -> list[list[tuple]]:
+    """More rows than an inbox may hold, of every small key, in chunks."""
+    rows = [
+        ("item", i % 3, *([(i // 3) % 3] if arity == 3 else []))
+        for i in range(JOURNAL_DEPTH + 1)
+    ]
+    return [rows[i::CHUNKS] for i in range(CHUNKS)]
+
+
+def flood(ds, readers, arity=3):
+    """Insert the flood while only *readers* refresh, after every chunk."""
+    added = []
+    for chunk in _flood(arity):
+        added += ds.insert_many(chunk)
+        for window in readers:
+            _footprint(window)
+    return added
+
+
+LAYOUTS = [(shards, store) for shards in ("single", 2, 4) for store in ("object", "columnar")]
+
+
+class TestRoutedEqualsFresh:
+    @given(
+        view=views(),
+        layout=st.sampled_from(LAYOUTS),
+        initial=st.lists(rows, min_size=2, max_size=8),
+        steps=st.lists(st.lists(mutations, min_size=1, max_size=3), min_size=2, max_size=10),
+        gap_at=st.one_of(st.none(), st.integers(0, 10)),
+        flood_at=st.one_of(st.none(), st.integers(0, 10)),
+        flood_arity=st.sampled_from([2, 3]),
+    )
+    def test_routed_windows_equal_fresh_windows(
+        self, view, layout, initial, steps, gap_at, flood_at, flood_arity
+    ):
+        shards, store = layout
+        ds = Dataspace(shards=shards, store=store)
+        ds.insert_many(initial)
+        windows = [view.window(ds, params) for params in PARAMS]
+        assert_like_fresh(windows, ds)  # materialises: every window joins
+        for number, step in enumerate(steps):
+            if number == gap_at:  # every window falls off the journal
+                noise = [ds.insert(("noise",)) for _ in range(JOURNAL_DEPTH)]
+                ds.retract_many(inst.tid for inst in noise)
+            if number == flood_at:
+                # windows[0] sleeps while its inbox overflows; the others
+                # keep the router moving through the flood and its retraction.
+                added = flood(ds, windows[1:], flood_arity)
+                assert_like_fresh(windows, ds)
+                ds.retract_many(inst.tid for inst in added)
+                for window in windows[1:]:
+                    _footprint(window)
+            for op, arg in step:
+                _apply(ds, op, arg)
+            assert_like_fresh(windows, ds)
+
+
+class TestKeyability:
+    def test_which_rules_are_keyed(self):
+        params = {"p": 0}
+        assert _rule_key(KEYED, params) == (("x",), (1,))
+        assert _rule_key(TWO_FIELD, params) == (("x", "y"), (1, 2))
+        assert _rule_key(RAISING, params) == (("x",), (1,))
+        assert _rule_key(UNKEYABLE, params) is None
+        # a guard over a variable only ``where`` binds, and one over the
+        # params alone, are not keyed
+        z = Var("z")
+        assert _rule_key(import_rule("a", X, guard=(z > 0), where=[P["b", X, z]]), params) is None
+        assert _rule_key(import_rule("a", X, guard=(P_ > 0)), params) is None
+        # a variable the params bind is no key
+        assert _rule_key(import_rule("a", X, P_, guard=(X > P_)), params) == (("x",), (1,))
+
+
+def _space(*rows):
+    ds = Dataspace()
+    ds.insert_many(rows)
+    return ds
+
+
+class TestRouting:
+    def test_key_verdicts_are_per_window(self):
+        """Every window's guard verdict on a new key is its own: with one
+        verdict for all, the odd-sum rule would import the same keys for
+        ``p = 0`` and ``p = 1``."""
+        ds = _space(("item", 0, 0))
+        view = View(imports=[KEYED])
+        even, odd = view.window(ds, {"p": 0}), view.window(ds, {"p": 1})
+        assert even.footprint() == frozenset() and len(odd.footprint()) == 1
+        one, two = ds.insert(("item", 1, 0)), ds.insert(("item", 2, 0))
+        assert one.tid in even.footprint() and one.tid not in odd.footprint()
+        assert two.tid in odd.footprint() and two.tid not in even.footprint()
+        assert_like_fresh([even, odd], ds)
+
+    def test_support_changes_reach_where_windows(self):
+        """A ``where`` witness coming or going re-decides the head it joins."""
+        ds = _space(("item", 1))
+        view = View(imports=[import_rule("item", X, where=[P["sup", X]])])
+        window = view.window(ds, {})
+        assert window.footprint() == frozenset()
+        witness = ds.insert(("sup", 1))
+        assert len(window.footprint()) == 1
+        ds.retract(witness.tid)
+        assert window.footprint() == frozenset()
+
+    def test_refresh_catches_the_router_up(self):
+        """The only window of a router must file changes itself."""
+        ds = _space(("item", 1, 0))
+        window = View(imports=[KEYED]).window(ds, {"p": 0})
+        assert len(window.footprint()) == 1
+        inst = ds.insert(("item", 3, 0))
+        assert window.imports_instance(inst)
+        assert inst.tid in window.footprint()
+
+    def test_overflowing_inbox_is_a_journal_gap(self):
+        ds = _space(("item", 1, 0))
+        view = View(imports=[import_rule("item", X, ANY)])  # routed by head
+        sleeper, reader = view.window(ds, {}), view.window(ds, {})
+        sleeper.footprint(), reader.footprint()
+        added = flood(ds, [reader])  # the sleeper's inbox overflows
+        router = WindowRouter.of(ds)
+        assert sleeper not in router.members and reader in router.members
+        assert sleeper.footprint() == reader.footprint()
+        assert sleeper.stats.full_invalidations == 1
+        assert reader.stats.full_invalidations == 0
+        assert {inst.tid for inst in added} <= sleeper.footprint()
+        assert sleeper in router.members  # rejoined with its new footprint
+
+    def test_lagging_window_invalidates_as_on_the_journal(self):
+        ds = _space(("item", 1, 0))
+        window = View(imports=[KEYED]).window(ds, {"p": 0})
+        window.footprint()
+        for _ in range(JOURNAL_DEPTH + 1):
+            ds.insert(("noise",))
+        assert len(window.footprint()) == 1
+        assert window.stats.full_invalidations == 1
+
+    def test_raising_guard_raises_until_its_tuple_is_gone(self):
+        ds = _space(("sup", 1))
+        window = View(imports=[RAISING]).window(ds, {"p": 0})
+        assert len(window.footprint()) == 1
+        bad = ds.insert(("sup", 0))
+        with pytest.raises(ViewError, match="inverse"):
+            window.footprint()
+        with pytest.raises(ViewError, match="inverse"):
+            window.footprint()
+        ds.retract(bad.tid)
+        assert len(window.footprint()) == 1
+
+
+class TestBounds:
+    def test_detach_leaves_no_route_behind(self):
+        ds = _space(("item", 1, 0), ("sup", 1, 1))
+        view = View(imports=[KEYED, TWO_FIELD, UNKEYABLE, import_rule("item", X, where=[P["sup", X]])])
+        windows = [view.window(ds, params) for params in PARAMS]
+        for window in windows:
+            window.footprint()
+        router = WindowRouter.of(ds)
+        assert router.members and router.routes and router.tables
+        for window in windows:
+            window.detach()
+        assert not router.members and not router.routes and not router.tables
+        ds.insert(("item", 2, 0))
+        assert_like_fresh(windows, ds)  # detached: back on the journal
+
+    def test_key_tables_start_over_past_their_bound(self):
+        ds = _space(("item", 1, 0))
+        window = View(imports=[KEYED]).window(ds, {"p": 0})
+        window.footprint()
+        for key in range(MAX_ROUTER_KEYS + 10):
+            ds.insert(("item", key, 0))
+            window.refresh()
+        (table,) = WindowRouter.of(ds).tables.values()
+        assert len(table.admitting) + len(table.members[window]) <= 2 * MAX_ROUTER_KEYS
+        assert window.footprint() == View(imports=[KEYED]).window(ds, {"p": 0}).footprint()
+
+
+# ----------------------------------------------------------------------
+# the engine: every footprint a consensus attempt reads is exact
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def audited(monkeypatch):
+    """Check, during every consensus attempt, each footprint it reads
+    against a fresh window's; returns the number of checks made."""
+    checks = [0]
+    attempting = [False]
+    seen = set()  # (window, version): an attempt may read a window twice
+    footprint, attempt = Window.footprint, Executor._try_consensus
+
+    def audited_footprint(window):
+        got = footprint(window)
+        read = (window, window.dataspace.version)
+        if attempting[0] and window.view.imports is not None and read not in seen:
+            seen.add(read)
+            fresh = window.view.window(window.dataspace, window.params)
+            assert got == footprint(fresh)
+            fresh.detach()
+            checks[0] += 1
+        return got
+
+    def audited_attempt(executor):
+        attempting[0] = True
+        try:
+            return attempt(executor)
+        finally:
+            attempting[0] = False
+
+    monkeypatch.setattr(Window, "footprint", audited_footprint)
+    monkeypatch.setattr(Executor, "_try_consensus", audited_attempt)
+    return checks
+
+
+def _member():
+    """E8's community member: one consensus over its group's tuples."""
+    g = Var("g")
+    return ProcessDefinition(
+        "Member",
+        params=("g",),
+        imports=[P[g, ANY]],
+        exports=[P[g, ANY], P["done", ANY, ANY]],
+        body=[
+            immediate().then(assert_tuple(g, "arrived")),
+            consensus(exists().match(P[g, ANY])).then(assert_tuple("done", g, 1)),
+        ],
+    )
+
+
+class TestEngineAudit:
+    @pytest.mark.parametrize(
+        "side,commit,expected",
+        [
+            (4, "live", (104, 10, 138)),
+            (4, "group", (104, 39, 489)),
+            (8, "live", (520, 13, 734)),
+            (8, "group", (541, 137, 6675)),
+        ],
+    )
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_community_labeling(self, audited, side, commit, expected, shards):
+        image = random_blob_image(side, side, blobs=2, seed=side)
+        out = run_community_labeling(image, seed=3, commit=commit, shards=shards)
+        assert out.correct
+        result = out.result
+        assert (result.commits, result.rounds, result.steps) == expected
+        assert audited[0] > 0
+
+    def test_one_community(self, audited):
+        engine = Engine(definitions=[_member()], seed=1)
+        engine.assert_tuples([("g0", "token")])
+        for __ in range(32):
+            engine.start("Member", ("g0",))
+        result = engine.run()
+        assert result.consensus_rounds == 1
+        assert (result.commits, result.rounds, result.steps) == (64, 3, 96)
+        assert engine.dataspace.count_matching(P["done", ANY, ANY]) == 32
+        assert audited[0] > 0
