@@ -14,8 +14,10 @@ current variable bindings and (for dataspace-membership tests, defined in
 :mod:`repro.core.query`) the window under examination.
 
 A *pure* expression (:func:`is_pure`) also compiles, once, into a closure
-over a plain mapping of bindings (:func:`kernel`).  The hot paths call the
-closure; :meth:`Expr.evaluate` stays the reference it is tested against.
+over a plain mapping of bindings (:func:`kernel`), or into the text of a
+Python expression over the locals of generated code (:func:`source`).  The
+hot paths call the closure or run the text; :meth:`Expr.evaluate` stays
+the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "is_pure",
     "kernel",
     "lift",
+    "source",
     "variables",
 ]
 
@@ -518,6 +521,75 @@ def kernel(expr: Expr) -> Kernel:
     except AttributeError:
         compiled = expr._kernel = expr._compile()
         return compiled
+
+
+#: The operators :func:`source` writes inline, with their Python spelling.
+_INFIX = {
+    operator.add: "+", operator.sub: "-", operator.mul: "*",
+    operator.truediv: "/", operator.floordiv: "//", operator.mod: "%",
+    operator.pow: "**", operator.eq: "==", operator.ne: "!=",
+    operator.lt: "<", operator.le: "<=", operator.gt: ">", operator.ge: ">=",
+}
+_PREFIX = {operator.neg: "-", operator.not_: "not "}
+
+
+def _param(params: Mapping[str, Any], name: str) -> Any:
+    """A name :func:`source` finds in no local: read from *params*."""
+    try:
+        return params[name]
+    except KeyError:
+        raise UnboundVariableError(name) from None
+
+
+def source(expr: Expr, locals_: Mapping[str, str], consts: dict[str, Any]) -> str:
+    """The pure expression *expr* as the text of one Python expression,
+    for generated code (:func:`repro.core.plan.compile_kernel`).
+
+    A name in *locals_* reads the local variable it maps to; any other
+    name reads ``params`` (a mapping the generated code holds) when the
+    expression runs, and raises :class:`UnboundVariableError` if it is
+    missing.  The ``operator`` functions become infix, every other
+    operator and every lifted function a direct call, and constants,
+    operators and functions are added to *consts* (the generated code's
+    globals) under fresh names.  ``&`` and ``|`` call :func:`_logical_and`
+    / :func:`_logical_or`, so both sides are evaluated.  Evaluating the
+    text is ``kernel(expr)`` over the same bindings: the same value, or
+    the same exception.  An impure node has no source: ``TypeError``.
+    """
+    if isinstance(expr, Var):
+        local = locals_.get(expr.name)
+        if local is not None:
+            return local
+        consts["_param"] = _param
+        return f"_param(params, {expr.name!r})"
+    if isinstance(expr, Const):
+        return _named(expr.value, consts)
+    if isinstance(expr, BinOp):
+        left = source(expr.left, locals_, consts)
+        right = source(expr.right, locals_, consts)
+        infix = _INFIX.get(expr.op)
+        if infix is not None:
+            return f"({left} {infix} {right})"
+        return f"{_named(expr.op, consts)}({left}, {right})"
+    if isinstance(expr, UnOp):
+        operand = source(expr.operand, locals_, consts)
+        prefix = _PREFIX.get(expr.op)
+        if prefix is not None:
+            return f"({prefix}{operand})"
+        return f"{_named(expr.op, consts)}({operand})"
+    if isinstance(expr, Call):
+        args = ", ".join(source(arg, locals_, consts) for arg in expr.args)
+        return f"{_named(expr.func, consts)}({args})"
+    raise TypeError(f"{type(expr).__name__} is not a pure expression: it has no source")
+
+
+def _named(value: Any, consts: dict[str, Any]) -> str:
+    """A fresh global name for *value* in *consts*."""
+    name = f"K{len(consts)}"
+    while name in consts:
+        name += "_"
+    consts[name] = value
+    return name
 
 
 def evaluate_under(expr: Expr, env: Mapping[str, Any]) -> Any:

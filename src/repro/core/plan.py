@@ -33,10 +33,13 @@ removes all three costs while preserving the semantics exactly:
 
 * a query is **compiled into an attempt kernel** once per (query,
   bound-variable set) (:func:`compile_kernel`): the plan's join written
-  out as nested loops with the test and the ∃/∀/¬ evaluation inside, one
-  generated function that :meth:`Query.evaluate` calls per attempt —
-  :meth:`QueryPlanner.iter_matches` stays the join of ``Membership``
-  sub-queries and the reference the kernels are tested against;
+  out as nested loops over local variables, with its pure filters, test
+  and probe expressions written into the source
+  (:func:`~repro.core.expressions.source`) and the ∃/∀/¬ evaluation
+  inside, one generated function that :meth:`Query.evaluate` calls per
+  attempt — :meth:`QueryPlanner.iter_matches` stays the join of
+  ``Membership`` sub-queries and the reference the kernels are tested
+  against;
 
 * **a test is a join filter, not a leaf check**: the pure top-level
   ``&``-conjuncts of the query's ``such_that`` test are evaluated at the
@@ -45,13 +48,13 @@ removes all three costs while preserving the semantics exactly:
   the deeper atoms are probed for it.  The naive walk asks
   ``neighbor(p1, p2)`` of the worker-model region labeling only after
   probing both thresholds of every label pair; here it is asked as soon
-  as ``p2`` is bound, by calling the conjunct's compiled closure
-  (:func:`~repro.core.expressions.kernel`) on the search's own
-  environment.  The caller still evaluates the whole test on every
-  yielded match, and a filter that raises is ignored (an exception is not
-  a verdict), so verdicts and match sets are those of the leaf-only
-  evaluation; what differs is fewer probes, no RNG draws for the pruned
-  subtrees, and strictly fewer test errors (`docs/SEMANTICS.md` §12).
+  as ``p2`` is bound, and after the cheaper ``l2 > l1`` (conjuncts
+  without a lifted call go first).  The caller still evaluates the whole
+  test on every yielded match, and a filter that raises is ignored (an
+  exception is not a verdict), so verdicts and match sets are those of
+  the leaf-only evaluation; what differs is fewer probes, no RNG draws
+  for the pruned subtrees, and strictly fewer test errors
+  (`docs/SEMANTICS.md` §12).
 
 Soundness: a joint match is a set of per-atom instance choices satisfying
 a conjunction of equality constraints; conjunction is commutative, so the
@@ -69,7 +72,18 @@ import random
 from itertools import chain, islice
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.core.expressions import Bindings, EvalContext, Expr, conjuncts, is_pure, kernel
+from repro.core.expressions import (
+    BinOp,
+    Bindings,
+    Call,
+    EvalContext,
+    Expr,
+    UnOp,
+    conjuncts,
+    is_pure,
+    kernel,
+    source,
+)
 from repro.core.matching import rotation_start  # the one arbitration rule
 from repro.core.patterns import (
     CompiledPattern,
@@ -237,11 +251,10 @@ class Plan:
         self.steps = tuple(steps)
         self.order = tuple(step.index for step in steps)
         self.patterns = tuple(patterns)  # keeps id()-keyed cache entries alive
-        # (test, its early filters, their kernels): a query's patterns and
-        # test are built together, so one remembered triple is the whole
-        # cache; a plan shared by two tests merely re-resolves when they
-        # alternate.
-        self._filters: tuple = (None, None, None)
+        # (test, its early filters): a query's patterns and test are built
+        # together, so one remembered pair is the whole cache; a plan
+        # shared by two tests merely re-resolves when they alternate.
+        self._filters: tuple = (None, None)
 
     def early_filters(self, test: Expr) -> tuple | None:
         """Per-depth early filters of *test* under this join order.
@@ -251,26 +264,17 @@ class Plan:
         every other name is the caller's, bound or not before the join
         starts) gets its value.  Conjuncts placed before the last step are
         that step's filters; the rest — last-depth, impure — are left to
-        the leaf, which evaluates the whole test anyway.  Returns ``None``
-        when nothing can be filtered early, else a tuple indexed by depth
-        whose entries are ``None`` or a tuple of conjuncts.
+        the leaf, which evaluates the whole test anyway.  Within a depth
+        the cheapest come first: conjuncts without a lifted-function
+        :class:`~repro.core.expressions.Call`, then those with one, each
+        group in textual order.  Returns ``None`` when nothing can be
+        filtered early, else a tuple indexed by depth whose entries are
+        ``None`` or a tuple of conjuncts.
         """
-        return self._resolved(test)[1]
-
-    def filter_kernels(self, test: Expr) -> tuple | None:
-        """:meth:`early_filters` compiled: the same shape, each conjunct
-        replaced by its closure (:func:`~repro.core.expressions.kernel`)."""
-        return self._resolved(test)[2]
-
-    def _resolved(self, test: Expr) -> tuple:
         memo = self._filters
         if memo[0] is not test:
-            filters = self._place(test)
-            kernels = None if filters is None else tuple(
-                checks and tuple(map(kernel, checks)) for checks in filters
-            )
-            memo = self._filters = (test, filters, kernels)
-        return memo
+            memo = self._filters = (test, self._place(test))
+        return memo[1]
 
     def _place(self, test: Expr) -> tuple | None:
         last = len(self.steps) - 1
@@ -293,10 +297,24 @@ class Plan:
                 placed[depth].append(conjunct)
         if not any(placed):
             return None
-        return tuple(tuple(checks) or None for checks in placed)
+        # A filter that raises gives no verdict, so a binding is pruned iff
+        # some filter is cleanly falsy, whatever the order (and pure
+        # filters draw nothing from the RNG): cheapest first is exact.
+        return tuple(tuple(sorted(checks, key=_calls)) or None for checks in placed)
 
     def __repr__(self) -> str:
         return f"Plan(order={list(self.order)})"
+
+
+def _calls(expr: Expr) -> bool:
+    """Does the pure *expr* call a lifted function anywhere?"""
+    if isinstance(expr, Call):
+        return True
+    if isinstance(expr, BinOp):
+        return _calls(expr.left) or _calls(expr.right)
+    if isinstance(expr, UnOp):
+        return _calls(expr.operand)
+    return False
 
 
 def _estimate(
@@ -443,23 +461,39 @@ def _tuple(items: Sequence[str]) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
-def compile_kernel(query: Any, plan: Plan, filters: tuple | None) -> Callable:
+def _bindings(pad: str, binders: Sequence[tuple[str, str]]) -> list[str]:
+    """Source lines assigning ``bindings`` the bindings a kernel has made
+    so far: ``params``, then each ``(name, local)`` binder in plan order
+    — the key order of the search's environment
+    (:meth:`QueryPlanner.iter_matches`)."""
+    return [f"{pad}bindings = dict(params)"] + [
+        f"{pad}bindings[{name!r}] = {local}" for name, local in binders
+    ]
+
+
+def compile_kernel(
+    query: Any, plan: Plan, filters: tuple | None, bound: frozenset[str]
+) -> Callable:
     """Compile *query* under *plan*, with the per-depth early *filters*
     (:meth:`QueryPlanner.join_filters`), into its attempt kernel,
-    ``kernel(window, params, rng, excluded) -> QueryResult``.
+    ``kernel(window, params, rng, excluded) -> QueryResult``, for calls
+    whose *params* hold every name in *bound* (the plan's bound set).
 
     The kernel is :meth:`Query.evaluate` over :meth:`QueryPlanner.iter_matches`
     with every per-attempt decision taken here, once: one nested loop per
     plan step with the step's static probes, bound-variable and
     expression probes, repeat checks, binders and early filters written
     out, and the test, the retract mask and the ∃/∀/¬ evaluation at the
-    innermost level.  It visits the rows in the same rotated order, draws
-    the RNG exactly where the search does (one ``randrange(n)`` per
-    fetched list of ``n >= 2`` rows, :func:`rotation_start`), keeps the
-    same environment (binders are deleted on the way out, so an error
-    message names the same bindings) and raises the same errors.  An
-    impure test (``Membership``) is evaluated generically at the leaf, as
-    :meth:`Query._passes_test` does.
+    innermost level.  Binders and the names in *bound* are local
+    variables, and pure probe expressions, filters and tests are written
+    into the source over them (:func:`~repro.core.expressions.source`);
+    the bindings dict is built only where it is read — the match, an
+    impure test (``Membership``, evaluated generically as
+    :meth:`Query._passes_test` does) and an error — with the search's
+    key order, so matches and error messages name the same bindings.  It
+    visits the rows in the same rotated order, draws the RNG exactly
+    where the search does (one ``randrange(n)`` per fetched list of
+    ``n >= 2`` rows, :func:`rotation_start`) and raises the same errors.
     """
     steps = plan.steps
     test = query.test
@@ -471,9 +505,12 @@ def compile_kernel(query: Any, plan: Plan, filters: tuple | None) -> Callable:
         "EvalContext": EvalContext, "TEST": test,
     }
     forall = query.quantifier == "forall"
-    lines = [
-        "def generated(window, params, rng, excluded):",
-        "    env = dict(params)",
+    lines = ["def generated(window, params, rng, excluded):"]
+    scope: dict[str, str] = {}
+    for i, name in enumerate(sorted(bound)):
+        scope[name] = f"q{i}"
+        lines.append(f"    q{i} = params[{name!r}]")
+    lines += [
         "    cut = getattr(window, 'candidates_cut', None)",
         "    if cut is None:",
         "        fetch = window.candidates_probed",
@@ -481,26 +518,33 @@ def compile_kernel(query: Any, plan: Plan, filters: tuple | None) -> Callable:
     if forall:
         lines += ["    excluded = set(excluded)", "    seen = set()", "    matches = []"]
 
-    def emit(depth: int, pad: str) -> None:
+    def emit(depth: int, pad: str, scope: dict[str, str], binders: list) -> None:
         if depth == len(steps):
-            leaf(pad)
+            leaf(pad, scope, binders)
             return
         step = steps[depth]
         probes = []
         for i, probe in enumerate(step.static_probes):
             consts[f"S{depth}_{i}"] = probe
             probes.append(f"S{depth}_{i}")
-        probes += [f"({position}, env[{name!r}])" for position, name in step.probe_vars]
+        probes += [f"({position}, {scope[name]})" for position, name in step.probe_vars]
         for i, (position, evaluate, expr) in enumerate(step.probe_exprs):
-            consts[f"E{depth}_{i}"], consts[f"X{depth}_{i}"] = evaluate, expr
+            consts[f"X{depth}_{i}"] = expr
+            if is_pure(expr):
+                value = source(expr, scope, consts)
+            else:
+                consts[f"E{depth}_{i}"] = evaluate
+                lines.extend(_bindings(pad, binders))
+                value = f"E{depth}_{i}(bindings)"
             lines.extend(pad + line for line in (
                 "try:",
-                f"    e{depth}_{i} = E{depth}_{i}(env)",
+                f"    e{depth}_{i} = {value}",
                 "except SDLError:",
                 "    raise",
                 "except Exception as exc:",
-                f"    raise literal_error(X{depth}_{i}, env, exc) from exc",
             ))
+            lines.extend(_bindings(pad + "    ", binders))
+            lines.append(f"{pad}    raise literal_error(X{depth}_{i}, bindings, exc) from exc")
             probes.append(f"({position}, e{depth}_{i})")
         arity = step.compiled.arity
         rows, n = f"rows{depth}", f"n{depth}"
@@ -526,38 +570,30 @@ def compile_kernel(query: Any, plan: Plan, filters: tuple | None) -> Callable:
             f"    tid{depth} = inst{depth}.tid",
             f"    if tid{depth} in excluded{used}:",
             "        continue",
-            f"    values{depth} = inst{depth}.values",
         ))
         inner = pad + "    "
+        if step.repeat_checks or step.binders:
+            lines.append(f"{inner}values{depth} = inst{depth}.values")
         for position, first in step.repeat_checks:
             lines.append(f"{inner}if values{depth}[{position}] != values{depth}[{first}]:")
             lines.append(f"{inner}    continue")
+        scope, binders = dict(scope), list(binders)
         for position, name in step.binders:
-            lines.append(f"{inner}env[{name!r}] = values{depth}[{position}]")
-        checks = None if filters is None else filters[depth]
-        if checks:
-            # A filter that raises has given no verdict (iter_matches).
-            lines.append(f"{inner}admitted = True")
-            for i, check in enumerate(checks):
-                consts[f"F{depth}_{i}"] = check
-                guard = inner
-                if i:
-                    lines.append(f"{inner}if admitted:")
-                    guard += "    "
-                lines.extend(guard + line for line in (
-                    "try:",
-                    f"    admitted = True if F{depth}_{i}(env) else False",
-                    "except Exception:",
-                    "    pass",
-                ))
-            lines.append(f"{inner}if admitted:")
-            emit(depth + 1, inner + "    ")
-        else:
-            emit(depth + 1, inner)
-        for __, name in step.binders:
-            lines.append(f"{inner}del env[{name!r}]")
+            local = scope[name] = f"b{depth}_{position}"
+            binders.append((name, local))
+            lines.append(f"{inner}{local} = values{depth}[{position}]")
+        # A filter that raises has given no verdict (iter_matches).
+        for check in (filters and filters[depth]) or ():
+            lines.extend(inner + line for line in (
+                "try:",
+                f"    if not {source(check, scope, consts)}:",
+                "        continue",
+                "except Exception:",
+                "    pass",
+            ))
+        emit(depth + 1, inner, scope, binders)
 
-    def leaf(pad: str) -> None:
+    def leaf(pad: str, scope: dict[str, str], binders: list) -> None:
         instances = tuple(f"inst{depth_of[i]}" for i in range(len(steps)))
         retracted = tuple(
             f"inst{depth_of[i]}" for i, kill in enumerate(query._retract_mask) if kill
@@ -572,28 +608,30 @@ def compile_kernel(query: Any, plan: Plan, filters: tuple | None) -> Callable:
         copied = False
         if test is not None:
             if is_pure(test):
-                consts["T"] = kernel(test)
-                source, scope = "T(env)", "env"
+                value = source(test, scope, consts)
             else:
-                lines.append(pad + "bindings = dict(env)")
+                lines.extend(_bindings(pad, binders))
                 copied = True
-                source = "TEST.evaluate(EvalContext(Bindings(bindings), window=window, rng=rng))"
-                scope = "bindings"
+                value = "TEST.evaluate(EvalContext(Bindings(bindings), window=window, rng=rng))"
             lines.extend(pad + line for line in (
                 "try:",
-                f"    passed = True if {source} else False",
+                f"    passed = True if {value} else False",
                 "except SDLError:",
                 "    raise",
                 "except Exception as exc:",
-                f"    raise predicate_error(TEST, {scope}, exc) from exc",
-                "if passed:",
+            ))
+            if not copied:
+                lines.extend(_bindings(pad + "    ", binders))
+            lines.extend((
+                f"{pad}    raise predicate_error(TEST, bindings, exc) from exc",
+                f"{pad}if passed:",
             ))
             pad += "    "
         if query.negated:
             lines.append(pad + "return QueryResult(False)")
             return
         if not copied:
-            lines.append(pad + "bindings = dict(env)")
+            lines.extend(_bindings(pad, binders))
         if not forall:
             lines.append(pad + f"return QueryResult(True, [{match}])")
             return
@@ -608,7 +646,7 @@ def compile_kernel(query: Any, plan: Plan, filters: tuple | None) -> Callable:
             f"    matches.append({match})",
         ))
 
-    emit(0, "    ")
+    emit(0, "    ", scope, [])
     if query.negated:
         lines.append("    return QueryResult(True)")
     elif not forall:
@@ -678,7 +716,8 @@ class QueryPlanner:
         compiled = self._shapes.get((query, shape))
         if compiled is None:
             plan = self.plan_for(query._patterns, params)
-            compiled = compile_kernel(query, plan, self.join_filters(plan, query.test))
+            filters = self.join_filters(plan, query.test)
+            compiled = compile_kernel(query, plan, filters, shape)
             if len(self._shapes) >= _MAX_CACHE_ENTRIES:
                 self._flush_kernels()
             self._shapes[query, shape] = compiled
@@ -693,11 +732,11 @@ class QueryPlanner:
 
     def join_filters(self, plan: Plan, test: Expr | None) -> tuple | None:
         """The join filters of *test* under *plan* that the planned join
-        applies (:meth:`Plan.filter_kernels`): in :meth:`iter_matches`
-        and, compiled in, in every kernel.  Overriding this to return
-        ``None`` gives the leaf-only planner that test pushdown is checked
-        against (SEMANTICS §12)."""
-        return None if test is None else plan.filter_kernels(test)
+        applies (:meth:`Plan.early_filters`): run as compiled closures in
+        :meth:`iter_matches` and written into every kernel's source.
+        Overriding this to return ``None`` gives the leaf-only planner
+        that test pushdown is checked against (SEMANTICS §12)."""
+        return None if test is None else plan.early_filters(test)
 
     def _flush_kernels(self) -> None:
         """Forget every kernel (their plans were flushed, or too many)."""
@@ -773,7 +812,6 @@ class QueryPlanner:
         same order; only the RNG draws of the pruned subtrees are skipped.
         """
         plan = self.plan_for(patterns, bound)
-        # Each filter is a compiled closure over the search's own env dict.
         filters = self.join_filters(plan, test)
         # A snapshot lens reports how many of the live rows it shows
         # (``(rows, n)``) instead of slicing them; any other window shows
@@ -793,6 +831,9 @@ class QueryPlanner:
                 return
             step = steps[depth]
             checks = None if filters is None else filters[depth]
+            if checks is not None:
+                # Each filter is a compiled closure over the search's env.
+                checks = tuple(map(kernel, checks))
             probes = step.probes_for(env)
             if cut is None:
                 rows = window.candidates_probed(step.compiled.arity, probes)

@@ -7,7 +7,10 @@ the per-element walks over ``PatternElement``.  The properties pin no
 ``max_examples``, so ``--hypothesis-profile=ci`` (the CI chaos job)
 deepens them.  ``test_kernel_equals_evaluate`` fails if ``&`` or ``|`` is
 compiled to short-circuit: its explicit examples raise only when both
-sides are evaluated.
+sides are evaluated.  The source emitter (``source``, what attempt kernels
+write their filters, tests and probe expressions with) is held to the same
+two references, with some names read from locals and the rest from
+``params``.
 """
 
 import operator
@@ -22,8 +25,10 @@ from repro.core.expressions import (
     Const,
     EvalContext,
     Var,
+    _logical_and,
     kernel,
     lift,
+    source,
     variables,
 )
 from repro.core.patterns import ANY, LitElement, P, VarElement, WildElement, pattern
@@ -119,10 +124,55 @@ class TestKernelDifferential:
     def test_early_filters_run_as_kernels(self):
         a, b, c = variables("a b c")
         plan = build_plan([P["r", a], P["s", b], P["t", c]], frozenset(), {}, Dataspace())
-        first, second = a > 0, b > a
-        test = first & second & (c > b)
-        assert plan.early_filters(test) == ((first,), (second,), None)
-        assert plan.filter_kernels(test) == ((kernel(first),), (kernel(second),), None)
+        first, second, costly = a > 0, b > a, picky(b) | (a == b)
+        test = first & costly & second & (c > b)
+        # Within a depth, conjuncts without a lifted call come first.
+        assert plan.early_filters(test) == ((first,), (second, costly), None)
+
+
+def run_source(expr, env, as_locals):
+    """``source(expr)`` evaluated with the names in *as_locals* bound as
+    locals and the rest of *env* as ``params``."""
+    locals_ = {name: f"v_{name}" for name in sorted(as_locals) if name in env}
+    consts = {}
+    text = source(expr, locals_, consts)
+    frame = {local: env[name] for name, local in locals_.items()}
+    frame["params"] = {name: v for name, v in env.items() if name not in locals_}
+    return eval(text, consts, frame)
+
+
+class TestSourceDifferential:
+    @given(exprs, envs, st.sets(st.sampled_from(NAMES)))
+    @example((A > 5) & (A // 0 > 1), {"a": 1}, {"a"})
+    @example((A > 0) | picky(A), {"a": 2}, set())
+    @example(~((A > 5) & picky(A)), {"a": 2}, {"a"})
+    @example(A + GHOST, {"a": 1}, {"a"})
+    @example(pair(GHOST, A), {"a": 1}, set())
+    @example(-(Const(2) ** A), {"a": 3}, {"a"})
+    @example(((A - Var("b")) * 2) % 3 <= A / 2, {"a": 3, "b": 1}, {"b"})
+    def test_source_equals_kernel_and_evaluate(self, expr, env, as_locals):
+        got = outcome(lambda: run_source(expr, env, as_locals))
+        assert got == outcome(lambda: kernel(expr)(env))
+        assert got == outcome(lambda: evaluated(expr, env))
+
+    def test_missing_name_is_an_unbound_variable_error(self):
+        for expr in (GHOST, A + GHOST, pair(A, GHOST), ~GHOST):
+            with pytest.raises(UnboundVariableError) as caught:
+                run_source(expr, {"a": 1}, {"a"})
+            assert caught.value.name == "ghost"
+
+    def test_operators_are_inline_and_calls_direct(self):
+        consts = {}
+        text = source((A + 1 > Var("b")) & picky(A), {"a": "x"}, consts)
+        assert "_param(params, 'b')" in text and "x + " in text
+        names = {value: name for name, value in consts.items() if callable(value)}
+        # & goes through _logical_and (both sides evaluated); the lifted
+        # function is called by its own name, not through a closure
+        assert f"{names[_logical_and]}(" in text and f"{names[_picky]}(x)" in text
+
+    def test_impure_nodes_have_no_source(self):
+        with pytest.raises(TypeError):
+            source(Membership(P["r", ANY]), {}, {})
 
 
 class TestNeverPickled:

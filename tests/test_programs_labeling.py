@@ -88,6 +88,28 @@ class TestWorkerModel:
         assert (result.commits, result.rounds, result.steps) == (340, 18, 358)
         assert len(fetches) <= 6000
 
+    def test_neighbor_is_asked_after_the_cheaper_filter(self, monkeypatch):
+        # Within the depth that binds p2, ``l2 > l1`` runs before the
+        # lifted ``neighbor`` (cheapest conjunct first), so ``neighbor``
+        # is asked only of the pairs whose labels can still propagate:
+        # 401.7 calls per commit when it ran first, 86.8 now.
+        from repro.core.expressions import fn
+        from repro.programs import labeling
+        from repro.workloads.images import neighbor
+
+        calls = [0]
+
+        def counting(p1, p2):
+            calls[0] += 1
+            return neighbor(p1, p2)
+
+        monkeypatch.setattr(labeling, "_neighbor", fn(counting, "neighbor"))
+        out = run_worker_labeling(random_blob_image(8, 8, blobs=3, seed=1), seed=1)
+        assert out.correct
+        result = out.result
+        assert (result.commits, result.rounds, result.steps) == (335, 18, 353)
+        assert calls[0] / result.commits <= 120
+
 
 class TestCommunityModel:
     @pytest.mark.parametrize(

@@ -9,8 +9,13 @@ of :meth:`Query._passes_test`.  For random queries — retract masks, pure,
 raising and impure (``Membership``) tests, raising pattern literals,
 unbound names, excluded instances — over random dataspaces seen through
 a plain window, a ``where``-view window and the group snapshot lens, the
-kernel must return the same :class:`QueryResult`, raise the same error
-and leave the RNG in the same state.  The naive textual-order walk
+kernel must return the same :class:`QueryResult` with the bindings of
+every match in the same key order, raise the same error and leave the RNG
+in the same state.  Pure tests are also drawn as conjunctions of random
+expression trees — raising lifted calls, ``&``/``|``, a test-only
+parameter ``k`` and a name ``ghost`` nothing binds — and each is checked
+in both textual orders of its conjuncts, over three-atom joins whose
+depths carry several early filters.  The naive textual-order walk
 (``plan="off"``) must agree on verdicts and read-only ∀ match sets.
 
 The caches are bounded by the program, not the run: a Sum2 society of
@@ -20,12 +25,14 @@ once.
 
 from __future__ import annotations
 
+import operator
 import random
+from functools import reduce
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataspace import Dataspace
-from repro.core.expressions import Var, lift, variables
+from repro.core.expressions import Const, Var, lift, variables
 from repro.core.patterns import ANY, P
 from repro.core.plan import QueryPlanner
 from repro.core.query import Match, Membership, Query, QueryResult
@@ -35,6 +42,7 @@ from repro.programs.summation import run_sum2
 from repro.runtime.rounds import _SnapshotLens
 
 A, B, C = variables("a b c")
+K, GHOST = variables("k ghost")
 NAMES = ("r", "s")
 VALUES = st.integers(min_value=0, max_value=3)
 
@@ -62,7 +70,39 @@ fields = st.one_of(
 
 atoms = st.tuples(st.sampled_from(NAMES), fields, fields).map(lambda t: P[t[0], t[1], t[2]])
 
-pure_tests = st.sampled_from((A < B, frail(A), (B >= C) & (A != 2)))
+BINARY = (
+    operator.add, operator.sub, operator.floordiv, operator.mod,
+    operator.lt, operator.eq, operator.ne, operator.ge, operator.and_, operator.or_,
+)
+leaves = st.one_of(
+    st.sampled_from((A, B, C)), st.sampled_from((A, B, C, K, GHOST)), VALUES.map(Const)
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(BINARY), children, children).map(lambda t: t[0](t[1], t[2])),
+        st.tuples(st.sampled_from((operator.neg, operator.invert)), children).map(
+            lambda t: t[0](t[1])
+        ),
+        children.map(inverse),  # raising calls
+        children.map(frail),
+    )
+
+
+#: Conjunct lists; a test is their ``&``, in either textual order.
+trees = st.recursive(leaves, _grow, max_leaves=4)
+conjunct_lists = st.one_of(
+    st.sampled_from(([A < B], [frail(A)], [B >= C, A != 2])),
+    st.lists(trees, min_size=1, max_size=4),
+)
+
+
+def conjoined(conjuncts):
+    return reduce(operator.and_, conjuncts)
+
+
+pure_tests = conjunct_lists.map(conjoined)
 impure_tests = st.sampled_from((
     Membership(P["s", A, ANY]),
     ~Membership(P["r", ANY, B]),
@@ -76,9 +116,19 @@ tests = st.one_of(
 )
 
 
+#: Three atoms binding a, b and c, in some order: every depth but the
+#: last can carry early filters.
+joins = st.permutations((A, B, C)).flatmap(lambda names: st.tuples(*(
+    st.tuples(st.sampled_from(NAMES), fields).map(
+        lambda t, name=name: P[t[0], name, t[1]]
+    )
+    for name in names
+)).map(list))
+
+
 @st.composite
 def queries(draw):
-    patterns = draw(st.lists(atoms, min_size=1, max_size=3))
+    patterns = draw(st.one_of(st.lists(atoms, min_size=1, max_size=3), joins))
     test = draw(tests)
     kind = draw(st.sampled_from(("exists", "forall", "no")))
     if kind == "no":
@@ -88,7 +138,7 @@ def queries(draw):
     return Query(kind, (A, B, C), atoms_, test, require_nonempty=draw(st.booleans()))
 
 
-params = st.dictionaries(st.sampled_from(("a", "b", "c", "unused")), VALUES, max_size=2)
+params = st.dictionaries(st.sampled_from(("a", "b", "c", "k", "unused")), VALUES, max_size=3)
 
 
 def reference(query, window, bound, rng, excluded):
@@ -145,6 +195,14 @@ def outcome(evaluate, *args):
         return type(exc), str(exc)
 
 
+def observed(evaluate, *args):
+    """:func:`outcome`, with the key order of each match's bindings."""
+    result = outcome(evaluate, *args)
+    if isinstance(result, QueryResult):
+        return result, [list(match.bindings) for match in result.matches]
+    return result
+
+
 WHERE_VIEW = View(imports=[
     import_rule("r", Var("x"), Var("y"), where=[P["s", Var("y"), ANY]]),
     import_rule("s", ANY, ANY),
@@ -171,6 +229,19 @@ CONSUMED_OUTER = Query("forall", (A, B, C), [P["r", A, ANY].retract(), P["s", B,
 #: A literal that raises after a sibling subtree bound ``c``: the error
 #: names the bindings of the raising row only.
 RAISES_AFTER_SUBTREE = Query("forall", (A, B, C), [P["r", B, ANY], P["s", inverse(B), C]])
+#: An ``&`` that short-circuits on its falsy left side never raises.
+BOTH_SIDES = Query("exists", (A, B, C), [P["r", A, ANY]], test=(A > 5) & inverse(A))
+#: frail(3) raises in the early filter at depth 0: no verdict, so the
+#: leaf must see the row and raise, not find nothing.
+RAISING_FILTER = Query(
+    "exists", (A, B, C), [P["r", A, ANY], P["s", B, ANY]], test=frail(A) & (B > 0)
+)
+#: A leaf test that raises names every binding of the match it raised on,
+#: and a match's keys are the parameters, then the binders in plan order.
+RAISING_LEAF = Query(
+    "exists", (A, B, C), [P["s", B, ANY], P["r", A, ANY], P["r", C, ANY]],
+    test=(A != 2) & (inverse(C) > B),
+)
 
 
 class TestKernelEqualsReference:
@@ -187,22 +258,55 @@ class TestKernelEqualsReference:
         [("r", 0, 0), ("r", 1, 1), ("r", 2, 2)], [("r", 3, 3)],
         Query("exists", (A, B, C), [P["r", A, ANY]]), {}, "lens", [], 0,
     )
+    @example([("r", 0, 0)], [], BOTH_SIDES, {}, "plain", [], 0)
+    @example([("r", 3, 0), ("s", 1, 1)], [], RAISING_FILTER, {}, "plain", [], 0)
+    @example(
+        [("s", 1, 0), ("r", 1, 0), ("r", 0, 0)], [], RAISING_LEAF, {"k": 1}, "plain", [], 0
+    )
+    @example(
+        [("s", 1, 0), ("r", 1, 0), ("r", 3, 0)], [], RAISING_LEAF, {"k": 1}, "plain", [], 0
+    )
     @settings(deadline=None)
     def test_same_result_error_and_rng_state(
         self, early, late, query, bound, shape, excluded_at, seed
     ):
-        ds, window = windows(early, late, shape)
-        tids = sorted(ds.tids())
-        excluded = frozenset(tids[i] for i in excluded_at if i < len(tids))
-        rng_ref, rng_kernel = random.Random(seed), random.Random(seed)
-        expected = outcome(reference, query, window.refresh(), bound, rng_ref, excluded)
-        got = outcome(query.evaluate, window.refresh(), bound, rng_kernel, excluded)
-        assert got == expected
-        assert rng_kernel.getstate() == rng_ref.getstate()
-        # A second attempt takes the remembered kernel, not a new one.
-        again = outcome(query.evaluate, window, bound, random.Random(seed), excluded)
-        assert again == expected
-        assert window.planner.kernel_count == 1
+        agree(early, late, query, bound, shape, excluded_at, seed)
+
+    @given(
+        rows, joins, conjunct_lists, st.sampled_from(("exists", "forall", "no")),
+        params, st.integers(0, 2**32 - 1),
+    )
+    @example(  # two filters at a's depth: frail(3) raises where a < 3 is false
+        [("r", 3, 0), ("s", 0, 0), ("r", 1, 1)], [P["r", A, ANY], P["s", B, ANY], P["r", C, ANY]],
+        [frail(A), A < 3], "exists", {}, 0,
+    )
+    @settings(deadline=None)
+    def test_either_textual_order_of_the_conjuncts(
+        self, tuples, patterns, conjuncts, kind, bound, seed
+    ):
+        for ordered in (conjuncts, conjuncts[::-1]):
+            query = Query(
+                "exists" if kind == "no" else kind, (A, B, C), patterns,
+                conjoined(ordered), negated=kind == "no",
+            )
+            agree(tuples, [], query, bound, "plain", [], seed)
+
+
+def agree(early, late, query, bound, shape, excluded_at, seed):
+    """The kernel and the reference agree on *query* over the window of
+    *shape*: result, bindings key order, error, RNG state."""
+    ds, window = windows(early, late, shape)
+    tids = sorted(ds.tids())
+    excluded = frozenset(tids[i] for i in excluded_at if i < len(tids))
+    rng_ref, rng_kernel = random.Random(seed), random.Random(seed)
+    expected = observed(reference, query, window.refresh(), bound, rng_ref, excluded)
+    got = observed(query.evaluate, window.refresh(), bound, rng_kernel, excluded)
+    assert got == expected
+    assert rng_kernel.getstate() == rng_ref.getstate()
+    # A second attempt takes the remembered kernel, not a new one.
+    again = observed(query.evaluate, window, bound, random.Random(seed), excluded)
+    assert again == expected
+    assert window.planner.kernel_count == 1
 
 
 class TestKernelAgainstNaiveWalk:
