@@ -41,6 +41,11 @@ removes all three costs while preserving the semantics exactly:
   ``Membership`` sub-queries and the reference the kernels are tested
   against;
 
+* within one replication batch a kernel does not **search again for an
+  outer row it already ruled out** (the replica-batch memo the batch's
+  snapshot lens carries), and fetches a step whose probes do not change
+  under the outer rows once per call;
+
 * **a test is a join filter, not a leaf check**: the pure top-level
   ``&``-conjuncts of the query's ``such_that`` test are evaluated at the
   first join depth that binds their variables (:meth:`Plan.early_filters`),
@@ -494,6 +499,15 @@ def compile_kernel(
     visits the rows in the same rotated order, draws the RNG exactly
     where the search does (one ``randrange(n)`` per fetched list of
     ``n >= 2`` rows, :func:`rotation_start`) and raises the same errors.
+
+    A step below the first whose probes are static values and names in
+    *bound* only is fetched at its first use, once per call.  An ``∃``
+    kernel of two or more steps with no test or a pure one also reads
+    the replica-batch memo a snapshot lens may carry (``window.memo``):
+    it skips a remembered outer row, making the one depth-1 draw its
+    search would make, and remembers an outer row whose search found no
+    match, raised nothing and drew nothing below depth 1 — while the
+    batch's rows only leave, such a row has no match later either.
     """
     steps = plan.steps
     test = query.test
@@ -505,6 +519,12 @@ def compile_kernel(
         "EvalContext": EvalContext, "TEST": test,
     }
     forall = query.quantifier == "forall"
+    # The replica-batch memo: an outer row with no completion keeps none
+    # for the rest of a batch (SEMANTICS §12).
+    memo = (
+        not forall and not query.negated and len(steps) >= 2
+        and (test is None or is_pure(test))
+    )
     lines = ["def generated(window, params, rng, excluded):"]
     scope: dict[str, str] = {}
     for i, name in enumerate(sorted(bound)):
@@ -515,8 +535,25 @@ def compile_kernel(
         "    if cut is None:",
         "        fetch = window.candidates_probed",
     ]
+    if memo:
+        lines += [
+            "    skip = None",
+            "    if cut is not None and window.memo is not None and not excluded:",
+            "        skip = window.memo.get(generated)",
+            "        if skip is None:",
+            "            skip = window.memo[generated] = set()",
+        ]
     if forall:
         lines += ["    excluded = set(excluded)", "    seen = set()", "    matches = []"]
+    # Steps below the first whose probes do not change under the outer
+    # rows: fetched at the first use, once per call (a kernel never
+    # mutates, so the rows stay valid).
+    invariant = {
+        depth for depth, step in enumerate(steps)
+        if depth and not step.probe_exprs
+        and all(name in bound for __, name in step.probe_vars)
+    }
+    lines += [f"    rows{depth} = None" for depth in sorted(invariant)]
 
     def emit(depth: int, pad: str, scope: dict[str, str], binders: list) -> None:
         if depth == len(steps):
@@ -547,7 +584,30 @@ def compile_kernel(
             lines.append(f"{pad}    raise literal_error(X{depth}_{i}, bindings, exc) from exc")
             probes.append(f"({position}, e{depth}_{i})")
         arity = step.compiled.arity
-        rows, n = f"rows{depth}", f"n{depth}"
+        rows, n, visit = f"rows{depth}", f"n{depth}", f"visit{depth}"
+        fetched = (
+            f"probes{depth} = [{', '.join(probes)}]",
+            "if cut is None:",
+            f"    {rows} = fetch({arity}, probes{depth})",
+            f"    {n} = len({rows})",
+            "else:",
+            f"    {rows}, {n} = cut({arity}, probes{depth})",
+        )
+        if depth in invariant:
+            lines.append(f"{pad}if {rows} is None:")
+            lines.extend(pad + "    " + line for line in fetched)
+        else:
+            lines.extend(pad + line for line in fetched)
+        if memo and depth == 1:
+            # A remembered outer row is skipped, making the one draw its
+            # search would make; ``deep`` records a draw below depth 1.
+            lines.extend(pad + line for line in (
+                "if skip is not None and tid0 in skip:",
+                f"    if {n} > 1 and rng is not None:",
+                f"        rng.randrange({n})",
+                "    continue",
+                "deep = False",
+            ))
         # Distinct atoms bind distinct instances; only an earlier step of
         # the same arity can have chosen this row.
         used = "".join(
@@ -556,17 +616,14 @@ def compile_kernel(
             if steps[earlier].compiled.arity == arity
         )
         lines.extend(pad + line for line in (
-            f"probes{depth} = [{', '.join(probes)}]",
-            "if cut is None:",
-            f"    {rows} = fetch({arity}, probes{depth})",
-            f"    {n} = len({rows})",
-            "else:",
-            f"    {rows}, {n} = cut({arity}, probes{depth})",
             f"if {n} > 1 and rng is not None:",
-            f"    {rows} = rotated({rows}, {n}, rng.randrange({n}))",
+            *(("    deep = True",) if memo and depth > 1 else ()),
+            f"    {visit} = rotated({rows}, {n}, rng.randrange({n}))",
             f"elif {n} < len({rows}):",
-            f"    {rows} = {rows}[:{n}]",
-            f"for inst{depth} in {rows}:",
+            f"    {visit} = {rows}[:{n}]",
+            "else:",
+            f"    {visit} = {rows}",
+            f"for inst{depth} in {visit}:",
             f"    tid{depth} = inst{depth}.tid",
             f"    if tid{depth} in excluded{used}:",
             "        continue",
@@ -592,6 +649,13 @@ def compile_kernel(
                 "    pass",
             ))
         emit(depth + 1, inner, scope, binders)
+        if memo and depth == 0:
+            # The search ran out without a match, an error or a draw
+            # below depth 1: no completion, for the rest of the batch.
+            lines.extend(inner + line for line in (
+                "if skip is not None and not deep:",
+                "    skip.add(tid0)",
+            ))
 
     def leaf(pad: str, scope: dict[str, str], binders: list) -> None:
         instances = tuple(f"inst{depth_of[i]}" for i in range(len(steps)))

@@ -39,7 +39,7 @@ from repro.core.actions import (
     pure_actions,
     validate_actions,
 )
-from repro.core.expressions import Bindings, Const, EvalContext, is_pure, kernel
+from repro.core.expressions import Bindings, Const, EvalContext, is_pure, kernel, source
 from repro.core.patterns import LitElement, Pattern, VarElement
 from repro.core.plan import define
 from repro.core.query import Query, QueryBuilder, QueryResult, TRUE_QUERY
@@ -238,9 +238,12 @@ def compile_actions(actions: tuple[Action, ...]) -> Callable:
     them.
 
     Every action is written out in order: a template's fields (and a
-    spawn's arguments, a ``let`` body) are their compiled closures when
-    pure (:func:`~repro.core.expressions.kernel`) and the generic
-    evaluation under an :class:`EvalContext` otherwise; a variable field
+    spawn's arguments, a ``let`` body) are written into the source when
+    pure (:func:`~repro.core.expressions.source`, over locals read from
+    the environment; with a name missing, the compiled closure,
+    :func:`~repro.core.expressions.kernel`, raises what the expression
+    raises first) and the generic evaluation under an
+    :class:`EvalContext` otherwise; a variable field
     reads the environment and raises :class:`UnboundVariableError` as
     ``Bindings.get`` does.  Fields are evaluated left to right, up to the
     first wildcard, as :meth:`Pattern.instantiate` does.  Without a
@@ -260,8 +263,20 @@ def compile_actions(actions: tuple[Action, ...]) -> Callable:
         """Emit ``name = <expr under env>``."""
         consts[name.upper()] = expr
         if is_pure(expr):
+            reads = {var: f"{name}_{k}" for k, var in enumerate(sorted(expr.free_variables()))}
+            text = f"{name} = {source(expr, reads, consts)}"
+            if not reads:
+                body.append(text)
+                return
             consts[f"K{name}"] = kernel(expr)
-            body.append(f"{name} = K{name}(env)")
+            body.extend((
+                "try:",
+                *(f"    {local} = env[{var!r}]" for var, local in reads.items()),
+                "except KeyError:",
+                f"    {name} = K{name}(env)",
+                "else:",
+                f"    {text}",
+            ))
         else:
             body.append(
                 f"{name} = {name.upper()}.evaluate("

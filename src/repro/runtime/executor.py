@@ -303,10 +303,16 @@ class Executor:
         the batch proceeds.  A guard firing that retracts nothing fires at
         most once per round (otherwise a pure producer would spin forever
         inside a single round).
+
+        Within the batch a row can only leave the lens, so an outer row
+        that has no match now has none later: the lens carries a memo of
+        those rows for the attempt kernels (SEMANTICS §12) — except over
+        a ``where``-view, where a new support row can import an old one.
         """
         engine = self.engine
         window = engine.window(pump.process)
-        frozen = _SnapshotLens(window, engine.dataspace.serial)
+        memo = None if window.view.config_dependent else {}
+        frozen = _SnapshotLens(window, engine.dataspace.serial, memo)
         scope = pump.process.scope()
         branches = pump.replication.branches
         live = [i for i in range(len(branches)) if branches[i].guard.mode is not Mode.CONSENSUS]

@@ -698,13 +698,19 @@ class _SnapshotLens:
     (:meth:`candidates_cut`, :func:`~repro.core.storage.cut_len`) and
     visits only that prefix; the list-returning fetches below slice it
     (:func:`~repro.core.storage.cut_at_serial`, the same bisection).
+
+    A replication batch's lens carries the batch's *memo*: each attempt
+    kernel's set of outer rows ruled out for the rest of the batch
+    (``{kernel: tids}``, SEMANTICS §12).  It is dropped with the lens.
+    Group rounds' lenses carry none.
     """
 
-    __slots__ = ("window", "max_serial")
+    __slots__ = ("window", "max_serial", "memo")
 
-    def __init__(self, window, max_serial: int) -> None:
+    def __init__(self, window, max_serial: int, memo: dict | None = None) -> None:
         self.window = window
         self.max_serial = max_serial
+        self.memo = memo
 
     def refresh(self) -> "_SnapshotLens":
         self.window.refresh()

@@ -10,7 +10,8 @@ compiled to short-circuit: its explicit examples raise only when both
 sides are evaluated.  The source emitter (``source``, what attempt kernels
 write their filters, tests and probe expressions with) is held to the same
 two references, with some names read from locals and the rest from
-``params``.
+``params``; so is the action stager (``compile_actions``), which writes
+pure template fields, spawn arguments and ``let`` bodies the same way.
 """
 
 import operator
@@ -19,6 +20,8 @@ import pickle
 import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.core import transactions
+from repro.core.actions import Let, Spawn, assert_tuple, let, spawn
 from repro.core.dataspace import Dataspace
 from repro.core.expressions import (
     Bindings,
@@ -34,6 +37,7 @@ from repro.core.expressions import (
 from repro.core.patterns import ANY, LitElement, P, VarElement, WildElement, pattern
 from repro.core.plan import build_plan
 from repro.core.query import Membership, exists
+from repro.core.transactions import TransactionOutcome, action_error, compile_actions
 from repro.core.views import import_rule
 from repro.errors import PatternError, QueryError, SDLError, UnboundVariableError
 
@@ -278,3 +282,84 @@ class TestCompiledPatternDifferential:
     def test_instantiate_equals_the_element_walk(self, pat, bound):
         got = outcome(lambda: pat.instantiate(EvalContext(Bindings(bound))))
         assert got == outcome(lambda: walk_instantiate(pat, bound))
+
+
+def walk_actions(actions, env):
+    """The action list as the element walk, staged under one ∃ match
+    *env*: ``(assertions, spawns, lets)``, or the typed error."""
+    once_env, lets = dict(env), {}
+    assertions, spawned = [], []
+    action, scope = None, None
+    try:
+        for action in actions:
+            if isinstance(action, Let):
+                scope = once_env
+                lets[action.name] = once_env[action.name] = evaluated(action.expr, scope)
+                continue
+            scope = {**env, **lets}
+            if isinstance(action, Spawn):
+                spawned.append(
+                    (action.process_name, tuple(evaluated(arg, scope) for arg in action.args))
+                )
+            else:
+                assertions.append(walk_instantiate(action.pattern, scope))
+    except SDLError as exc:
+        return type(exc), str(exc)
+    except Exception as exc:
+        error = action_error(action, scope, exc)
+        return type(error), str(error)
+    return assertions, spawned, lets
+
+
+def staged(actions, env):
+    """``compile_actions(actions)`` under the same ∃ match."""
+    effect = compile_actions(tuple(actions))(
+        TransactionOutcome(success=True), dict(env), [env], None, None
+    )
+    if effect.error is not None:
+        return type(effect.error), str(effect.error)
+    return effect.assertions, effect.spawned, effect.lets
+
+
+templates = st.lists(
+    st.one_of(st.sampled_from(NAMES + ("ghost",)).map(Var), st.integers(0, 2), exprs),
+    min_size=1, max_size=3,
+).map(lambda fs: assert_tuple("t", *fs))
+action_lists = st.lists(
+    st.one_of(
+        templates,
+        st.lists(exprs, max_size=2).map(lambda args: spawn("P", *args)),
+        st.tuples(st.sampled_from(NAMES), exprs).map(lambda t: let(t[0], t[1])),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+class TestActionStagerDifferential:
+    """A stager writes pure fields, spawn arguments and ``let`` bodies
+    into its source: the same values, in the same order, and the same
+    typed error, as evaluating each action in turn."""
+
+    @given(action_lists, envs)
+    @example([assert_tuple("t", A + GHOST)], {"a": 1})
+    @example([assert_tuple("t", picky(A) + GHOST)], {"a": 2})
+    @example([assert_tuple("t", picky(A), GHOST)], {"a": 2})
+    @example([let("b", A + 1), assert_tuple("t", Var("b") * 2)], {"a": 1})
+    @example([spawn("P", A // Var("b"))], {"a": 1, "b": 0})
+    def test_stager_equals_the_action_walk(self, actions, env):
+        assert staged(actions, env) == walk_actions(actions, env)
+
+    def test_pure_fields_are_written_inline(self, monkeypatch):
+        texts = []
+        real = transactions.define
+
+        def keep(text, namespace):
+            texts.append(text)
+            return real(text, namespace)
+
+        monkeypatch.setattr(transactions, "define", keep)
+        compile_actions((assert_tuple("t", A + Var("b"), A + 1),))
+        # a + b over two locals read from env; the closure only when one
+        # of them is missing
+        assert "v0_1 = (v0_1_0 + v0_1_1)" in texts[0]
+        assert "v0_1 = Kv0_1(env)" in texts[0].split("except KeyError:")[1]

@@ -92,23 +92,40 @@ class TestWorkerModel:
         # Within the depth that binds p2, ``l2 > l1`` runs before the
         # lifted ``neighbor`` (cheapest conjunct first), so ``neighbor``
         # is asked only of the pairs whose labels can still propagate:
-        # 401.7 calls per commit when it ran first, 86.8 now.
-        from repro.core.expressions import fn
-        from repro.programs import labeling
-        from repro.workloads.images import neighbor
-
-        calls = [0]
-
-        def counting(p1, p2):
-            calls[0] += 1
-            return neighbor(p1, p2)
-
-        monkeypatch.setattr(labeling, "_neighbor", fn(counting, "neighbor"))
-        out = run_worker_labeling(random_blob_image(8, 8, blobs=3, seed=1), seed=1)
-        assert out.correct
+        # 401.7 calls per commit when it ran first, 86.8 with every outer
+        # row searched on every replica attempt, 34.3 now that a batch
+        # skips the rows it has ruled out (SEMANTICS §12).
+        out, calls = _counting_neighbor(monkeypatch, 8)
         result = out.result
         assert (result.commits, result.rounds, result.steps) == (335, 18, 353)
-        assert calls[0] / result.commits <= 120
+        assert calls / result.commits <= 45
+
+    def test_a_batch_does_not_search_a_ruled_out_row_again(self, monkeypatch):
+        # 16x16: 1 206 neighbor calls per commit when every replica
+        # attempt searched every outer row again, 215.5 with the memo.
+        out, calls = _counting_neighbor(monkeypatch, 16)
+        result = out.result
+        assert (result.commits, result.rounds, result.steps) == (2139, 34, 2173)
+        assert calls / result.commits <= 300
+
+
+def _counting_neighbor(monkeypatch, side):
+    """Worker labeling of the ``side`` x ``side`` 3-blob image (layout and
+    engine seed 1), checked, and the number of ``neighbor`` calls."""
+    from repro.core.expressions import fn
+    from repro.programs import labeling
+    from repro.workloads.images import neighbor
+
+    calls = [0]
+
+    def counting(p1, p2):
+        calls[0] += 1
+        return neighbor(p1, p2)
+
+    monkeypatch.setattr(labeling, "_neighbor", fn(counting, "neighbor"))
+    out = run_worker_labeling(random_blob_image(side, side, blobs=3, seed=1), seed=1)
+    assert out.correct
+    return out, calls[0]
 
 
 class TestCommunityModel:

@@ -18,6 +18,14 @@ in both textual orders of its conjuncts, over three-atom joins whose
 depths carry several early filters.  The naive textual-order walk
 (``plan="off"``) must agree on verdicts and read-only ∀ match sets.
 
+A replication batch's kernels skip the outer rows they have ruled out
+(the replica-batch memo, SEMANTICS §12).  Random replicated ∃ joins of
+2–3 atoms, with retract masks, pure tests and a feeder branch, over a
+plain and a ``where``-view process view, must run the same schedule —
+commits, rounds, steps, event stream, final dataspace, RNG state — with
+the memo and with it patched away, and a completed run, with the planner
+or under ``plan="off"``, ends where no guard can fire.
+
 The caches are bounded by the program, not the run: a Sum2 society of
 1 023 processes with distinct ``(k, j)`` compiles one kernel and plans
 once.
@@ -28,17 +36,25 @@ from __future__ import annotations
 import operator
 import random
 from functools import reduce
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.actions import assert_tuple
+from repro.core.constructs import guarded, replicate
 from repro.core.dataspace import Dataspace
 from repro.core.expressions import Const, Var, lift, variables
 from repro.core.patterns import ANY, P
 from repro.core.plan import QueryPlanner
-from repro.core.query import Match, Membership, Query, QueryResult
+from repro.core.process import ProcessDefinition
+from repro.core.query import Match, Membership, Query, QueryResult, exists
+from repro.core.transactions import immediate
 from repro.core.views import FULL_VIEW, View, import_rule
 from repro.errors import SDLError
 from repro.programs.summation import run_sum2
+from repro.runtime import executor
+from repro.runtime.engine import Engine
+from repro.runtime.events import Trace
 from repro.runtime.rounds import _SnapshotLens
 
 A, B, C = variables("a b c")
@@ -359,3 +375,187 @@ class TestBoundedCaches:
         assert calls == [frozenset({"k", "j"})]
         # Every later attempt counts a hit, as its plan_for call would have.
         assert run.result.plan_hits + run.result.plan_misses > 63
+
+
+# ----------------------------------------------------------------------
+# the replica-batch memo
+# ----------------------------------------------------------------------
+
+Q = "q"
+#: Imports an ``r`` row only while an ``s`` row supports its last field:
+#: a replica's (hidden) ``s`` assertion can import an *older* ``r`` row.
+SUPPORTED_VIEW = View(imports=[
+    import_rule("r", ANY, Var("y"), where=[P["s", Var("y"), ANY]]),
+    import_rule("s", ANY, ANY),
+    import_rule(Q, ANY),
+])
+seconds = st.one_of(st.just(ANY), st.sampled_from((A, B, C)), VALUES)
+batch_tests = st.one_of(
+    st.none(),
+    st.sampled_from((A < B, A != C, (B >= 1) & (A != B), frail(A) | (C > 1))),
+)
+
+
+@st.composite
+def replicated(draw):
+    """The branches of a replication: a 2–3 atom ∃ join with a retract
+    mask and a pure test, and maybe a feeder that turns each ``<q, v>``
+    into a new ``r`` or ``s`` row."""
+    names = draw(st.permutations("abc"))[: draw(st.integers(2, 3))]
+    atoms = [P[draw(st.sampled_from(NAMES)), Var(name), draw(seconds)] for name in names]
+    mask = draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
+    query = exists(A, B, C).match(*(p.retract() if kill else p for p, kill in zip(atoms, mask)))
+    test = draw(batch_tests)
+    if test is not None:
+        query = query.such_that(test)
+    made = draw(st.tuples(
+        st.sampled_from(NAMES), *(st.sampled_from([Var(n) for n in names] + [0, 1]),) * 2
+    ))
+    branches = [guarded(immediate(query).then(assert_tuple(*made)))]
+    if draw(st.booleans()):
+        fed = draw(st.sampled_from(NAMES))
+        branches.append(guarded(
+            immediate(exists(C).match(P[Q, C].retract())).then(assert_tuple(fed, 0, C))
+        ))
+    return branches
+
+
+def run_batches(branches, view, tuples, seed, **config):
+    """One replication over *tuples*: ``(outcome, event stream, RNG
+    state, final multiset)``, the outcome being the run's commits,
+    rounds and steps or the error it raised."""
+    engine = Engine(
+        definitions=[ProcessDefinition("Main", view=view, body=[replicate(*branches)])],
+        seed=seed, trace=Trace(True), **config,
+    )
+    engine.assert_tuples(tuples)
+    engine.start("Main")
+    try:
+        result = engine.run(max_steps=150)
+        ended = result.commits, result.rounds, result.steps
+    except SDLError as exc:
+        ended = type(exc), str(exc)
+    return ended, engine.trace.events, engine.rng.getstate(), engine.dataspace.multiset()
+
+
+def memoless(window, max_serial, memo=None):
+    """A replication batch's lens without its memo."""
+    return _SnapshotLens(window, max_serial)
+
+
+def fires(branches, view, final, plan):
+    """Can some guard fire on the *final* multiset, evaluated with the
+    planner *plan*?"""
+    space = Dataspace()
+    space.insert_many(values for values, count in final.items() for __ in range(count))
+    window = view.window(space)
+    if plan == "on":
+        window.planner = QueryPlanner(space)
+    return any(
+        branch.guard.query.evaluate(window, {}, random.Random(0)).success
+        for branch in branches
+    )
+
+
+#: ``<r, 3>`` has no ``<s, b>`` with 3 < b: once ruled out, each later
+#: visit in the batch skips it with its one draw over the four ``s`` rows.
+REPLAYED = (
+    [guarded(immediate(
+        exists(A, B, C).match(P["r", A].retract(), P["s", B]).such_that(A < B)
+    ).then(assert_tuple("done", A)))],
+    [("r", 3), ("r", 0), ("r", 1), ("s", 1), ("s", 2), ("s", 2), ("s", 3)],
+)
+#: ``<o, 0>`` has no completion, but its search draws over the two
+#: ``<i, 7, c>`` rows at depth 2: it must be searched again on every visit.
+DEEP = (
+    [guarded(immediate(
+        exists(A, B, C)
+        .match(P["o", A].retract(), P["m", A, B], P["i", B, C])
+        .such_that(C == A)
+    ).then(assert_tuple("done", A)))],
+    [("o", 0), ("o", 1), ("o", 2), ("m", 0, 7), ("m", 1, 8), ("m", 2, 9),
+     ("i", 7, 1), ("i", 7, 2), ("i", 8, 1), ("i", 9, 2)],
+)
+
+#: ``<s, 1, 1>`` finds no imported ``<r, 1, y>`` until the feeder asserts
+#: ``<s, 5, 0>``, which imports the old ``<r, 1, 5>`` mid-batch.
+FED = (
+    [
+        guarded(immediate(
+            exists(A, B, C).match(P["s", A, 1].retract(), P["r", A, B])
+        ).then(assert_tuple("done", A))),
+        guarded(immediate(exists(C).match(P[Q, C].retract())).then(assert_tuple("s", C, 0))),
+    ],
+    [("s", 1, 1), ("r", 1, 5), (Q, 5)],
+)
+
+class TestReplicaBatchMemo:
+    """Replication batches with the memo, without it (every kernel call
+    searches every outer row again), and under ``plan="off"``: the memo
+    run has the schedule — commits, rounds, steps, event stream, RNG
+    state and dataspace — of the run without it, a completed run ends
+    where the naive walk finds no guard to fire, and a completed
+    ``plan="off"`` run where the kernels find none."""
+
+    @given(
+        replicated(), st.sampled_from(("full", "supported")),
+        st.lists(st.tuples(st.sampled_from(NAMES), VALUES, VALUES), max_size=12),
+        st.lists(VALUES.map(lambda v: (Q, v)), max_size=3), st.integers(0, 2**32 - 1),
+    )
+    @example(REPLAYED[0], "full", REPLAYED[1], [], 1)
+    @example(DEEP[0], "full", DEEP[1], [], 1)
+    @example(FED[0], "supported", FED[1], [], 0)
+    @settings(deadline=None)
+    def test_same_schedule_with_and_without_the_memo(self, branches, shape, tuples, fed, seed):
+        view = SUPPORTED_VIEW if shape == "supported" else FULL_VIEW
+        tuples = tuples + fed
+        remembered = run_batches(branches, view, tuples, seed)
+        with mock.patch.object(executor, "_SnapshotLens", memoless):
+            searched = run_batches(branches, view, tuples, seed)
+        assert remembered == searched
+        naive = run_batches(branches, view, tuples, seed, plan="off")
+        for run, judge in ((remembered, "off"), (naive, "on")):
+            ended, __, __, final = run
+            if not isinstance(ended[0], type):  # completed: no guard can fire
+                assert not fires(branches, view, final, judge)
+
+    def test_a_where_view_runs_without_the_memo(self):
+        """``<p, a>`` finds no supported ``<r, a, y>`` until a replica
+        asserts ``<s, 5, 0>``: that row stays hidden, but the old
+        ``<r, 1, 5>`` it supports is imported at once, mid-batch, so the
+        outer row ``<p, 1>`` gains a completion.  Each schedule equals the
+        run without the memo, and on some seed the join is refused, then
+        fires in the round that fed it."""
+        a, y, v = variables("a y v")
+        view = View(imports=[
+            import_rule("r", ANY, y, where=[P["s", y, ANY]]),
+            import_rule("s", ANY, ANY), import_rule("p", ANY), import_rule(Q, ANY),
+        ])
+        join = immediate(exists(a, y).match(P["p", a].retract(), P["r", a, y]))
+        branches = [
+            guarded(join.then(assert_tuple("done", a))),
+            guarded(immediate(exists(v).match(P[Q, v].retract())).then(assert_tuple("s", v, 0))),
+        ]
+        query = branches[0].guard.query
+        tuples = [("p", 1), ("r", 1, 5), ("r", 2, 5), (Q, 5)]
+        real = Query.evaluate
+        verdicts = []
+
+        def recording(self, *args, **kwargs):
+            result = real(self, *args, **kwargs)
+            if self is query:
+                verdicts.append(result.success)
+            return result
+
+        refused_then_fired = 0
+        for seed in range(8):
+            with mock.patch.object(Query, "evaluate", recording):
+                verdicts.clear()
+                remembered = run_batches(branches, view, tuples, seed)
+            with mock.patch.object(executor, "_SnapshotLens", memoless):
+                searched = run_batches(branches, view, tuples, seed)
+            assert remembered == searched
+            rounds = {e.round for e in remembered[1] if type(e).__name__ == "TxnCommitted"}
+            assert remembered[3][("done", 1)] == 1 and len(rounds) == 1
+            refused_then_fired += verdicts[:2] == [False, True]
+        assert refused_then_fired  # the join saw <r, 1, 5> imported mid-batch
