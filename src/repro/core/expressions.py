@@ -13,11 +13,13 @@ Expressions evaluate against an :class:`EvalContext`, which carries the
 current variable bindings and (for dataspace-membership tests, defined in
 :mod:`repro.core.query`) the window under examination.
 
-A *pure* expression (:func:`is_pure`) also compiles, once, into a closure
-over a plain mapping of bindings (:func:`kernel`), or into the text of a
-Python expression over the locals of generated code (:func:`source`).  The
-hot paths call the closure or run the text; :meth:`Expr.evaluate` stays
-the reference both are tested against.
+A *pure* expression (:func:`is_pure`) also has one compiled form: the
+text of a Python expression over the locals of generated code
+(:func:`source`).  Attempt kernels and action stagers write that text into
+their own generated code; every other hot path calls the expression's
+:func:`kernel`, one generated function over a plain mapping of bindings
+built from the same text.  :meth:`Expr.evaluate` stays the reference both
+are tested against, and the one a kernel falls back on for a missing name.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "Kernel",
     "as_expr",
     "conjuncts",
+    "define",
     "evaluate_under",
     "evaluator",
     "fn",
@@ -135,21 +138,18 @@ class EvalContext:
         self.window = window
         self.rng = rng
 
-    def with_bindings(self, bindings: Bindings) -> "EvalContext":
-        return EvalContext(bindings, self.window, self.rng)
-
 
 class Expr:
     """Base class for expression AST nodes.
 
     Subclasses implement :meth:`evaluate` and :meth:`free_variables`; the
-    pure kinds also compile themselves into a closure (:func:`kernel`).
+    pure kinds also compile (:func:`source`, :func:`kernel`).
     Operator overloads build composite nodes so that test predicates read
     like the paper's notation (``~`` negation, ``&`` conjunction, ``|``
     disjunction).
     """
 
-    # ``_kernel``: a pure node's memoised closure (see :func:`kernel`).
+    # ``_kernel``: a pure node's memoised kernel (see :func:`kernel`).
     __slots__ = ("_kernel",)
 
     def evaluate(self, ctx: EvalContext) -> Any:
@@ -157,9 +157,6 @@ class Expr:
 
     def free_variables(self) -> frozenset[str]:
         raise NotImplementedError
-
-    def _compile(self) -> Kernel:
-        raise TypeError(f"{type(self).__name__} is not a pure expression: it has no kernel")
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: Any) -> "Expr":
@@ -277,17 +274,6 @@ class Var(Expr):
     def free_variables(self) -> frozenset[str]:
         return frozenset((self.name,))
 
-    def _compile(self) -> Kernel:
-        name = self.name
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundVariableError(name) from None
-
-        return var
-
     def __reduce__(self):
         return (type(self), (self.name,))
 
@@ -308,10 +294,6 @@ class Const(Expr):
 
     def free_variables(self) -> frozenset[str]:
         return frozenset()
-
-    def _compile(self) -> Kernel:
-        value = self.value
-        return lambda env: value
 
     def __reduce__(self):
         return (type(self), (self.value,))
@@ -337,39 +319,6 @@ class BinOp(Expr):
     def free_variables(self) -> frozenset[str]:
         return self.left.free_variables() | self.right.free_variables()
 
-    def _compile(self) -> Kernel:
-        op, left, right = self.op, self.left, self.right
-        # A variable operand is read inline instead of through a closure of
-        # its own, so ``a > 87`` and ``l2 > l1`` are one frame each.
-        if isinstance(left, Var) and isinstance(right, Const):
-            name, value = left.name, right.value
-
-            def binop(env):
-                try:
-                    operand = env[name]
-                except KeyError:
-                    raise UnboundVariableError(name) from None
-                return op(operand, value)
-
-        elif isinstance(left, Var) and isinstance(right, Var):
-            names = (left.name, right.name)
-            fetch = operator.itemgetter(*names)
-
-            def binop(env):
-                try:
-                    x, y = fetch(env)
-                except KeyError:
-                    raise _unbound(names, env) from None
-                return op(x, y)
-
-        else:
-            first, second = kernel(left), kernel(right)
-
-            def binop(env):
-                return op(first(env), second(env))
-
-        return binop
-
     def __reduce__(self):
         return (type(self), (self.symbol, self.op, self.left, self.right))
 
@@ -392,10 +341,6 @@ class UnOp(Expr):
 
     def free_variables(self) -> frozenset[str]:
         return self.operand.free_variables()
-
-    def _compile(self) -> Kernel:
-        op, operand = self.op, kernel(self.operand)
-        return lambda env: op(operand(env))
 
     def __reduce__(self):
         return (type(self), (self.symbol, self.op, self.operand))
@@ -427,24 +372,6 @@ class Call(Expr):
         for arg in self.args:
             out |= arg.free_variables()
         return out
-
-    def _compile(self) -> Kernel:
-        func, args = self.func, self.args
-        if len(args) > 1 and all(isinstance(arg, Var) for arg in args):
-            # ``neighbor(p1, p2)``: every argument fetched in one C call.
-            names = tuple(arg.name for arg in args)
-            fetch = operator.itemgetter(*names)
-
-            def call(env):
-                try:
-                    values = fetch(env)
-                except KeyError:
-                    raise _unbound(names, env) from None
-                return func(*values)
-
-            return call
-        kernels = tuple(kernel(arg) for arg in args)
-        return lambda env: func(*[arg(env) for arg in kernels])
 
     def __reduce__(self):
         return (type(self), (self.func, self.args, self.name))
@@ -497,32 +424,6 @@ def conjuncts(expr: Expr) -> list[Expr]:
     return [expr]
 
 
-def _unbound(names: tuple[str, ...], env: Mapping[str, Any]) -> UnboundVariableError:
-    """The error :meth:`Expr.evaluate` raises: for the first of *names*
-    missing from *env*."""
-    return UnboundVariableError(next(name for name in names if name not in env))
-
-
-def kernel(expr: Expr) -> Kernel:
-    """The compiled closure of the pure expression *expr*: ``fn(env)``.
-
-    ``kernel(expr)(env)`` is ``expr.evaluate(EvalContext(Bindings(env)))``
-    — the same value, or the same exception.  Operands are evaluated in
-    the same order, ``&`` and ``|`` evaluate both sides (never
-    short-circuiting), a name missing from *env* raises
-    :class:`UnboundVariableError`, and every other exception propagates
-    unchanged.  Built on first use and memoised on the node; a hot caller
-    keeps the closure itself.  Pure nodes pickle from their fields alone,
-    so a closure never crosses a process boundary.  An impure node
-    (:func:`is_pure`) has no kernel: ``TypeError``.
-    """
-    try:
-        return expr._kernel
-    except AttributeError:
-        compiled = expr._kernel = expr._compile()
-        return compiled
-
-
 #: The operators :func:`source` writes inline, with their Python spelling.
 _INFIX = {
     operator.add: "+", operator.sub: "-", operator.mul: "*",
@@ -541,9 +442,20 @@ def _param(params: Mapping[str, Any], name: str) -> Any:
         raise UnboundVariableError(name) from None
 
 
-def source(expr: Expr, locals_: Mapping[str, str], consts: dict[str, Any]) -> str:
+#: How deep :func:`source` writes an expression inline.  A composite node
+#: deeper than this is written as a call of its own :func:`kernel`, so no
+#: generated function comes near the parser's limit of 200 nested
+#: brackets, whatever the nesting of the expression.
+MAX_INLINE_DEPTH = 48
+
+
+def source(
+    expr: Expr, locals_: Mapping[str, str], consts: dict[str, Any], depth: int = 0
+) -> str:
     """The pure expression *expr* as the text of one Python expression,
-    for generated code (:func:`repro.core.plan.compile_kernel`).
+    for generated code (:func:`kernel`,
+    :func:`repro.core.plan.compile_kernel`,
+    :func:`repro.core.transactions.compile_actions`).
 
     A name in *locals_* reads the local variable it maps to; any other
     name reads ``params`` (a mapping the generated code holds) when the
@@ -552,9 +464,12 @@ def source(expr: Expr, locals_: Mapping[str, str], consts: dict[str, Any]) -> st
     operator and every lifted function a direct call, and constants,
     operators and functions are added to *consts* (the generated code's
     globals) under fresh names.  ``&`` and ``|`` call :func:`_logical_and`
-    / :func:`_logical_or`, so both sides are evaluated.  Evaluating the
-    text is ``kernel(expr)`` over the same bindings: the same value, or
-    the same exception.  An impure node has no source: ``TypeError``.
+    / :func:`_logical_or`, so both sides are evaluated.  A subtree nested
+    deeper than :data:`MAX_INLINE_DEPTH` (*depth* is that of *expr*)
+    becomes a call of its own kernel over the names it reads.  Evaluating
+    the text is :meth:`Expr.evaluate` over the same bindings: the same
+    value, or the same exception.  An impure node has no source:
+    ``TypeError``.
     """
     if isinstance(expr, Var):
         local = locals_.get(expr.name)
@@ -564,21 +479,28 @@ def source(expr: Expr, locals_: Mapping[str, str], consts: dict[str, Any]) -> st
         return f"_param(params, {expr.name!r})"
     if isinstance(expr, Const):
         return _named(expr.value, consts)
+    if depth > MAX_INLINE_DEPTH:
+        names = sorted(expr.free_variables())
+        reads = [f"{name!r}: {locals_[name]}" for name in names if name in locals_]
+        if len(reads) < len(names):
+            reads.insert(0, "**params")
+        return f"{_named(kernel(expr), consts)}({{{', '.join(reads)}}})"
+    depth += 1
     if isinstance(expr, BinOp):
-        left = source(expr.left, locals_, consts)
-        right = source(expr.right, locals_, consts)
+        left = source(expr.left, locals_, consts, depth)
+        right = source(expr.right, locals_, consts, depth)
         infix = _INFIX.get(expr.op)
         if infix is not None:
             return f"({left} {infix} {right})"
         return f"{_named(expr.op, consts)}({left}, {right})"
     if isinstance(expr, UnOp):
-        operand = source(expr.operand, locals_, consts)
+        operand = source(expr.operand, locals_, consts, depth)
         prefix = _PREFIX.get(expr.op)
         if prefix is not None:
             return f"({prefix}{operand})"
         return f"{_named(expr.op, consts)}({operand})"
     if isinstance(expr, Call):
-        args = ", ".join(source(arg, locals_, consts) for arg in expr.args)
+        args = ", ".join(source(arg, locals_, consts, depth) for arg in expr.args)
         return f"{_named(expr.func, consts)}({args})"
     raise TypeError(f"{type(expr).__name__} is not a pure expression: it has no source")
 
@@ -590,6 +512,65 @@ def _named(value: Any, consts: dict[str, Any]) -> str:
         name += "_"
     consts[name] = value
     return name
+
+
+#: Compiled code, by generated source (:func:`define`).
+_CODE: dict[str, Any] = {}
+
+#: :data:`_CODE` flush threshold: programs generate a handful of shapes;
+#: the bound only guards callers that churn expressions or queries.
+_MAX_CODE_ENTRIES = 1024
+
+
+def define(text: str, namespace: dict[str, Any]) -> Callable:
+    """Run the generated source *text* — ``def generated(...)`` — in
+    *namespace* and return that function.
+
+    Generated source names its constants and reads them as globals from
+    *namespace*, so it depends on a shape only (an expression's, a
+    plan's, an action list's): each shape is compiled once per
+    interpreter, however many engines build it.
+    """
+    code = _CODE.get(text)
+    if code is None:
+        if len(_CODE) >= _MAX_CODE_ENTRIES:
+            _CODE.clear()
+        code = _CODE[text] = compile(text, "<generated>", "exec")
+    exec(code, namespace)
+    return namespace["generated"]
+
+
+def kernel(expr: Expr) -> Kernel:
+    """The compiled form of the pure expression *expr*: ``fn(env)``.
+
+    One generated function reads the names *expr* uses from *env* into
+    locals and returns its :func:`source` over them; if a name is
+    missing it returns :func:`evaluate_under` instead.  So
+    ``kernel(expr)(env)`` is ``expr.evaluate(EvalContext(Bindings(env)))``
+    — the same value, or the same exception, raised in the same order.
+    Built on first use and memoised on the node; a hot caller keeps the
+    function itself.  Pure nodes pickle from their fields alone, so a
+    kernel never crosses a process boundary.  An impure node
+    (:func:`is_pure`) has no kernel: ``TypeError``.
+    """
+    try:
+        return expr._kernel
+    except AttributeError:
+        pass
+    reads = {name: f"v{i}" for i, name in enumerate(sorted(expr.free_variables()))}
+    consts: dict[str, Any] = {"evaluate_under": evaluate_under, "EXPR": expr}
+    text = source(expr, reads, consts)
+    lines = ["def generated(env):"]
+    if reads:
+        lines += [
+            "    try:",
+            *(f"        {local} = env[{name!r}]" for name, local in reads.items()),
+            "    except KeyError:",
+            "        return evaluate_under(EXPR, env)",
+        ]
+    lines.append(f"    return {text}")
+    compiled = expr._kernel = define("\n".join(lines) + "\n", consts)
+    return compiled
 
 
 def evaluate_under(expr: Expr, env: Mapping[str, Any]) -> Any:

@@ -20,8 +20,8 @@ from a natural mixed notation::
     P["year", ANY]               # <year, *>
 
 A pattern compiles once, on first use, into a :class:`CompiledPattern`: its
-fields split by role, each literal expression carrying its evaluator (the
-compiled closure of :func:`~repro.core.expressions.kernel` when pure).  That
+fields split by role, each literal expression carrying its evaluator (its
+generated :func:`~repro.core.expressions.kernel` when pure).  That
 one compilation serves :meth:`Pattern.match`, :meth:`Pattern.index_constants`,
 :meth:`Pattern.instantiate` and the query planner; the per-element
 :meth:`PatternElement.match` walk stays as the reference.
@@ -43,7 +43,7 @@ from repro.core.expressions import (
     is_pure,
 )
 from repro.core.values import is_value
-from repro.errors import ArityError, PatternError, QueryError, SDLError, UnboundVariableError
+from repro.errors import ArityError, PatternError, QueryError, SDLError
 
 __all__ = [
     "ANY",
@@ -111,12 +111,6 @@ class LitElement(PatternElement):
 
     def free_variables(self) -> frozenset[str]:
         return self.expr.free_variables()
-
-    def constant_value(self) -> Any:
-        """The literal value if this element is a pure constant, else raise."""
-        if isinstance(self.expr, Const):
-            return self.expr.value
-        raise UnboundVariableError(next(iter(self.expr.free_variables()), "?"))
 
     def __repr__(self) -> str:
         return repr(self.expr)
@@ -284,9 +278,9 @@ class Pattern:
         self._compiled: CompiledPattern | None = None
 
     def __reduce__(self):
-        # Rebuild from the elements alone: the compiled roles hold closures,
-        # which must not cross process boundaries (parallel apply ships
-        # patterns to worker processes).
+        # Rebuild from the elements alone: the compiled roles hold
+        # generated kernels, which must not cross process boundaries
+        # (parallel apply ships patterns to worker processes).
         return (Pattern, (self.elements,))
 
     @property

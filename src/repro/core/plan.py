@@ -10,7 +10,7 @@ removes all three costs while preserving the semantics exactly:
   :class:`~repro.core.patterns.CompiledPattern` — per-element kind/position
   arrays splitting the fields into *static probes* (pure constants,
   resolved at compile time), *expression slots* (evaluable once the
-  referenced variables are bound, through their compiled closures), and
+  referenced variables are bound, through their generated kernels), and
   *variable slots* (bind on first occurrence, probe thereafter);
 
 * a :class:`Plan` **reorders the binding atoms by estimated selectivity**:
@@ -85,6 +85,7 @@ from repro.core.expressions import (
     Expr,
     UnOp,
     conjuncts,
+    define,
     is_pure,
     kernel,
     source,
@@ -227,7 +228,7 @@ class PlanStep:
         """The concrete ``(position, value)`` probes under *env*.
 
         Static probes are precomputed; bound-variable probes are dict
-        lookups; expression probes call their compiled closure once per
+        lookups; expression probes call their kernel once per
         environment state (not once per candidate, as the naive walk
         pays), and one that raises is a :class:`~repro.errors.QueryError`.
         """
@@ -430,28 +431,6 @@ def _rotated_rows(rows: list, n: int, k: int) -> Any:
 # ----------------------------------------------------------------------
 # attempt kernels
 # ----------------------------------------------------------------------
-
-#: Compiled code, by generated source (:func:`define`).
-_CODE: dict[str, Any] = {}
-
-
-def define(source: str, namespace: dict[str, Any]) -> Callable:
-    """Run the generated *source* — ``def generated(...)`` — in
-    *namespace* and return that function.
-
-    Generated source names its constants and reads them as globals from
-    *namespace*, so it depends on a shape only (a plan's, an action
-    list's): each shape is compiled once per interpreter, however many
-    engines build it.
-    """
-    code = _CODE.get(source)
-    if code is None:
-        if len(_CODE) >= _MAX_CACHE_ENTRIES:
-            _CODE.clear()
-        code = _CODE[source] = compile(source, "<generated>", "exec")
-    exec(code, namespace)
-    return namespace["generated"]
-
 
 def _relevant(patterns: Sequence[Pattern]) -> frozenset[str]:
     """The variable names a plan for *patterns* depends on being bound."""
@@ -796,7 +775,7 @@ class QueryPlanner:
 
     def join_filters(self, plan: Plan, test: Expr | None) -> tuple | None:
         """The join filters of *test* under *plan* that the planned join
-        applies (:meth:`Plan.early_filters`): run as compiled closures in
+        applies (:meth:`Plan.early_filters`): run as their kernels in
         :meth:`iter_matches` and written into every kernel's source.
         Overriding this to return ``None`` gives the leaf-only planner
         that test pushdown is checked against (SEMANTICS §12)."""
@@ -896,7 +875,7 @@ class QueryPlanner:
             step = steps[depth]
             checks = None if filters is None else filters[depth]
             if checks is not None:
-                # Each filter is a compiled closure over the search's env.
+                # Each filter runs as its kernel over the search's env.
                 checks = tuple(map(kernel, checks))
             probes = step.probes_for(env)
             if cut is None:

@@ -201,7 +201,7 @@ class Query:
                 raise QueryError("negation applies to existential queries only")
 
     def __reduce__(self):
-        # Rebuild from the fields alone: the compiled test is a closure.
+        # Rebuild from the fields alone: the compiled test is generated code.
         return (
             Query,
             (self.quantifier, self.variables, self.atoms, self.test,
@@ -226,8 +226,8 @@ class Query:
             return True
         check = self._check
         if check is None:
-            # A pure test runs as its compiled closure over the bindings
-            # dict; ``False`` marks an impure one, which needs the window.
+            # A pure test runs as its kernel over the bindings dict;
+            # ``False`` marks an impure one, which needs the window.
             check = self._check = kernel(test) if is_pure(test) else False
         try:
             if check is False:

@@ -39,9 +39,8 @@ from repro.core.actions import (
     pure_actions,
     validate_actions,
 )
-from repro.core.expressions import Bindings, Const, EvalContext, is_pure, kernel, source
+from repro.core.expressions import Bindings, Const, EvalContext, define, is_pure, kernel, source
 from repro.core.patterns import LitElement, Pattern, VarElement
-from repro.core.plan import define
 from repro.core.query import Query, QueryBuilder, QueryResult, TRUE_QUERY
 from repro.core.tuples import TupleInstance
 from repro.core.views import Window
@@ -240,8 +239,8 @@ def compile_actions(actions: tuple[Action, ...]) -> Callable:
     Every action is written out in order: a template's fields (and a
     spawn's arguments, a ``let`` body) are written into the source when
     pure (:func:`~repro.core.expressions.source`, over locals read from
-    the environment; with a name missing, the compiled closure,
-    :func:`~repro.core.expressions.kernel`, raises what the expression
+    the environment; with a name missing, the expression's
+    :func:`~repro.core.expressions.kernel` raises what the expression
     raises first) and the generic evaluation under an
     :class:`EvalContext` otherwise; a variable field
     reads the environment and raises :class:`UnboundVariableError` as

@@ -111,7 +111,7 @@ class ViewRule:
         )
 
     def __reduce__(self):
-        # Rebuild from the fields alone: the compiled guard is a closure.
+        # Rebuild from the fields alone: the compiled guard is generated code.
         return (ViewRule, (self.pattern, self.guard, self.where))
 
     def covers(

@@ -1,17 +1,22 @@
 """Compiled kernels against their references (SEMANTICS §12, Kernels).
 
-``kernel(expr)(env)`` must agree with ``expr.evaluate`` under the same
-bindings — the same value, or an exception of the same type — and the
-compiled ``Pattern.match`` / ``index_constants`` / ``instantiate`` with
-the per-element walks over ``PatternElement``.  The properties pin no
+``kernel(expr)(env)`` — one generated function over ``source(expr)`` —
+must agree with ``expr.evaluate`` under the same bindings — the same
+value, or an exception of the same type — and the compiled
+``Pattern.match`` / ``index_constants`` / ``instantiate`` with the
+per-element walks over ``PatternElement``.  The properties pin no
 ``max_examples``, so ``--hypothesis-profile=ci`` (the CI chaos job)
 deepens them.  ``test_kernel_equals_evaluate`` fails if ``&`` or ``|`` is
-compiled to short-circuit: its explicit examples raise only when both
-sides are evaluated.  The source emitter (``source``, what attempt kernels
-write their filters, tests and probe expressions with) is held to the same
-two references, with some names read from locals and the rest from
-``params``; so is the action stager (``compile_actions``), which writes
-pure template fields, spawn arguments and ``let`` bodies the same way.
+compiled to short-circuit (its explicit examples raise only when both
+sides are evaluated), if a missing name raises before an earlier operand
+does, and if a deep expression is written out without the depth cut.  The
+source emitter (``source``, what attempt kernels write their filters,
+tests and probe expressions with) is held to ``Expr.evaluate`` too, with
+some names read from locals and the rest from ``params``; so is the
+action stager (``compile_actions``), which writes pure template fields,
+spawn arguments and ``let`` bodies the same way.  An expression nested
+past the parser's bracket limit compiles wherever an expression can
+stand, with the planner and without it.
 """
 
 import operator
@@ -36,13 +41,25 @@ from repro.core.expressions import (
 )
 from repro.core.patterns import ANY, LitElement, P, VarElement, WildElement, pattern
 from repro.core.plan import build_plan
+from repro.core.process import ProcessDefinition
 from repro.core.query import Membership, exists
-from repro.core.transactions import TransactionOutcome, action_error, compile_actions
-from repro.core.views import import_rule
+from repro.core.transactions import TransactionOutcome, action_error, compile_actions, immediate
+from repro.core.views import View, import_rule
 from repro.errors import PatternError, QueryError, SDLError, UnboundVariableError
+from repro.runtime.engine import Engine
 
 NAMES = ("a", "b", "c")
-A, GHOST = Var("a"), Var("ghost")
+A, B, GHOST = Var("a"), Var("b"), Var("ghost")
+
+#: Nesting well past the parser's limit of 200 brackets in one expression.
+DEEP = 250
+
+
+def deep(expr, depth=DEEP):
+    """``expr + 1 + … + 1``: *depth* additions, nested to the left."""
+    for __ in range(depth):
+        expr = expr + 1
+    return expr
 
 
 def _picky(value):
@@ -108,6 +125,9 @@ class TestKernelDifferential:
     @example(A + GHOST, {"a": 1})
     @example(pair(A, GHOST), {"a": 1})
     @example(Const(1) // A, {"a": 0})
+    @example((Const(1) // A) + GHOST, {"a": 0})
+    @example(deep(A), {"a": 1})
+    @example(deep(Const(1) // A) + GHOST, {"a": 0})
     def test_kernel_equals_evaluate(self, expr, env):
         assert outcome(lambda: kernel(expr)(env)) == outcome(lambda: evaluated(expr, env))
 
@@ -154,9 +174,10 @@ class TestSourceDifferential:
     @example(pair(GHOST, A), {"a": 1}, set())
     @example(-(Const(2) ** A), {"a": 3}, {"a"})
     @example(((A - Var("b")) * 2) % 3 <= A / 2, {"a": 3, "b": 1}, {"b"})
-    def test_source_equals_kernel_and_evaluate(self, expr, env, as_locals):
+    @example(deep(A) * deep(B), {"a": 1, "b": 2}, {"a"})
+    @example(deep(GHOST) + A, {"a": 1}, {"a"})
+    def test_source_equals_evaluate(self, expr, env, as_locals):
         got = outcome(lambda: run_source(expr, env, as_locals))
-        assert got == outcome(lambda: kernel(expr)(env))
         assert got == outcome(lambda: evaluated(expr, env))
 
     def test_missing_name_is_an_unbound_variable_error(self):
@@ -171,7 +192,7 @@ class TestSourceDifferential:
         assert "_param(params, 'b')" in text and "x + " in text
         names = {value: name for name, value in consts.items() if callable(value)}
         # & goes through _logical_and (both sides evaluated); the lifted
-        # function is called by its own name, not through a closure
+        # function is called by its own name, not through a wrapper
         assert f"{names[_logical_and]}(" in text and f"{names[_picky]}(x)" in text
 
     def test_impure_nodes_have_no_source(self):
@@ -180,8 +201,8 @@ class TestSourceDifferential:
 
 
 class TestNeverPickled:
-    """A closure cannot cross a process boundary: whatever holds one
-    rebuilds from its fields and compiles again on first use."""
+    """Generated code cannot cross a process boundary: whatever holds a
+    kernel rebuilds from its fields and compiles again on first use."""
 
     def test_expression(self):
         a, b = variables("a b")
@@ -359,7 +380,88 @@ class TestActionStagerDifferential:
 
         monkeypatch.setattr(transactions, "define", keep)
         compile_actions((assert_tuple("t", A + Var("b"), A + 1),))
-        # a + b over two locals read from env; the closure only when one
+        # a + b over two locals read from env; the kernel only when one
         # of them is missing
         assert "v0_1 = (v0_1_0 + v0_1_1)" in texts[0]
         assert "v0_1 = Kv0_1(env)" in texts[0].split("except KeyError:")[1]
+
+
+def run_main(body, rows, plan, view=None):
+    """A ``Main`` process running *body* over *rows*: the final multiset,
+    or the type and message of the error the run raised."""
+    engine = Engine(
+        definitions=[ProcessDefinition("Main", body=body, view=view)], seed=0, plan=plan
+    )
+    engine.assert_tuples(rows)
+    engine.start("Main")
+    try:
+        engine.run()
+    except SDLError as exc:
+        return type(exc), str(exc)
+    return engine.dataspace.multiset()
+
+
+class TestDeepExpressions:
+    """An expression nested past the parser's limit of 200 brackets, as
+    an action field, an ∃ test, an early filter, a pattern literal and a
+    view guard: the generated code calls the deep subtree's own kernel,
+    and the run ends in the dataspace of ``plan="off"``, which the
+    reference evaluation predicts."""
+
+    @staticmethod
+    def both(body, rows, view=None):
+        planned = run_main(body, rows, "on", view)
+        assert planned == run_main(body, rows, "off", view)
+        return planned
+
+    def test_action_field(self):
+        body = [immediate(exists(A).match(P["r", A].retract())).then(assert_tuple("out", deep(A)))]
+        assert self.both(body, [("r", 1)]) == {("out", evaluated(deep(A), {"a": 1})): 1}
+
+    def test_exists_test(self):
+        test = deep(A) > DEEP
+        assert [evaluated(test, {"a": a}) for a in (-5, 3)] == [False, True]
+        body = [immediate(
+            exists(A).match(P["r", A].retract()).such_that(test)
+        ).then(assert_tuple("out", A))]
+        assert self.both(body, [("r", -5), ("r", 3)]) == {("r", -5): 1, ("out", 3): 1}
+
+    def test_early_filter_of_a_join(self):
+        early = deep(A) > DEEP
+        test = early & (B > A)
+        rows = [("r", -1), ("r", 2), ("s", 1), ("s", 3)]
+        space = Dataspace()
+        space.insert_many(rows)
+        plan = build_plan([P["r", A], P["s", B]], frozenset(), {}, space)
+        assert plan.order == (0, 1) and plan.early_filters(test) == ((early,), None)
+        body = [immediate(
+            exists(A, B).match(P["r", A], P["s", B].retract()).such_that(test)
+        ).then(assert_tuple("out", A, B))]
+        got = self.both(body, rows)
+        assert got == {("r", -1): 1, ("r", 2): 1, ("s", 1): 1, ("out", 2, 3): 1}
+
+    def test_pattern_literal(self):
+        assert evaluated(deep(A), {"a": 1}) == DEEP + 1
+        body = [immediate(
+            exists(A).match(P["r", A].retract(), P["s", deep(A)].retract())
+        ).then(assert_tuple("out", A))]
+        got = self.both(body, [("r", 1), ("s", DEEP + 1), ("s", 7)])
+        assert got == {("s", 7): 1, ("out", 1): 1}
+
+    def test_view_import_guard(self):
+        guard = deep(A) > DEEP
+        view = View(imports=[import_rule("r", A, guard=guard)])
+        body = [immediate(exists(A).match(P["r", A].retract())).then(assert_tuple("out", A))]
+        got = self.both(body, [("r", -5), ("r", 3)], view)
+        assert got == {("r", -5): 1, ("out", 3): 1}
+
+    def test_a_missing_name_raises_what_evaluate_raises(self):
+        field = deep(A) + GHOST
+        with pytest.raises(UnboundVariableError) as caught:
+            evaluated(field, {"a": 1})
+        body = [immediate(exists(A).match(P["r", A].retract())).then(assert_tuple("out", field))]
+        assert self.both(body, [("r", 1)]) == (UnboundVariableError, str(caught.value))
+        for expr in (field, deep(GHOST) + A, deep(GHOST + A)):
+            with pytest.raises(UnboundVariableError) as caught:
+                kernel(expr)({"a": 1})
+            assert caught.value.name == "ghost"
