@@ -19,34 +19,28 @@ that must be satisfiable in the *full* dataspace for the rule to cover a
 tuple.  This is what lets the region-labeling ``Label`` process import
 exactly the tuples of its own region's 4-connected neighbourhood.
 
-Windows are evaluated lazily: candidate enumeration rides the dataspace
-indexes and filters through the import rules, with memoisation per tuple
-instance.  Materialising the full import *footprint* (needed by the
-consensus engine's overlap test) is explicit.
-
-Both the memo and the footprint are **maintained, not recomputed**: a
-window remembers the dataspace version it last saw and, on refresh, folds
-in the changes since then instead of discarding its state; only a journal
-gap forces a full invalidation.  A window without a footprint pulls the
-delta journal (:meth:`Dataspace.changes_since`) itself.  Once its
-footprint is materialised it joins the dataspace's :class:`WindowRouter`,
-which pulls the journal once per version for all its members and files
-each changed instance only into the inboxes of the windows that can import
-it; the window then drains its inboxes and answers lookups by footprint
-membership, keeping no memo.  Retracted
-instances are evicted and asserted instances are classified on arrival.
-For ordinary rules (pattern + guard) that is everything, because an import
-decision depends only on the tuple's own values and the process parameters.
-A rule carrying ``where`` context atoms makes coverage
-configuration-dependent: a changed instance that can be a witness of a
-``where`` atom under the window's params may flip the decision for the
-head instances it joins with, so exactly those are re-decided
-(:meth:`Window._reclassify`, seeded by :func:`_support_seeds`) — by the
-ordinary :meth:`View.imports_value`, against the current dataspace.  The
-from-scratch body of :meth:`Window.footprint` is the first materialisation
-and the test oracle.  :class:`WindowStats` counts hits/misses/delta-vs-full
-refreshes so the incrementality is observable from
-:class:`~repro.runtime.engine.RunResult`.
+A restricted window is its import **footprint**, the set of live
+instances its rules cover.  Its first refresh materialises the footprint
+through the dataspace indexes (:meth:`Window._materialise`, also the test
+oracle) and makes the window a member of the dataspace's
+:class:`WindowRouter`.  From then on the footprint is **maintained, not
+recomputed**: the router pulls the delta journal
+(:meth:`Dataspace.changes_since`) once per version for all its members and
+files each changed instance only into the inboxes of the windows that can
+import it; a window's refresh drains its own inboxes, and its lookups are
+footprint membership.  Retracted instances are evicted and asserted
+instances are classified on arrival.  For ordinary rules (pattern + guard)
+that is everything, because an import decision depends only on the tuple's
+own values and the process parameters.  A rule carrying ``where`` context
+atoms makes coverage configuration-dependent: a changed instance that can
+be a witness of a ``where`` atom under the window's params may flip the
+decision for the head instances it joins with, so exactly those are
+re-decided (:meth:`Window._reclassify`, seeded by :func:`_support_seeds`)
+— by the ordinary :meth:`View.imports_value`, against the current
+dataspace.  Only a journal gap or :meth:`Window.detach` takes a window out
+of the router; its next refresh materialises the footprint again.
+:class:`WindowStats` counts hits/misses/delta-vs-full refreshes so the
+incrementality is observable from :class:`~repro.runtime.engine.RunResult`.
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.dataspace import JOURNAL_DEPTH, Dataspace, DataspaceChange
+from repro.core.dataspace import JOURNAL_DEPTH, Dataspace
 from repro.core.expressions import Bindings, Const, Expr, evaluator, is_pure
 from repro.core.patterns import LitElement, Pattern, VarElement, pattern as make_pattern
 from repro.core.tuples import TupleId, TupleInstance
@@ -364,11 +358,14 @@ FULL_VIEW = View.full()
 class WindowStats:
     """Reactivity counters for one window (aggregated into ``RunResult``).
 
-    ``hits`` counts import decisions answered without a rule: from the
-    memo, or, for a routed window (one whose footprint is materialised),
-    by membership in the footprint — every row of a routed window's
-    enumeration is such a hit.  ``misses`` counts decisions the rules had
-    to make on a lookup; classification during refresh counts as neither.
+    ``hits`` counts import decisions answered by footprint membership:
+    every row of an enumeration a restricted window filters, and every
+    :meth:`Window.imports_instance` of a live instance.  ``misses`` counts
+    lookups of instances that are not live, which no footprint holds, so
+    the rules decide them; classification during refresh counts as
+    neither.  ``delta_refreshes`` counts refreshes that drained inboxes,
+    ``full_invalidations`` those that rebuilt a footprint a journal gap
+    made stale, and ``footprint_recomputes`` every materialisation.
     """
 
     hits: int = 0
@@ -386,20 +383,24 @@ class WindowStats:
 
 
 class Window:
-    """``W = Import(p) ∩ D`` for one process, evaluated lazily.
+    """``W = Import(p) ∩ D`` for one process.
 
     The window exposes the same content-addressing surface as the dataspace
-    (:meth:`candidates`, :meth:`find_matching`, :meth:`count_matching`) but
-    filters instances through the view's import rules, memoising per-instance
-    decisions.  :meth:`refresh` reconciles the memo and footprint with the
-    dataspace by consuming the delta journal — also for configuration-
-    dependent views (``where`` atoms); only a journal gap forces a full
-    invalidation.
+    (:meth:`candidates`, :meth:`find_matching`, :meth:`count_matching`).
+    An unrestricted window passes the dataspace through.  A restricted one
+    is its **footprint**, the set of instances its import rules cover, and
+    filters every enumeration by membership in it.  :meth:`refresh` brings
+    the footprint to the dataspace's version: a window that is no member
+    of the dataspace's :class:`WindowRouter` (never refreshed, detached, or
+    dropped by a journal gap) materialises it from scratch and joins; a
+    member drains the inboxes the router filed its changes into — also for
+    configuration-dependent views (``where`` atoms).  So a view guard that
+    raises on a live tuple its rules reach raises at every refresh.
     """
 
     __slots__ = (
         "dataspace", "view", "params", "stats", "planner",
-        "_memo", "_memo_version", "_footprint", "_footprint_frozen", "_seeds",
+        "_version", "_footprint", "_footprint_frozen", "_seeds",
         "_router", "_inbox", "_support",
     )
 
@@ -413,87 +414,86 @@ class Window:
         #: this attribute, so a bare ``View.window(...)`` — e.g. the serial
         #: replay of ``validate_serial_equivalence`` — stays naive.
         self.planner = None
-        self._memo: dict[TupleId, bool] = {}
-        self._memo_version = dataspace.version
-        #: Delta-maintained footprint set (restricted views only); ``None``
-        #: when not yet materialised.
+        #: The dataspace version the window is current at; ``None`` until
+        #: the first refresh and whenever the window leaves the router.
+        self._version: int | None = None
+        #: The footprint of a restricted view, ``None`` until materialised.
+        #: It is current only while the window is a router member; one left
+        #: after a journal gap marks the next refresh a full invalidation.
         self._footprint: set[TupleId] | None = None
         self._footprint_frozen: frozenset[TupleId] | None = None
-        #: :func:`_support_seeds` of a ``where``-view, resolved on the first
-        #: delta refresh (they depend only on the view and the params).
+        #: :func:`_support_seeds` of a ``where``-view, resolved when the
+        #: window first joins (they depend only on the view and the params).
         self._seeds: list[tuple] | None = None
         #: The dataspace's :class:`WindowRouter` while this window is one
-        #: of its members (from the first materialised footprint on), and
-        #: the two inboxes it files changed instances into: ``_inbox`` for
-        #: the import rules, ``_support`` for the ``where`` support seeds.
+        #: of its members, and the two inboxes it files changed instances
+        #: into: ``_inbox`` for the import rules, ``_support`` for the
+        #: ``where`` support seeds.
         self._router: WindowRouter | None = None
         self._inbox: _Inbox | None = None
         self._support: _Inbox | None = None
 
     def refresh(self) -> "Window":
-        """Reconcile memoised import decisions with the dataspace."""
+        """Bring the footprint to the dataspace's current version."""
         version = self.dataspace.version
-        if self._memo_version == version:
+        if self._version == version:
             return self
         if self.view.imports is None:
-            # Unrestricted import: no memo to maintain, footprint is D.
+            # Unrestricted import: the footprint is D.
             self._footprint_frozen = None
-            self._memo_version = version
+            self._version = version
             return self
         router = self._router
         if router is not None:
-            if version - self._memo_version <= JOURNAL_DEPTH:
+            if version - self._version <= JOURNAL_DEPTH:
                 router.catch_up()
-                if self._router is not None:
-                    self._drain()
-                    self.stats.delta_refreshes += 1
-                    self._memo_version = version
-                    return self
             else:
-                # Further behind than the journal reaches: the journal
-                # gap below, exactly as for a window outside the router.
+                # Further behind than the journal reaches: a journal gap.
                 router.leave(self)
-        changes = self.dataspace.changes_since(self._memo_version)
-        if changes is None:
-            self._memo.clear()
-            self._footprint = None
-            self._footprint_frozen = None
-            self.stats.full_invalidations += 1
-        else:
-            self._apply_deltas(changes)
+        if self._router is not None:
+            self._drain()
             self.stats.delta_refreshes += 1
-        self._memo_version = version
+        else:
+            if self._footprint is not None:  # left by a journal gap
+                self._footprint = self._footprint_frozen = None
+                self.stats.full_invalidations += 1
+            self._materialise()
+        self._version = version
         return self
 
-    def _apply_deltas(self, changes: Sequence[DataspaceChange]) -> None:
-        """Fold journal deltas into the memo of a window outside the
-        router (which holds no footprint: that joins the router).
+    def _materialise(self) -> None:
+        """Compute the footprint from scratch and join the router.
 
-        Retracted instances are evicted; asserted ones are decided on first
-        lookup.  Absent ``where`` atoms that is all: a rule's coverage of a
-        tuple depends only on the tuple's values and the (fixed) process
-        params, so decisions for surviving instances cannot be perturbed by
-        other instances coming or going.  With ``where`` atoms they can,
-        and :meth:`_reclassify` re-decides exactly the memoised instances
-        the changes may have perturbed.
+        Rule by rule through the dataspace's content-addressing indexes,
+        so a narrowly-scoped view pays O(|window|), not O(|D|); a keyable
+        rule's guard is asked once per key value, and ``covers`` only for
+        the candidates it admits.  This is also the test oracle for the
+        footprint the router maintains.
         """
-        memo = self._memo
-        for change in changes:
-            for inst in change.retracted:
-                memo.pop(inst.tid, None)
-        if self.view.config_dependent:
-            self._reclassify(
-                inst for change in changes for inst in change.asserted + change.retracted
-            )
+        self.stats.footprint_recomputes += 1
+        out: set[TupleId] = set()
+        verdicts: dict[ViewRule, dict[Any, bool]] = {}
+        for rule in self.view.imports:
+            admits = _key_filter(rule, self.params, verdicts.setdefault(rule, {}))
+            for inst in self.dataspace.candidates(rule.pattern, self.params):
+                if (
+                    inst.tid not in out
+                    and (admits is None or admits(inst.values))
+                    and rule.covers(inst.values, self.dataspace, self.params)
+                ):
+                    out.add(inst.tid)
+        WindowRouter.of(self.dataspace).join(self, verdicts)
+        self._footprint = out
+        self._footprint_frozen = None
 
     def _drain(self) -> None:
-        """Fold a routed window's inboxes into its footprint.
+        """Fold the window's inboxes into its footprint.
 
         An instance filed for the import rules is decided again if it is
         still live and evicted otherwise; one filed for the support seeds
         goes through :meth:`_reclassify`.  The inboxes are emptied only
         after the fold: a raising guard leaves them whole, so the next
-        refresh raises again, as a journal refresh does.
+        refresh raises again.
         """
         inbox = self._inbox
         if inbox:
@@ -523,20 +523,16 @@ class Window:
         the window's support seeds; one that can be a ``where`` witness
         names, through the variables it shares with the rule head, the head
         instances whose verdict it can flip.  Those get the ordinary
-        decision again: into the footprint of a routed window, into the
-        memo (the memoised ones only) of any other.  Verdicts come from
+        decision again, into the footprint.  Verdicts come from
         :meth:`View.imports_value` against the *current* dataspace, so
         neither fold order nor re-deciding a superset matters.
         """
-        seeds = self._seeds
-        if seeds is None:
-            seeds = self._seeds = _support_seeds(self.view, self.params)
         # Keyed by probe list, so several witnesses of one head instance
         # cost one fetch; a dict, so the fetch order is the journal's.
         fetches: dict[tuple, None] = {}
         for inst in changed:
             values = inst.values
-            for arity, fixed, repeats, head_arity, head_probes, links in seeds:
+            for arity, fixed, repeats, head_arity, head_probes, links in self._seeds:
                 if (
                     len(values) == arity
                     and all(values[pos] == value for pos, value in fixed)
@@ -546,19 +542,14 @@ class Window:
                         (head_pos, values[pos]) for head_pos, pos in links
                     )
                     fetches[head_arity, probes] = None
-        memo = self._memo
         footprint = self._footprint
         for head_arity, probes in fetches:
             for inst in self.dataspace.candidates_probed(head_arity, probes):
                 tid = inst.tid
-                if footprint is None and tid not in memo:
-                    continue  # never decided: decided on first lookup
                 covered = self.view.imports_value(
                     inst.values, self.dataspace, self.params
                 )
-                if footprint is None:
-                    memo[tid] = covered
-                elif covered != (tid in footprint):
+                if covered != (tid in footprint):
                     if covered:
                         footprint.add(tid)
                     else:
@@ -569,25 +560,12 @@ class Window:
         if self.view.imports is None:
             return True
         self.refresh()
-        if self._router is not None:
-            if inst.tid in self.dataspace:
-                self.stats.hits += 1
-                return inst.tid in self._footprint
-            # Not live, so not in any footprint: decided, not remembered.
-            self.stats.misses += 1
-            return self.view.imports_value(inst.values, self.dataspace, self.params)
-        return self._decide(inst)
-
-    def _decide(self, inst: TupleInstance) -> bool:
-        """The memoised import decision for *inst* (window already fresh)."""
-        cached = self._memo.get(inst.tid)
-        if cached is None:
-            self.stats.misses += 1
-            cached = self.view.imports_value(inst.values, self.dataspace, self.params)
-            self._memo[inst.tid] = cached
-        else:
+        if inst.tid in self.dataspace:
             self.stats.hits += 1
-        return cached
+            return inst.tid in self._footprint
+        # Not live, so in no footprint: decided, not remembered.
+        self.stats.misses += 1
+        return self.view.imports_value(inst.values, self.dataspace, self.params)
 
     def __contains__(self, tid: TupleId) -> bool:
         if tid not in self.dataspace:
@@ -596,17 +574,14 @@ class Window:
 
     def _imported(self, raw: list[TupleInstance]) -> list[TupleInstance]:
         """Filter one enumeration through the import rules of a restricted
-        view: one refresh, then a footprint membership test per row for a
-        routed window (every row is live) and a memo lookup otherwise."""
+        view: one refresh, then a footprint membership test per row (every
+        row is live)."""
         if not raw:
             return raw
         self.refresh()
-        if self._router is not None:
-            self.stats.hits += len(raw)
-            footprint = self._footprint
-            return [inst for inst in raw if inst.tid in footprint]
-        decide = self._decide
-        return [inst for inst in raw if decide(inst)]
+        self.stats.hits += len(raw)
+        footprint = self._footprint
+        return [inst for inst in raw if inst.tid in footprint]
 
     def candidates(
         self, pat: Pattern, bound: Mapping[str, Any] | None = None
@@ -645,7 +620,7 @@ class Window:
         return len(self.find_matching(pat, bound))
 
     def instances(self) -> Iterator[TupleInstance]:
-        """Iterate the window contents (materialises import decisions)."""
+        """Iterate the window contents."""
         if self.view.imports is None:
             return self.dataspace.instances()
         return iter(self._imported(list(self.dataspace.instances())))
@@ -653,12 +628,9 @@ class Window:
     def footprint(self) -> frozenset[TupleId]:
         """The set of dataspace instances this window imports.
 
-        Used by the consensus engine's ``needs`` overlap test.  Computed
-        rule-by-rule through the dataspace's content-addressing indexes, so
-        a narrowly-scoped view pays O(|window|), not O(|D|); a keyable
-        rule's guard is asked once per key value, and ``covers`` only for
-        the candidates it admits.  Thereafter the window is a member of the
-        dataspace's :class:`WindowRouter` and maintained **incrementally**:
+        Used by the consensus engine's ``needs`` overlap test.  Materialised
+        at the window's first refresh (:meth:`_materialise`) and thereafter
+        maintained **incrementally** by the dataspace's :class:`WindowRouter`:
         a mutation costs the windows it can reach O(delta), and the others
         nothing — this is what keeps consensus detection tractable for
         societies of thousands of processes.
@@ -668,33 +640,17 @@ class Window:
             if self._footprint_frozen is None:
                 self._footprint_frozen = self.dataspace.tids()
             return self._footprint_frozen
-        if self._footprint is None:
-            self.stats.footprint_recomputes += 1
-            out: set[TupleId] = set()
-            verdicts: dict[ViewRule, dict[Any, bool]] = {}
-            for rule in self.view.imports:
-                admits = _key_filter(rule, self.params, verdicts.setdefault(rule, {}))
-                for inst in self.dataspace.candidates(rule.pattern, self.params):
-                    if (
-                        inst.tid not in out
-                        and (admits is None or admits(inst.values))
-                        and rule.covers(inst.values, self.dataspace, self.params)
-                    ):
-                        out.add(inst.tid)
-            WindowRouter.of(self.dataspace).join(self, verdicts)
-            self._footprint = out
-            self._footprint_frozen = None
         if self._footprint_frozen is None:
             self._footprint_frozen = frozenset(self._footprint)
         return self._footprint_frozen
 
     def detach(self) -> None:
         """Leave the dataspace's router and drop the footprint (a dropped
-        process's window).  A detached window that is used again catches
-        up from the journal, as a window never materialised does."""
+        process's window).  A detached window that is used again
+        materialises its footprint afresh and rejoins."""
         if self._router is not None:
             self._router.leave(self)
-            self._footprint = self._footprint_frozen = None
+        self._footprint = self._footprint_frozen = None
 
     def overlaps(self, other: "Window") -> bool:
         """The paper's ``p needs q``: ``Import(p) ∩ Import(q) ∩ D ≠ ∅``."""
@@ -715,13 +671,8 @@ MAX_ROUTER_KEYS = 4096
 #: change of its arity.
 _ANY_HEAD = object()
 
-#: A routed window's ``_memo_version`` once the router dropped it: no
-#: journal reaches back to it, so its next refresh is a full invalidation.
-_GAP = -JOURNAL_DEPTH - 2
-
-
 class _Inbox(list):
-    """Changed instances filed for one routed window, oldest first."""
+    """Changed instances filed for one member window, oldest first."""
 
     __slots__ = ("window",)
 
@@ -860,10 +811,11 @@ class WindowRouter:
     """Files each journal change of one dataspace into the inboxes of the
     windows that can import it (SEMANTICS §7, *Routing*).
 
-    Every window whose footprint is materialised is a member.  The router
-    pulls :meth:`Dataspace.changes_since` once per version — it is no
-    listener — and files each changed instance under its ``(arity,
-    position-0 value)``.  On that route a member's import rule either
+    Every restricted window is a member from its first refresh on.  The
+    router is the only reader of :meth:`Dataspace.changes_since` for
+    windows: it pulls the journal once per version — it is no listener —
+    and files each changed instance under its ``(arity, position-0
+    value)``.  On that route a member's import rule either
     takes every change, or, when its guard is keyable (:func:`_rule_key`),
     only the changes whose key fields its guard admits; each support seed
     of a ``where``-view takes every change of its route.  A member's
@@ -873,7 +825,7 @@ class WindowRouter:
 
     A router that falls off the journal, or an inbox that would hold more
     than :data:`JOURNAL_DEPTH` entries, is a journal gap for the windows
-    concerned: they leave and fully invalidate at their next refresh.
+    concerned: they leave and materialise afresh at their next refresh.
     """
 
     __slots__ = ("dataspace", "version", "routes", "tables", "members")
@@ -906,7 +858,7 @@ class WindowRouter:
         self.version = version
         if changes is None:
             for window in list(self.members):
-                self._gap(window)
+                self.leave(window)
             return
         if not self.members:
             return
@@ -924,7 +876,7 @@ class WindowRouter:
         for inbox in overflowed:
             if inbox.window in self.members:
                 inbox.clear()  # the entries are dropped, so the window
-                self._gap(inbox.window)  # must start over
+                self.leave(inbox.window)  # must start over
 
     @staticmethod
     def _file(inst: TupleInstance, route: _Route, overflowed: list[_Inbox]) -> None:
@@ -943,11 +895,11 @@ class WindowRouter:
                     overflowed.append(inbox)
 
     def join(self, window: Window, verdicts: Mapping[ViewRule, dict[Any, bool]]) -> None:
-        """Make *window*, whose footprint is current, a member; *verdicts*
-        are its guards' key verdicts so far, per keyable rule."""
+        """Make *window*, whose footprint was just computed from the
+        current dataspace (:meth:`Window._materialise`), a member;
+        *verdicts* are its guards' key verdicts so far, per keyable rule."""
         self.catch_up()
         window._router = self
-        window._memo.clear()
         window._inbox = _Inbox()
         window._support = _Inbox()
         window._inbox.window = window._support.window = window
@@ -987,8 +939,8 @@ class WindowRouter:
         return at, inbox
 
     def leave(self, window: Window) -> None:
-        """Stop filing for *window* (its caller decides what becomes of
-        the footprint)."""
+        """Stop filing for *window*.  Its footprint is left for its caller:
+        the window's next refresh materialises a new one."""
         entries = self.members.pop(window, None)
         if entries is None:
             return
@@ -1006,7 +958,4 @@ class WindowRouter:
             if not route.plain and not route.keyed:
                 del self.routes[at]
         window._router = window._inbox = window._support = None
-
-    def _gap(self, window: Window) -> None:
-        self.leave(window)
-        window._memo_version = _GAP
+        window._version = None

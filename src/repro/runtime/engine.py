@@ -167,9 +167,8 @@ class RunResult:
 
     @property
     def window_hit_rate(self) -> float:
-        """Fraction of import decisions served without asking a rule:
-        from a window's memo or, for a routed window, by membership in its
-        footprint (``WindowStats``)."""
+        """Fraction of import decisions served without asking a rule, by
+        membership in a window's footprint (``WindowStats``)."""
         probes = self.window_hits + self.window_misses
         return self.window_hits / probes if probes else 0.0
 
@@ -368,7 +367,7 @@ class Engine:
         self._windows: dict[int, Window] = {}
         self._window_stats = WindowStats()  # absorbed from dropped windows
         #: The one window of every process with an unrestricted view: it
-        #: holds no per-process state (no memo, no params it reads).
+        #: holds no per-process state (its footprint is D; it reads no params).
         self._full_window = FULL_VIEW.window(self.dataspace)
         self._full_window.planner = self.planner
         # Recovery: in-memory checkpoints (``checkpoint_interval=``), or —
@@ -433,9 +432,12 @@ class Engine:
 
         Called outside ``run()`` this is a consistent point of its own: the
         rows are durable when it returns.  Called from a callback inside a
-        run, they belong to the round in progress.
+        run, they belong to the round in progress.  Either way they wake
+        the tasks parked on them, as a commit's changes do.
         """
-        self.dataspace.insert_many(rows)
+        inserted = self.dataspace.insert_many(rows)
+        if inserted:
+            self.executor._wake_on_change(inserted)
         if not self._running:
             self._mark_consistent()
 

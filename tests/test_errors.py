@@ -18,6 +18,7 @@ from repro import (
 from repro.core.actions import let, spawn
 from repro.core.dataspace import Dataspace
 from repro.core.patterns import ANY
+from repro.core.transactions import consensus
 from repro.core.views import View, import_rule
 
 
@@ -248,3 +249,36 @@ class TestRaisingViewGuard:
         window = self._window([("item", 0), ("open", 0)], where=[P["open", x]])
         with pytest.raises(errors.ViewError):
             window.footprint()
+
+    @staticmethod
+    def _reader_error(waiting: bool) -> str:
+        """Run a ``Reader`` that reads only ``<other, a>`` while its
+        ``<item, x>`` guard raises on the live ``<item, 0>``; with
+        *waiting*, an unrelated process waits at a consensus transaction."""
+        a, x = variables("a x")
+        reader = ProcessDefinition(
+            "Reader",
+            imports=[import_rule("item", x, guard=(10 // x) > 1), import_rule("other", ANY)],
+            body=[immediate(exists(a).match(P["other", a])).then(assert_tuple("seen", a))],
+        )
+        waiter = ProcessDefinition(
+            "Waiter",
+            imports=[import_rule("flag", ANY)],
+            body=[consensus(exists(a).match(P["flag", a].retract())).then(assert_tuple("done", a))],
+        )
+        engine = Engine(definitions=[reader, waiter], seed=1)
+        engine.assert_tuples([("item", 0), ("other", 5), ("flag", 1)])
+        if waiting:
+            engine.start("Waiter")
+        engine.start("Reader")
+        with pytest.raises(errors.ViewError) as caught:
+            engine.run()
+        return str(caught.value)
+
+    def test_a_window_raises_whatever_its_transaction_reads(self):
+        """The window is computed at the start of every transaction, so
+        the raising guard surfaces at the Reader's first refresh, whether
+        or not a consensus attempt reads its footprint first."""
+        alone = self._reader_error(waiting=False)
+        assert "{x=0}" in alone
+        assert self._reader_error(waiting=True) == alone

@@ -173,12 +173,16 @@ class TestCommunityModel:
         # The Label view is configuration-dependent (``where`` atom); its
         # windows used to be thrown away on every dataspace version: 7 413
         # full invalidations and a hit rate of 0.25 on this image (6 729
-        # and 0.24 under group commit; now 0.93 and 0.88).
+        # and 0.24 under group commit; now 0.93 and 0.88).  Every window
+        # is a footprint from its first refresh, so no lookup of a live
+        # instance asks a rule (896 and 4 160 did while lazy windows kept
+        # a memo).
         image = random_blob_image(8, 8, blobs=2, seed=8)
         out = run_community_labeling(image, seed=2, commit=commit)
         assert out.correct
         assert out.result.window_full_invalidations == 0
         assert out.result.window_hit_rate >= hit_rate
+        assert out.result.window_misses == 0
 
     def test_checkerboard_many_singleton_communities(self):
         image = checkerboard_image(4, 2, square=1)

@@ -244,10 +244,10 @@ class TestViewProperties:
         self, rules, param, layout, initial, steps, stride, materialise_at, gap_at
     ):
         """A long-lived window over a ``where``-view, fed only journal
-        deltas, decides live instances (those whose serial *stride* divides,
-        so the memo may stay partial) — and, from *materialise_at* on, its
-        footprint — exactly as a window built from scratch does, after every
-        step and across a journal gap."""
+        deltas, decides live instances (those whose serial *stride*
+        divides) — and, from *materialise_at* on, reports its footprint —
+        exactly as a window built from scratch does, after every step and
+        across a journal gap."""
         shards, store = layout
         ds = Dataspace(shards=shards, store=store)
         view = View(imports=rules)

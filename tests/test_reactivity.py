@@ -3,7 +3,7 @@
 Covers the three observable guarantees of the incremental engine:
 
 * `insert_many` batches a bulk load into one change event;
-* a window's memo and footprint survive out-of-footprint mutations
+* a window's footprint survives out-of-footprint mutations
   (delta refresh, no full invalidation, no footprint recompute);
 * the `"keys"` wake filter delivers no spurious wakes where the seed's
   `"arity"` filter did, and the counters proving it surface in RunResult.
@@ -158,7 +158,7 @@ class TestWindowIncrementality:
         footprint = window.footprint()
         assert footprint == {a1.tid, a2.tid}
         assert window.stats.footprint_recomputes == 1
-        window.imports_instance(a1)  # warm the memo
+        window.imports_instance(a1)  # a lookup: footprint membership
 
         # Same-arity but out-of-footprint mutation: classified via the
         # delta path, never a full invalidation or recompute.
@@ -169,7 +169,7 @@ class TestWindowIncrementality:
         assert window.stats.delta_refreshes >= 1
 
         hits = window.stats.hits
-        assert window.imports_instance(a1)  # memo survived: a hit, not a miss
+        assert window.imports_instance(a1)  # footprint survived: a hit, not a miss
         assert window.stats.hits == hits + 1
 
     def test_in_footprint_retraction_maintained_incrementally(self):
@@ -227,7 +227,7 @@ class TestWindowIncrementality:
         assert window.imports_instance(item)
         assert not window.imports_instance(other)
 
-        # An unrelated change and a support tuple for nothing in the memo
+        # An unrelated change and a support tuple for nothing in the window
         # leave the decisions where they are: hits, not misses.
         ds.insert(("noise", 1, 2))
         ds.insert(("enable", 7))
@@ -322,7 +322,7 @@ class TestWakePrecision:
         result = engine.run()
         assert result.completed
         # Ordinary (non-``where``) views never take the full-invalidation
-        # path — the proof that unrelated mutations no longer reset memos.
+        # path — the proof that unrelated mutations no longer reset windows.
         assert result.window_full_invalidations == 0
         assert result.window_delta_refreshes >= 1
         assert 0.0 <= result.window_hit_rate <= 1.0

@@ -1,11 +1,13 @@
 """Runtime odds and ends: trace observers, engine conveniences, run results."""
 
+import pytest
 
-from repro.core.actions import assert_tuple
+from repro.core.actions import CallPython, assert_tuple
 from repro.core.expressions import Var
 from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
-from repro.core.transactions import immediate
+from repro.core.query import exists
+from repro.core.transactions import delayed, immediate
 from repro.runtime.engine import Engine, RunResult
 from repro.runtime.events import (
     ProcessCreated,
@@ -81,6 +83,42 @@ class TestEngineConveniences:
         assert engine.dataspace.count_matching(P["x", 1]) == 2
 
 
+def _parked_on_other() -> ProcessDefinition:
+    a = Var("a")
+    return ProcessDefinition(
+        "Waiter",
+        body=[delayed(exists(a).match(P["other", a].retract())).then(assert_tuple("got", a))],
+    )
+
+
+@pytest.mark.parametrize("commit", ["live", "group"])
+class TestEnvironmentAssertsWake:
+    """Rows the environment asserts wake the tasks parked on them, as a
+    commit's changes do."""
+
+    def test_assert_between_runs(self, commit):
+        engine = Engine(definitions=[_parked_on_other()], seed=1, commit=commit, on_deadlock="return")
+        engine.start("Waiter")
+        assert engine.run().reason == "deadlock"
+        engine.assert_tuples([("other", 5)])
+        assert engine.run().completed
+        assert ("got", 5) in engine.dataspace.multiset()
+
+    def test_assert_from_a_callback(self, commit):
+        engines = []
+        poke = CallPython(lambda env: engines[0].assert_tuples([("other", 5)]))
+        poker = ProcessDefinition("Poker", body=[immediate().then(poke)])
+        engine = Engine(
+            definitions=[_parked_on_other(), poker], seed=1, commit=commit, policy="fifo",
+            on_deadlock="return",
+        )
+        engines.append(engine)
+        engine.start("Waiter")  # fifo: parks before the callback asserts
+        engine.start("Poker")
+        assert engine.run().completed
+        assert ("got", 5) in engine.dataspace.multiset()
+
+
 class TestRunResult:
     def test_parallelism_zero_for_empty_run(self):
         result = RunResult(
@@ -110,7 +148,7 @@ class TestWindowRefreshEdgeCases:
         window = view.window(ds)
         assert window.count_matching(P["x", ANY]) == 0
         ds.insert(("x", 1))
-        # candidates() refreshes implicitly through imports_instance memo
+        # candidates() refreshes the window implicitly
         assert window.refresh().count_matching(P["x", ANY]) == 1
 
     def test_footprint_tracks_retractions(self):

@@ -1,14 +1,18 @@
 """Routed windows against windows built from scratch (SEMANTICS §7, *Routing*).
 
-Once its footprint is materialised, a window is a member of its
+From its first refresh on, a restricted window is a member of its
 dataspace's :class:`~repro.core.views.WindowRouter`: the router files each
 journal change under its ``(arity, head)`` and, for a rule whose guard is
 keyable, the key fields the guard reads, and the window's refresh drains
-only its own inboxes.  The oracle is a fresh window over the same view and
-params: after every mutation step, across a journal gap, and with one
-window left unrefreshed while an inbox overflows, every window must have
-the fresh window's footprint, answer ``imports_instance`` as it does, and
-raise a :class:`~repro.errors.ViewError` exactly when it does.
+only its own inboxes.  The oracles are a fresh window over the same view
+and params, and, since both answer by footprint membership, the rules
+themselves (``View.imports_value``): after every mutation step, across a
+journal gap, after a ``detach`` and with one window left unrefreshed while
+an inbox overflows, every window must have the fresh window's footprint,
+answer ``imports_instance`` as it and the rules do, and raise a
+:class:`~repro.errors.ViewError` exactly when it does.  A window is first
+used through its footprint, its candidates, ``in`` or
+``imports_instance``: each is a first refresh.
 
 The windows share one view, with a different ``p`` each, so they share
 the router's key tables.  The properties pin no ``max_examples``, so
@@ -82,15 +86,41 @@ def _footprint(window):
 
 
 def assert_like_fresh(windows, ds):
-    """Each window against a window built now from its view and params."""
+    """Each window against a window built now from its view and params,
+    and each live instance's import decision against the rules."""
     for window in windows:
-        fresh = window.view.window(ds, window.params)
+        view, params = window.view, window.params
+        fresh = view.window(ds, params)
         got, expected = _footprint(window), _footprint(fresh)
         assert got == expected
         if expected is not ViewError:
             for inst in ds.instances():
-                assert window.imports_instance(inst) == fresh.imports_instance(inst)
+                verdict = view.imports_value(inst.values, ds, params)
+                assert window.imports_instance(inst) == verdict
+                assert fresh.imports_instance(inst) == verdict
         fresh.detach()
+
+
+def _touch(window, how, ds):
+    """Use *window* as *how* names; each way refreshes it."""
+    try:
+        if how == "footprint":
+            window.footprint()
+        elif how == "candidates":
+            arity = len(next(iter(ds.instances())).values)
+            window.candidates(P[(ANY,) * arity])
+        elif how == "in":
+            for inst in ds.instances():
+                inst.tid in window
+        else:
+            for inst in ds.instances():
+                window.imports_instance(inst)
+    except ViewError:
+        pass
+
+
+#: The ways a window is first used.
+TOUCHES = ["footprint", "candidates", "in", "imports_instance"]
 
 
 def _apply(ds, op, arg):
@@ -141,16 +171,23 @@ class TestRoutedEqualsFresh:
         gap_at=st.one_of(st.none(), st.integers(0, 10)),
         flood_at=st.one_of(st.none(), st.integers(0, 10)),
         flood_arity=st.sampled_from([2, 3]),
+        touches=st.lists(st.sampled_from(TOUCHES), min_size=3, max_size=3),
+        detach_at=st.one_of(st.none(), st.integers(0, 10)),
     )
     def test_routed_windows_equal_fresh_windows(
-        self, view, layout, initial, steps, gap_at, flood_at, flood_arity
+        self, view, layout, initial, steps, gap_at, flood_at, flood_arity, touches, detach_at
     ):
         shards, store = layout
         ds = Dataspace(shards=shards, store=store)
         ds.insert_many(initial)
         windows = [view.window(ds, params) for params in PARAMS]
-        assert_like_fresh(windows, ds)  # materialises: every window joins
+        for window, how in zip(windows, touches):
+            _touch(window, how, ds)  # the first refresh: the window joins
+        assert_like_fresh(windows, ds)
         for number, step in enumerate(steps):
+            if number == detach_at:  # re-used at once after a detach: joins again
+                windows[-1].detach()
+                assert_like_fresh(windows[-1:], ds)
             if number == gap_at:  # every window falls off the journal
                 noise = [ds.insert(("noise",)) for _ in range(JOURNAL_DEPTH)]
                 ds.retract_many(inst.tid for inst in noise)
@@ -272,7 +309,7 @@ class TestBounds:
             window.detach()
         assert not router.members and not router.routes and not router.tables
         ds.insert(("item", 2, 0))
-        assert_like_fresh(windows, ds)  # detached: back on the journal
+        assert_like_fresh(windows, ds)  # detached: materialised again
 
     def test_key_tables_start_over_past_their_bound(self):
         ds = _space(("item", 1, 0))
