@@ -3,9 +3,6 @@
 * **A1 — content addressing**: the field index vs. arity-only scans.
   Quantifies "content-addressable" — the defining property of the
   paradigm (Section 1).
-* **A2 — eager vs idle consensus detection**: eager firing is what makes
-  the community model's *incremental* region completion observable;
-  idle-only detection is cheaper but serialises communities.
 * **A3 — arity wake filters**: waking only plausibly-affected blocked
   tasks vs. waking everything on every change.
 """
@@ -58,54 +55,6 @@ def test_a1_shape_index_wins(benchmark):
 
     ratio = once(benchmark, measure)
     attach(benchmark, slowdown_without_index=round(ratio, 1))
-
-
-# ----------------------------------------------------------------------
-# A2: consensus detection eagerness
-# ----------------------------------------------------------------------
-
-def _community_barriers(consensus_check: str):
-    from repro.core.actions import assert_tuple
-    from repro.core.process import ProcessDefinition
-    from repro.core.transactions import consensus, immediate
-    from repro.runtime.engine import Engine
-
-    g = Var("g")
-    member = ProcessDefinition(
-        "Member",
-        params=("g",),
-        imports=[P[g, ANY]],
-        exports=[P[g, ANY], P["done", ANY]],
-        body=[
-            immediate().then(assert_tuple(g, "arrived")),
-            consensus(exists().match(P[g, ANY])).then(assert_tuple("done", g)),
-        ],
-    )
-    engine = Engine(definitions=[member], seed=2, consensus_check=consensus_check)
-    communities, per = 6, 6
-    for c in range(communities):
-        engine.assert_tuples([(f"g{c}", "token")])
-        for __ in range(per):
-            engine.start("Member", (f"g{c}",))
-    result = engine.run()
-    assert result.consensus_rounds == communities
-    return result
-
-
-@pytest.mark.parametrize("mode", ["eager", "idle"])
-def test_a2_consensus_checking(benchmark, mode):
-    result = once(benchmark, _community_barriers, mode)
-    attach(benchmark, mode=mode, steps=result.steps, rounds=result.rounds)
-
-
-def test_a2_both_modes_agree(benchmark):
-    def check():
-        eager = _community_barriers("eager")
-        idle = _community_barriers("idle")
-        # identical outcomes; eagerness changes only when detection runs
-        assert eager.consensus_rounds == idle.consensus_rounds == 6
-
-    once(benchmark, check)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,13 @@
-"""E14 — crash-stop failure model: injection overhead and recovery cost.
-
-Two claims back the failure-model tentpole:
+"""E14 — crash-stop failure model: injection overhead and convergence.
 
 * **zero-overhead when disabled** — an engine with no fault plan takes the
   exact original execute path (``engine.faults is None``); even an *inert*
   plan (clauses that can never fire) only adds a per-attempt filter check.
   Both must produce the bit-identical final state of a fault-free run,
   and the inert plan must stay within a loose constant factor.
-* **checkpoint interval trades write cost for recovery cost** — a denser
-  checkpoint cadence means more captures during the run but a shorter
-  journal suffix to replay at recovery time (``RecoveryLog.replayed`` is
-  the rounds-to-recover proxy).  Recovery is *verified*: the replayed
-  state must equal the live dataspace exactly.
+
+(Recovery cost against the checkpoint interval is E19's claim, measured
+on the durable log: ``bench_e19_durability.py``.)
 
 Plus a shape check that a supervised crash-restart run still converges to
 the fault-free final state (state lives in the dataspace, so replacements
@@ -27,9 +23,7 @@ from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
 from repro.core.transactions import delayed
-from repro.programs.labeling import default_threshold, worker_definition
 from repro.runtime import Engine, RestartPolicy
-from repro.workloads import image_tuples, random_blob_image
 
 WORKERS = 24
 DEPTH = 3
@@ -111,35 +105,6 @@ def test_e14_shape_inert_plan_is_transparent(benchmark):
         off_ms=round(t_off * 1000, 1),
         inert_ms=round(t_inert * 1000, 1),
         ratio=round(t_inert / t_off, 2) if t_off else 0.0,
-    )
-
-
-@pytest.mark.parametrize("interval", [8, 32, 128])
-def test_e14_recovery_cost_vs_checkpoint_interval(benchmark, interval):
-    image = random_blob_image(6, 6, blobs=2, seed=14)
-
-    def run():
-        engine = Engine(
-            definitions=[worker_definition(default_threshold())],
-            seed=2,
-            checkpoint_interval=interval,
-        )
-        engine.assert_tuples(image_tuples(image))
-        engine.start("Threshold_and_label")
-        result = engine.run()
-        assert result.completed
-        engine.recovery.verify()  # replay must reconstruct the live state
-        return engine, result
-
-    engine, result = once(benchmark, run)
-    # rounds-to-recover: the journal suffix replayed from the last checkpoint
-    assert engine.recovery.replayed < interval
-    attach(
-        benchmark,
-        interval=interval,
-        checkpoints=result.checkpoints,
-        state_size=engine.recovery.latest.size,
-        replayed=engine.recovery.replayed,
     )
 
 

@@ -146,7 +146,7 @@ def test_e15_sites_e5_labeling(benchmark):
     })
 
 
-def test_e15_sites_e13_group_commit(benchmark):
+def test_e15_sites_e13_group_commit(benchmark, tmp_path):
     """E13 workload: group commit + serial validation + checkpoints."""
 
     def run():
@@ -157,6 +157,7 @@ def test_e15_sites_e13_group_commit(benchmark):
             commit="group",
             validate="serial",
             checkpoint_interval=16,
+            wal_dir=str(tmp_path),
         )
         assert got.total == sum(range(N))
         m = got.result.metrics

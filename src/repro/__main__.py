@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--wal-dir", default=None, metavar="DIR",
                      help="persist checkpoints and the WAL as checksummed "
                           "segment files in DIR (default: SDL_WAL_DIR or "
-                          "in-memory only)")
+                          "no recovery log)")
     run.add_argument("--worker-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-batch worker-pool join deadline; a miss "

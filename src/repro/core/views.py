@@ -445,11 +445,10 @@ class Window:
             return self
         router = self._router
         if router is not None:
-            if version - self._version <= JOURNAL_DEPTH:
-                router.catch_up()
-            else:
-                # Further behind than the journal reaches: a journal gap.
-                router.leave(self)
+            # However far behind the window is, the router has filed every
+            # change its rules can import; only a router gap or an
+            # overflowing inbox makes it leave.
+            router.catch_up()
         if self._router is not None:
             self._drain()
             self.stats.delta_refreshes += 1

@@ -64,7 +64,6 @@ SITE_HISTOGRAMS = {
     "group-validate": "sdl_group_validate_seconds",
     "consensus": "sdl_consensus_seconds",
     "checkpoint": "sdl_checkpoint_seconds",
-    "replay": "sdl_replay_seconds",
     "wal-append": "sdl_wal_append_seconds",
     "checkpoint-write": "sdl_checkpoint_write_seconds",
     "segment-load": "sdl_segment_load_seconds",
@@ -80,8 +79,7 @@ _SITE_HELP = {
     "parallel-admit": "worker match evaluation of one shard's admission candidates",
     "group-validate": "serial-equivalence replay of one admitted batch",
     "consensus": "consensus readiness check + firing",
-    "checkpoint": "RecoveryLog checkpoint capture",
-    "replay": "RecoveryLog journal replay (recover)",
+    "checkpoint": "DurableLog checkpoint capture",
     "wal-append": "DurableLog WAL frame append (+fsync at the consistent-point marker)",
     "checkpoint-write": "DurableLog checkpoint segment commit (tmp+rename+fsync)",
     "segment-load": "DurableLog.load: checkpoint scan + WAL chain replay",

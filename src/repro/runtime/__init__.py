@@ -10,10 +10,9 @@ parallel makespan while step counts give total work.
 The runtime also implements a **crash-stop failure model**: deterministic
 fault injection (:mod:`repro.runtime.faults`), per-definition restart
 supervision with capped exponential backoff (:mod:`repro.runtime.supervision`),
-checkpoint/replay recovery of the dataspace
-(:mod:`repro.runtime.recovery`), and — below process memory — a durable
-log of checksummed segment files (:class:`~repro.runtime.recovery.DurableLog`)
-that survives real crashes, plus supervised worker pools with deadlines,
+and a durable log of the dataspace — checkpoints and a WAL in checksummed
+segment files (:class:`~repro.runtime.recovery.DurableLog`) — that
+survives real crashes, plus supervised worker pools with deadlines,
 capped-backoff retry, and quarantine-to-serial degradation
 (:mod:`repro.runtime.parallel`).
 """
@@ -38,7 +37,6 @@ from repro.runtime.recovery import (
     Checkpoint,
     DurableLoadReport,
     DurableLog,
-    RecoveryLog,
     RepairEvent,
 )
 from repro.runtime.supervision import RestartPolicy, Supervisor
@@ -64,7 +62,6 @@ __all__ = [
     "RestartPolicy",
     "Supervisor",
     "Checkpoint",
-    "RecoveryLog",
     "DurableLog",
     "DurableLoadReport",
     "RepairEvent",

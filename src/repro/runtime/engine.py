@@ -40,7 +40,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.faults import FaultInjector, FaultPlan, resolve_plan
 from repro.runtime.interpreter import interpret
 from repro.runtime.parallel import SnapshotShipper, WorkerPool, resolve_workers
-from repro.runtime.recovery import Checkpoint, DurableLog, RecoveryLog
+from repro.runtime.recovery import Checkpoint, DurableLog
 from repro.runtime.scheduler import Scheduler, Task, TaskKind, TaskState
 from repro.runtime.supervision import RestartPolicy, Supervisor
 from repro.runtime.wakeup import WakeupIndex
@@ -190,7 +190,6 @@ class Engine:
         policy: str = "random",
         trace: Trace | None = None,
         export_policy: str = "error",
-        consensus_check: str = "eager",
         on_deadlock: str = "raise",
         wake_filter: str = "keys",
         commit: str | None = None,
@@ -209,8 +208,6 @@ class Engine:
     ) -> None:
         if policy not in ("random", "fifo"):
             raise EngineError(f"unknown scheduling policy {policy!r}")
-        if consensus_check not in ("eager", "idle"):
-            raise EngineError(f"unknown consensus_check {consensus_check!r}")
         if wake_filter not in ("keys", "arity", "all"):
             raise EngineError(f"unknown wake_filter {wake_filter!r}")
         if on_deadlock not in ("raise", "return"):
@@ -233,6 +230,17 @@ class Engine:
             raise EngineError(f"unknown commit mode {commit!r}")
         if validate not in (None, "serial"):
             raise EngineError(f"unknown validate mode {validate!r}")
+        # Recovery: a WAL directory (``wal_dir=`` / SDL_WAL_DIR /
+        # ``--wal-dir``) attaches a DurableLog — checksummed segment files
+        # that DurableLog.load rebuilds state from after a real crash (see
+        # ``repro.runtime.recovery``).  ``checkpoint_interval=`` tunes it
+        # and means nothing without one.
+        if wal_dir is None:
+            wal_dir = os.environ.get("SDL_WAL_DIR") or None
+        if wal_dir is None and checkpoint_interval is not None:
+            raise EngineError(
+                "checkpoint_interval= needs a WAL directory (wal_dir= or SDL_WAL_DIR)"
+            )
         # Storage sharding (``repro.core.storage``): partition the dataspace
         # into N head-routed stores (``shards="head:4"`` / ``shards=4``) or
         # keep the single-store layout (``"single"``, the default; env
@@ -313,7 +321,6 @@ class Engine:
         self.rng = random.Random(seed)
         self.trace = trace if trace is not None else Trace()
         self.export_policy = export_policy
-        self.consensus_check = consensus_check
         self.on_deadlock = on_deadlock
         self.wake_filter = wake_filter
         self.commit = commit
@@ -370,15 +377,8 @@ class Engine:
         #: holds no per-process state (its footprint is D; it reads no params).
         self._full_window = FULL_VIEW.window(self.dataspace)
         self._full_window.planner = self.planner
-        # Recovery: in-memory checkpoints (``checkpoint_interval=``), or —
-        # when a WAL directory is configured (``wal_dir=`` / SDL_WAL_DIR /
-        # ``--wal-dir``) — the durable layer on top of them: checksummed
-        # segment files that DurableLog.load can rebuild state from after
-        # a real crash (see ``repro.runtime.recovery``).
-        if wal_dir is None:
-            wal_dir = os.environ.get("SDL_WAL_DIR") or None
         self.wal_dir = wal_dir
-        self.recovery: RecoveryLog | None = None
+        self.recovery: DurableLog | None = None
         if wal_dir is not None:
             self.recovery = DurableLog(
                 self.dataspace,
@@ -387,13 +387,6 @@ class Engine:
                 on_checkpoint=self._emit_checkpoint,
                 obs=self.obs,
                 faults=self.faults,
-            )
-        elif checkpoint_interval is not None:
-            self.recovery = RecoveryLog(
-                self.dataspace,
-                interval=checkpoint_interval,
-                on_checkpoint=self._emit_checkpoint,
-                obs=self.obs,
             )
         if self.pool is not None:
             # The pool needs the injector (worker-exec faults) and the
@@ -457,8 +450,10 @@ class Engine:
 
         Every way out — a result or a policy raise (``StepLimitExceeded``,
         ``DeadlockError``) — is between transactions, and marks a
-        consistent point in the recovery log first.
+        consistent point in the recovery log first.  So is the way in: a
+        log that an earlier run's end closed takes up again here.
         """
+        self._mark_consistent()
         self._running = True
         try:
             if self.commit == "group":
@@ -473,7 +468,7 @@ class Engine:
         while True:
             if self.supervisor.escalated is not None:
                 return self._summary("escalated")
-            if executor.consensus_dirty and self.consensus_check == "eager":
+            if executor.consensus_dirty:
                 executor.try_consensus()
             if not scheduler.round_active:
                 # Round boundary: no transaction is in flight, so what the
@@ -522,7 +517,7 @@ class Engine:
         while True:
             if self.supervisor.escalated is not None:
                 return self._summary("escalated")
-            if executor.consensus_dirty and self.consensus_check == "eager":
+            if executor.consensus_dirty:
                 executor.try_consensus()
             # Round boundary (idle-time consensus commits loop back here
             # too): what was committed so far becomes durable.
@@ -566,9 +561,16 @@ class Engine:
         return self._summary("completed")
 
     def _mark_consistent(self) -> None:
-        """No transaction is in flight: make what was committed durable."""
-        if self.recovery is not None:
-            self.recovery.flush()
+        """No transaction is in flight: make what was committed durable.
+
+        A log closed by a terminal result resumes first: its new baseline
+        checkpoint holds whatever changed since (``assert_tuples`` after a
+        deadlock, say), and it logs the changes after that.
+        """
+        recovery = self.recovery
+        if recovery is not None:
+            recovery.resume()
+            recovery.flush()
 
     def _summary(self, reason: str, deadlocked: list[str] | None = None) -> RunResult:
         counters = self.trace.counters
@@ -581,9 +583,9 @@ class Engine:
                 self.recovery.flush()
             else:
                 # Teardown: detach the recovery log's dataspace listener so
-                # a finished engine leaves no subscription behind
-                # (checkpoints and journal stay queryable — ``recover`` /
-                # ``verify`` still work).
+                # a finished engine leaves no subscription behind (the
+                # segments stay loadable).  The next consistent point the
+                # engine marks resumes it.
                 self.recovery.close()
         planner = self.planner
         metrics: dict[str, Any] = {}
@@ -615,7 +617,7 @@ class Engine:
             # The heaviest per-definition restart count: a crash storm is
             # one glance at the gauge, not a trace read.
             o.gauge("sdl_restart_storm", self.supervisor.storm)
-            if isinstance(self.recovery, DurableLog):
+            if self.recovery is not None:
                 o.gauge("sdl_wal_frames", self.recovery.wal_frames)
                 o.gauge("sdl_wal_bytes", self.recovery.wal_bytes)
             if self.dataspace.store_kind == "columnar":
@@ -630,7 +632,7 @@ class Engine:
                     o.gauge(f"sdl_columnar_{key}", value)
             metrics = o.snapshot()
         pool = self.pool
-        durable = self.recovery if isinstance(self.recovery, DurableLog) else None
+        recovery = self.recovery
         return RunResult(
             reason=reason,
             steps=self.step_count,
@@ -683,9 +685,9 @@ class Engine:
                 name: dict(entry)
                 for name, entry in self.supervisor.pressure.items()
             },
-            wal_frames=durable.wal_frames if durable is not None else 0,
-            wal_bytes=durable.wal_bytes if durable is not None else 0,
-            wal_segments=durable.segments_written if durable is not None else 0,
+            wal_frames=recovery.wal_frames if recovery is not None else 0,
+            wal_bytes=recovery.wal_bytes if recovery is not None else 0,
+            wal_segments=recovery.segments_written if recovery is not None else 0,
             plan_hits=planner.hits if planner is not None else 0,
             plan_misses=planner.misses if planner is not None else 0,
             store=self.dataspace.store_kind,

@@ -1,51 +1,36 @@
-"""Checkpoint/replay recovery for the shared dataspace.
+"""Checkpoint + write-ahead-log recovery for the shared dataspace.
 
-The dataspace already keeps a bounded change journal (the delta backbone
-of the reactivity pipeline); this module turns that journal into a
-write-ahead log.  A :class:`RecoveryLog` subscribes to the dataspace and
-captures a full :class:`Checkpoint` every ``interval`` change events;
-:meth:`RecoveryLog.recover` rebuilds the state by loading the newest
-checkpoint into a scratch dataspace and replaying the journal suffix —
-the same scratch-replay idiom the group-commit validator uses — and
-:meth:`RecoveryLog.verify` proves the rebuilt state identical to the
-live one (multiset of ``(values, owner)`` pairs; instance serials are
-allowed to differ, identity is an engine artefact, not state).
+The dataspace changes only through atomic transactions, so its history
+is one serial sequence of :class:`~repro.core.dataspace.DataspaceChange`
+events.  A :class:`DurableLog` subscribes to the dataspace and keeps that
+history on disk: a directory of **segment files** — length-prefixed,
+CRC32-checksummed frames behind an 8-byte magic — holding full
+:class:`Checkpoint` snapshots (committed atomically by tmp-file+rename)
+and a WAL of change frames between them.  The unit of durability is the
+**consistent point** — a moment no transaction is in flight, which the
+engine announces at every round boundary and on every exit from
+``run()`` by calling :meth:`DurableLog.flush`: change frames are buffered
+writes, and ``flush`` closes them with one ``end`` marker frame and one
+fsync, then takes a checkpoint once ``interval`` changes have gathered.
 
-The interval must not exceed :data:`~repro.core.dataspace.JOURNAL_DEPTH`:
-a checkpoint older than the journal's reach could never be replayed
-forward (``changes_since`` would return ``None``), so the constraint is
-enforced eagerly at construction instead of failing at recovery time.
-
-Checkpoints are cheap snapshots, not copies: tuple instances are frozen,
-so capturing them is one tuple build over the live table.  The cost knob
-is ``interval`` — benchmark E14 measures rounds-to-recover against it.
+:meth:`DurableLog.load` rebuilds a dataspace from disk alone: it verifies
+every frame checksum, **truncates at the first torn or corrupt frame**
+(recording a :class:`RepairEvent`, never silently loading garbage), falls
+back to an older checkpoint when the newest one is damaged, and replays
+the WAL marker by marker into a scratch dataspace — frames no marker
+closes are dropped and counted, so a load raises or returns exactly the
+state at a consistent point, never half a transaction.
+:meth:`DurableLog.verify_durable` proves a fault-free reload identical to
+the live state (multiset of ``(values, owner)`` pairs; instance serials
+may differ — identity is an engine artefact, not state).
 
 A checkpoint holds the instances in global serial order whatever the
-layout, and the journal it replays is the dataspace's one journal, so
-capture and replay are the same linear walk for every shard count.  Under
-a sharded dataspace (``shards`` > 1) the checkpoint also records
+layout.  Under a sharded dataspace (``shards`` > 1) it also records
 ``shard_counts``, the per-store occupancy at capture: the scratch
 dataspace — built with the live partitioner's spec — re-routes every
 tuple (routing is a pure function of the tuple's value), and a placement
 that disagrees with the recorded counts exposes a lying checkpoint.
 
-:class:`DurableLog` extends the model below process memory: checkpoints
-and the WAL are additionally persisted to a directory of **segment
-files** — length-prefixed, CRC32-checksummed frames behind an 8-byte
-magic — with atomic tmp-file+rename checkpoint commit.  The unit of
-durability is the **consistent point** — a moment no transaction is in
-flight, which the engine announces at every round boundary and on every
-exit from ``run()`` by calling :meth:`DurableLog.flush`: change frames
-are buffered writes, and ``flush`` closes them with one ``end`` marker
-frame and one fsync (the commit-marker protocol of checkpoint segments,
-applied to the WAL).  :meth:`DurableLog.load` rebuilds a dataspace from
-disk alone: it verifies every frame checksum, **truncates at the first
-torn or corrupt frame** (recording a :class:`RepairEvent`, never silently
-loading garbage), falls back to an older checkpoint when the newest one
-is damaged, and replays the WAL marker by marker into a scratch
-dataspace — frames no marker closes are dropped and counted, so a load
-raises or returns exactly the state at a consistent point, never half a
-transaction.
 Storage faults (`wal-append`/`checkpoint-write`/`segment-read` sites with
 `torn-write`/`bit-flip`/`short-read`/`lost-fsync` actions) are injected
 through the same seeded :class:`~repro.runtime.faults.FaultInjector` the
@@ -62,13 +47,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.core.dataspace import JOURNAL_DEPTH, Dataspace, DataspaceChange, _sort_key
+from repro.core.dataspace import Dataspace, DataspaceChange, _sort_key
 from repro.core.tuples import TupleId, TupleInstance
 from repro.errors import RecoveryError
 
 __all__ = [
     "Checkpoint",
-    "RecoveryLog",
     "DurableLog",
     "DurableLoadReport",
     "RepairEvent",
@@ -95,181 +79,6 @@ class Checkpoint:
     def __repr__(self) -> str:
         shards = "" if self.shard_counts is None else f", shards={self.shard_counts}"
         return f"Checkpoint(v={self.version}, |D|={self.size}{shards})"
-
-
-class RecoveryLog:
-    """Periodic checkpoints plus journal replay over one dataspace."""
-
-    def __init__(
-        self,
-        dataspace: Dataspace,
-        interval: int = 64,
-        keep: int = 4,
-        on_checkpoint: Callable[[Checkpoint], None] | None = None,
-        obs=None,
-    ) -> None:
-        if interval < 1:
-            raise RecoveryError(f"checkpoint interval must be >= 1, got {interval}")
-        if interval > JOURNAL_DEPTH:
-            raise RecoveryError(
-                f"checkpoint interval {interval} exceeds the journal depth "
-                f"({JOURNAL_DEPTH}); such a checkpoint could never be replayed "
-                "forward"
-            )
-        if keep < 1:
-            raise RecoveryError(f"keep must be >= 1, got {keep}")
-        self.dataspace = dataspace
-        self.interval = interval
-        self.keep = keep
-        self.on_checkpoint = on_checkpoint
-        #: Observability hook (``repro.obs.Observability`` or ``None``):
-        #: times every capture (site ``checkpoint``) and replay (``replay``).
-        self.obs = obs
-        self.checkpoints: list[Checkpoint] = []
-        self.checkpoints_taken = 0
-        self.replayed = 0  # change events replayed by the last recover()
-        self._since_checkpoint = 0
-        # Baseline checkpoint so recovery is possible before the first
-        # interval elapses (an empty or preloaded initial dataspace).
-        self._capture()
-        self._unsubscribe: Callable[[], None] | None = dataspace.subscribe(
-            self._on_change
-        )
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def _on_change(self, change: DataspaceChange) -> None:
-        self._since_checkpoint += 1
-        if self._since_checkpoint >= self.interval:
-            self._capture()
-
-    def _capture(self) -> Checkpoint:
-        obs = self.obs
-        start = obs.spans.now() if obs is not None else 0
-        space = self.dataspace
-        checkpoint = Checkpoint(
-            version=space.version,
-            instances=tuple(space.instances()),
-            shard_counts=space.shard_sizes() if space.shard_count > 1 else None,
-        )
-        if obs is not None:
-            obs.observe_ns(
-                "checkpoint",
-                start,
-                obs.spans.now() - start,
-                {"version": checkpoint.version, "size": checkpoint.size},
-            )
-        self.checkpoints.append(checkpoint)
-        if len(self.checkpoints) > self.keep:
-            del self.checkpoints[: len(self.checkpoints) - self.keep]
-        self.checkpoints_taken += 1
-        self._since_checkpoint = 0
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(checkpoint)
-        return checkpoint
-
-    @property
-    def latest(self) -> Checkpoint:
-        return self.checkpoints[-1]
-
-    # ------------------------------------------------------------------
-    # replay
-    # ------------------------------------------------------------------
-    def recover(self, checkpoint: Checkpoint | None = None) -> Dataspace:
-        """Rebuild the current state: load *checkpoint*, replay the journal.
-
-        Returns a scratch :class:`Dataspace` whose multiset of
-        ``(values, owner)`` pairs equals the live dataspace's.  Raises
-        :class:`RecoveryError` when the journal no longer reaches back to
-        the checkpoint (a gap) or replay references an unknown instance.
-        """
-        if checkpoint is None:
-            checkpoint = self.latest
-        obs = self.obs
-        start = obs.spans.now() if obs is not None else 0
-        changes = self.dataspace.changes_since(checkpoint.version)
-        if changes is None:
-            raise RecoveryError(
-                f"journal gap: no delta from checkpoint v{checkpoint.version} "
-                f"to live v{self.dataspace.version}"
-            )
-        scratch = Dataspace(
-            indexed=self.dataspace.indexed,
-            shards=self.dataspace.shard_spec,
-            store=self.dataspace.store_kind,
-        )
-        tid_map: dict[TupleId, TupleId] = {}
-        for instance in checkpoint.instances:
-            rebuilt = scratch.insert(instance.values, owner=instance.tid.owner)
-            tid_map[instance.tid] = rebuilt.tid
-        if (
-            checkpoint.shard_counts is not None
-            and scratch.shard_count == len(checkpoint.shard_counts)
-        ):
-            # Routing is a pure function of the tuple's value, so the
-            # re-routed placement must reproduce the captured chunk sizes
-            # exactly; a mismatch means the checkpoint's shard_counts
-            # drifted from the instances it claims to describe.
-            sizes = scratch.shard_sizes()
-            if sizes != checkpoint.shard_counts:
-                raise RecoveryError(
-                    f"checkpoint v{checkpoint.version} shard counts "
-                    f"{checkpoint.shard_counts} disagree with re-routed "
-                    f"placement {sizes}"
-                )
-        for change in changes:
-            for instance in change.asserted:
-                rebuilt = scratch.insert(instance.values, owner=instance.tid.owner)
-                tid_map[instance.tid] = rebuilt.tid
-            for instance in change.retracted:
-                scratch_tid = tid_map.pop(instance.tid, None)
-                if scratch_tid is None:
-                    raise RecoveryError(
-                        f"replay retracts unknown instance {instance.tid!r} "
-                        f"(change v{change.version})"
-                    )
-                scratch.retract(scratch_tid)
-        self.replayed = len(changes)
-        if obs is not None:
-            obs.observe_ns(
-                "replay",
-                start,
-                obs.spans.now() - start,
-                {"from_version": checkpoint.version, "replayed": len(changes)},
-            )
-        return scratch
-
-    def verify(self, checkpoint: Checkpoint | None = None) -> Dataspace:
-        """Recover and prove the result identical to the live state."""
-        scratch = self.recover(checkpoint)
-        live = _state_signature(self.dataspace)
-        rebuilt = _state_signature(scratch)
-        if live != rebuilt:
-            raise RecoveryError(
-                "recovered state diverges from live state: "
-                f"live has {len(live)} instance(s), recovered {len(rebuilt)}"
-                if len(live) != len(rebuilt)
-                else "recovered state diverges from live state (same size, "
-                "different contents)"
-            )
-        return scratch
-
-    def flush(self) -> None:
-        """Mark a consistent point — no transaction is in flight (nothing
-        to do in memory: this log has no crash semantics)."""
-
-    def close(self) -> None:
-        """Stop checkpointing (idempotent)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-
-    def __repr__(self) -> str:
-        return (
-            f"RecoveryLog(interval={self.interval}, "
-            f"taken={self.checkpoints_taken}, latest={self.latest!r})"
-        )
 
 
 def _state_signature(space: Dataspace) -> list[tuple]:
@@ -407,14 +216,11 @@ def _scan_frames(
         offset = start + length
 
 
-class DurableLog(RecoveryLog):
-    """A :class:`RecoveryLog` that also persists checkpoints and the WAL.
+class DurableLog:
+    """Checkpoints and a write-ahead log of one dataspace, in *wal_dir*.
 
-    Layered, not replacing: the in-memory journal/checkpoint machinery is
-    inherited (``recover``/``verify`` still work and stay the differential
-    baseline), while every checkpoint is additionally committed to
-    ``wal_dir`` as an atomic segment file and every journal change
-    appended to the live WAL segment.
+    Every checkpoint is committed to ``wal_dir`` as an atomic segment
+    file and every dataspace change is appended to the live WAL segment.
 
     Commit protocol.  The unit of durability is the **consistent point**:
     a moment at which no transaction is in flight.  The engine marks one
@@ -436,17 +242,16 @@ class DurableLog(RecoveryLog):
       name; rotation then closes the old segment (the marker just synced
       it) and creates and fsyncs the new one.
 
-    Between consistent points ``_since_checkpoint`` may pass ``interval``,
-    so *inside* a round longer than the journal the inherited in-memory
-    ``recover()`` / ``verify()`` report a journal gap; at every consistent
-    point ``_since_checkpoint < interval <= JOURNAL_DEPTH`` and they work
-    as before.  Replay after a crash is bounded by ``interval`` + one round.
+    Replay after a crash is bounded by ``interval`` + one round; the
+    interval has no upper bound, because nothing is replayed from the
+    dataspace's bounded journal.
 
     Opening a ``DurableLog`` starts a fresh durability epoch: stale
     ``*.seg`` files in *wal_dir* are removed before the baseline
     checkpoint commits (version counters restart per run, so mixing
     epochs in one directory could alias).  Use :meth:`load` *before*
-    constructing a new log to recover a previous epoch's state.
+    constructing a new log to recover a previous epoch's state.  A log
+    that was closed takes up again with :meth:`resume`.
 
     *faults* is the engine's seeded :class:`~repro.runtime.faults.FaultInjector`
     (or ``None``); the ``wal-append`` and ``checkpoint-write`` sites fire
@@ -463,29 +268,49 @@ class DurableLog(RecoveryLog):
         obs=None,
         faults=None,
     ) -> None:
+        if interval < 1:
+            raise RecoveryError(f"checkpoint interval must be >= 1, got {interval}")
+        if keep < 1:
+            raise RecoveryError(f"keep must be >= 1, got {keep}")
+        self.dataspace = dataspace
         self.wal_dir = os.fspath(wal_dir)
+        self.interval = interval
+        self.keep = keep  # checkpoint segments (each with its WAL) retained
+        self.on_checkpoint = on_checkpoint
+        #: Observability hook (``repro.obs.Observability`` or ``None``):
+        #: times every capture (site ``checkpoint``), WAL write and load.
+        self.obs = obs
         self.faults = faults
-        self.wal_frames = 0       # WAL change frames appended (this epoch)
+        self.wal_frames = 0       # WAL change frames appended
         self.wal_bytes = 0        # bytes handed to the WAL segment, markers included
         self.segments_written = 0  # checkpoint segments committed
         self.fsyncs = 0           # every os.fsync issued, files and directory
+        self._since_checkpoint = 0  # changes since the newest checkpoint
         self._unmarked: int | None = None  # last version written behind no marker yet
         self._wal_handle = None
         self._wal_path: str | None = None
+        self._unsubscribe: Callable[[], None] | None = None
         os.makedirs(self.wal_dir, exist_ok=True)
         for name in os.listdir(self.wal_dir):
             if name.endswith(".seg") or name.endswith(".tmp"):
                 os.unlink(os.path.join(self.wal_dir, name))
-        # The super constructor takes the baseline checkpoint, which (via
-        # our _capture override) persists it and opens the first WAL
-        # segment — every attribute above must exist by then.
-        super().__init__(
-            dataspace,
-            interval=interval,
-            keep=keep,
-            on_checkpoint=on_checkpoint,
-            obs=obs,
-        )
+        self.resume()
+
+    def resume(self) -> None:
+        """Log again after :meth:`close` (a no-op while open).
+
+        Commits a baseline checkpoint of the current state — whatever
+        changed while the log was closed is in it — and subscribes to
+        every change after it.  The closed epoch's segments stay until
+        retention drops them.  The new checkpoint is newer than all of
+        them; a load that falls back to an older one replays on into the
+        new epoch only if nothing changed while the log was closed, and
+        otherwise stops at the closed epoch's last consistent point (a
+        ``broken-chain`` repair).
+        """
+        if self._unsubscribe is None:
+            self._capture()
+            self._unsubscribe = self.dataspace.subscribe(self._on_change)
 
     # ------------------------------------------------------------------
     # write path
@@ -509,12 +334,28 @@ class DurableLog(RecoveryLog):
         finally:
             os.close(fd)
 
-    def _capture(self) -> Checkpoint:
-        checkpoint = super()._capture()
+    def _capture(self) -> None:
+        obs = self.obs
+        start = obs.spans.now() if obs is not None else 0
+        space = self.dataspace
+        checkpoint = Checkpoint(
+            version=space.version,
+            instances=tuple(space.instances()),
+            shard_counts=space.shard_sizes() if space.shard_count > 1 else None,
+        )
+        if obs is not None:
+            obs.observe_ns(
+                "checkpoint",
+                start,
+                obs.spans.now() - start,
+                {"version": checkpoint.version, "size": checkpoint.size},
+            )
+        self._since_checkpoint = 0
+        if self.on_checkpoint is not None:
+            self.on_checkpoint(checkpoint)
         self._persist_checkpoint(checkpoint)
         self._rotate_wal(checkpoint.version)
         self._retire_segments()
-        return checkpoint
 
     def _persist_checkpoint(self, checkpoint: Checkpoint) -> None:
         obs = self.obs
@@ -651,8 +492,12 @@ class DurableLog(RecoveryLog):
             self._capture()
 
     def close(self) -> None:
-        """Mark a last consistent point, close the segment, stop logging."""
-        super().close()
+        """Mark a last consistent point, close the segment, stop logging.
+
+        Idempotent; :meth:`resume` takes logging up again."""
+        if self._unsubscribe is not None:
+            self._unsubscribe()
+            self._unsubscribe = None
         if self._wal_handle is not None:
             self.flush()
             self._wal_handle.close()
@@ -781,8 +626,8 @@ class DurableLog(RecoveryLog):
             and scratch.shard_count == len(shard_counts)
             and scratch.shard_sizes() != tuple(shard_counts)
         ):
-            # Same rule as in-memory recovery: routing is pure, so a
-            # drifted count vector means the checkpoint lies about its
+            # Routing is a pure function of the value, so a drifted
+            # count vector means the checkpoint lies about its
             # own layout — reject it rather than trust its contents.
             report.repairs.append(RepairEvent(name, 0, "invalid-checkpoint"))
             return None

@@ -8,8 +8,8 @@ Three Hypothesis properties back the crash-stop failure model:
 * **determinism** — group and serial commit reach the same final state
   under the *same* crash plan (pid-targeted, so the same victim dies at
   the same commit index in both modes).
-* **checkpoint fidelity** — checkpoint + journal replay reconstructs the
-  live state exactly, for random workloads, intervals, and fault plans.
+* **checkpoint fidelity** — the durable log (checkpoints + WAL) reloads
+  the live state exactly, for random workloads, intervals, and fault plans.
 
 Unlike the rest of the property suite these tests do **not** pin
 ``max_examples``: CI scales them up with ``--hypothesis-profile=ci``.
@@ -18,6 +18,8 @@ The ``chaos_smoke`` tests read ``SDL_FAULTS`` / ``SDL_COMMIT`` from the
 environment (the engine's documented defaults), so a CI matrix can sweep
 fault seeds over them with ``pytest -k chaos_smoke``.
 """
+
+import tempfile
 
 from hypothesis import given, strategies as st
 
@@ -172,14 +174,16 @@ class TestCheckpointFidelityUnderChaos:
     )
     def test_replay_reconstructs_live_state(self, n_comm, n_work, seed, interval, plan):
         rows = [(f"c{c}", i) for c in range(n_comm) for i in range(n_work)]
-        engine = build_engine(
-            n_comm, n_work, seed, "live", rows,
-            faults=plan,
-            checkpoint_interval=interval,
-        )
-        result = engine.run()
-        assert result.checkpoints >= 1
-        engine.recovery.verify()  # raises RecoveryError on divergence
+        with tempfile.TemporaryDirectory() as wal_dir:
+            engine = build_engine(
+                n_comm, n_work, seed, "live", rows,
+                faults=plan,
+                checkpoint_interval=interval,
+                wal_dir=wal_dir,
+            )
+            result = engine.run()
+            assert result.checkpoints >= 1
+            engine.recovery.verify_durable()  # raises RecoveryError on divergence
 
 
 class TestChaosSmoke:
@@ -217,9 +221,9 @@ class TestChaosSmoke:
         total = sum(value * count for (_, value), count in state.items())
         assert total == result.commits
 
-    def test_chaos_smoke_checkpointed(self):
+    def test_chaos_smoke_checkpointed(self, tmp_path):
         rows = [(f"c{c}", i) for c in range(2) for i in range(3)]
         engine = build_engine(2, 3, seed=17, commit=None, rows=rows,
-                              checkpoint_interval=4)
+                              checkpoint_interval=4, wal_dir=str(tmp_path))
         engine.run()
-        engine.recovery.verify()
+        engine.recovery.verify_durable()

@@ -15,8 +15,8 @@ import random
 import pytest
 
 from repro.core.dataspace import Dataspace
-from repro.errors import RecoveryError
-from repro.runtime import DurableLog, Engine, RecoveryLog
+from repro.errors import EngineError, RecoveryError
+from repro.runtime import DurableLog, Engine
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.recovery import (
     _MAGIC,
@@ -93,7 +93,6 @@ class TestRoundTrip:
         fill(space, n=30)
         report = log.verify_durable()
         assert report.intact
-        assert signature(log.recover()) == signature(space)  # inherited path
         log.close()
 
     def test_counters_track_frames_and_segments(self, tmp_path):
@@ -416,9 +415,12 @@ class TestEngineIntegration:
         assert isinstance(engine.recovery, DurableLog)
         assert engine.recovery.interval == 64
 
-    def test_checkpoint_interval_alone_stays_in_memory(self):
-        engine = Engine(definitions=[], checkpoint_interval=8)
-        assert type(engine.recovery) is RecoveryLog
+    def test_checkpoint_interval_without_wal_dir_raises(self, monkeypatch):
+        # There is one recovery log, the durable one: an interval with no
+        # directory to write it to is a configuration error.
+        monkeypatch.delenv("SDL_WAL_DIR", raising=False)
+        with pytest.raises(EngineError, match="WAL directory"):
+            Engine(definitions=[], checkpoint_interval=8)
 
     def test_sdl_wal_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDL_WAL_DIR", str(tmp_path))
@@ -492,6 +494,49 @@ class TestEngineIntegration:
         scratch, report = DurableLog.load(str(tmp_path))
         assert report.intact
         assert signature(scratch) == signature(engine.dataspace)
+
+    @staticmethod
+    def _assert_reloads_live_state(engine, wal_dir):
+        scratch, report = DurableLog.load(str(wal_dir))
+        assert report.intact and report.end_version == engine.dataspace.version
+        assert scratch.multiset() == engine.dataspace.multiset()
+
+    def test_deadlock_then_assert_then_run_stays_durable(self, tmp_path):
+        # A terminal result closes the log, and a closed log used to drop
+        # every later change: here the tuple that unblocks the waiter and
+        # the whole resumed run, so ``load`` returned ``[]`` "intact".
+        from repro.core.actions import assert_tuple
+        from repro.core.expressions import Var
+        from repro.core.patterns import P
+        from repro.core.process import ProcessDefinition
+        from repro.core.query import exists
+        from repro.core.transactions import delayed
+
+        a = Var("a")
+        waiter = ProcessDefinition(
+            "W",
+            body=[delayed(exists(a).match(P["go", a].retract())).then(assert_tuple("done", a))],
+        )
+        engine = Engine(definitions=[waiter], wal_dir=str(tmp_path), on_deadlock="return")
+        engine.start("W")
+        assert engine.run().reason == "deadlock"
+        engine.assert_tuples([("go", 7)])
+        self._assert_reloads_live_state(engine, tmp_path)
+        assert engine.run().completed
+        assert engine.dataspace.multiset() == {("done", 7): 1}
+        self._assert_reloads_live_state(engine, tmp_path)
+        assert engine.dataspace.listener_count == 0  # closed again
+
+    def test_completed_then_start_then_run_stays_durable(self, tmp_path):
+        engine = self._noop_engine(tmp_path, checkpoint_interval=4)
+        first = engine.run()
+        assert first.completed
+        engine.start("Writer", (6,))
+        second = engine.run()
+        assert second.completed and second.commits == first.commits + 1
+        self._assert_reloads_live_state(engine, tmp_path)
+        assert second.checkpoints == first.checkpoints + 1  # the new baseline
+        assert engine.dataspace.listener_count == 0
 
     def test_obs_metrics_expose_wal_sites(self, tmp_path):
         engine = self._noop_engine(tmp_path, checkpoint_interval=4, obs=True)

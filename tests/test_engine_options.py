@@ -8,7 +8,7 @@ from repro.core.expressions import Var
 from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
-from repro.core.transactions import consensus, delayed, immediate
+from repro.core.transactions import delayed, immediate
 from repro.errors import EngineError, ExportViolation
 from repro.runtime.engine import Engine
 from repro.runtime.events import Trace
@@ -81,32 +81,6 @@ class TestWakeFilterModes:
     def test_bad_mode_rejected(self):
         with pytest.raises(EngineError):
             Engine(wake_filter="psychic")
-
-
-class TestConsensusCheckModes:
-    def _run(self, mode):
-        member = ProcessDefinition(
-            "Member", body=[consensus().then(assert_tuple("done", 1))]
-        )
-        engine = Engine(definitions=[member], seed=1, consensus_check=mode)
-        engine.assert_tuples([("shared", 1)])
-        for __ in range(4):
-            engine.start("Member")
-        result = engine.run()
-        assert result.completed
-        return result
-
-    def test_idle_mode_still_fires(self):
-        result = self._run("idle")
-        assert result.consensus_rounds == 1
-
-    def test_eager_mode_fires(self):
-        result = self._run("eager")
-        assert result.consensus_rounds == 1
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(EngineError):
-            Engine(consensus_check="eventually")
 
 
 class TestExportPolicies:

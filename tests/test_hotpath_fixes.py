@@ -249,12 +249,12 @@ class TestPumpAfterAbort:
 
 
 # ---------------------------------------------------------------------------
-# RecoveryLog: a finished engine must leave no dataspace listener behind
+# The recovery log: a finished engine must leave no dataspace listener behind
 # ---------------------------------------------------------------------------
 
 
 class TestRecoveryTeardown:
-    def _run_engine(self):
+    def _run_engine(self, wal_dir):
         a, b = Var("a"), Var("b")
         merge = ProcessDefinition(
             "Merge",
@@ -267,32 +267,33 @@ class TestRecoveryTeardown:
                 )
             ],
         )
-        engine = Engine(definitions=[merge], checkpoint_interval=2)
+        engine = Engine(definitions=[merge], checkpoint_interval=2, wal_dir=str(wal_dir))
         engine.assert_tuples([(i, i * 10) for i in range(4)])
         engine.start("Merge")
         result = engine.run()
         assert result.completed
         return engine
 
-    def test_finished_engine_leaves_zero_listeners(self):
+    def test_finished_engine_leaves_zero_listeners(self, tmp_path):
         # Pre-fix the engine never called ``recovery.close()``, so every
         # finished engine left one live subscription on the dataspace —
         # a leak that also kept taking checkpoints for post-run mutations.
-        engine = self._run_engine()
+        engine = self._run_engine(tmp_path)
         assert engine.dataspace.listener_count == 0
 
-    def test_post_run_changes_take_no_checkpoints(self):
-        engine = self._run_engine()
-        taken = engine.recovery.checkpoints_taken
+    def test_post_run_changes_take_no_checkpoints(self, tmp_path):
+        engine = self._run_engine(tmp_path)
+        taken = engine.recovery.segments_written
         for i in range(10):
             engine.dataspace.insert(("late", i))
-        assert engine.recovery.checkpoints_taken == taken
+        assert engine.recovery.segments_written == taken
+        assert engine.dataspace.listener_count == 0
 
-    def test_recover_and_verify_still_work_after_teardown(self):
-        # close() detaches the listener only; checkpoints + journal stay
-        # queryable, so post-run forensics keep working.
-        engine = self._run_engine()
-        engine.recovery.verify()
+    def test_recover_and_verify_still_work_after_teardown(self, tmp_path):
+        # close() detaches the listener only; the segments stay loadable,
+        # so post-run forensics keep working.
+        engine = self._run_engine(tmp_path)
+        engine.recovery.verify_durable()
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ class TestEngineIntegration:
         assert m["sdl_wakeup_seconds"]["data"]["count"] > 0
         assert m["spans"]["data"]["recorded"] > 0
 
-    def test_group_mode_sites(self):
+    def test_group_mode_sites(self, tmp_path):
         run = run_sum2(
             list(range(16)),
             seed=3,
@@ -306,6 +306,7 @@ class TestEngineIntegration:
             commit="group",
             validate="serial",
             checkpoint_interval=4,
+            wal_dir=str(tmp_path),
         )
         m = run.result.metrics
         for site in (

@@ -628,20 +628,25 @@ class TestEngineWiring:
         )
         assert total == result.dataspace_size
 
-    def test_checkpoint_recovery_round_trips_sharded(self):
-        from repro.runtime.recovery import RecoveryLog
+    def test_checkpoint_recovery_round_trips_sharded(self, tmp_path):
+        from repro.runtime.recovery import DurableLog
 
         ds = Dataspace(shards=4)
-        log = RecoveryLog(ds, interval=8)
+        taken = []
+        log = DurableLog(ds, str(tmp_path), interval=8, on_checkpoint=taken.append)
         ds.insert_many([(f"c{i % 5}", i) for i in range(30)])
         for tid in sorted(ds.tids(), key=lambda t: t.serial)[::3]:
             ds.retract(tid)
-        assert log.latest.shard_counts is not None
-        assert sum(log.latest.shard_counts) == log.latest.size
+        log.flush()
+        latest = taken[-1]
+        assert latest.version == ds.version
+        assert latest.shard_counts is not None
+        assert sum(latest.shard_counts) == latest.size
         # global serial order, not shard-major
-        serials = [inst.tid.serial for inst in log.latest.instances]
+        serials = [inst.tid.serial for inst in latest.instances]
         assert serials == sorted(serials)
-        scratch = log.verify()
+        log.verify_durable()
+        scratch, report = DurableLog.load(str(tmp_path))
         assert scratch.shard_count == 4
         assert scratch.multiset() == ds.multiset()
         log.close()

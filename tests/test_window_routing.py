@@ -159,6 +159,20 @@ def flood(ds, readers, arity=3):
     return added
 
 
+def lag(ds, readers):
+    """Move *ds* more than ``JOURNAL_DEPTH`` versions on, in rows no view
+    imports, while only *readers* refresh and keep the router current."""
+    noise = []
+    for i in range(JOURNAL_DEPTH + 1):
+        noise.append(ds.insert(("noise",)))
+        if i % (JOURNAL_DEPTH // 2) == 0:
+            for window in readers:
+                _footprint(window)
+    ds.retract_many(inst.tid for inst in noise)
+    for window in readers:
+        _footprint(window)
+
+
 LAYOUTS = [(shards, store) for shards in ("single", 2, 4) for store in ("object", "columnar")]
 
 
@@ -171,11 +185,13 @@ class TestRoutedEqualsFresh:
         gap_at=st.one_of(st.none(), st.integers(0, 10)),
         flood_at=st.one_of(st.none(), st.integers(0, 10)),
         flood_arity=st.sampled_from([2, 3]),
+        lag_at=st.one_of(st.none(), st.integers(0, 10)),
         touches=st.lists(st.sampled_from(TOUCHES), min_size=3, max_size=3),
         detach_at=st.one_of(st.none(), st.integers(0, 10)),
     )
     def test_routed_windows_equal_fresh_windows(
-        self, view, layout, initial, steps, gap_at, flood_at, flood_arity, touches, detach_at
+        self, view, layout, initial, steps, gap_at, flood_at, flood_arity, lag_at,
+        touches, detach_at,
     ):
         shards, store = layout
         ds = Dataspace(shards=shards, store=store)
@@ -199,8 +215,15 @@ class TestRoutedEqualsFresh:
                 ds.retract_many(inst.tid for inst in added)
                 for window in windows[1:]:
                     _footprint(window)
+            if number == lag_at:
+                # windows[0] sleeps through the step, more than JOURNAL_DEPTH
+                # versions on either side, while the others file it: it is
+                # behind, not in a gap, and drains what was filed for it.
+                lag(ds, windows[1:])
             for op, arg in step:
                 _apply(ds, op, arg)
+            if number == lag_at:
+                lag(ds, windows[1:])
             assert_like_fresh(windows, ds)
 
 
