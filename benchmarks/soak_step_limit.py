@@ -11,13 +11,15 @@
    index, plan cache and kernel cache must stay bounded by the program
    (one query, one bound-name shape), not grow with the run.
 3. *Consensus communities.*  ``COMMUNITY_WIDTH`` members at a time, in
-   communities of ``COMMUNITY_SIZE``, each behind a ``where``-view keyed
-   on its community's cell numbers; each asserts its cell, meets its
-   community at a consensus that retracts the cells, spawns its successor
-   ``COMMUNITY_WIDTH`` cells on and retires — so the guard keys take
-   ever-new values until ``COMMUNITY_STEPS``.  The window router's routes,
-   key tables and inboxes, the consensus index and the window table must
-   stay bounded by the program, not grow with the run.
+   communities of ``COMMUNITY_SIZE``, each behind a ``where``-view whose
+   guard names its keys, its community's cell numbers (``same``, with an
+   enumerator); each asserts its cell, meets its community at a consensus
+   that retracts the cells, spawns its successor ``COMMUNITY_WIDTH`` cells
+   on and retires — so the keys take ever-new values until
+   ``COMMUNITY_STEPS``.  The window router's routes, key and support
+   tables, named-key index, inboxes and touched set, the counted consensus
+   closure and the window table must stay bounded by the program, not
+   grow with the run.
 
 For both, a sampling thread reads RSS from ``/proc/self/statm`` every half
 second; the growth from the sample at 20 % of the run to the last sample
@@ -38,13 +40,13 @@ import time
 from repro.core.actions import assert_tuple, spawn
 from repro.core.constructs import guarded, repeat
 from repro.core.dataspace import JOURNAL_DEPTH
-from repro.core.expressions import Var
+from repro.core.expressions import Var, lift
 from repro.core.patterns import P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
 from repro.core.society import RETIRED_DEPTH
 from repro.core.transactions import consensus, delayed, immediate
-from repro.core.views import MAX_ROUTER_KEYS, WindowRouter, import_rule
+from repro.core.views import MAX_ROUTER_KEYS, WindowRouter, _KeyTable, import_rule
 from repro.errors import StepLimitExceeded
 from repro.runtime.engine import Engine
 
@@ -153,9 +155,22 @@ def parked_relay() -> None:
         assert size <= bound, f"relay: {size} {what}, bound {bound}"
 
 
+def _same_community(h: int, g: int) -> bool:
+    return h // COMMUNITY_SIZE == g // COMMUNITY_SIZE
+
+
+def _community_of(g: int) -> range:
+    first = g - g % COMMUNITY_SIZE
+    return range(first, first + COMMUNITY_SIZE)
+
+
+def _is_int(value: object) -> bool:
+    return type(value) is int
+
+
 def consensus_communities() -> None:
     g, h, v = Var("g"), Var("h"), Var("v")
-    same = (h // COMMUNITY_SIZE) == (g // COMMUNITY_SIZE)
+    same = lift(_same_community, "same", enumerator=_community_of, domain=_is_int)(h, g)
     member = ProcessDefinition(
         "Member",
         params=("g",),
@@ -178,26 +193,38 @@ def consensus_communities() -> None:
     fired = engine.trace.counters.consensus_rounds
     assert fired > COMMUNITY_STEPS // 20, fired
     router = WindowRouter.of(engine.dataspace)
+    tables = router.tables.values()
+    keyed = [table for table in tables if isinstance(table, _KeyTable)]
+    index = engine.executor.consensus_index
+    sizes = index.sizes()
+    members = 2 * COMMUNITY_WIDTH
     bounds = {
-        "live processes": (len(engine.society), 2 * COMMUNITY_WIDTH),
-        "windows": (len(engine._windows), 2 * COMMUNITY_WIDTH),
-        "router members": (len(router.members), 2 * COMMUNITY_WIDTH),
+        "live processes": (len(engine.society), members),
+        "windows": (len(engine._windows), members),
+        "router members": (len(router.members), members),
+        "router touched": (len(router.touched), members),
         "router routes": (len(router.routes), 2),
-        "router key tables": (len(router.tables), 2),
-        "router key entries": (
+        "router key tables": (len(keyed), 2),
+        "router support tables": (len(tables) - len(keyed), 1),
+        "router key verdicts": (
             sum(
                 len(table.admitting) + sum(len(seen) for seen in table.members.values())
-                for table in router.tables.values()
+                for table in keyed
             ),
             2 * MAX_ROUTER_KEYS,
+        ),
+        "router named keys": (
+            sum(len(inboxes) for table in tables for inboxes in table.named.values()),
+            3 * members * COMMUNITY_SIZE,
         ),
         "inbox entries": (
             max((len(w._inbox) + len(w._support) for w in router.members), default=0),
             JOURNAL_DEPTH,
         ),
-        "consensus index pids": (
-            len(engine.executor.consensus_index.pids()), 2 * COMMUNITY_WIDTH
-        ),
+        "consensus index pids": (len(index.pids()), members),
+        "consensus index tids": (sizes["tids"], 2 * members),
+        "consensus components": (sizes["components"], members),
+        "consensus stale + checks": (sizes["stale"] + sizes["checks"], members),
     }
     for what, (size, bound) in bounds.items():
         print(f"consensus: {what:<22} {size:>6}  (bound {bound})")

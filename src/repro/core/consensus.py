@@ -12,10 +12,10 @@ This module provides the pure pieces:
   footprints;
 * :func:`partition` — the closure: a union-find partition of a set of
   processes into consensus sets, linear in total footprint size;
-* :class:`ConsensusIndex` — the same closure kept across attempts: a
-  ``tid -> waiting pids`` index folded from footprint differences, plus a
-  blocker witness per waiter, so an attempt walks only the components no
-  witness already rules out (:func:`partition` stays the oracle);
+* :class:`ConsensusIndex` — the counted closure: the import-overlap
+  components of the whole live society, kept from what changed, with a
+  runner count each; a component with no runner is a consensus set ready
+  to be evaluated (:func:`partition` stays the oracle);
 * :func:`evaluate_composite` — given the members of one consensus set, all
   parked at consensus transactions, check simultaneous satisfiability (each
   member's query evaluated net of earlier members' retractions) and return
@@ -29,17 +29,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.query import QueryResult
 from repro.core.transactions import Transaction
 from repro.core.tuples import TupleId
-from repro.core.views import Window
+from repro.core.views import Window, WindowRouter
 
 __all__ = [
     "needs",
     "partition",
-    "blocking_runner",
     "ConsensusIndex",
     "ConsensusParticipant",
     "CompositeEffect",
@@ -103,185 +102,411 @@ def partition(windows: Mapping[int, Window]) -> list[frozenset[int]]:
     return [frozenset(g) for g in groups.values()]
 
 
-#: ``runner pid -> its footprint``, or ``None`` unless it is a live process
-#: that is not waiting at a consensus transaction.
-RunnerFootprint = Callable[[int], "frozenset[TupleId] | None"]
+#: The pseudo-pid of the hub: every live process whose window imports all
+#: of D (an unrestricted import set) is linked to it while D is non-empty,
+#: and so is every restricted process importing anything.
+HUB = 0
 
 
-def blocking_runner(
-    footprint: set[TupleId],
-    runners: Iterable[int],
-    runner_footprint: RunnerFootprint,
-) -> tuple[int, TupleId] | None:
-    """The first runner importing an instance of *footprint*, with that tid.
+class _Component:
+    """One import-overlap component of the live society, with the number
+    of its members that are not waiting (``runners``)."""
 
-    A consensus set is only ready when every member of its closure waits;
-    a live process that is not waiting but shares an instance with the set
-    belongs to that closure.  This is the full scan: one set intersection
-    per runner, in the order *runners* gives.
-    """
-    if not footprint:
-        return None
-    for runner in runners:
-        other = runner_footprint(runner)
-        small, large = (other, footprint) if len(other) < len(footprint) else (footprint, other)
-        for tid in small:
-            if tid in large:
-                return runner, tid
-    return None
+    __slots__ = ("members", "runners")
+
+    def __init__(self, members: set[int], runners: int) -> None:
+        self.members = members
+        self.runners = runners
 
 
 class ConsensusIndex:
-    """Consensus detection state kept across attempts.
+    """The counted closure: consensus detection kept across attempts
+    (SEMANTICS §5).
 
-    * ``_seen`` — per waiter, the footprint folded into the index last time;
-    * ``_importers`` — ``tid -> waiting pids`` importing that instance, so a
-      component is a walk over shared tids;
-    * ``_witnesses`` — per waiter, a ``(runner, tid)`` that blocked its
-      component.  It still blocks while the runner is live and not waiting
-      and *tid* is in both footprints; then the component is skipped with
-      no walk and no scan.
+    Built, in O(society), by :meth:`start` at the first park at a
+    consensus point; before that it holds nothing and costs nothing.
+    From then on it tracks every live process:
 
-    :meth:`sync` folds the current waiter footprints in (identity first: an
-    unchanged window returns the same frozen set); :meth:`unblocked`
-    yields the components no runner belongs to, in :func:`partition`'s
-    order.  :meth:`forget` drops a process that finished or crashed.
+    * ``_seen`` — per restricted process, its window's footprint set (the
+      window's own, read-only), and ``_importers``, ``tid -> pids``
+      importing it, folded from each window's logged changes
+      (:meth:`Window.settle`), never from a copy or a diff;
+    * ``_hub`` — processes whose window imports all of D, linked through
+      the :data:`HUB` pseudo-pid;
+    * ``_of`` — the component of every tracked pid, each with its runner
+      count.  An added shared tid merges two components; a dropped one
+      that may have been a bridge marks its component stale, unless one
+      hop shows the two sides still meet.
+
+    :meth:`sync` folds in only what changed: processes spawned since the
+    last call (from the society's spawn count) and the windows the router
+    filed into (``WindowRouter.touched``).  A component whose runner count
+    is 0 consists of waiters only, and is exactly a consensus set no live
+    non-waiting process shares an instance with; :meth:`free_components`
+    lists those in :func:`partition`'s order (earliest member in waiter
+    order).  :meth:`park`, :meth:`unpark` and :meth:`forget` change one
+    count.
     """
 
-    __slots__ = ("_seen", "_importers", "_witnesses")
+    __slots__ = (
+        "started", "_society", "_window_of", "_dataspace", "_router",
+        "_windows", "_pids", "_seen", "_hub", "_hub_on", "_importers",
+        "_of", "_free", "_stale", "_checks", "_waiting", "_parks", "_spawned",
+    )
 
     def __init__(self) -> None:
-        self._seen: dict[int, frozenset[TupleId]] = {}
+        self.started = False
+        self._society: Any = None
+        self._window_of: Callable[[Any], Window] | None = None
+        self._dataspace: Any = None
+        self._router: WindowRouter | None = None
+        #: live tracked pid -> its window.
+        self._windows: dict[int, Window] = {}
+        #: restricted window -> its pid.
+        self._pids: dict[Window, int] = {}
+        self._seen: dict[int, set[TupleId]] = {}
+        self._hub: set[int] = set()
+        #: The hub links its members: some process imports all of D, and D
+        #: is not empty.
+        self._hub_on = False
         self._importers: dict[TupleId, set[int]] = {}
-        self._witnesses: dict[int, tuple[int, TupleId]] = {}
+        self._of: dict[int, _Component] = {}
+        #: Components with no runner.
+        self._free: set[_Component] = set()
+        #: Components that may have split (one lost an edge it may have
+        #: needed): re-walked before anyone relies on their shape.
+        self._stale: set[_Component] = set()
+        #: Edge losses to check once everything is folded: pids that must
+        #: all still share a tid with the first (:meth:`_adjacent`).
+        self._checks: list[tuple[int, ...]] = []
+        #: waiting pid -> its park number (waiter order).
+        self._waiting: dict[int, int] = {}
+        self._parks = 0
+        #: The society's spawn count when it was last read.
+        self._spawned = 0
 
-    def sync(self, footprints: Mapping[int, frozenset[TupleId]]) -> None:
-        """Make the index describe exactly the waiters in *footprints*."""
-        seen = self._seen
-        for pid in [pid for pid in seen if pid not in footprints]:
-            self._unindex(pid)
-        importers = self._importers
-        for pid, now in footprints.items():
-            before = seen.get(pid)
-            if before is now:
-                continue
-            if before is None:
-                added: Iterable[TupleId] = now
-            else:
-                added = now - before
-                self._drop_tids(pid, before - now)
-            for tid in added:
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def start(self, society: Any, window_of: Callable[[Any], Window], dataspace: Any) -> None:
+        """Track every live process of *society* (``window_of(process)`` is
+        its window over *dataspace*) and watch the dataspace's router."""
+        self._society, self._window_of, self._dataspace = society, window_of, dataspace
+        self._router = router = WindowRouter.of(dataspace)
+        router.touched = {}
+        self._spawned = society.total_spawned
+        for process in society.live():
+            self._track(process.pid, window_of(process))
+        self._hub_on = bool(self._hub) and len(dataspace) > 0
+        self._rebuild()
+        self.started = True
+
+    def _track(self, pid: int, window: Window) -> None:
+        """Index *pid*'s footprint.  A window whose refresh raises leaves
+        the index as it was."""
+        if window.view.imports is None:
+            self._hub.add(pid)
+        else:
+            window.watch()
+            footprint, __ = window.settle()
+            self._pids[window] = pid
+            self._seen[pid] = footprint
+            importers = self._importers
+            for tid in footprint:
                 holders = importers.get(tid)
                 if holders is None:
                     importers[tid] = {pid}
                 else:
                     holders.add(pid)
-            seen[pid] = now
+        self._windows[pid] = window
 
     def forget(self, pid: int) -> None:
-        """Drop every entry naming *pid*, as a waiter or as a blocker."""
-        if pid in self._seen:
-            self._unindex(pid)
-        witnesses = self._witnesses
-        for waiter in [w for w, (runner, __) in witnesses.items() if runner == pid]:
-            del witnesses[waiter]
+        """Drop *pid*, which finished or crashed: one count, and an edge
+        check on what it linked, made at the next :meth:`sync`."""
+        window = self._windows.pop(pid, None)
+        if window is None:
+            return
+        comp = self._of.pop(pid)
+        comp.members.discard(pid)
+        if self._waiting.pop(pid, None) is None:
+            comp.runners -= 1
+        if pid in self._hub:
+            self._hub.discard(pid)
+        else:
+            # Every tid the index may file under *pid*: the footprint set
+            # and the changes logged since the last fold.
+            log = window.unwatch()
+            del self._pids[window]
+            # Each tid's importers left behind are a clique: one of each
+            # stands for it, and the cliques must still meet.
+            stand_ins = set()
+            importers = self._importers
+            for tid in self._seen.pop(pid).union(log):
+                holders = importers.get(tid)
+                if holders is not None and pid in holders:
+                    holders.discard(pid)
+                    if holders:
+                        stand_ins.add(next(iter(holders)))
+                    else:
+                        del importers[tid]
+            if len(stand_ins) > 1 and not self._hub_on:
+                self._checks.append(tuple(stand_ins))
+        self._recount(comp)
 
     def pids(self) -> set[int]:
         """Every pid the index holds (bounded-memory checks)."""
-        out = set(self._seen)
+        out = set(self._windows) | set(self._of) | set(self._waiting)
         for holders in self._importers.values():
             out |= holders
-        for waiter, (runner, __) in self._witnesses.items():
-            out.update((waiter, runner))
+        out.discard(HUB)
         return out
 
-    def _unindex(self, pid: int) -> None:
-        self._drop_tids(pid, self._seen.pop(pid))
-        self._witnesses.pop(pid, None)
+    def sizes(self) -> dict[str, int]:
+        """How much each structure holds (bounded-memory checks)."""
+        return {
+            "tracked": len(self._windows),
+            "tids": len(self._importers),
+            "components": len({id(comp) for comp in self._of.values()}),
+            "free": len(self._free),
+            "stale": len(self._stale),
+            "checks": len(self._checks),
+        }
 
-    def _drop_tids(self, pid: int, tids: Iterable[TupleId]) -> None:
+    # ------------------------------------------------------------------
+    # counts
+    # ------------------------------------------------------------------
+    def park(self, pid: int) -> None:
+        """*pid* now waits at a consensus point (it was not waiting)."""
+        self._waiting[pid] = self._parks
+        self._parks += 1
+        comp = self._of.get(pid)
+        if comp is not None:  # else spawned since the last sync: counted there
+            comp.runners -= 1
+            self._recount(comp)
+
+    def unpark(self, pid: int) -> None:
+        """*pid* no longer waits (it was waiting)."""
+        del self._waiting[pid]
+        comp = self._of.get(pid)
+        if comp is not None:
+            comp.runners += 1
+            self._recount(comp)
+
+    def _recount(self, comp: _Component) -> None:
+        if comp.runners == 0 and len(comp.members) > (HUB in comp.members):
+            self._free.add(comp)
+        else:
+            self._free.discard(comp)
+        if not comp.members:
+            self._stale.discard(comp)
+
+    # ------------------------------------------------------------------
+    # folding what changed
+    # ------------------------------------------------------------------
+    def sync(self) -> None:
+        """Fold in the windows touched and the processes spawned since the
+        last call, then check the edges lost on the way and re-walk the
+        stale components that hold a waiter.  Every check and walk runs
+        once all is folded, when each tracked footprint set is what the
+        index holds."""
+        society = self._society
+        router = self._router
+        touched = router.touched
+        while True:
+            router.catch_up()
+            while touched:
+                window = next(iter(touched))
+                pid = self._pids.get(window)
+                if pid is not None:
+                    self._fold(pid, window)  # a raise leaves the window touched
+                del touched[window]
+            if self._spawned == society.total_spawned:
+                break
+            while self._spawned < society.total_spawned:
+                pid = self._spawned + 1
+                process = society.find_live(pid)
+                if process is not None:
+                    self._join(pid, self._window_of(process))
+                self._spawned = pid
+            # joining may have touched windows: fold again
+        hub_on = bool(self._hub) and len(self._dataspace) > 0
+        if hub_on != self._hub_on:
+            self._hub_on = hub_on
+            self._checks.clear()
+            self._rebuild()
+        elif self._checks:
+            # A pid gone since its check was recorded may have been the
+            # link: its component is re-walked.
+            of = self._of
+            for pids in self._checks:
+                alive = [pid for pid in pids if pid in of]
+                if alive and (len(alive) < len(pids) or not self._adjacent(alive)):
+                    self._stale.add(of[alive[0]])
+            self._checks.clear()
+        for comp in [c for c in self._stale if c.runners < len(c.members)]:
+            self._split(comp)
+
+    def _join(self, pid: int, window: Window) -> None:
+        """Track *pid*, spawned since the last sync, as a runner."""
+        self._track(pid, window)
+        comp = self._of[pid] = _Component({pid}, 0 if pid in self._waiting else 1)
+        self._recount(comp)
+        if pid in self._hub:
+            if self._hub_on:
+                self._merge(comp, self._of[HUB])
+            # else the hub check at the end of the sync rebuilds, if need be
+            return
+        footprint = self._seen[pid]
+        for tid in footprint:
+            for other in self._importers[tid]:
+                if other != pid:
+                    self._merge(self._of[pid], self._of[other])
+                    break
+        if footprint and self._hub_on:
+            self._merge(self._of[pid], self._of[HUB])
+
+    def _fold(self, pid: int, window: Window) -> None:
+        """Fold one restricted window's footprint changes.  Each logged tid
+        is filed under *pid* iff it is in the footprint now; an add merges
+        components, and a drop that leaves other importers is an edge
+        loss to check."""
+        before = self._seen[pid]
+        footprint, log = window.settle()
+        if footprint is not before:  # re-materialised: a new set
+            self._seen[pid] = footprint
+            log = before.union(log, footprint)
+        if not log:
+            return
         importers = self._importers
-        for tid in tids:
+        of = self._of
+        for tid in log:
+            holders = importers.get(tid)
+            if tid in footprint:
+                if holders is None:
+                    importers[tid] = {pid}
+                elif pid not in holders:
+                    other = next(iter(holders))
+                    holders.add(pid)
+                    if of[other] is not of[pid]:
+                        self._merge(of[pid], of[other])
+            elif holders is not None and pid in holders:
+                holders.discard(pid)
+                if not holders:
+                    del importers[tid]
+                elif not self._hub_on:
+                    # the importers left are a clique: one stands for all
+                    self._checks.append((pid, next(iter(holders))))
+        if self._hub_on:  # linked to the hub iff it imports anything
+            if footprint and of[pid] is not of[HUB]:
+                self._merge(of[pid], of[HUB])
+            elif not footprint and of[pid] is of[HUB]:
+                self._detach_from_hub(pid)
+
+    def _adjacent(self, pids: list[int]) -> bool:
+        """Does every pid of *pids* share a tid with the first?  One hop is
+        enough to keep two cliques that met through a lost edge together;
+        ``False`` means "maybe not"."""
+        pivot, pending = pids[0], set(pids[1:])
+        pending.discard(pivot)
+        importers = self._importers
+        for tid in self._seen.get(pivot, ()):
+            if not pending:
+                break
             holders = importers[tid]
-            holders.discard(pid)
-            if not holders:
-                del importers[tid]
+            pending = {pid for pid in pending if pid not in holders}
+        return not pending
 
-    def _witnessed(self, pid: int, runner_footprint: RunnerFootprint) -> bool:
-        """Does *pid* hold a witness that still blocks it?  Drops a stale one."""
-        witness = self._witnesses.get(pid)
-        if witness is None:
-            return False
-        runner, tid = witness
-        if tid in self._seen[pid]:
-            footprint = runner_footprint(runner)
-            if footprint is not None and tid in footprint:
-                return True
-        del self._witnesses[pid]
-        return False
+    # ------------------------------------------------------------------
+    # components
+    # ------------------------------------------------------------------
+    def _merge(self, a: _Component, b: _Component) -> None:
+        if a is b:
+            return
+        if len(a.members) < len(b.members):
+            a, b = b, a
+        a.members |= b.members
+        a.runners += b.runners
+        of = self._of
+        for member in b.members:
+            of[member] = a
+        self._free.discard(b)
+        if b in self._stale:
+            self._stale.discard(b)
+            self._stale.add(a)
+        self._recount(a)
 
-    def unblocked(
-        self,
-        waiters: Iterable[int],
-        runners: Callable[[], Iterable[int]],
-        runner_footprint: RunnerFootprint,
-    ) -> Iterator[frozenset[int]]:
-        """The components of the synced waiters that no runner belongs to.
+    def _detach_from_hub(self, pid: int) -> None:
+        """Hub on: *pid* imports nothing now, so it is alone."""
+        comp = self._of[pid]
+        comp.members.discard(pid)
+        waiting = pid in self._waiting
+        if not waiting:
+            comp.runners -= 1
+        self._recount(comp)
+        alone = self._of[pid] = _Component({pid}, 0 if waiting else 1)
+        self._recount(alone)
 
-        Waiters are visited in *waiters* order and a component is yielded at
-        its earliest member, which is :func:`partition`'s order.  A walk
-        starts only at an unvisited waiter with no valid witness and stops
-        at the first member that has one or is already known blocked.  A
-        walk that completes pays the full :func:`blocking_runner` scan over
-        *runners()* and, if blocked, records the witness on every member
-        that imports the shared tid.
-        """
-        visited: set[int] = set()
-        blocked: set[int] = set()
-        for start in waiters:
-            if start in visited or self._witnessed(start, runner_footprint):
+    def _rebuild(self) -> None:
+        """Every component from scratch (start, and the hub turning on or off)."""
+        self._of.clear()
+        self._free.clear()
+        self._stale.clear()
+        pids = list(self._windows)
+        if self._hub_on:
+            linked = {HUB} | self._hub | {pid for pid, fp in self._seen.items() if fp}
+            self._install(linked)
+            pids = [pid for pid in pids if pid not in linked]
+        self._walk(pids)
+
+    def _split(self, comp: _Component) -> None:
+        self._stale.discard(comp)
+        self._free.discard(comp)
+        self._walk(list(comp.members))
+
+    def _walk(self, pids: list[int]) -> None:
+        """Install the components of *pids* (a union of components) by
+        walking the importer index."""
+        seen, importers = self._seen, self._importers
+        done: set[int] = set()
+        for start in pids:
+            if start in done:
                 continue
-            members, union, stopped = self._walk(start, blocked, runner_footprint)
-            visited |= members
-            if stopped:
-                blocked |= members
-                continue
-            blocker = blocking_runner(union, runners(), runner_footprint)
-            if blocker is not None:
-                for owner in self._importers[blocker[1]]:
-                    self._witnesses[owner] = blocker
-                blocked |= members
-                continue
-            yield frozenset(members)
-
-    def _walk(
-        self, start: int, blocked: set[int], runner_footprint: RunnerFootprint
-    ) -> tuple[set[int], set[TupleId], bool]:
-        """``(members, tids, stopped)`` of the component of *start*.
-
-        Each tid is expanded once, so a completed walk costs the component's
-        index entries and its *tids* are the union footprint.  The walk
-        stops as soon as it meets a member known blocked or holding a valid
-        witness.
-        """
-        seen = self._seen
-        importers = self._importers
-        members = {start}
-        expanded: set[TupleId] = set()
-        queue = [start]
-        for pid in queue:  # grows while walking
-            for tid in seen[pid]:
-                if tid in expanded:
-                    continue
-                expanded.add(tid)
-                for other in importers[tid]:
-                    if other in members:
+            members = {start}
+            expanded: set[TupleId] = set()
+            queue = [start]
+            for pid in queue:  # grows while walking
+                for tid in seen.get(pid, ()):
+                    if tid in expanded:
                         continue
-                    if other in blocked or self._witnessed(other, runner_footprint):
-                        return members, expanded, True
-                    members.add(other)
-                    queue.append(other)
-        return members, expanded, False
+                    expanded.add(tid)
+                    for other in importers[tid]:
+                        if other not in members:
+                            members.add(other)
+                            queue.append(other)
+            done |= members
+            self._install(members)
+
+    def _install(self, members: set[int]) -> None:
+        waiting = self._waiting
+        comp = _Component(members, sum(1 for m in members if m != HUB and m not in waiting))
+        of = self._of
+        for member in members:
+            of[member] = comp
+        self._recount(comp)
+
+    def free_components(self) -> list[frozenset[int]]:
+        """The components no runner belongs to, each reached at its
+        earliest member in waiter order: :func:`partition`'s order over
+        the waiters, less the sets a runner shares an instance with."""
+        waiting = self._waiting
+        ordered = sorted(
+            (min(waiting[m] for m in comp.members if m != HUB), comp)
+            for comp in self._free
+        )
+        return [frozenset(comp.members - {HUB}) for __, comp in ordered]
+
+    def has_free(self) -> bool:
+        return bool(self._free)
 
 
 @dataclass(slots=True)

@@ -50,6 +50,8 @@ __all__ = [
     "is_pure",
     "kernel",
     "lift",
+    "named_keys",
+    "NamedKeys",
     "source",
     "variables",
 ]
@@ -354,15 +356,26 @@ class Call(Expr):
 
     This is how application predicates such as the region-labeling
     ``neighbor(p1, p2)`` or the threshold function ``T(v)`` enter SDL
-    programs.
+    programs.  A predicate may **name its keys** (:func:`lift`): an
+    *enumerator* gives, for the other arguments, the first arguments it
+    is true on, and a *domain* says where that holds.
     """
 
-    __slots__ = ("func", "args", "name")
+    __slots__ = ("func", "args", "name", "enumerator", "domain")
 
-    def __init__(self, func: Callable[..., Any], args: tuple[Expr, ...], name: str | None = None) -> None:
+    def __init__(
+        self,
+        func: Callable[..., Any],
+        args: tuple[Expr, ...],
+        name: str | None = None,
+        enumerator: Callable[..., Iterable[Any]] | None = None,
+        domain: Callable[[Any], bool] | None = None,
+    ) -> None:
         self.func = func
         self.args = args
         self.name = name or getattr(func, "__name__", "<fn>")
+        self.enumerator = enumerator
+        self.domain = domain
 
     def evaluate(self, ctx: EvalContext) -> Any:
         return self.func(*(arg.evaluate(ctx) for arg in self.args))
@@ -374,7 +387,7 @@ class Call(Expr):
         return out
 
     def __reduce__(self):
-        return (type(self), (self.func, self.args, self.name))
+        return (type(self), (self.func, self.args, self.name, self.enumerator, self.domain))
 
     def __repr__(self) -> str:
         inner = ",".join(repr(a) for a in self.args)
@@ -589,7 +602,13 @@ def evaluator(expr: Expr) -> Kernel:
     return functools.partial(evaluate_under, expr)
 
 
-def lift(func: Callable[..., Any], name: str | None = None) -> Callable[..., Call]:
+def lift(
+    func: Callable[..., Any],
+    name: str | None = None,
+    *,
+    enumerator: Callable[..., Iterable[Any]] | None = None,
+    domain: Callable[[Any], bool] | None = None,
+) -> Callable[..., Call]:
     """Lift a Python function into the expression language.
 
     >>> def double(x):
@@ -597,13 +616,118 @@ def lift(func: Callable[..., Any], name: str | None = None) -> Callable[..., Cal
     >>> d = lift(double)
     >>> d(Var("a"))
     double(a)
+
+    A predicate may declare the values it is true on.  With *enumerator*
+    given, ``func(k, *rest)`` must be ``True`` when ``k`` is among
+    ``enumerator(*rest)`` and ``False`` otherwise, without raising, for
+    every ``k`` and ``rest`` inside *domain* (a test on one value; no
+    *domain* means every value).  Equal values inside the domain must be
+    interchangeable: the key set is looked up by ``==`` and ``hash``.
+    Outside the domain nothing is promised, and the function is asked
+    (:func:`named_keys`).
     """
 
     def builder(*args: Any) -> Call:
-        return Call(func, tuple(as_expr(a) for a in args), name)
+        return Call(func, tuple(as_expr(a) for a in args), name, enumerator, domain)
 
     builder.__name__ = name or getattr(func, "__name__", "lifted")
     return builder
+
+
+class NamedKeys:
+    """The values of one variable an expression is true on, by name.
+
+    Built by :func:`named_keys` from a ``|`` of ``key == e`` terms and
+    calls of predicates that declare an enumerator with the key as their
+    first argument, every other operand reading only process parameters.
+    :meth:`keys` gives, under the parameters, the finite set of values
+    that make the expression true; :meth:`within` says whether a value is
+    inside every call's domain, where that set is the exact answer.
+    """
+
+    __slots__ = ("name", "equals", "calls", "domains")
+
+    def __init__(self, name: str, equals: list[Expr], calls: list[Call]) -> None:
+        self.name = name
+        self.equals = tuple(equals)
+        self.calls = tuple(calls)
+        self.domains = tuple({id(c.domain): c.domain for c in calls if c.domain is not None}.values())
+
+    def within(self, value: Any) -> bool:
+        """Is *value* inside every call's domain?  A raising test says no."""
+        try:
+            for domain in self.domains:
+                if not domain(value):
+                    return False
+        except Exception:
+            return False
+        return True
+
+    def keys(self, params: Mapping[str, Any]) -> frozenset | None:
+        """The values of the variable that make the expression true under
+        *params*, or ``None`` when they cannot be named: an operand raises
+        or falls outside its call's domain, or a value cannot be a dict
+        key (unhashable, or a float NaN, which ``==`` never equals)."""
+        out: set[Any] = set()
+        try:
+            for expr in self.equals:
+                value = evaluator(expr)(params)
+                if value != value:
+                    return None
+                out.add(value)
+            for call in self.calls:
+                rest = [evaluator(arg)(params) for arg in call.args[1:]]
+                if call.domain is not None and not all(call.domain(v) for v in rest):
+                    return None
+                out.update(call.enumerator(*rest))
+        except Exception:
+            return None
+        return frozenset(out)
+
+
+def named_keys(expr: Expr | None, name: str) -> NamedKeys | None:
+    """How *expr* names the values of variable *name*, or ``None``.
+
+    Every ``|``-disjunct must be ``name == e`` (either side) or a call of
+    a predicate with an enumerator whose first argument is ``name``, with
+    every other operand pure and free of *name* (a view rule's other
+    guard variables are process parameters).  Then, for a value inside
+    the calls' domains, *expr* is true iff the value is in
+    :meth:`NamedKeys.keys`, and it does not raise.  ``|`` evaluates both
+    sides, so a disjunct that can raise anywhere would spoil that; these
+    cannot inside the domain.
+    """
+    if expr is None:
+        return None
+    params = expr.free_variables() - {name}
+    equals: list[Expr] = []
+    calls: list[Call] = []
+    pending = [expr]
+    while pending:
+        term = pending.pop()
+        if isinstance(term, BinOp) and term.op is _logical_or:
+            pending += [term.right, term.left]
+        elif isinstance(term, BinOp) and term.op is operator.eq:
+            for key, other in ((term.left, term.right), (term.right, term.left)):
+                if isinstance(key, Var) and key.name == name and other.free_variables() <= params:
+                    if not is_pure(other):
+                        return None
+                    equals.append(other)
+                    break
+            else:
+                return None
+        elif (
+            isinstance(term, Call)
+            and term.enumerator is not None
+            and term.args
+            and isinstance(term.args[0], Var)
+            and term.args[0].name == name
+            and all(is_pure(arg) and arg.free_variables() <= params for arg in term.args[1:])
+        ):
+            calls.append(term)
+        else:
+            return None
+    return NamedKeys(name, equals, calls)
 
 
 #: Alias matching the library's public-API naming (``fn(lambda ...)``).

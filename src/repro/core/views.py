@@ -50,7 +50,9 @@ from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.dataspace import JOURNAL_DEPTH, Dataspace
-from repro.core.expressions import Bindings, Const, Expr, evaluator, is_pure
+from repro.core.expressions import (
+    Bindings, Const, Expr, NamedKeys, evaluator, is_pure, named_keys,
+)
 from repro.core.patterns import LitElement, Pattern, VarElement, pattern as make_pattern
 from repro.core.tuples import TupleId, TupleInstance
 from repro.errors import SDLError, ViewError
@@ -72,7 +74,7 @@ class ViewRule:
     configuration-context atoms (``where``) evaluated against the full
     dataspace."""
 
-    __slots__ = ("pattern", "guard", "where", "_check", "_guard_first")
+    __slots__ = ("pattern", "guard", "where", "_check", "_guard_first", "_named", "_keyed")
 
     def __init__(
         self,
@@ -103,6 +105,18 @@ class ViewRule:
                 for element in atom.elements
             )
         )
+        #: :func:`named_keys` of the guard, per key variable, on first use.
+        self._named: dict[str, NamedKeys | None] = {}
+        #: :func:`_rule_key` per tuple of parameter names, on first use.
+        self._keyed: dict[tuple, tuple | None] = {}
+
+    def named(self, name: str) -> NamedKeys | None:
+        """How the guard names the values of variable *name*, or ``None``."""
+        try:
+            return self._named[name]
+        except KeyError:
+            spec = self._named[name] = named_keys(self.guard, name)
+            return spec
 
     def __reduce__(self):
         # Rebuild from the fields alone: the compiled guard is generated code.
@@ -140,6 +154,15 @@ class ViewRule:
         if self.where and not _where_satisfiable(dataspace, self.where, merged):
             return False
         return self.guard is None or self._passes_guard(merged)
+
+    def covers_named(self, values: tuple, dataspace: Dataspace, params: Mapping[str, Any]) -> bool:
+        """:meth:`covers` for a keyable rule whose guard is known to be
+        true on *values*' key field: pattern, then ``where``.  Neither
+        can raise on a keyable rule (:func:`_rule_key`)."""
+        new = self.pattern.match(values, params)
+        if new is None:
+            return False
+        return not self.where or _where_satisfiable(dataspace, self.where, {**params, **new})
 
     def _passes_guard(self, env: dict[str, Any]) -> bool:
         check = self._check
@@ -196,7 +219,7 @@ def _support_seeds(view: "View", params: Mapping[str, Any]) -> list[tuple]:
     """One seed per ``(import rule, where atom)`` of a configuration-
     dependent *view*, resolved under *params*.
 
-    A seed ``(arity, fixed, repeats, head_arity, head_probes, links)`` tests
+    A seed ``(arity, fixed, repeats, head_arity, head_probes, links, rule)`` tests
     whether a changed instance can be a witness of the ``where`` atom **under
     the params alone** — right arity, the fields the params fix
     (``fixed``: constants, param-bound variables, literals over params) equal,
@@ -228,7 +251,7 @@ def _support_seeds(view: "View", params: Mapping[str, Any]) -> list[tuple]:
             )
             seeds.append(
                 (atom.arity, _params_fix(atom, params), tuple(repeats),
-                 head.arity, head_probes, links)
+                 head.arity, head_probes, links, rule)
             )
     return seeds
 
@@ -401,7 +424,7 @@ class Window:
     __slots__ = (
         "dataspace", "view", "params", "stats", "planner",
         "_version", "_footprint", "_footprint_frozen", "_seeds",
-        "_router", "_inbox", "_support",
+        "_router", "_inbox", "_support", "_named", "_log",
     )
 
     def __init__(self, dataspace: Dataspace, view: View, params: dict[str, Any]) -> None:
@@ -432,6 +455,14 @@ class Window:
         self._router: WindowRouter | None = None
         self._inbox: _Inbox | None = None
         self._support: _Inbox | None = None
+        #: Per import rule whose guard names its keys under the params
+        #: (:func:`_named_rules`), ``(key position, key set, NamedKeys)``;
+        #: resolved at the first materialisation.
+        self._named: dict[ViewRule, tuple] | None = None
+        #: While a consensus index watches the window (:meth:`watch`), the
+        #: tids whose footprint membership changed since its last
+        #: :meth:`settle`, oldest first; else ``None``.
+        self._log: list[TupleId] | None = None
 
     def refresh(self) -> "Window":
         """Bring the footprint to the dataspace's current version."""
@@ -464,26 +495,65 @@ class Window:
         """Compute the footprint from scratch and join the router.
 
         Rule by rule through the dataspace's content-addressing indexes,
-        so a narrowly-scoped view pays O(|window|), not O(|D|); a keyable
-        rule's guard is asked once per key value, and ``covers`` only for
-        the candidates it admits.  This is also the test oracle for the
-        footprint the router maintains.
+        so a narrowly-scoped view pays O(|window|), not O(|D|).  A rule
+        whose guard names its keys (:func:`_named_rules`) probes those
+        keys, plus the router's live instances with a key outside the
+        guard's domain, instead of its head bucket, and its guard is not
+        asked on an in-domain key; any other keyable rule's guard is asked
+        once per key value, and ``covers`` only for the candidates it
+        admits.  This is also the test oracle for the footprint the router
+        maintains.
         """
         self.stats.footprint_recomputes += 1
+        dataspace, params = self.dataspace, self.params
+        router = WindowRouter.of(dataspace)
+        router.catch_up()
+        if self._named is None:
+            self._named = _named_rules(self.view, params)
         out: set[TupleId] = set()
         verdicts: dict[ViewRule, dict[Any, bool]] = {}
         for rule in self.view.imports:
-            admits = _key_filter(rule, self.params, verdicts.setdefault(rule, {}))
-            for inst in self.dataspace.candidates(rule.pattern, self.params):
-                if (
-                    inst.tid not in out
-                    and (admits is None or admits(inst.values))
-                    and rule.covers(inst.values, self.dataspace, self.params)
-                ):
-                    out.add(inst.tid)
-        WindowRouter.of(self.dataspace).join(self, verdicts)
+            admits = _key_filter(rule, params, verdicts.setdefault(rule, {}))
+            named = self._named.get(rule)
+            rows = None if named is None else router.named_rows(rule, params, named)
+            if rows is None:
+                rows = dataspace.candidates(rule.pattern, params)
+            for inst in rows:
+                tid = inst.tid
+                if tid in out:
+                    continue
+                values = inst.values
+                if named is not None:
+                    position, keys, spec = named
+                    key = values[position]
+                    if spec.within(key):
+                        if key in keys and rule.covers_named(values, dataspace, params):
+                            out.add(tid)
+                        continue
+                if (admits is None or admits(values)) and rule.covers(values, dataspace, params):
+                    out.add(tid)
+        router.join(self, verdicts)
         self._footprint = out
         self._footprint_frozen = None
+
+    def _decide(self, values: tuple) -> bool:
+        """:meth:`View.imports_value` for a window with named rules
+        (:attr:`_named`), a named rule's guard answered by its key set on
+        an in-domain key: same verdict, same error, no guard call."""
+        named = self._named
+        dataspace, params = self.dataspace, self.params
+        for rule in self.view._routed(values):
+            entry = named.get(rule)
+            if entry is not None:
+                position, keys, spec = entry
+                key = values[position]
+                if spec.within(key):
+                    if key in keys and rule.covers_named(values, dataspace, params):
+                        return True
+                    continue
+            if rule.covers(values, dataspace, params):
+                return True
+        return False
 
     def _drain(self) -> None:
         """Fold the window's inboxes into its footprint.
@@ -496,19 +566,25 @@ class Window:
         """
         inbox = self._inbox
         if inbox:
-            dataspace = self.dataspace
+            dataspace, params = self.dataspace, self.params
             footprint = self._footprint
-            decide = self.view.imports_value
-            params = self.params
+            named, decide = self._named, self.view.imports_value
+            log = self._log
             for inst in inbox:
                 tid = inst.tid
-                if tid in dataspace and decide(inst.values, dataspace, params):
+                if tid in dataspace and (
+                    self._decide(inst.values) if named else decide(inst.values, dataspace, params)
+                ):
                     if tid not in footprint:
                         footprint.add(tid)
                         self._footprint_frozen = None
+                        if log is not None:
+                            log.append(tid)
                 elif tid in footprint:
                     footprint.discard(tid)
                     self._footprint_frozen = None
+                    if log is not None:
+                        log.append(tid)
             inbox.clear()
         support = self._support
         if support:
@@ -531,7 +607,7 @@ class Window:
         fetches: dict[tuple, None] = {}
         for inst in changed:
             values = inst.values
-            for arity, fixed, repeats, head_arity, head_probes, links in self._seeds:
+            for arity, fixed, repeats, head_arity, head_probes, links, __ in self._seeds:
                 if (
                     len(values) == arity
                     and all(values[pos] == value for pos, value in fixed)
@@ -542,18 +618,22 @@ class Window:
                     )
                     fetches[head_arity, probes] = None
         footprint = self._footprint
+        log = self._log
+        dataspace, params = self.dataspace, self.params
+        named, decide = self._named, self.view.imports_value
         for head_arity, probes in fetches:
-            for inst in self.dataspace.candidates_probed(head_arity, probes):
+            for inst in dataspace.candidates_probed(head_arity, probes):
                 tid = inst.tid
-                covered = self.view.imports_value(
-                    inst.values, self.dataspace, self.params
-                )
+                values = inst.values
+                covered = self._decide(values) if named else decide(values, dataspace, params)
                 if covered != (tid in footprint):
                     if covered:
                         footprint.add(tid)
                     else:
                         footprint.discard(tid)
                     self._footprint_frozen = None
+                    if log is not None:
+                        log.append(tid)
 
     def imports_instance(self, inst: TupleInstance) -> bool:
         if self.view.imports is None:
@@ -651,6 +731,27 @@ class Window:
             self._router.leave(self)
         self._footprint = self._footprint_frozen = None
 
+    def watch(self) -> None:
+        """Start logging footprint changes for :meth:`settle`."""
+        self._log = []
+
+    def unwatch(self) -> list[TupleId]:
+        """Stop logging; the changes logged since the last :meth:`settle`."""
+        log, self._log = self._log or [], None
+        return log
+
+    def settle(self) -> tuple[set[TupleId], list[TupleId]]:
+        """Refresh a restricted, watched window and return its footprint
+        set itself (read-only) and the tids whose membership changed since
+        the last call, oldest first.  A tid may repeat; its current
+        membership is the net change.  After a re-materialisation the
+        footprint is a new set (and the log still names what changed in
+        the old one)."""
+        self.refresh()
+        log = self._log
+        self._log = []
+        return self._footprint, log
+
     def overlaps(self, other: "Window") -> bool:
         """The paper's ``p needs q``: ``Import(p) ∩ Import(q) ∩ D ≠ ∅``."""
         mine, theirs = self.footprint(), other.footprint()
@@ -696,7 +797,17 @@ def _rule_key(rule: ViewRule, params: Mapping[str, Any]) -> tuple | None:
     guard is pure and reads, beyond the params, only *names*, which the
     pattern binds at *positions*; no pattern literal can raise; and no
     ``where`` atom is asked before the guard.  Then a tuple whose key
-    fields the guard rejects is not covered, whatever else holds."""
+    fields the guard rejects is not covered, whatever else holds.
+    Memoised on the rule by parameter names."""
+    shape = tuple(params)
+    try:
+        return rule._keyed[shape]
+    except KeyError:
+        key = rule._keyed[shape] = _keyable(rule, params)
+        return key
+
+
+def _keyable(rule: ViewRule, params: Mapping[str, Any]) -> tuple | None:
     guard = rule.guard
     if guard is None or not is_pure(guard) or (rule.where and not rule._guard_first):
         return None
@@ -729,10 +840,23 @@ def _guard_admits(
         return True
 
 
+def _typed(key: Any) -> Any:
+    """*key* as verdicts are filed under: by type and value, element-wise
+    through tuples, so ``1``, ``1.0`` and ``True`` (equal, one dict key)
+    each get the guard's own verdict.  ``int`` and ``str`` keys stand for
+    themselves."""
+    kind = type(key)
+    if kind is int or kind is str:
+        return key
+    if kind is tuple:
+        return tuple(_typed(part) for part in key)
+    return (kind, key)
+
+
 def _key_filter(rule: ViewRule, params: Mapping[str, Any], seen: dict[Any, bool]):
     """``values -> bool``, the guard's verdict on a tuple's key fields
-    asked once per key and kept in *seen*, for a rule keyable under
-    *params*; else ``None``."""
+    asked once per key (:func:`_typed`) and kept in *seen*, for a rule
+    keyable under *params*; else ``None``."""
     key = _rule_key(rule, params)
     if key is None:
         return None
@@ -741,69 +865,199 @@ def _key_filter(rule: ViewRule, params: Mapping[str, Any], seen: dict[Any, bool]
 
     def admits(values: tuple) -> bool:
         k = key_of(values)
-        verdict = seen.get(k)
+        typed = _typed(k)
+        verdict = seen.get(typed)
         if verdict is None:
-            verdict = seen[k] = _guard_admits(rule, names, params, k)
+            verdict = seen[typed] = _guard_admits(rule, names, params, k)
         return verdict
 
     return admits
 
 
-class _KeyTable:
-    """One keyable rule's routes for one key shape: per key value, the
-    inboxes of the member windows whose guard admits it.
+def _named_rules(view: View, params: Mapping[str, Any]) -> dict[ViewRule, tuple]:
+    """The import rules of *view* whose guard names its keys under
+    *params*: ``rule -> (key position, key set, NamedKeys)``.
 
-    Each member keeps its own verdict per key, asked once under its own
-    params.  A member joining or leaving clears only the inbox tuples,
-    which the next change of each key rebuilds from those verdicts, so
-    churn costs no guard evaluation and nothing per stale key.
+    The rule must be keyable on one pattern variable (:func:`_rule_key`),
+    its guard a ``|`` of ``key == e`` terms and enumerable calls
+    (:func:`~repro.core.expressions.named_keys`), and the key set
+    computable under *params*.  For a key inside the calls' domains the
+    guard is then true iff the key is in the set, and does not raise.
+    """
+    out: dict[ViewRule, tuple] = {}
+    for rule in view.imports:
+        key = _rule_key(rule, params)
+        if key is None or len(key[0]) != 1:
+            continue
+        spec = rule.named(key[0][0])
+        keys = None if spec is None else spec.keys(params)
+        if keys is not None:
+            out[rule] = (key[1][0], keys, spec)
+    return out
+
+
+class _KeyTable:
+    """One keyable rule's routes for one key shape.
+
+    A member whose guard names its keys (:func:`_named_rules`) is filed in
+    ``named``, an inverted ``key -> inboxes`` index filled when it joins,
+    and gets a change with an in-domain key only through it.  Any other
+    member, and every member for a key outside the guard's domain, keeps
+    its own verdict per key (:func:`_typed`), asked once under its own
+    params; ``admitting`` caches the resulting inboxes per key.  A member
+    joining or leaving clears only that cache, which the next change of
+    each key rebuilds from the verdicts, so churn costs no guard
+    evaluation and nothing per stale key.
+
+    When the guard has domains, ``strays`` holds the live instances of the
+    route whose key is outside them (found by one scan when the table is
+    made, then kept from the changes filed): a named member's
+    materialisation probes its keys and visits those.
     """
 
-    __slots__ = ("rule", "names", "positions", "key_of", "members", "admitting")
+    __slots__ = (
+        "dataspace", "rule", "names", "positions", "key_of", "spec",
+        "members", "admitting", "keys", "named", "strays",
+    )
 
-    def __init__(self, rule: ViewRule, names: tuple[str, ...], positions: tuple[int, ...]) -> None:
+    def __init__(
+        self,
+        dataspace: Dataspace,
+        rule: ViewRule,
+        names: tuple[str, ...],
+        positions: tuple[int, ...],
+        at: tuple,
+    ) -> None:
+        self.dataspace = dataspace
         self.rule = rule
         self.names = names
         self.positions = positions
         self.key_of = itemgetter(*positions)
-        #: member -> its guard verdict per key value.
+        #: How the guard names its keys, or ``None``: no member is named.
+        self.spec = rule.named(names[0]) if len(names) == 1 else None
+        #: member -> its guard verdict per typed key value.
         self.members: dict[Window, dict[Any, bool]] = {}
-        #: key value -> the inboxes of the members admitting it.
+        #: typed key value -> the inboxes of the members admitting it.
         self.admitting: dict[Any, tuple[_Inbox, ...]] = {}
+        #: named member -> its key set.
+        self.keys: dict[Window, frozenset] = {}
+        #: key value -> the inboxes of the named members whose set holds it.
+        self.named: dict[Any, list[_Inbox]] = {}
+        self.strays: dict[TupleId, TupleInstance] | None = None
+        if self.spec is not None and self.spec.domains:
+            arity, head = at
+            rows = dataspace.candidates_probed(arity, [] if head is _ANY_HEAD else [(0, head)])
+            within, key_of = self.spec.within, self.key_of
+            self.strays = {inst.tid: inst for inst in rows if not within(key_of(inst.values))}
 
-    def admitted(self, key: Any) -> tuple[_Inbox, ...]:
+    def inboxes(self, inst: TupleInstance) -> Sequence[_Inbox]:
+        """The inboxes a change of the route is filed into."""
+        key = self.key_of(inst.values)
+        inside = False
+        if self.spec is not None:
+            inside = self.spec.within(key)
+            if not inside and self.strays is not None:
+                if inst.tid in self.dataspace:
+                    self.strays[inst.tid] = inst
+                else:
+                    self.strays.pop(inst.tid, None)
+            if inside and len(self.keys) == len(self.members):
+                return self.named.get(key, ())
+        typed = _typed(key)
+        inboxes = self.admitting.get(typed)
+        if inboxes is None:
+            inboxes = self._admitted(key, typed, inside)
+        return inboxes
+
+    def _admitted(self, key: Any, typed: Any, inside: bool) -> tuple[_Inbox, ...]:
         if len(self.admitting) >= MAX_ROUTER_KEYS:
             self.admitting.clear()
-        inboxes = []
+        inboxes = list(self.named.get(key, ())) if inside else []
         for window, seen in self.members.items():
-            verdict = seen.get(key)
+            if inside and window in self.keys:
+                continue
+            verdict = seen.get(typed)
             if verdict is None:
                 if len(seen) >= MAX_ROUTER_KEYS:
                     seen.clear()
-                verdict = seen[key] = _guard_admits(self.rule, self.names, window.params, key)
+                verdict = seen[typed] = _guard_admits(self.rule, self.names, window.params, key)
             if verdict:
                 inboxes.append(window._inbox)
-        admitting = self.admitting[key] = tuple(inboxes)
+        admitting = self.admitting[typed] = tuple(inboxes)
         return admitting
 
-    def join(self, window: Window, seen: dict[Any, bool]) -> None:
+    def join(self, window: Window, seen: dict[Any, bool], keys: frozenset | None) -> None:
         self.members[window] = seen
+        if keys is not None:
+            self.keys[window] = keys
+            for key in keys:
+                self.named.setdefault(key, []).append(window._inbox)
         self.admitting.clear()
 
     def leave(self, window: Window) -> None:
         del self.members[window]
+        keys = self.keys.pop(window, None)
+        if keys is not None:
+            _unfile(self.named, keys, window._inbox)
         self.admitting.clear()
+
+
+def _unfile(index: dict[Any, list[_Inbox]], keys: Iterable[Any], inbox: _Inbox) -> None:
+    """Take *inbox* out of *index* under each of *keys* (by identity: two
+    inboxes with equal contents are equal lists)."""
+    for key in keys:
+        kept = [other for other in index[key] if other is not inbox]
+        if kept:
+            index[key] = kept
+        else:
+            del index[key]
+
+
+class _SupportTable:
+    """One support seed's routes for the named members of the rule it
+    serves, when the witness field at ``position`` supplies that rule's
+    key.  A witness with an in-domain key goes only to the members whose
+    key set holds it: the head instances it can flip carry that key, and
+    the guard rejects it for every other member.  While the rule's table
+    holds a stray (a head instance whose equal key is outside the domain,
+    which the key set does not decide), or for an out-of-domain witness
+    key, the witness goes to every member."""
+
+    __slots__ = ("table", "position", "members", "named")
+
+    def __init__(self, table: _KeyTable, position: int) -> None:
+        self.table = table
+        self.position = position
+        #: member -> its key set.
+        self.members: dict[Window, frozenset] = {}
+        #: key value -> the support inboxes of the members whose set holds it.
+        self.named: dict[Any, list[_Inbox]] = {}
+
+    def inboxes(self, inst: TupleInstance) -> Sequence[_Inbox]:
+        key = inst.values[self.position]
+        table = self.table
+        if table.strays or not table.spec.within(key):
+            return [window._support for window in self.members]
+        return self.named.get(key, ())
+
+    def join(self, window: Window, keys: frozenset) -> None:
+        self.members[window] = keys
+        for key in keys:
+            self.named.setdefault(key, []).append(window._support)
+
+    def leave(self, window: Window) -> None:
+        _unfile(self.named, self.members.pop(window), window._support)
 
 
 class _Route:
     """What one ``(arity, head)`` is filed to: inboxes taking every
-    change, and key tables."""
+    change, and key tables (rule or support)."""
 
     __slots__ = ("plain", "keyed")
 
     def __init__(self) -> None:
         self.plain: list[_Inbox] = []
-        self.keyed: list[_KeyTable] = []
+        self.keyed: list[_KeyTable | _SupportTable] = []
 
 
 class WindowRouter:
@@ -814,20 +1068,24 @@ class WindowRouter:
     router is the only reader of :meth:`Dataspace.changes_since` for
     windows: it pulls the journal once per version — it is no listener —
     and files each changed instance under its ``(arity, position-0
-    value)``.  On that route a member's import rule either
-    takes every change, or, when its guard is keyable (:func:`_rule_key`),
-    only the changes whose key fields its guard admits; each support seed
-    of a ``where``-view takes every change of its route.  A member's
+    value)``.  On that route a member's import rule either takes every
+    change, or, when its guard is keyable (:func:`_rule_key`), only the
+    changes whose key fields its guard admits — by key set when the guard
+    names its keys (:func:`_named_rules`); each support seed of a
+    ``where``-view takes every change of its route, or, when it supplies
+    a named rule's key, the changes with that rule's keys.  A member's
     refresh catches the router up and then drains its own inboxes
     (:meth:`Window._drain`), so a change costs the windows it can reach,
-    not the society.
+    not the society.  While a consensus index watches the router,
+    ``touched`` records the members filed into (or dropped) since it last
+    looked.
 
     A router that falls off the journal, or an inbox that would hold more
     than :data:`JOURNAL_DEPTH` entries, is a journal gap for the windows
     concerned: they leave and materialise afresh at their next refresh.
     """
 
-    __slots__ = ("dataspace", "version", "routes", "tables", "members")
+    __slots__ = ("dataspace", "version", "routes", "tables", "members", "touched")
 
     def __init__(self, dataspace: Dataspace) -> None:
         self.dataspace = dataspace
@@ -835,10 +1093,15 @@ class WindowRouter:
         #: ``(arity, head)`` -> :class:`_Route`; ``head`` may be ``_ANY_HEAD``.
         self.routes: dict[tuple, _Route] = {}
         #: ``((arity, head), rule, positions)`` -> :class:`_KeyTable`,
-        #: shared by every member with that rule, route and key shape.
-        self.tables: dict[tuple, _KeyTable] = {}
-        #: member -> the ``((arity, head), inbox or key table)`` it joined.
+        #: shared by every member with that rule, route and key shape, and
+        #: ``((arity, head), key table, witness position)`` ->
+        #: :class:`_SupportTable`, by every member named in that table.
+        self.tables: dict[tuple, _KeyTable | _SupportTable] = {}
+        #: member -> the ``((arity, head), inbox or table)`` it joined.
         self.members: dict[Window, list[tuple]] = {}
+        #: Members filed into or dropped since the watcher last looked,
+        #: or ``None`` while nothing watches (no cost per filing).
+        self.touched: dict[Window, None] | None = None
 
     @classmethod
     def of(cls, dataspace: Dataspace) -> "WindowRouter":
@@ -863,35 +1126,41 @@ class WindowRouter:
             return
         routes = self.routes
         overflowed: list[_Inbox] = []
+        touched = self.touched
         for change in changes:
             for inst in change.retracted + change.asserted:
                 values = inst.values
                 route = routes.get((len(values), values[0]))
                 if route is not None:
-                    self._file(inst, route, overflowed)
+                    _file(inst, route, overflowed, touched)
                 route = routes.get((len(values), _ANY_HEAD))
                 if route is not None:
-                    self._file(inst, route, overflowed)
+                    _file(inst, route, overflowed, touched)
         for inbox in overflowed:
             if inbox.window in self.members:
                 inbox.clear()  # the entries are dropped, so the window
                 self.leave(inbox.window)  # must start over
 
-    @staticmethod
-    def _file(inst: TupleInstance, route: _Route, overflowed: list[_Inbox]) -> None:
-        for inbox in route.plain:
-            inbox.append(inst)
-            if len(inbox) == JOURNAL_DEPTH + 1:
-                overflowed.append(inbox)
-        for table in route.keyed:
-            key = table.key_of(inst.values)
-            inboxes = table.admitting.get(key)
-            if inboxes is None:
-                inboxes = table.admitted(key)
-            for inbox in inboxes:
-                inbox.append(inst)
-                if len(inbox) == JOURNAL_DEPTH + 1:
-                    overflowed.append(inbox)
+    def named_rows(
+        self, rule: ViewRule, params: Mapping[str, Any], named: tuple
+    ) -> list[TupleInstance] | None:
+        """The candidates of a named rule's materialisation: its head
+        probed at each key of its set, plus the strays of its table; or
+        ``None`` while the rule has no table (no member yet), when the
+        caller scans the head bucket.  The router must be caught up."""
+        position, keys, __ = named
+        head = _params_fix(rule.pattern, params)
+        at = (rule.pattern.arity, _head(head))
+        table = self.tables.get((at, rule, (position,)))
+        if table is None:
+            return None
+        fetch = self.dataspace.candidates_probed
+        rows: list[TupleInstance] = []
+        for key in keys:
+            rows += fetch(at[0], [*head, (position, key)])
+        if table.strays:
+            rows += table.strays.values()
+        return rows
 
     def join(self, window: Window, verdicts: Mapping[ViewRule, dict[Any, bool]]) -> None:
         """Make *window*, whose footprint was just computed from the
@@ -904,6 +1173,7 @@ class WindowRouter:
         window._inbox.window = window._support.window = window
         params = window.params
         entries: list[tuple] = []
+        named: dict[ViewRule, tuple] = {}  # rule -> (its table, key set)
         for rule in window.view.imports:
             at = (rule.pattern.arity, _head(_params_fix(rule.pattern, params)))
             key = _rule_key(rule, params)
@@ -913,16 +1183,39 @@ class WindowRouter:
             names, positions = key
             table = self.tables.get((at, rule, positions))
             if table is None:
-                table = self.tables[at, rule, positions] = _KeyTable(rule, names, positions)
+                table = self.tables[at, rule, positions] = _KeyTable(
+                    self.dataspace, rule, names, positions, at
+                )
                 self._route(at).keyed.append(table)
             if window not in table.members:
-                table.join(window, verdicts[rule])
+                entry = window._named.get(rule)  # set by _materialise
+                keys = None if entry is None else entry[1]
+                if keys is not None:
+                    named[rule] = (table, keys)
+                table.join(window, verdicts[rule], keys)
                 entries.append((at, table))
         if window.view.config_dependent:
             if window._seeds is None:
                 window._seeds = _support_seeds(window.view, params)
-            for arity, fixed, *__ in window._seeds:
-                entries.append(self._plain((arity, _head(fixed)), window._support))
+            for arity, fixed, __, __, __, links, rule in window._seeds:
+                at = (arity, _head(fixed))
+                table_keys = named.get(rule)
+                witness = None
+                if table_keys is not None:
+                    position = table_keys[0].positions[0]
+                    witness = next((w for h, w in links if h == position), None)
+                if witness is None:
+                    entries.append(self._plain(at, window._support))
+                    continue
+                table, keys = table_keys
+                shape = (at, table, witness)
+                support = self.tables.get(shape)
+                if support is None:
+                    support = self.tables[shape] = _SupportTable(table, witness)
+                    self._route(at).keyed.append(support)
+                if window not in support.members:
+                    support.join(window, keys)
+                    entries.append((at, support))
         self.members[window] = entries
 
     def _route(self, at: tuple) -> _Route:
@@ -947,14 +1240,41 @@ class WindowRouter:
             route = self.routes.get(at)
             if route is None:
                 continue  # emptied by an earlier entry (a repeated rule)
-            if isinstance(target, _KeyTable):
+            if isinstance(target, _Inbox):
+                route.plain[:] = [inbox for inbox in route.plain if inbox is not target]
+            else:
                 target.leave(window)
                 if not target.members:
                     route.keyed.remove(target)
-                    del self.tables[at, target.rule, target.positions]
-            else:
-                route.plain[:] = [inbox for inbox in route.plain if inbox is not target]
+                    if isinstance(target, _KeyTable):
+                        del self.tables[at, target.rule, target.positions]
+                    else:
+                        del self.tables[at, target.table, target.position]
             if not route.plain and not route.keyed:
                 del self.routes[at]
         window._router = window._inbox = window._support = None
         window._version = None
+        if self.touched is not None:
+            self.touched[window] = None
+
+
+def _file(
+    inst: TupleInstance,
+    route: _Route,
+    overflowed: list[_Inbox],
+    touched: dict[Window, None] | None,
+) -> None:
+    """File *inst* into the inboxes of *route* that take it."""
+    for inbox in route.plain:
+        inbox.append(inst)
+        if len(inbox) == JOURNAL_DEPTH + 1:
+            overflowed.append(inbox)
+        if touched is not None:
+            touched[inbox.window] = None
+    for table in route.keyed:
+        for inbox in table.inboxes(inst):
+            inbox.append(inst)
+            if len(inbox) == JOURNAL_DEPTH + 1:
+                overflowed.append(inbox)
+            if touched is not None:
+                touched[inbox.window] = None

@@ -39,7 +39,9 @@ from repro.core.values import Atom
 from repro.core.views import import_rule
 from repro.runtime.engine import Engine, RunResult
 from repro.runtime.events import Trace
-from repro.workloads.images import Image, connected_regions, image_tuples, neighbor
+from repro.workloads.images import (
+    Image, connected_regions, image_tuples, is_pixel, neighbor, neighbors_of,
+)
 
 __all__ = [
     "LabelingRun",
@@ -55,7 +57,7 @@ IMAGE = Atom("image")
 THRESHOLD = Atom("threshold")
 LABEL = Atom("label")
 
-_neighbor = fn(neighbor, "neighbor")
+_neighbor = fn(neighbor, "neighbor", enumerator=neighbors_of, domain=is_pixel)
 
 
 def default_threshold(cutoff: int = 128) -> Callable[[int], int]:

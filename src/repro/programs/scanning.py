@@ -34,7 +34,7 @@ from repro.core.values import Atom
 from repro.core.views import import_rule
 from repro.runtime.engine import Engine, RunResult
 from repro.runtime.events import Trace
-from repro.workloads.images import Image, connected_regions, neighbor
+from repro.workloads.images import Image, connected_regions, is_pixel, neighbor, neighbors_of
 
 from repro.programs.labeling import IMAGE, LABEL, THRESHOLD, default_threshold
 
@@ -50,7 +50,7 @@ SCANLINE = Atom("scanline")
 SCAN_NEXT = Atom("scan_next")
 SCAN_DONE = Atom("scan_done")
 
-_neighbor = fn(neighbor, "neighbor")
+_neighbor = fn(neighbor, "neighbor", enumerator=neighbors_of, domain=is_pixel)
 
 
 @dataclass(slots=True)

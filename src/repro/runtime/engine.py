@@ -468,7 +468,7 @@ class Engine:
         while True:
             if self.supervisor.escalated is not None:
                 return self._summary("escalated")
-            if executor.consensus_dirty:
+            if executor.consensus_dirty and executor.consensus_due():
                 executor.try_consensus()
             if not scheduler.round_active:
                 # Round boundary: no transaction is in flight, so what the
@@ -517,7 +517,7 @@ class Engine:
         while True:
             if self.supervisor.escalated is not None:
                 return self._summary("escalated")
-            if executor.consensus_dirty:
+            if executor.consensus_dirty and executor.consensus_due():
                 executor.try_consensus()
             # Round boundary (idle-time consensus commits loop back here
             # too): what was committed so far becomes durable.

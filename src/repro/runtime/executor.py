@@ -75,26 +75,30 @@ class Executor:
 
     __slots__ = (
         "engine", "consensus_waiters", "consensus_dirty", "consensus_index",
-        "_waiter_generation", "_consensus_memo", "loser_reads",
+        "_consensus_memo", "_memo_moved", "_memo_left", "loser_reads",
     )
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.consensus_waiters: dict[int, Task] = {}  # pid -> main task
         self.consensus_dirty = False
-        #: Detection state kept across attempts (SEMANTICS §5).
+        #: Detection state kept across attempts (SEMANTICS §5), started at
+        #: the first park at a consensus point.
         self.consensus_index = ConsensusIndex()
-        #: Bumped whenever a pid joins or leaves ``consensus_waiters``.
-        self._waiter_generation = 0
         # Group mode: the last round's losers -> (txn, scope, read side,
         # probe), replaced every round (see ``rounds._reads_for``).
         self.loser_reads: dict[Task, tuple] = {}
-        # Memo of the last failed consensus check.  It must cover everything
-        # readiness depends on: the dataspace version, who is waiting, and
-        # who is live (a terminating process can unblock a set).  The
-        # generations decide the common case; the two sets catch a change
-        # that was undone within one version.
+        # Memo of the last failed consensus check, ``(dataspace version,
+        # society spawn count)``.  It must cover everything readiness
+        # depends on: the version, who is waiting, and who is live (a
+        # terminating process can unblock a set).  Since it was taken,
+        # ``_memo_moved`` holds the pids that joined or left the waiters an
+        # odd number of times, and ``_memo_left`` whether a process live
+        # then has left; with the processes spawned since all gone again,
+        # both sets are as they were (a change undone within one version).
         self._consensus_memo: tuple | None = None
+        self._memo_moved: set[int] = set()
+        self._memo_left = False
 
     # ------------------------------------------------------------------
     # task stepping
@@ -428,7 +432,7 @@ class Executor:
         engine.society.mark_terminated(process.pid, aborted)
         engine.drop_window(process.pid)
         self._drop_waiter(process.pid)
-        self.consensus_index.forget(process.pid)
+        self._forget(process.pid)
         self.consensus_dirty = True  # a terminated process may unblock a set
         engine.supervisor.notify_finished(process.pid, aborted)
         trace = engine.trace
@@ -482,7 +486,7 @@ class Executor:
         self._detach_process(process.pid)
         engine.society.mark_crashed(process.pid)
         engine.drop_window(process.pid)
-        self.consensus_index.forget(process.pid)
+        self._forget(process.pid)
         engine.trace.emit(
             ProcessCrashed(
                 engine.step_count, engine.round_count, process.pid, process.name, site
@@ -720,53 +724,91 @@ class Executor:
     def _add_waiter(self, task: Task) -> None:
         pid = task.process.pid
         if pid not in self.consensus_waiters:
-            self._waiter_generation += 1
+            index = self.consensus_index
+            if not index.started:
+                engine = self.engine
+                index.start(engine.society, engine.window, engine.dataspace)
+            index.park(pid)
+            self._moved(pid)
         self.consensus_waiters[pid] = task
         self.consensus_dirty = True
 
     def _drop_waiter(self, pid: int) -> None:
         if self.consensus_waiters.pop(pid, None) is not None:
-            self._waiter_generation += 1
+            self.consensus_index.unpark(pid)
+            self._moved(pid)
+
+    def _moved(self, pid: int) -> None:
+        if self._consensus_memo is not None:
+            self._memo_moved ^= {pid}
+
+    def _forget(self, pid: int) -> None:
+        """*pid* left the live set."""
+        self.consensus_index.forget(pid)
+        memo = self._consensus_memo
+        if memo is not None and pid <= memo[1]:
+            self._memo_left = True
+
+    def _memo_holds(self) -> bool:
+        """Is nothing readiness depends on changed since the last failed
+        attempt?"""
+        memo = self._consensus_memo
+        engine = self.engine
+        if (
+            memo is None
+            or memo[0] != engine.dataspace.version
+            or self._memo_moved
+            or self._memo_left
+        ):
+            return False
+        society = engine.society
+        return all(
+            society.find_live(pid) is None
+            for pid in range(memo[1] + 1, society.total_spawned + 1)
+        )
+
+    def _remember_failure(self) -> None:
+        engine = self.engine
+        self._consensus_memo = (engine.dataspace.version, engine.society.total_spawned)
+        self._memo_moved = set()
+        self._memo_left = False
+
+    def _synced(self) -> bool:
+        """Clear :attr:`consensus_dirty` and fold what changed into the
+        counted closure; ``False`` when nothing can fire: no process
+        waits, or nothing changed since the last failed attempt."""
+        self.consensus_dirty = False
+        if not self.consensus_waiters or self._memo_holds():
+            return False
+        self.consensus_index.sync()
+        return True
+
+    def consensus_due(self) -> bool:
+        """Would an attempt now evaluate a consensus set?  Only if some
+        component of the counted closure has no runner and something
+        changed since the last failed attempt.  Otherwise the attempt is a
+        no-op, remembered as one."""
+        if not self._synced():
+            return False
+        if self.consensus_index.has_free():
+            return True
+        self._remember_failure()
+        return False
 
     def _try_consensus(self) -> bool:
         """Fire the first ready consensus set, in :func:`partition` order.
 
-        The closure is kept in :attr:`consensus_index`: every waiter's
-        footprint is folded in, components a blocker witness still rules
-        out are skipped without a walk or a runner scan, and the rest are
-        gathered and evaluated exactly as a from-scratch partition would
-        order them.  Blocked components never reach evaluation, so they
-        draw nothing from the RNG either way.
+        The closure is kept in :attr:`consensus_index`, folded from what
+        changed since the last attempt: the components no runner belongs
+        to are evaluated exactly as a from-scratch partition would order
+        them.  Blocked components never reach evaluation, so they draw
+        nothing from the RNG either way.
         """
+        if not self._synced():
+            return False
         engine = self.engine
-        self.consensus_dirty = False
         waiters = self.consensus_waiters
-        if not waiters:
-            return False
-        society = engine.society
-        version = engine.dataspace.version
-        generations = (society.generation, self._waiter_generation)
-        memo = self._consensus_memo
-        if memo is not None and memo[0] == version and (
-            memo[1] == generations
-            or memo[2] == (frozenset(waiters), society.live_pids())
-        ):
-            return False
-
-        windows = {pid: engine.window(task.process) for pid, task in waiters.items()}
-        index = self.consensus_index
-        index.sync({pid: window.footprint() for pid, window in windows.items()})
-
-        def runner_footprint(pid: int):
-            if pid in waiters:
-                return None
-            process = society.find_live(pid)
-            return None if process is None else engine.window(process).footprint()
-
-        def runners() -> list[int]:
-            return [p.pid for p in society.live() if p.pid not in waiters]
-
-        for component in index.unblocked(windows, runners, runner_footprint):
+        for component in self.consensus_index.free_components():
             participants = self._gather_participants(component)
             if participants is None:
                 continue
@@ -775,6 +817,7 @@ class Executor:
                 continue
             # Firing is the irreversible step: confirm the set against the
             # from-scratch closure first.
+            windows = {pid: engine.window(task.process) for pid, task in waiters.items()}
             if component not in partition(windows):
                 raise EngineError(
                     f"maintained consensus set {sorted(component)} is not a "
@@ -782,9 +825,7 @@ class Executor:
                 )
             self._fire_consensus(participants, effect)
             return True
-        self._consensus_memo = (
-            version, generations, (frozenset(waiters), society.live_pids())
-        )
+        self._remember_failure()
         return False
 
     def _gather_participants(self, component: frozenset[int]) -> list[ConsensusParticipant] | None:

@@ -20,6 +20,8 @@ __all__ = [
     "image_tuples",
     "connected_regions",
     "neighbor",
+    "neighbors_of",
+    "is_pixel",
 ]
 
 Pixel = tuple[int, int]
@@ -29,6 +31,25 @@ def neighbor(p1: Pixel, p2: Pixel) -> bool:
     """The paper's 4-connectedness predicate."""
     (x1, y1), (x2, y2) = p1, p2
     return abs(x1 - x2) + abs(y1 - y2) == 1
+
+
+def neighbors_of(p: Pixel) -> tuple[Pixel, ...]:
+    """The pixels :func:`neighbor` pairs with *p*, on or off the grid:
+    its enumerator (``lift(neighbor, enumerator=neighbors_of, ...)``)."""
+    x, y = p
+    return ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+
+
+def is_pixel(value: object) -> bool:
+    """Is *value* a pair of ints (not bools)?  The domain on which
+    ``neighbor(k, p)`` is true exactly for ``k`` in ``neighbors_of(p)``;
+    on other values (floats, triples, atoms) the predicate itself is asked."""
+    return (
+        type(value) is tuple
+        and len(value) == 2
+        and type(value[0]) is int
+        and type(value[1]) is int
+    )
 
 
 @dataclass(slots=True)

@@ -1,12 +1,14 @@
-"""Maintained consensus detection against the from-scratch closure.
+"""The counted consensus closure against the from-scratch closure.
 
-:class:`~repro.core.consensus.ConsensusIndex` keeps the consensus closure
-across attempts (SEMANTICS §5): a ``tid -> waiting pids`` index and a
-blocker witness per waiter.  Its oracle is :func:`partition` over the
-waiter windows plus the union-footprint runner scan, the detection every
-attempt used to recompute.  Both must name the same unblocked components
-in the same order, and an engine driven by either must fire the same sets
-and leave the same RNG state.  The properties pin no ``max_examples``, so
+:class:`~repro.core.consensus.ConsensusIndex` keeps the import-overlap
+components of the live society with a runner count each (SEMANTICS §5),
+folded from what changed.  Its oracles live here: :func:`partition` over
+the waiter windows plus :func:`blocking_runner`, the union-footprint
+runner scan every attempt once recomputed, and :class:`WitnessIndex`, the
+waiter index with blocker witnesses it replaced.  All must name the same
+unblocked components in the same order, and an engine driven by the
+counted closure or by the scan must fire the same sets and leave the same
+RNG state.  The properties pin no ``max_examples``, so
 ``--hypothesis-profile=ci`` deepens them.  The explicit examples fail if
 a witness is trusted without its tid still being in the runner's
 footprint, or if components are visited in pid order rather than in
@@ -18,12 +20,12 @@ against all rules, and the society's kept live set against a scan.
 """
 
 from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.core import consensus as consensus_module
-from repro.core.actions import assert_tuple
+from repro.core.actions import assert_tuple, spawn
 from repro.core.consensus import ConsensusIndex, evaluate_composite, partition
 from repro.core.dataspace import Dataspace
 from repro.core.expressions import Var, lift
@@ -31,10 +33,10 @@ from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
 from repro.core.society import ProcessSociety
-from repro.core.transactions import consensus, immediate
-from repro.core.views import View, ViewRule, _where_satisfiable, import_rule
+from repro.core.transactions import consensus, delayed, immediate
+from repro.core.views import View, ViewRule, WindowRouter, _where_satisfiable, import_rule
 from repro.errors import EngineError
-from repro.programs import run_community_labeling
+from repro.programs import run_community_labeling, run_sum2
 from repro.runtime.engine import Engine
 from repro.runtime.events import ConsensusFired, Trace
 from repro.runtime.executor import Executor
@@ -45,7 +47,123 @@ KEYS = range(4)
 
 
 # ----------------------------------------------------------------------
-# the index against partition + scan, over random dataspace scripts
+# the oracles: the runner scan and the witness index it replaced
+# ----------------------------------------------------------------------
+
+def blocking_runner(footprint, runners, runner_footprint):
+    """The first runner importing an instance of *footprint*, with that
+    tid: one set intersection per runner, in the order *runners* gives."""
+    if not footprint:
+        return None
+    for runner in runners:
+        other = runner_footprint(runner)
+        small, large = (other, footprint) if len(other) < len(footprint) else (footprint, other)
+        for tid in small:
+            if tid in large:
+                return runner, tid
+    return None
+
+
+class WitnessIndex:
+    """The consensus index before the counted closure: a ``tid -> waiting
+    pids`` index folded from footprint differences, and a ``(runner,
+    tid)`` blocker witness per waiter that skips its component while the
+    runner still imports *tid*; a walk that completes pays the full
+    :func:`blocking_runner` scan."""
+
+    def __init__(self):
+        self._seen = {}
+        self._importers = {}
+        self._witnesses = {}
+
+    def sync(self, footprints):
+        seen = self._seen
+        for pid in [pid for pid in seen if pid not in footprints]:
+            self._unindex(pid)
+        for pid, now in footprints.items():
+            before = seen.get(pid)
+            if before is now:
+                continue
+            if before is None:
+                added = now
+            else:
+                added = now - before
+                self._drop_tids(pid, before - now)
+            for tid in added:
+                self._importers.setdefault(tid, set()).add(pid)
+            seen[pid] = now
+
+    def forget(self, pid):
+        if pid in self._seen:
+            self._unindex(pid)
+        for waiter in [w for w, (runner, __) in self._witnesses.items() if runner == pid]:
+            del self._witnesses[waiter]
+
+    def _unindex(self, pid):
+        self._drop_tids(pid, self._seen.pop(pid))
+        self._witnesses.pop(pid, None)
+
+    def _drop_tids(self, pid, tids):
+        for tid in tids:
+            holders = self._importers[tid]
+            holders.discard(pid)
+            if not holders:
+                del self._importers[tid]
+
+    def _witnessed(self, pid, runner_footprint):
+        witness = self._witnesses.get(pid)
+        if witness is None:
+            return False
+        runner, tid = witness
+        if tid in self._seen[pid]:
+            footprint = runner_footprint(runner)
+            if footprint is not None and tid in footprint:
+                return True
+        del self._witnesses[pid]
+        return False
+
+    def unblocked(
+        self,
+        waiters: Iterable[int],
+        runners: Callable[[], Iterable[int]],
+        runner_footprint,
+    ) -> Iterator[frozenset[int]]:
+        visited, blocked = set(), set()
+        for start in waiters:
+            if start in visited or self._witnessed(start, runner_footprint):
+                continue
+            members, union, stopped = self._walk(start, blocked, runner_footprint)
+            visited |= members
+            if stopped:
+                blocked |= members
+                continue
+            blocker = blocking_runner(union, runners(), runner_footprint)
+            if blocker is not None:
+                for owner in self._importers[blocker[1]]:
+                    self._witnesses[owner] = blocker
+                blocked |= members
+                continue
+            yield frozenset(members)
+
+    def _walk(self, start, blocked, runner_footprint):
+        members, expanded, queue = {start}, set(), [start]
+        for pid in queue:
+            for tid in self._seen[pid]:
+                if tid in expanded:
+                    continue
+                expanded.add(tid)
+                for other in self._importers[tid]:
+                    if other in members:
+                        continue
+                    if other in blocked or self._witnessed(other, runner_footprint):
+                        return members, expanded, True
+                    members.add(other)
+                    queue.append(other)
+        return members, expanded, False
+
+
+# ----------------------------------------------------------------------
+# the counted index against partition + scan and the witness index
 # ----------------------------------------------------------------------
 
 def _rule(spec):
@@ -57,8 +175,7 @@ def _rule(spec):
 
 
 def _scratch(windows, order, alive):
-    """Today's oracle: partition, then the union footprint against every
-    runner's footprint."""
+    """Partition, then the union footprint against every runner's footprint."""
     waiting = {pid: windows[pid] for pid in order}
     runners = [pid for pid in sorted(alive) if pid not in waiting]
     out = []
@@ -70,7 +187,7 @@ def _scratch(windows, order, alive):
     return out
 
 
-def _maintained(index, windows, order, alive):
+def _witnessed(index, windows, order, alive):
     index.sync({pid: windows[pid].footprint() for pid in order})
 
     def runner_footprint(pid):
@@ -84,53 +201,130 @@ def _maintained(index, windows, order, alive):
     return list(index.unblocked(order, runners, runner_footprint))
 
 
+class _Process:
+    def __init__(self, pid):
+        self.pid = pid
+
+
+class _Society:
+    """What the counted index reads of a society: the live processes, a
+    live lookup, and the spawn count (pids are 1, 2, ... in spawn order)."""
+
+    def __init__(self):
+        self.alive: dict[int, _Process] = {}
+        self.total_spawned = 0
+
+    def spawn(self):
+        self.total_spawned += 1
+        self.alive[self.total_spawned] = _Process(self.total_spawned)
+        return self.total_spawned
+
+    def live(self):
+        return list(self.alive.values())
+
+    def find_live(self, pid):
+        return self.alive.get(pid)
+
+
 rule_specs = st.tuples(st.sampled_from(("plain", "where")), st.sampled_from(KEYS))
+#: A view: one to three rules, or the unrestricted import set (the hub).
+view_specs = st.one_of(st.lists(rule_specs, min_size=1, max_size=3), st.just("full"))
 ops = st.one_of(
     st.tuples(st.just("insert"), st.sampled_from(("t", "open")), st.sampled_from(KEYS)),
     st.tuples(st.just("retract"), st.sampled_from(("t", "open")), st.sampled_from(KEYS)),
-    st.tuples(st.sampled_from(("wait", "run", "kill")), st.integers(0, 5), st.just(0)),
+    st.tuples(st.sampled_from(("wait", "run", "kill")), st.integers(1, 7), st.just(0)),
+    st.tuples(st.just("spawn"), view_specs, st.just(0)),
+    st.tuples(st.just("empty"), st.just(0), st.just(0)),
 )
 
 
 @st.composite
 def societies(draw):
-    views = draw(st.lists(st.lists(rule_specs, min_size=1, max_size=3), min_size=2, max_size=6))
-    pids = list(range(len(views)))
+    views = draw(st.lists(view_specs, min_size=2, max_size=6))
+    pids = list(range(1, len(views) + 1))
     order = draw(st.permutations(pids))
     waiting = draw(st.integers(0, len(pids)))
     return views, list(order[:waiting])
 
 
-@given(societies(), st.lists(ops, max_size=12))
+def _view(spec):
+    return View.full() if spec == "full" else View(imports=[_rule(s) for s in spec])
+
+
+@given(societies(), st.lists(st.lists(ops, min_size=1, max_size=3), max_size=8), st.booleans())
 # a witness whose tid left the runner's footprint no longer blocks
-@example(([[("plain", 0)], [("where", 0)]], [0]), [("retract", "open", 0)])
+@example(([[("plain", 0)], [("where", 0)]], [1]), [[("retract", "open", 0)]], True)
 # components come in waiter order, not pid order
-@example(([[("plain", 0)], [("plain", 1)]], [1, 0]), [])
-def test_index_matches_partition_and_scan(society, script):
+@example(([[("plain", 0)], [("plain", 1)]], [2, 1]), [], True)
+# the hub links everything that imports anything, until D is empty
+@example((["full", [("plain", 0)], "full"], [1, 3]), [[("run", 2, 0)], [("empty", 0, 0)]], True)
+# a bridge leaves: the component splits
+@example(
+    ([[("plain", 0)], [("plain", 0), ("plain", 1)], [("plain", 1)]], [1, 3]),
+    [[("kill", 2, 0)]], True,
+)
+# the bridge and the stand-in for its other side leave before a sync
+@example(
+    ([[("plain", 1)], [("plain", 0), ("plain", 1)], [("plain", 0)], [("plain", 0)]], [1, 4]),
+    [[("kill", 2, 0), ("kill", 3, 0)]], True,
+)
+def test_index_matches_partition_and_scan(society, script, full):
     views, order = society
     ds = Dataspace()
-    ds.insert_many([(tag, key) for tag in ("t", "open") for key in KEYS])
-    windows = {pid: View(imports=[_rule(s) for s in spec]).window(ds) for pid, spec in enumerate(views)}
-    alive = set(windows)
+    if full:
+        ds.insert_many([(tag, key) for tag in ("t", "open") for key in KEYS])
+    people = _Society()
+    hub = View.full().window(ds)  # shared, like the engine's unrestricted window
+    windows = {}
+
+    def spawn(spec):
+        pid = people.spawn()
+        windows[pid] = hub if spec == "full" else _view(spec).window(ds)
+        return pid
+
+    for spec in views:
+        spawn(spec)
     index = ConsensusIndex()
-    assert _maintained(index, windows, order, alive) == _scratch(windows, order, alive)
-    for kind, what, key in script:
-        if kind == "insert":
-            ds.insert((what, key))
-        elif kind == "retract":
-            found = ds.find_matching(P[what, key])
-            if found:
-                ds.retract(found[0].tid)
-        elif what in alive:
-            if what in order:
-                order.remove(what)
-            if kind == "wait":
-                order.append(what)
-            elif kind == "kill":
-                alive.discard(what)
-                index.forget(what)
-        assert _maintained(index, windows, order, alive) == _scratch(windows, order, alive)
+    index.start(people, lambda process: windows[process.pid], ds)
+    for pid in order:
+        index.park(pid)
+    witness = WitnessIndex()
+
+    def check():
+        alive = set(people.alive)
+        index.sync()
+        expected = _scratch(windows, order, alive)
+        assert index.free_components() == expected
+        assert _witnessed(witness, windows, order, alive) == expected
         assert index.pids() <= alive
+
+    check()
+    for batch in script:  # the index syncs between batches, not inside one
+        for kind, what, key in batch:
+            if kind == "insert":
+                ds.insert((what, key))
+            elif kind == "retract":
+                found = ds.find_matching(P[what, key])
+                if found:
+                    ds.retract(found[0].tid)
+            elif kind == "empty":
+                ds.retract_many([inst.tid for inst in ds.instances()])
+            elif kind == "spawn":
+                spawn(what)
+            elif what in people.alive:
+                if what in order:
+                    order.remove(what)
+                    index.unpark(what)
+                if kind == "wait":
+                    order.append(what)
+                    index.park(what)
+                elif kind == "kill":
+                    del people.alive[what]
+                    if windows[what] is not hub:
+                        windows[what].detach()
+                    index.forget(what)
+                    witness.forget(what)
+        check()
 
 
 # ----------------------------------------------------------------------
@@ -168,24 +362,31 @@ def _scratch_try_consensus(self):
     return False
 
 
+def _always_due(self):
+    """Every dirty mark is an attempt, as before the counted closure."""
+    self.consensus_dirty = False
+    return True
+
+
 @contextmanager
 def scratch_detection():
-    real = Executor._try_consensus
+    real = Executor._try_consensus, Executor.consensus_due
     Executor._try_consensus = _scratch_try_consensus
+    Executor.consensus_due = _always_due
     try:
         yield
     finally:
-        Executor._try_consensus = real
+        Executor._try_consensus, Executor.consensus_due = real
 
 
 G1, G2, H = Var("g1"), Var("g2"), Var("h")
 
 
-def _member(name, warmup):
+def _member(name, warmup, imports=True):
     return ProcessDefinition(
         name,
         params=("g1", "g2", "h"),
-        imports=[P[G1, ANY], P[G2, ANY], P[H, ANY]],
+        imports=[P[G1, ANY], P[G2, ANY], P[H, ANY]] if imports else None,
         body=[immediate() for __ in range(warmup)]
         + [
             immediate().then(assert_tuple(H, "arrived")),
@@ -194,19 +395,22 @@ def _member(name, warmup):
     )
 
 
-def _runner(name, steps):
+def _runner(name, steps, imports=True):
     return ProcessDefinition(
         name,
         params=("g1", "g2"),
-        imports=[P[G1, ANY], P[G2, ANY]],
+        imports=[P[G1, ANY], P[G2, ANY]] if imports else None,
         body=[immediate().then(assert_tuple(G1, "busy")) for __ in range(steps)],
     )
 
 
-DEFINITIONS = [_member("Fast", 0), _member("Slow", 2), _runner("Brief", 1), _runner("Long", 4)]
+DEFINITIONS = [
+    _member("Fast", 0), _member("Slow", 2), _member("Open", 1, imports=False),
+    _runner("Brief", 1), _runner("Long", 4), _runner("Wide", 2, imports=False),
+]
 groups = st.sampled_from(("g0", "g1", "g2", "g3"))
-members = st.tuples(st.sampled_from(("Fast", "Slow")), groups, groups, groups)
-runners_ = st.tuples(st.sampled_from(("Brief", "Long")), groups, groups)
+members = st.tuples(st.sampled_from(("Fast", "Slow", "Open")), groups, groups, groups)
+runners_ = st.tuples(st.sampled_from(("Brief", "Long", "Wide")), groups, groups)
 
 
 def _fingerprint(launches, seed, commit):
@@ -237,6 +441,8 @@ def _fingerprint(launches, seed, commit):
     [("Slow", "g0", "g0", "g0"), ("Fast", "g1", "g1", "g1")],
     [("Long", "g0", "g1")], 0, "live",
 )
+# an unrestricted runner holds back every set while D is not empty
+@example([("Fast", "g0", "g0", "g0"), ("Open", "g1", "g1", "g1")], [("Wide", "g2", "g2")], 1, "live")
 def test_engine_matches_from_scratch_detection(members, runners, seed, commit):
     launches = members + runners
     maintained = _fingerprint(launches, seed, commit)
@@ -245,43 +451,84 @@ def test_engine_matches_from_scratch_detection(members, runners, seed, commit):
     assert maintained == scratch
 
 
+def test_a_process_spawned_after_a_failed_attempt_is_noticed():
+    """A failed attempt is remembered until the version, the waiters or the
+    live set change.  ``Spawner`` starts ``Brief`` and ``Idle`` without
+    touching the dataspace; ``Brief`` finishing asks for an attempt at
+    the same version, and the live set is not what it was (``Idle`` is
+    alive): the failing set is evaluated again, drawing from the RNG, as
+    the from-scratch detection does."""
+    a = Var("a")
+    never = delayed(exists(a).match(P["never", a]))
+    definitions = [
+        ProcessDefinition(
+            "Waiter", imports=[P["w", ANY]],
+            body=[consensus(exists(a).match(P["w", a]).such_that(a > 5))],
+        ),
+        ProcessDefinition(
+            "Spawner", imports=[P["s", ANY]],
+            body=[immediate().then(spawn("Brief"), spawn("Idle")), never],
+        ),
+        ProcessDefinition("Brief", imports=[P["b", ANY]], body=[immediate()]),
+        ProcessDefinition("Idle", imports=[P["i", ANY]], body=[never]),
+    ]
+    for seed in range(8):
+        runs = []
+        for detection in (None, scratch_detection):
+            engine = Engine(definitions=definitions, seed=seed, on_deadlock="return")
+            engine.assert_tuples([("w", 1), ("w", 2)])
+            engine.start("Waiter")
+            engine.start("Spawner")
+            if detection is None:
+                result = engine.run()
+            else:
+                with detection():
+                    result = engine.run()
+            runs.append((result.reason, result.steps, engine.rng.random()))
+        assert runs[0] == runs[1]
+
+
 def test_a_set_that_partition_does_not_confirm_is_not_fired():
-    def wrong(self, waiters, runners, runner_footprint):
+    def wrong(self):
         # once anything is free, offer every waiter as one set
-        waiters = list(waiters)
-        if any(True for __ in real(self, waiters, runners, runner_footprint)):
-            yield frozenset(waiters)
+        if real(self):
+            return [frozenset(self._waiting)]
+        return []
 
     engine = Engine(definitions=DEFINITIONS, seed=1)
     engine.assert_tuples([("g0", "token"), ("g1", "token")])
     engine.start("Fast", ("g0", "g0", "g0"))
     engine.start("Fast", ("g1", "g1", "g1"))
     engine.start("Long", ("g0", "g1"))  # both wait until it finishes
-    real = ConsensusIndex.unblocked
-    ConsensusIndex.unblocked = wrong
+    real = ConsensusIndex.free_components
+    ConsensusIndex.free_components = wrong
     try:
         with pytest.raises(EngineError, match="not a component"):
             engine.run()
     finally:
-        ConsensusIndex.unblocked = real
+        ConsensusIndex.free_components = real
 
 
 # ----------------------------------------------------------------------
-# the community run: scans, and no entry outlives its process
+# the community run: scans, reads, and no entry outlives its process
 # ----------------------------------------------------------------------
 
 def test_community_run_pays_few_full_scans(monkeypatch):
+    """The closure reads the live society once, when the first process
+    parks at a consensus point; after that no attempt scans the runners
+    (one scan per component attempt before the index: 629; 32 with
+    witnesses)."""
     scans = []
-    real = consensus_module.blocking_runner
+    real = ProcessSociety.live
 
-    def counting(*args):
+    def counting(self):
         scans.append(1)
-        return real(*args)
+        return real(self)
 
-    monkeypatch.setattr(consensus_module, "blocking_runner", counting)
+    monkeypatch.setattr(ProcessSociety, "live", counting)
     out = run_community_labeling(random_blob_image(8, 8, blobs=3, seed=1), seed=3)
     assert out.correct
-    assert 0 < len(scans) <= 50  # one per component attempt before: 629
+    assert len(scans) == 1
 
 
 def test_index_holds_only_live_pids(monkeypatch):
@@ -310,7 +557,7 @@ def test_crashed_waiter_and_runner_leave_the_index():
     executor = engine.executor
     while len(executor.consensus_waiters) < 2:
         engine.run(max_steps=engine.step_count + 1)
-    executor.try_consensus()  # blocked by the runner: a witness names it
+    executor.try_consensus()  # blocked by the runner
     index = executor.consensus_index
     assert index.pids() == {1, 2, 3}
     runner = engine.society.get(3)
@@ -320,6 +567,16 @@ def test_crashed_waiter_and_runner_leave_the_index():
     assert index.pids() <= {2}
     result = engine.run()
     assert result.consensus_rounds == 1 and index.pids() == set()
+
+
+def test_a_program_that_never_waits_builds_no_closure():
+    """Sum2 never parks at a consensus point: the index is never started,
+    holds nothing, and the router records no touched window."""
+    out = run_sum2(list(range(256)), seed=1)
+    index = out.engine.executor.consensus_index
+    assert out.total == sum(range(256))
+    assert not index.started and index.pids() == set()
+    assert WindowRouter.of(out.engine.dataspace).touched is None
 
 
 # ----------------------------------------------------------------------

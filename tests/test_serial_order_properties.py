@@ -235,20 +235,25 @@ def test_snapshot_lens_cut_equals_the_watermark_filter(script, config):
         apply_op(space, op)
     narrow = View(imports=[import_rule("c1", a), import_rule(k, 3)])
     for window in (View.full().window(space), narrow.window(space)):
-        # serials 0 and serial+1 bracket the all-hidden and nothing-hidden cuts
-        for watermark in range(space.serial + 2):
-            lens = _SnapshotLens(window, watermark)
-            for pat in PATTERNS[:4]:
-                assert lens.candidates(pat) == [
-                    inst
-                    for inst in window.candidates(pat)
-                    if inst.tid.serial <= watermark
-                ]
-            for arity, probes in PROBES[:4]:
-                assert lens.candidates_probed(arity, probes) == [
-                    inst
-                    for inst in window.candidates_probed(arity, probes)
-                    if inst.tid.serial <= watermark
+        reads = [
+            (lambda lens, pat=pat: lens.candidates(pat), window.candidates(pat))
+            for pat in PATTERNS[:4]
+        ] + [
+            (
+                lambda lens, arity=arity, probes=probes: lens.candidates_probed(arity, probes),
+                window.candidates_probed(arity, probes),
+            )
+            for arity, probes in PROBES[:4]
+        ]
+        for read, rows in reads:
+            # A read can change only where one of its rows' serials is
+            # crossed: 0 and serial+1 bracket the all-hidden and
+            # nothing-hidden cuts, and s-1 and s, for each row's serial s,
+            # are the cuts on either side of it.
+            own = {inst.tid.serial for inst in rows}
+            for watermark in sorted({0, space.serial + 1} | own | {s - 1 for s in own}):
+                assert read(_SnapshotLens(window, watermark)) == [
+                    inst for inst in rows if inst.tid.serial <= watermark
                 ]
 
 

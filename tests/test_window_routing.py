@@ -23,8 +23,10 @@ The last class audits, inside every consensus attempt of the labeling and
 E8 programs, each footprint the attempt reads.
 """
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.actions import assert_tuple
 from repro.core.dataspace import JOURNAL_DEPTH, Dataspace
@@ -41,6 +43,7 @@ from repro.programs import run_community_labeling
 from repro.runtime.engine import Engine
 from repro.runtime.executor import Executor
 from repro.workloads import random_blob_image
+from repro.workloads.images import is_pixel, neighbor, neighbors_of
 from tests.test_properties import mutations, rows, where_rules
 
 X, Y, P_ = Var("x"), Var("y"), Var("p")
@@ -67,7 +70,29 @@ UNKEYABLE = import_rule("item", X, X + 1, guard=(X != P_))
 #: Keyed, and raising when ``x == p``.
 RAISING = import_rule("sup", X, guard=lift(_inverse, "inverse")(X, P_))
 
-EXTRAS = [KEYED, TWO_FIELD, UNKEYABLE, RAISING]
+
+
+def _near(a, b):
+    return abs(a - b) == 1
+
+
+def _around(b):
+    return (b - 1, b + 1)
+
+
+def _is_int(value):
+    return type(value) is int
+
+
+NEAR = lift(_near, "near", enumerator=_around, domain=_is_int)
+#: Named keys: true on ``p`` and ``p ± 1``, by key set on ints.
+NAMED_KEYS = import_rule("sup", X, ANY, guard=(X == P_) | NEAR(X, P_))
+#: Named keys with ``where`` support keyed on the same field.
+NAMED_WHERE = import_rule("item", X, guard=NEAR(X, P_) | (P_ == X), where=[P["sup", X, ANY]])
+#: Named keys on the arity's catch-all route (no head constant).
+NAMED_ANY_HEAD = import_rule(ANY, X, guard=NEAR(X, P_))
+
+EXTRAS = [KEYED, TWO_FIELD, UNKEYABLE, RAISING, NAMED_KEYS, NAMED_WHERE, NAMED_ANY_HEAD]
 PARAMS = [{"p": p} for p in (0, 1, 2)]
 
 
@@ -306,6 +331,25 @@ class TestRouting:
         assert len(window.footprint()) == 1
         assert window.stats.full_invalidations == 1
 
+    @pytest.mark.parametrize("first", [1, True, 1.0])
+    def test_equal_keys_of_different_types_get_their_own_verdicts(self, first):
+        """``1``, ``1.0`` and ``True`` are one dict key, but a guard may
+        tell them apart: each key verdict is filed by type and value, when
+        the footprint is materialised and when a change is routed."""
+        is_float = lift(lambda v: isinstance(v, float), "is_float")
+        view = View(imports=[import_rule("item", X, guard=is_float(X))])
+        later = [v for v in (1, True, 1.0) if v is not first]
+        ds = _space(("item", first), *(("item", v) for v in later))
+        floats = {i.tid for i in ds.instances() if isinstance(i.values[1], float)}
+        window = view.window(ds, {})
+        assert window.footprint() == floats  # materialised
+        routed = View(imports=[import_rule("item", X, guard=is_float(X))]).window(_space(), {})
+        routed.footprint()
+        rows = [routed.dataspace.insert(("item", v)) for v in (first, *later)]
+        assert routed.footprint() == {i.tid for i in rows if isinstance(i.values[1], float)}
+        assert_like_fresh([window, routed], ds)
+        assert_like_fresh([routed], routed.dataspace)
+
     def test_raising_guard_raises_until_its_tuple_is_gone(self):
         ds = _space(("sup", 1))
         window = View(imports=[RAISING]).window(ds, {"p": 0})
@@ -317,6 +361,132 @@ class TestRouting:
             window.footprint()
         ds.retract(bad.tid)
         assert len(window.footprint()) == 1
+
+
+# ----------------------------------------------------------------------
+# guards that name their keys against the same guards asked
+# ----------------------------------------------------------------------
+
+PI, R, T = Var("pi"), Var("r"), Var("t")
+NAMED = lift(neighbor, "neighbor", enumerator=neighbors_of, domain=is_pixel)
+ASKED = lift(neighbor, "neighbor")
+NAN = math.nan
+
+
+def _labels(predicate):
+    """The community ``Label`` view over *predicate*: labels of the
+    same-threshold neighbourhood (``where``) and its thresholds."""
+    same = (PI == R) | predicate(PI, R)
+    return View(imports=[
+        import_rule("label", PI, ANY, guard=same, where=[P["thr", PI, T]]),
+        import_rule("thr", PI, T, guard=same),
+    ])
+
+
+#: Keys on and off the grid, and outside ``is_pixel``: bools, floats (one
+#: of them a neighbour by arithmetic), NaN, non-pairs, atoms.
+KEYS_ = st.sampled_from([
+    (0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (2, 0), (-1, -1),
+    (True, 0), (1.0, 0), (0.5, 0.5), (NAN, 0), NAN, 5, "a", (0, 0, 0),
+])
+CENTRES = st.sampled_from([(0, 0), (1, 1), (-1, 0), (True, 0), (0.5, 0.5)])
+named_rows = st.one_of(
+    st.tuples(st.just("label"), KEYS_, st.integers(0, 2)),
+    st.tuples(st.just("thr"), KEYS_, st.integers(0, 1)),
+)
+named_steps = st.one_of(
+    st.tuples(st.just("insert"), named_rows), st.tuples(st.just("retract"), st.integers(0, 50)),
+)
+
+
+def _read(window):
+    try:
+        return window.footprint()
+    except ViewError as exc:
+        return str(exc)
+
+
+class TestNamedKeys:
+    """A view whose guard names its keys (``neighbor`` with its
+    enumerator and ``is_pixel`` domain) against the same view whose guard
+    is asked (SEMANTICS §6, §7): the same footprint, or the same
+    ``ViewError`` message, routed and fresh, after every step."""
+
+    @given(
+        st.lists(st.tuples(CENTRES, st.integers(0, 1)), min_size=1, max_size=3),
+        st.lists(named_rows, max_size=8),
+        st.lists(named_steps, max_size=10),
+    )
+    @example([((0, 0), 0)], [("label", (0.5, 0.5), 1), ("thr", (0.5, 0.5), 0)], [])
+    @example([((0, 0), 0)], [("label", (1, 0), 1)], [("insert", ("thr", (1.0, 0), 0))])
+    @example([((0, 0), 0)], [("label", 5, 1), ("thr", 5, 0)], [("retract", 1)])
+    # routed with a key outside the domain that no key set holds
+    @example([((0, 0), 0)], [], [("insert", ("thr", (0.5, 0.5), 0))])
+    def test_named_windows_equal_asked_windows(self, centres, initial, steps):
+        ds = Dataspace()
+        ds.insert_many(initial)
+        named, asked = _labels(NAMED), _labels(ASKED)
+        pairs = [
+            (named.window(ds, {"r": r, "t": t}), asked.window(ds, {"r": r, "t": t}))
+            for r, t in centres
+        ]
+
+        def check():
+            for mine, theirs in pairs:
+                assert _read(mine) == _read(theirs)
+                params = mine.params
+                fresh = named.window(ds, params), asked.window(ds, params)
+                assert _read(fresh[0]) == _read(fresh[1])
+                # a routed window and a fresh one may meet two raising
+                # tuples in another order: they agree up to the message
+                routed, scratch = _read(theirs), _read(fresh[1])
+                assert routed == scratch or all(isinstance(v, str) for v in (routed, scratch))
+                for window in fresh:
+                    window.detach()
+
+        check()
+        for op, arg in steps:
+            if op == "insert":
+                ds.insert(arg)
+            else:
+                live = list(ds.instances())
+                if live:
+                    ds.retract(live[arg % len(live)].tid)
+            check()
+
+    def test_a_stray_head_gets_its_support(self):
+        """``<item, 2.0>`` has a key outside the domain, where this guard
+        is true; its ``where`` witness ``<sup, 2>`` has an in-domain key
+        that is not in the key set {1}, yet it flips that head."""
+        def succ_or_float(k, p):
+            return isinstance(k, float) or k == p + 1
+
+        guard = lift(succ_or_float, "succ", enumerator=lambda p: (p + 1,), domain=_is_int)
+        view = View(imports=[import_rule("item", X, guard=guard(X, P_), where=[P["sup", X]])])
+        ds = _space(("item", 2.0), ("item", 1))
+        window = view.window(ds, {"p": 0})
+        assert window.footprint() == frozenset()
+        ds.insert(("sup", 2))
+        assert len(window.footprint()) == 1
+        assert_like_fresh([window], ds)
+
+    def test_a_named_guard_asks_nothing_on_the_grid(self):
+        calls = []
+
+        def counting(p1, p2):
+            calls.append((p1, p2))
+            return neighbor(p1, p2)
+
+        view = _labels(lift(counting, "neighbor", enumerator=neighbors_of, domain=is_pixel))
+        ds = _space(*(("thr", (x, y), 0) for x in range(4) for y in range(4)))
+        windows = [view.window(ds, {"r": (x, y), "t": 0}) for x in range(4) for y in range(4)]
+        for window in windows:
+            window.footprint()  # the first one scans, the rest probe
+        for x in range(4):
+            ds.insert(("label", (x, 0), 7))
+        # r = (0, 0): 3 thresholds, 2 labels; r = (0, 1): 4 thresholds, 1 label
+        assert [len(w.footprint()) for w in windows[:2]] == [5, 5]
+        assert calls == []  # every key is a pixel: the key sets answer
 
 
 class TestBounds:
