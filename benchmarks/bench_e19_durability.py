@@ -7,9 +7,10 @@ The durability tier's three quantitative claims:
   loading a WAL directory replays fewer than ``interval`` + one round of
   frames past the newest intact checkpoint (counter-verified via
   ``frames_replayed``), and recovery time stays flat as the log grows;
-* **an inert fault shim is free** — a WAL-enabled engine carrying a
-  never-firing storage-fault plan stays within **1.1×** of the same
-  engine without a plan (the injector's site check is one dict probe);
+* **an inert fault shim is inert** — a WAL-enabled engine carrying a
+  never-firing storage-fault plan writes the same segment files, byte for
+  byte, with the same frames and fsyncs as the same engine without a
+  plan; its wall-clock ratio is reported, not asserted;
 * **supervision is counter-verified** — seeded worker faults leave the
   run bit-identical to serial while every absorption (retry, timeout,
   quarantine, plan reject) lands in a ``RunResult`` counter.
@@ -196,8 +197,20 @@ def test_e19_shape_recovery_bounded_by_interval(benchmark, tmp_path):
     )
 
 
-def test_e19_shape_inert_fault_shim_within_1_1x(benchmark, tmp_path):
-    """A never-firing storage-fault plan must not tax the WAL hot path."""
+def _segments(wal_dir):
+    """Every segment file in *wal_dir*, name -> bytes."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(wal_dir, "*.seg"))):
+        with open(path, "rb") as handle:
+            out[os.path.basename(path)] = handle.read()
+    return out
+
+
+def test_e19_shape_inert_fault_shim_is_inert(benchmark, tmp_path):
+    """A never-firing storage-fault plan changes nothing the WAL does: the
+    same segment files byte for byte, the same frames, the same fsyncs.
+    Its wall-clock cost is reported (``ratio``), not asserted: a timing
+    ratio this close to 1 is noise on a shared machine."""
     inert = "seed=9; wal-append:torn-write:at=1000000"
 
     def check():
@@ -210,14 +223,15 @@ def test_e19_shape_inert_fault_shim_within_1_1x(benchmark, tmp_path):
             lambda: _drive(wal_dir=base_dir),
             lambda: _drive(wal_dir=shim_dir, faults=inert),
         )
-        ratio = shim_s / plain_s
-        assert ratio <= 1.1, f"inert fault shim costs {ratio:.2f}x (> 1.1x)"
-        # And inert really means inert: the state on disk is identical.
-        a, ra = DurableLog.load(base_dir)
-        b, rb = DurableLog.load(shim_dir)
-        assert ra.intact and rb.intact
-        assert _signature(a) == _signature(b)
-        return plain_s, shim_s, ratio
+        plain, __ = _drive(wal_dir=base_dir)
+        shim, __ = _drive(wal_dir=shim_dir, faults=inert)
+        assert (plain.recovery.wal_frames, plain.recovery.fsyncs) == (
+            shim.recovery.wal_frames,
+            shim.recovery.fsyncs,
+        )
+        base_segments = _segments(base_dir)
+        assert base_segments and base_segments == _segments(shim_dir)
+        return plain_s, shim_s, shim_s / plain_s
 
     plain_s, shim_s, ratio = once(benchmark, check)
     attach(

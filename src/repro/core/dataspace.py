@@ -56,7 +56,7 @@ load-bearing for the differential test suite:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.patterns import Pattern
 from repro.core.plan import scan_spec
@@ -82,39 +82,31 @@ JOURNAL_DEPTH = 512
 
 
 class DataspaceChange:
-    """One atomic change event: a batch of asserted/retracted instances.
+    """One atomic change event: the instances one version retracted and
+    asserted.
 
-    Single :meth:`Dataspace.insert` / :meth:`Dataspace.retract` calls emit a
-    change carrying exactly one instance; :meth:`Dataspace.insert_many`
-    batches an entire bulk load into a single event (kind ``batch``) so
-    listeners see O(1) notifications rather than O(n).
+    A transaction is one change (:meth:`Dataspace.apply_change`: all its
+    retractions, then all its assertions), and so is a bulk load
+    (:meth:`Dataspace.insert_many`), so listeners see one notification
+    per transaction or load rather than one per row; a single
+    :meth:`Dataspace.insert` / :meth:`Dataspace.retract` call emits a
+    change carrying one instance.
     """
 
-    __slots__ = ("kind", "asserted", "retracted", "version")
-
-    ASSERT = "assert"
-    RETRACT = "retract"
-    BATCH = "batch"
+    __slots__ = ("asserted", "retracted", "version")
 
     def __init__(
         self,
-        kind: str,
         asserted: tuple[TupleInstance, ...],
         retracted: tuple[TupleInstance, ...],
         version: int,
     ) -> None:
-        self.kind = kind
         self.asserted = asserted
         self.retracted = retracted
         self.version = version
 
     def __repr__(self) -> str:
-        if len(self.asserted) + len(self.retracted) == 1:
-            (instance,) = self.asserted + self.retracted
-            return f"{self.kind} {instance!r} @v{self.version}"
-        return (
-            f"{self.kind} +{len(self.asserted)}/-{len(self.retracted)} @v{self.version}"
-        )
+        return f"change +{len(self.asserted)}/-{len(self.retracted)} @v{self.version}"
 
 
 class Dataspace:
@@ -122,7 +114,9 @@ class Dataspace:
 
     Instances are identified by :class:`~repro.core.tuples.TupleId`; identical
     value sequences may coexist as distinct instances.  All mutation goes
-    through :meth:`insert` / :meth:`retract` so the indexes stay consistent.
+    through :meth:`apply_change` (a transaction) or :meth:`insert` /
+    :meth:`retract` and their ``_many`` forms (loads, replay, the Linda
+    kernel) so the indexes stay consistent.
     """
 
     def __init__(
@@ -212,7 +206,7 @@ class Dataspace:
 
     @property
     def version(self) -> int:
-        """Monotone counter bumped by every assert/retract."""
+        """Monotone counter bumped once by every change event."""
         return self._version
 
     @property
@@ -244,7 +238,7 @@ class Dataspace:
     def insert(self, values: Iterable[Any], owner: int = 0) -> TupleInstance:
         """Assert a tuple built from *values*, owned by process *owner*."""
         instance = self._admit(tuple(values), owner)
-        self._bump(DataspaceChange.ASSERT, (instance,), ())
+        self._bump((instance,), ())
         return instance
 
     def insert_many(self, rows: Iterable[Iterable[Any]], owner: int = 0) -> list[TupleInstance]:
@@ -277,8 +271,7 @@ class Dataspace:
                     order.append(instance)
             for shard, batch in parts.items():
                 self.stores[shard].admit_many(batch)
-        kind = DataspaceChange.BATCH if len(instances) > 1 else DataspaceChange.ASSERT
-        self._bump(kind, tuple(instances), ())
+        self._bump(tuple(instances), ())
         return instances
 
     def _admit(self, values: tuple, owner: int) -> TupleInstance:
@@ -302,7 +295,7 @@ class Dataspace:
         if instance is None:
             raise SDLError(f"cannot retract {tid!r}: not in the dataspace")
         self._unindex(instance)
-        self._bump(DataspaceChange.RETRACT, (), (instance,))
+        self._bump((), (instance,))
         return instance
 
     def retract_many(self, tids: Iterable[TupleId]) -> list[TupleInstance]:
@@ -316,17 +309,54 @@ class Dataspace:
         tids = list(tids)
         if not tids:
             return []
-        if len(set(tids)) != len(tids):
+        instances = self._remove(tids)
+        self._bump((), tuple(instances))
+        return instances
+
+    def apply_change(
+        self,
+        retracted: Sequence[TupleInstance],
+        assertions: Iterable[tuple[int, Iterable[Iterable[Any]]]],
+    ) -> list[TupleInstance]:
+        """Carry out one transaction's effect as **one** change event:
+        retract every instance of *retracted*, then assert the rows of
+        every ``(owner, rows)`` group of *assertions*, in order; return
+        the asserted instances.
+
+        The version is bumped once and listeners see one
+        :class:`DataspaceChange` holding both sides, so a transaction is
+        one journal entry and one WAL frame.  The retractions are checked
+        first, as by :meth:`retract_many`: a tid that is not live, or
+        named twice, raises before anything changes.  An effect with
+        nothing in it changes nothing, the version included.
+        """
+        if retracted:
+            gone = tuple(self._remove([inst.tid for inst in retracted]))
+        else:
+            gone = ()
+        admit = self._admit
+        asserted = []
+        for owner, rows in assertions:
+            for values in rows:
+                asserted.append(admit(values, owner))
+        if gone or asserted:
+            self._bump(tuple(asserted), gone)
+        return asserted
+
+    def _remove(self, tids: list[TupleId]) -> list[TupleInstance]:
+        """Drop every instance of *tids* from the table and the indexes
+        (no change event), or raise before dropping any: each tid must be
+        live and named once."""
+        if len(tids) > 1 and len(set(tids)) != len(tids):
             raise SDLError("cannot retract batch: duplicate tuple ids")
         table = self._instances
         for tid in tids:
             if tid not in table:
                 raise SDLError(f"cannot retract {tid!r}: not in the dataspace")
         instances = [table.pop(tid) for tid in tids]
+        unindex = self._unindex
         for instance in instances:
-            self._unindex(instance)
-        kind = DataspaceChange.BATCH if len(instances) > 1 else DataspaceChange.RETRACT
-        self._bump(kind, (), tuple(instances))
+            unindex(instance)
         return instances
 
     def _arity_ordered(self, arity: int) -> list[TupleInstance]:
@@ -361,12 +391,11 @@ class Dataspace:
 
     def _bump(
         self,
-        kind: str,
         asserted: tuple[TupleInstance, ...],
         retracted: tuple[TupleInstance, ...],
     ) -> None:
         self._version += 1
-        change = DataspaceChange(kind, asserted, retracted, self._version)
+        change = DataspaceChange(asserted, retracted, self._version)
         self._journal.append(change)
         listeners = self._listener_snapshot
         if listeners is None:

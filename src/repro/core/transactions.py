@@ -395,16 +395,17 @@ def settle(
 def apply(effects: Sequence[TransactionOutcome], dataspace: Any) -> list[TupleInstance]:
     """Carry out staged *effects* as one transaction and return the
     asserted instances: every retraction, then every assertion, each in
-    effect order.  The only code that mutates the dataspace for a
-    transaction; the callers run the staged callbacks afterwards."""
-    for effect in effects:
-        for inst in effect.retracted:
-            dataspace.retract(inst.tid)
-    asserted = []
-    for effect in effects:
-        for values in effect.assertions:
-            asserted.append(dataspace.insert(values, effect.owner))
-    return asserted
+    effect order, as one dataspace change
+    (:meth:`~repro.core.dataspace.Dataspace.apply_change`).  The only code
+    that mutates the dataspace for a transaction; the callers run the
+    staged callbacks afterwards."""
+    if len(effects) == 1:
+        (effect,) = effects
+        return dataspace.apply_change(effect.retracted, ((effect.owner, effect.assertions),))
+    return dataspace.apply_change(
+        [inst for effect in effects for inst in effect.retracted],
+        [(effect.owner, effect.assertions) for effect in effects],
+    )
 
 
 def execute(

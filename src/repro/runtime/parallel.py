@@ -369,8 +369,8 @@ class SnapshotShipper:
 
         ``None`` when the journal no longer reaches back to *floor* (the
         caller re-ships the shard in full).  A change that touches no
-        tuple of this shard is dropped; the rest keep their kind and
-        version and carry only this shard's instances.
+        tuple of this shard is dropped; the rest keep their version and
+        carry only this shard's instances.
         """
         changes = self.dataspace.changes_since(floor)
         if changes is None:
@@ -385,9 +385,7 @@ class SnapshotShipper:
                 inst for inst in change.retracted if shard_of(inst.values) == shard
             )
             if asserted or retracted:
-                deltas.append(
-                    DataspaceChange(change.kind, asserted, retracted, change.version)
-                )
+                deltas.append(DataspaceChange(asserted, retracted, change.version))
         return deltas
 
     def note_reply(self, kind: str, ident: str, version: int) -> None:

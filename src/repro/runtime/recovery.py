@@ -2,7 +2,8 @@
 
 The dataspace changes only through atomic transactions, so its history
 is one serial sequence of :class:`~repro.core.dataspace.DataspaceChange`
-events.  A :class:`DurableLog` subscribes to the dataspace and keeps that
+events, one per transaction (its retractions and its assertions) or bulk
+load.  A :class:`DurableLog` subscribes to the dataspace and keeps that
 history on disk: a directory of **segment files** — length-prefixed,
 CRC32-checksummed frames behind an 8-byte magic — holding full
 :class:`Checkpoint` snapshots (committed atomically by tmp-file+rename)
@@ -11,7 +12,8 @@ and a WAL of change frames between them.  The unit of durability is the
 engine announces at every round boundary and on every exit from
 ``run()`` by calling :meth:`DurableLog.flush`: change frames are buffered
 writes, and ``flush`` closes them with one ``end`` marker frame and one
-fsync, then takes a checkpoint once ``interval`` changes have gathered.
+fsync, then takes a checkpoint once ``interval`` changes (transactions,
+or loads) have gathered.
 
 :meth:`DurableLog.load` rebuilds a dataspace from disk alone: it verifies
 every frame checksum, **truncates at the first torn or corrupt frame**
@@ -110,15 +112,17 @@ def _state_signature(space: Dataspace) -> list[tuple]:
 # commits, so segments chain contiguously):
 #     ("chg", version, [(serial, owner, values), ...], [(serial, owner), ...])
 #     ("end", version)                           # consistent-point marker
-# One chg frame is written per dataspace version, so frame versions must
-# increase by exactly one across the chain; replay stops at the first
-# violation (a repeat, or a gap where a frame vanished whole) as if the
-# frame were corrupt.  chg frames are buffered writes; an "end" marker
-# naming the last version written closes them and is the only thing that
-# is fsynced.  Replay applies chg frames only once their marker arrives:
-# frames after the last marker belong to a round that never reached its
-# consistent point and are dropped as one "torn" repair.  Checkpoints are
-# taken only right after a marker, so every segment ends on one.
+# A chg frame is one dataspace change: a whole transaction (what it
+# asserted, what it retracted) or a bulk load.  One is written per
+# dataspace version, so frame versions must increase by exactly one
+# across the chain; replay stops at the first violation (a repeat, or a
+# gap where a frame vanished whole) as if the frame were corrupt.  chg
+# frames are buffered writes; an "end" marker naming the last version
+# written closes them and is the only thing that is fsynced.  Replay
+# applies chg frames only once their marker arrives: frames after the
+# last marker belong to a round that never reached its consistent point
+# and are dropped as one "torn" repair.  Checkpoints are taken only right
+# after a marker, so every segment ends on one.
 
 _MAGIC = b"SDLSEG1\n"
 _HEADER = struct.Struct(">II")
@@ -234,17 +238,19 @@ class DurableLog:
       frames written since the last one, flushes, and fsyncs **once**:
       when it returns, everything up to this consistent point is on disk,
       and :meth:`load` applies frames only up to the last marker it finds;
-    * ``interval`` is tested only there, so a checkpoint never holds half
-      a transaction and every segment ends on a marker.  A checkpoint is
+    * ``interval`` is tested only there, so a checkpoint never lands
+      inside a round and every segment ends on a marker.  A checkpoint is
       built in full as ``.tmp``, fsynced, then ``os.replace``-d into
       place, then the *directory* is fsynced — readers see either the old
       file set or the new one, never a partial checkpoint under its final
       name; rotation then closes the old segment (the marker just synced
       it) and creates and fsyncs the new one.
 
-    Replay after a crash is bounded by ``interval`` + one round; the
-    interval has no upper bound, because nothing is replayed from the
-    dataspace's bounded journal.
+    A change, and so a frame, is one transaction or one bulk load, and
+    ``interval`` counts them: replay after a crash is bounded by
+    ``interval`` transactions + one round.  The interval has no upper
+    bound, because nothing is replayed from the dataspace's bounded
+    journal.
 
     Opening a ``DurableLog`` starts a fresh durability epoch: stale
     ``*.seg`` files in *wal_dir* are removed before the baseline
@@ -427,9 +433,10 @@ class DurableLog:
                 os.unlink(os.path.join(self.wal_dir, name))
 
     def _on_change(self, change: DataspaceChange) -> None:
-        # A buffered write and nothing else: the change may be one half of
-        # a transaction, so it is neither synced nor checkpointed until
-        # the next consistent point (flush) closes it with a marker.
+        # A buffered write and nothing else: the change is one transaction
+        # of a round still in flight, so it is neither synced nor
+        # checkpointed until the next consistent point (flush) closes it
+        # with a marker.
         record = (
             "chg",
             change.version,

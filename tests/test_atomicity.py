@@ -22,12 +22,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.actions import assert_tuple, let, spawn
+from repro.core.dataspace import Dataspace
 from repro.core.expressions import Var
 from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists, forall
 from repro.core.storage import resolve_shards
-from repro.core.transactions import consensus, immediate
+from repro.core.transactions import TransactionOutcome, apply, consensus, immediate
 from repro.errors import ExportViolation, SDLError, TransactionError
 from repro.runtime import DurableLog, Engine
 
@@ -210,3 +211,32 @@ def test_pool_stages_the_raising_candidate_on_a_worker():
     _run_raising(engine, "assert", None)
     assert engine.pool.candidates >= 2
     assert engine.pool.plan_rejects == 0
+
+
+@pytest.mark.parametrize("twice", [False, True])
+def test_apply_checks_every_retraction_before_changing_anything(tmp_path, twice):
+    """An effect retracting an instance that is gone (or one instance
+    twice) raises with the dataspace, its version, its listeners and its
+    write-ahead log untouched: no retraction before the bad one lands."""
+    ds = Dataspace()
+    log = DurableLog(ds, str(tmp_path))
+    a = ds.insert(("x", 1))
+    b = ds.insert(("x", 2))
+    if twice:
+        retracted = [a, a]
+    else:
+        ds.retract(b.tid)
+        retracted = [a, b]
+    log.flush()
+    seen = []
+    ds.subscribe(seen.append)
+    before = (ds.multiset(), ds.version, log.wal_frames, log.wal_bytes)
+    effect = TransactionOutcome(success=True, retracted=retracted, assertions=[("y", 3)])
+    with pytest.raises(SDLError):
+        apply([effect], ds)
+    assert (ds.multiset(), ds.version, log.wal_frames, log.wal_bytes) == before
+    assert seen == []
+    assert ds.find_matching(P["x", 1]) == [a]  # still indexed
+    log.close()
+    loaded, report = DurableLog.load(str(tmp_path))
+    assert report.intact and loaded.multiset() == ds.multiset()

@@ -337,7 +337,8 @@ class TestRetractMany:
         gone = ds.retract_many([i.tid for i in insts[:4]])
         assert [i.tid for i in gone] == [i.tid for i in insts[:4]]
         assert ds.version == mark + 1
-        assert len(events) == 1 and events[0].kind == "batch"
+        assert len(events) == 1
+        assert (len(events[0].asserted), len(events[0].retracted)) == (0, 4)
         assert len(ds) == 6
 
     def test_validates_before_mutating(self):

@@ -30,7 +30,6 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def _changes_repr(changes):
     return [
         (
-            c.kind,
             c.version,
             [i.tid for i in c.asserted],
             [i.tid for i in c.retracted],

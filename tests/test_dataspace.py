@@ -70,10 +70,38 @@ class TestVersioning:
         unsubscribe = space.subscribe(seen.append)
         inst = space.insert(("x",))
         space.retract(inst.tid)
-        assert [c.kind for c in seen] == [DataspaceChange.ASSERT, DataspaceChange.RETRACT]
+        assert [(len(c.asserted), len(c.retracted)) for c in seen] == [(1, 0), (0, 1)]
         unsubscribe()
         space.insert(("y",))
         assert len(seen) == 2
+
+
+class TestApplyChange:
+    def test_a_transaction_is_one_change(self, space):
+        a = space.insert(("x", 1))
+        b = space.insert(("x", 2))
+        seen: list[DataspaceChange] = []
+        space.subscribe(seen.append)
+        v0 = space.version
+        asserted = space.apply_change([b, a], [(1, [("y", 3)]), (2, [("z", 4), ("z", 5)])])
+        assert space.version == v0 + 1
+        (change,) = seen
+        assert change.version == space.version
+        assert change.retracted == (b, a)
+        assert change.asserted == tuple(asserted)
+        assert [(i.values, i.owner) for i in asserted] == [
+            (("y", 3), 1), (("z", 4), 2), (("z", 5), 2)
+        ]
+        assert a.tid not in space and b.tid not in space
+        assert repr(change) == f"change +3/-2 @v{space.version}"
+
+    def test_an_empty_effect_changes_nothing(self, space):
+        space.insert(("x", 1))
+        seen: list[DataspaceChange] = []
+        space.subscribe(seen.append)
+        v0 = space.version
+        assert space.apply_change([], [(1, [])]) == []
+        assert space.version == v0 and seen == []
 
 
 class TestContentAddressing:

@@ -181,7 +181,7 @@ class TestAdmitEquivalence:
         )
 
     @settings(max_examples=8, deadline=None)
-    @given(seed=seeds, depth=st.sampled_from([2, 4, 8]))
+    @given(seed=seeds, depth=st.sampled_from([1, 2, 4]))
     def test_delta_refresh_equals_full_reship(self, seed, depth):
         """Journal overflow forces full re-ships mid-run; the run must not
         notice.  Serial and parallel admission under the same tiny journal
@@ -206,8 +206,8 @@ class TestAdmitEquivalence:
         assert _signature(serial_engine) == _signature(baseline_engine)
         # Not vacuous: the tiny journal really did overflow past shipped
         # floors and force re-ships the default depth never needs.  (A
-        # dispatch round commits at least 12 versions before the next, so
-        # depths up to 8 always overflow; 16 does not for ~6 % of seeds.)
+        # transaction is one version, and depths up to 4 overflowed on
+        # every one of 151 seeds tried; 8 did not on 18 of them.)
         # Naive-path engines (the SDL_PLAN=off sweep) never dispatch.
         if par_engine.planner is not None:
             assert (

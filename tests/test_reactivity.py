@@ -27,7 +27,7 @@ class TestBatchedInsert:
         v0 = ds.version
         instances = ds.insert_many([("x", i) for i in range(5)])
         assert len(seen) == 1
-        assert seen[0].kind == DataspaceChange.BATCH
+        assert (len(seen[0].asserted), len(seen[0].retracted)) == (5, 0)
         assert seen[0].asserted == tuple(instances)
         assert ds.version == v0 + 1  # one event, one version bump
 
@@ -43,7 +43,7 @@ class TestBatchedInsert:
         seen: list[DataspaceChange] = []
         ds.subscribe(seen.append)
         ds.insert_many([("x", 1)])
-        assert [c.kind for c in seen] == [DataspaceChange.ASSERT]
+        assert [(len(c.asserted), len(c.retracted)) for c in seen] == [(1, 0)]
 
     def test_changes_since_replays_the_delta(self):
         ds = Dataspace()
@@ -52,10 +52,7 @@ class TestBatchedInsert:
         b = ds.insert(("b", 2))
         ds.retract(a.tid)
         changes = ds.changes_since(v)
-        assert [c.kind for c in changes] == [
-            DataspaceChange.ASSERT,
-            DataspaceChange.RETRACT,
-        ]
+        assert [(len(c.asserted), len(c.retracted)) for c in changes] == [(1, 0), (0, 1)]
         assert changes[0].asserted == (b,)
         assert changes[1].retracted == (a,)
         assert ds.changes_since(ds.version) == []
@@ -82,10 +79,7 @@ class TestChangesSinceBoundaries:
         batch = ds.insert_many([("x", i) for i in range(7)])
         ds.insert(("y",))
         changes = ds.changes_since(v)
-        assert [c.kind for c in changes] == [
-            DataspaceChange.BATCH,
-            DataspaceChange.ASSERT,
-        ]
+        assert [(len(c.asserted), len(c.retracted)) for c in changes] == [(7, 0), (1, 0)]
         assert changes[0].asserted == tuple(batch)
         # version delta == journal entries, not rows
         assert ds.version == v + 2
@@ -130,7 +124,7 @@ class TestChangesSinceBoundaries:
         changes = ds.changes_since(v)
         assert changes is not None
         assert len(changes) == JOURNAL_DEPTH
-        assert all(c.kind == DataspaceChange.BATCH for c in changes)
+        assert all((len(c.asserted), len(c.retracted)) == (3, 0) for c in changes)
 
     def test_none_fallback_triggers_full_window_rebuild(self):
         ds = Dataspace()

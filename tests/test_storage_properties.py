@@ -156,8 +156,7 @@ def _changes_repr(changes):
     if changes is None:
         return None
     return [
-        (c.kind, c.version,
-         [i.tid for i in c.asserted], [i.tid for i in c.retracted])
+        (c.version, [i.tid for i in c.asserted], [i.tid for i in c.retracted])
         for c in changes
     ]
 
@@ -384,7 +383,7 @@ def _project(changes, ds, shard):
         asserted = [i.tid for i in c.asserted if shard_of(i.values) == shard]
         retracted = [i.tid for i in c.retracted if shard_of(i.values) == shard]
         if asserted or retracted:
-            out.append((c.kind, c.version, asserted, retracted))
+            out.append((c.version, asserted, retracted))
     return out
 
 

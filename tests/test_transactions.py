@@ -195,7 +195,8 @@ class TestExecuteSemantics:
     def test_composite_applies_all_retractions_then_all_assertions(self, years):
         # The consensus composite (paper §2.2): participants are staged in
         # pid order, each net of the retractions staged before it, and
-        # applied once — every retraction, then every assertion.
+        # applied once — every retraction, then every assertion, as one
+        # dataspace change.
         a = Var("a")
 
         def take(test):
@@ -213,8 +214,11 @@ class TestExecuteSemantics:
         assert first.assertions == [("took", 85)]
         assert second.assertions == [("took", 90)]
         asserted = apply([first, second], years)
-        kinds = [change.kind for change in years.changes_since(version)]
-        assert kinds == ["retract", "retract", "assert", "assert"]
+        (change,) = years.changes_since(version)
+        assert change.version == version + 1
+        assert [inst.values for inst in change.retracted] == [("year", 85), ("year", 90)]
+        assert [inst.values for inst in change.asserted] == [("took", 85), ("took", 90)]
+        assert list(change.asserted) == asserted
         assert [inst.owner for inst in asserted] == [1, 2]
         assert years.count_matching(P["took", ANY]) == 2
 
