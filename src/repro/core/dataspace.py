@@ -4,7 +4,9 @@ The dataspace maintains two auxiliary index structures so that queries are
 content-addressable rather than linear scans:
 
 * an **arity index** — all instances of a given tuple length;
-* a **field index** — instances keyed by ``(arity, position, value)``.
+* a **field index** — instances keyed by ``(arity, position, value)``,
+  built for an ``(arity, position)`` at the first lookup that names it and
+  maintained from then on (see :mod:`repro.core.storage`).
 
 Pattern matching asks the dataspace for a *candidate set* via
 :meth:`Dataspace.candidates`; the narrowest applicable index is chosen using
@@ -237,7 +239,7 @@ class Dataspace:
     # ------------------------------------------------------------------
     def insert(self, values: Iterable[Any], owner: int = 0) -> TupleInstance:
         """Assert a tuple built from *values*, owned by process *owner*."""
-        instance = self._admit(tuple(values), owner)
+        instance = self._admit(values, owner)
         self._bump((instance,), ())
         return instance
 
@@ -254,7 +256,7 @@ class Dataspace:
         instances = []
         for row in rows:
             self._serial += 1
-            instances.append(make_tuple(tuple(row), serial=self._serial, owner=owner))
+            instances.append(make_tuple(row, self._serial, owner))
         if not instances:
             return instances
         self._instances.update((instance.tid, instance) for instance in instances)
@@ -274,10 +276,10 @@ class Dataspace:
         self._bump(tuple(instances), ())
         return instances
 
-    def _admit(self, values: tuple, owner: int) -> TupleInstance:
+    def _admit(self, values: Iterable[Any], owner: int) -> TupleInstance:
         """Route a new instance to its home shard (no change event)."""
         self._serial += 1
-        instance = make_tuple(values, serial=self._serial, owner=owner)
+        instance = make_tuple(values, self._serial, owner)
         self._instances[instance.tid] = instance
         if self._single is not None:
             self._single.admit(instance)

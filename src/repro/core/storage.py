@@ -25,9 +25,9 @@ same store interface (:func:`resolve_store`):
 * :class:`TupleStore` (``"object"``, the default) — buckets of
   ``TupleInstance`` references: a serial-ascending list per arity, which a
   probe-less fetch hands out uncopied, and a ``tid -> instance`` dict per
-  ``(arity, position, value)`` field key, one maintained per field on
-  every admit.  It stays the live differential baseline, exactly as the
-  naive matcher does for the planner;
+  ``(arity, position, value)`` field key.  It stays the live
+  differential baseline, exactly as the naive matcher does for the
+  planner;
 * :class:`ColumnarStore` (``"columnar"``) — a struct-of-arrays layout:
   per-arity **column groups** hold one contiguous value column per field
   (plain lists, promoted to ``array('q')`` when a column is homogeneous
@@ -36,12 +36,16 @@ same store interface (:func:`resolve_store`):
   driven by :func:`repro.core.plan.scan_spec`) walk columns instead of
   chasing per-tuple pointers; batched admits extend columns in one C-level
   call; retracts tombstone rows and compact when the dead fraction wins.
-  Only position 0 is indexed eagerly (the head index that mirrors shard
-  routing); other positions build their value index lazily on first probe
-  and maintain it incrementally afterwards — so the *exact* bucket sizes
-  the facade's narrowest-bucket selection depends on are always available,
-  keeping candidate order (and therefore seeded arbitration) bit-identical
-  to the object store.
+
+Both backends follow one index rule: an ``(arity, position)`` field index
+comes into being at the first lookup that needs it (a probe, a bucket
+fetch, a size estimate), built by one pass over the arity's rows in
+serial order, and is maintained by every admit and removal from then on;
+a position no query reads is never indexed.  A built index holds exactly
+what one maintained since load would — the *exact* bucket sizes the
+facade's narrowest-bucket selection depends on, in serial order — so
+candidate order (and therefore seeded arbitration) is bit-identical
+whenever, and in whichever backend, an index was built.
 
 The head hash is :func:`zlib.crc32` over the tuple's arity and a
 *canonical key* of its first field, **not** Python's builtin ``hash``:
@@ -179,12 +183,19 @@ class TupleStore(BaseStore):
     the row, so a probe-less fetch hands the bucket out as is, uncopied —
     read-only and valid until the next mutation (SEMANTICS §12).  A field
     bucket is a ``tid -> instance`` dict (insertion order is serial order;
-    deletion preserves it): retracts touch one per field, where an O(1)
-    delete beats a bisection, and a field probe copies its usually small
-    bucket.
+    deletion preserves it), keyed ``(arity, position, value)`` in one flat
+    ``by_field`` table, and a field probe copies its usually small bucket.
+
+    Field indexes are demand-built (SEMANTICS §12): an ``(arity,
+    position)`` index comes into being at the first lookup that needs it
+    — one pass over the arity bucket in serial order, so it holds exactly
+    what an index maintained since load would — and ``positions`` records
+    it, so admits and removals maintain it from then on and touch no
+    other position.  A lookup that hits a bucket is one dict lookup; only
+    a miss asks whether the position is indexed yet.
     """
 
-    __slots__ = ("count", "by_arity", "by_field")
+    __slots__ = ("count", "by_arity", "by_field", "positions")
 
     kind = "object"
 
@@ -193,6 +204,8 @@ class TupleStore(BaseStore):
         self.count = 0
         self.by_arity: dict[int, list[TupleInstance]] = {}
         self.by_field: dict[tuple[int, int, Any], dict[TupleId, TupleInstance]] = {}
+        #: arity -> the positions whose field index is built, in build order.
+        self.positions: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return self.count
@@ -207,14 +220,15 @@ class TupleStore(BaseStore):
             self.by_arity[arity] = [instance]
         else:
             rows.append(instance)
-        if self.indexed:
+        positions = self.positions.get(arity)
+        if positions:
+            by_field = self.by_field
             tid = instance.tid
-            for position, value in enumerate(values):
-                self.by_field.setdefault((arity, position, value), {})[tid] = instance
+            for position in positions:
+                by_field.setdefault((arity, position, values[position]), {})[tid] = instance
 
     def remove(self, instance: TupleInstance) -> None:
         """Unindex one instance; raises ``KeyError`` when absent."""
-        tid = instance.tid
         values = instance.values
         arity = len(values)
         rows = self.by_arity[arity]
@@ -222,27 +236,53 @@ class TupleStore(BaseStore):
         self.count -= 1
         if not rows:
             del self.by_arity[arity]
-        if self.indexed:
+        positions = self.positions.get(arity)
+        if positions:
             by_field = self.by_field
-            for position, value in enumerate(values):
-                key = (arity, position, value)
+            tid = instance.tid
+            for position in positions:
+                key = (arity, position, values[position])
                 field_bucket = by_field[key]
                 del field_bucket[tid]
                 if not field_bucket:
                     del by_field[key]
+
+    def _miss(
+        self, arity: int, position: int, value: Any
+    ) -> dict[TupleId, TupleInstance] | None:
+        """The bucket of a key ``by_field`` lacks: ``None`` (empty) when
+        the position is indexed already or indexing is off, else the
+        bucket after building the position's index (``None`` again if no
+        row holds *value*).  A built bucket is never empty, so callers
+        write ``by_field.get(key) or self._miss(...)``."""
+        positions = self.positions.get(arity, ())
+        if not self.indexed or position in positions:
+            return None
+        self.positions[arity] = positions + (position,)
+        by_field = self.by_field
+        for inst in self.by_arity.get(arity, ()):
+            by_field.setdefault((arity, position, inst.values[position]), {})[inst.tid] = inst
+        return by_field.get((arity, position, value))
 
     # -- sizes and buckets ---------------------------------------------
     def arity_size(self, arity: int) -> int:
         return len(self.by_arity.get(arity, ()))
 
     def field_size(self, arity: int, position: int, value: Any) -> int:
-        return len(self.by_field.get((arity, position, value), ()))
+        bucket = self.by_field.get((arity, position, value)) or self._miss(
+            arity, position, value
+        )
+        return len(bucket) if bucket else 0
 
     def arity_bucket(self, arity: int) -> dict:
         return {inst.tid: inst for inst in self.by_arity.get(arity, ())}
 
     def field_bucket(self, arity: int, position: int, value: Any) -> dict:
-        return self.by_field.get((arity, position, value), {})
+        return (
+            self.by_field.get((arity, position, value))
+            or self._miss(arity, position, value)
+            or {}
+        )
 
     def arity_candidates(self, arity: int) -> list[TupleInstance]:
         return self.by_arity.get(arity) or []
@@ -250,7 +290,9 @@ class TupleStore(BaseStore):
     def field_candidates(
         self, arity: int, position: int, value: Any
     ) -> list[TupleInstance]:
-        bucket = self.by_field.get((arity, position, value))
+        bucket = self.by_field.get((arity, position, value)) or self._miss(
+            arity, position, value
+        )
         return list(bucket.values()) if bucket else []
 
     # -- candidate enumeration -----------------------------------------
@@ -259,8 +301,11 @@ class TupleStore(BaseStore):
         (a probe-less fetch is the arity bucket itself, uncopied)."""
         best: dict[TupleId, TupleInstance] | None = None
         if self.indexed:
+            arity = pat.arity
             for position, value in pat.index_constants(bound):
-                bucket = self.by_field.get((pat.arity, position, value))
+                bucket = self.by_field.get((arity, position, value)) or self._miss(
+                    arity, position, value
+                )
                 if bucket is None:
                     return []
                 if best is None or len(bucket) < len(best):
@@ -286,7 +331,9 @@ class TupleStore(BaseStore):
         best_position = -1
         if self.indexed and probes:
             for position, value in probes:
-                bucket = self.by_field.get((arity, position, value))
+                bucket = self.by_field.get((arity, position, value)) or self._miss(
+                    arity, position, value
+                )
                 if bucket is None:
                     return []
                 if best is None or len(bucket) < len(best):
@@ -319,10 +366,29 @@ class TupleStore(BaseStore):
         }
 
     def debug_by_field(self) -> dict:
-        return self.by_field
+        """Every field bucket, the unbuilt positions computed on the side:
+        inspecting builds no index, so it never changes what a write
+        maintains."""
+        out: dict[tuple[int, int, Any], dict[TupleId, TupleInstance]] = {}
+        if not self.indexed:
+            return out
+        out.update(self.by_field)
+        for arity, rows in self.by_arity.items():
+            built = self.positions.get(arity, ())
+            for position in range(arity):
+                if position not in built:
+                    for inst in rows:
+                        out.setdefault(
+                            (arity, position, inst.values[position]), {}
+                        )[inst.tid] = inst
+        return out
 
     def stats(self) -> dict:
-        return {"instances": self.count, "field_keys": len(self.by_field)}
+        return {
+            "instances": self.count,
+            "field_keys": len(self.by_field),
+            "indexed_positions": _sorted_positions(self.positions.items()),
+        }
 
     def __repr__(self) -> str:
         return f"TupleStore(shard={self.shard}, |D|={self.count})"
@@ -351,7 +417,7 @@ class _ColumnGroup:
     """
 
     __slots__ = (
-        "arity", "serials", "insts", "cols", "dead", "head_index", "pos_index",
+        "arity", "serials", "insts", "cols", "dead", "pos_index",
     )
 
     def __init__(self, arity: int) -> None:
@@ -360,18 +426,25 @@ class _ColumnGroup:
         self.insts: list[TupleInstance | None] = []
         self.cols: list = [[] for __ in range(arity)]
         self.dead = 0
-        #: Eager position-0 value index: ``value -> {row: None}`` (an
-        #: ordered row set — rows insert ascending and deletes preserve
-        #: order).  Position 0 is the community/type tag every routed
-        #: query pins, so it always earns its upkeep.
-        self.head_index: dict[Any, dict[int, None]] = {}
-        #: Lazy per-position value indexes for positions >= 1, built on
-        #: first probe of that position and maintained incrementally
-        #: afterwards — exact sizes, paid only for positions queries use.
+        #: The built value indexes, ``position -> value -> {row: None}``
+        #: (an ordered row set — rows insert ascending and deletes
+        #: preserve order): a position is indexed at its first lookup and
+        #: maintained afterwards — exact sizes, paid only for positions
+        #: queries use.
         self.pos_index: dict[int, dict[Any, dict[int, None]]] = {}
 
     def live_count(self) -> int:
         return len(self.insts) - self.dead
+
+
+def _value_index(group: _ColumnGroup, position: int) -> dict[Any, dict[int, None]]:
+    """*group*'s value index of *position*, built from its live rows."""
+    index: dict[Any, dict[int, None]] = {}
+    col = group.cols[position]
+    for row, instance in enumerate(group.insts):
+        if instance is not None:
+            index.setdefault(col[row], {})[row] = None
+    return index
 
 
 def _promote(col: list):
@@ -393,7 +466,10 @@ class ColumnarStore(BaseStore):
     serial order — while scans run over contiguous columns and batched
     admits become column extends.  The extra machinery it carries
     (:meth:`scan` / :meth:`scan_count`) is the column-scan kernel target
-    of :func:`repro.core.plan.scan_spec`.
+    of :func:`repro.core.plan.scan_spec`.  Field indexes follow the same
+    rule as :class:`TupleStore`, position 0 included: a group's
+    ``pos_index`` gains a position at its first lookup, and admits,
+    removals and compaction maintain only the positions it holds.
     """
 
     __slots__ = ("groups", "rows", "compactions")
@@ -434,10 +510,8 @@ class ColumnarStore(BaseStore):
                 col.append(values[position])
                 cols[position] = col
         self.rows[instance.tid] = row
-        if self.indexed and group.arity:
-            group.head_index.setdefault(values[0], {})[row] = None
-            for position, index in group.pos_index.items():
-                index.setdefault(values[position], {})[row] = None
+        for position, index in group.pos_index.items():
+            index.setdefault(values[position], {})[row] = None
 
     def admit_many(self, instances: Iterable[TupleInstance]) -> None:
         """Vectorised batch admission: one column extend per field.
@@ -469,13 +543,11 @@ class ColumnarStore(BaseStore):
                     col = list(col)
                     col.extend(inst.values[position] for inst in batch)
                     cols[position] = col
-            if self.indexed and arity:
-                head_index = group.head_index
-                pos_index = group.pos_index
+            pos_index = group.pos_index
+            if pos_index:
                 for offset, instance in enumerate(batch):
                     row = base + offset
                     rows[instance.tid] = row
-                    head_index.setdefault(instance.values[0], {})[row] = None
                     for position, index in pos_index.items():
                         index.setdefault(instance.values[position], {})[row] = None
             else:
@@ -488,17 +560,12 @@ class ColumnarStore(BaseStore):
         group = self.groups[len(instance.values)]
         group.insts[row] = None
         group.dead += 1
-        if self.indexed and group.arity:
-            values = instance.values
-            bucket = group.head_index[values[0]]
+        values = instance.values
+        for position, index in group.pos_index.items():
+            bucket = index[values[position]]
             del bucket[row]
             if not bucket:
-                del group.head_index[values[0]]
-            for position, index in group.pos_index.items():
-                bucket = index[values[position]]
-                del bucket[row]
-                if not bucket:
-                    del index[values[position]]
+                del index[values[position]]
         if group.dead >= _COMPACT_MIN and group.dead * 2 >= len(group.insts):
             self._compact(group)
 
@@ -507,9 +574,9 @@ class ColumnarStore(BaseStore):
 
         Live rows keep their relative (ascending-serial) order, so every
         ordering invariant survives; the rebuilt columns are where list ->
-        ``array('q')`` promotion happens.  Previously-built lazy indexes
-        are rebuilt too (their rows renumbered), never discarded — a probe
-        that was cheap before compaction stays cheap after.
+        ``array('q')`` promotion happens.  Built indexes are rebuilt too
+        (their rows renumbered), never discarded — a probe that was cheap
+        before compaction stays cheap after.
         """
         live = [inst for inst in group.insts if inst is not None]
         group.insts = live
@@ -522,40 +589,21 @@ class ColumnarStore(BaseStore):
         rows = self.rows
         for row, instance in enumerate(live):
             rows[instance.tid] = row
-        if self.indexed and group.arity:
-            head_index: dict[Any, dict[int, None]] = {}
-            for row, instance in enumerate(live):
-                head_index.setdefault(instance.values[0], {})[row] = None
-            group.head_index = head_index
-            for position in list(group.pos_index):
-                index: dict[Any, dict[int, None]] = {}
-                for row, instance in enumerate(live):
-                    index.setdefault(instance.values[position], {})[row] = None
-                group.pos_index[position] = index
+        for position in group.pos_index:
+            group.pos_index[position] = _value_index(group, position)
         self.compactions += 1
 
     # -- indexes -------------------------------------------------------
-    def _position_index(
-        self, group: _ColumnGroup, position: int
-    ) -> dict[Any, dict[int, None]]:
-        """The (lazily built) value index of one position >= 1."""
+    @staticmethod
+    def _bucket_rows(
+        group: _ColumnGroup, position: int, value: Any
+    ) -> dict[int, None] | None:
+        """Live rows holding *value* at *position* (``None`` = empty
+        bucket), building the position's index at its first lookup."""
         index = group.pos_index.get(position)
         if index is None:
-            index = {}
-            col = group.cols[position]
-            for row, instance in enumerate(group.insts):
-                if instance is not None:
-                    index.setdefault(col[row], {})[row] = None
-            group.pos_index[position] = index
-        return index
-
-    def _bucket_rows(
-        self, group: _ColumnGroup, position: int, value: Any
-    ) -> dict[int, None] | None:
-        """Live rows holding *value* at *position* (``None`` = empty bucket)."""
-        if position == 0:
-            return group.head_index.get(value)
-        return self._position_index(group, position).get(value)
+            index = group.pos_index[position] = _value_index(group, position)
+        return index.get(value)
 
     # -- sizes and buckets ---------------------------------------------
     def arity_size(self, arity: int) -> int:
@@ -796,11 +844,11 @@ class ColumnarStore(BaseStore):
         for arity, group in self.groups.items():
             insts = group.insts
             for position in range(arity):
-                index = (
-                    group.head_index
-                    if position == 0
-                    else self._position_index(group, position)
-                )
+                # an unbuilt position is computed on the side, not built:
+                # inspection never changes what a write maintains
+                index = group.pos_index.get(position)
+                if index is None:
+                    index = _value_index(group, position)
                 for value, rows in index.items():
                     out[(arity, position, value)] = {
                         insts[row].tid: insts[row] for row in rows
@@ -821,8 +869,8 @@ class ColumnarStore(BaseStore):
             "rows": rows,
             "dead_rows": dead,
             "numeric_columns": numeric,
-            "lazy_indexes": sum(
-                len(group.pos_index) for group in self.groups.values()
+            "indexed_positions": _sorted_positions(
+                (arity, group.pos_index) for arity, group in self.groups.items()
             ),
             "compactions": self.compactions,
         }
@@ -1045,6 +1093,14 @@ def merge_serial_lists(parts: Iterable) -> list[TupleInstance]:
 def merge_by_serial(buckets: Iterable) -> list[TupleInstance]:
     """:func:`merge_serial_lists` over per-shard ``tid -> instance`` dicts."""
     return merge_serial_lists(bucket.values() for bucket in buckets)
+
+
+def _sorted_positions(built: Iterable) -> tuple[tuple[int, int], ...]:
+    """``stats()["indexed_positions"]``: the built ``(arity, position)``
+    indexes, sorted, from ``(arity, positions)`` pairs."""
+    return tuple(sorted(
+        (arity, position) for arity, positions in built for position in positions
+    ))
 
 
 def _delete_row(rows: list[TupleInstance], instance: TupleInstance) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.values import Identifier, check_value, value_repr
 from repro.errors import ArityError
@@ -85,9 +85,20 @@ class TupleInstance:
         return f"<{body}>{self.tid!r}"
 
 
-def make_tuple(values: tuple, serial: int, owner: int) -> TupleInstance:
-    """Validate *values* against the value domain and wrap them in an instance."""
-    checked = tuple(check_value(v) for v in values)
-    if not checked:
+#: Field types accepted on sight; any other type (a ``str`` or ``int``
+#: subclass, a nested tuple) goes through :func:`check_value`.
+_PLAIN = frozenset((str, int, float, bool))
+
+
+def make_tuple(values: Iterable[Any], serial: int, owner: int) -> TupleInstance:
+    """Validate *values* against the value domain and wrap them in an
+    instance.  A plain ``tuple`` is kept as it is, anything else iterable
+    is copied into one; an empty one raises :class:`ArityError`."""
+    if type(values) is not tuple:
+        values = tuple(values)
+    for value in values:
+        if type(value) not in _PLAIN:
+            check_value(value)
+    if not values:
         raise ArityError("SDL tuples must have at least one field")
-    return TupleInstance(TupleId(serial=serial, owner=owner), checked)
+    return TupleInstance(TupleId(serial, owner), values)

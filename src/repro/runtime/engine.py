@@ -622,11 +622,13 @@ class Engine:
                 o.gauge("sdl_wal_bytes", self.recovery.wal_bytes)
             if self.dataspace.store_kind == "columnar":
                 # Columnar layout health: total rows vs tombstones, how
-                # many columns earned array('q') promotion, lazy indexes
+                # many columns earned array('q') promotion, field indexes
                 # built, and compaction churn — summed across shards.
                 totals: dict[str, int] = {}
                 for store in self.dataspace.stores:
                     for key, value in store.stats().items():
+                        if key == "indexed_positions":
+                            value = len(value)
                         totals[key] = totals.get(key, 0) + value
                 for key, value in totals.items():
                     o.gauge(f"sdl_columnar_{key}", value)

@@ -158,8 +158,11 @@ class TestColumnLayout:
         assert stats["groups"] == 1 and stats["rows"] == 8
         assert set(stats) == {
             "groups", "rows", "dead_rows", "numeric_columns",
-            "lazy_indexes", "compactions",
+            "indexed_positions", "compactions",
         }
+        assert stats["indexed_positions"] == ()  # nothing probed yet
+        store.field_size(2, 1, 3)
+        assert store.stats()["indexed_positions"] == ((2, 1),)
 
 
 # ---------------------------------------------------------------------------

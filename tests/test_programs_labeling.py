@@ -111,7 +111,8 @@ class TestWorkerModel:
 
 def _counting_neighbor(monkeypatch, side):
     """Worker labeling of the ``side`` x ``side`` 3-blob image (layout and
-    engine seed 1), checked, and the number of ``neighbor`` calls."""
+    engine seed 1) on the planner path, checked, and the number of
+    ``neighbor`` calls."""
     from repro.core.expressions import fn
     from repro.programs import labeling
     from repro.workloads.images import neighbor
@@ -123,15 +124,17 @@ def _counting_neighbor(monkeypatch, side):
         return neighbor(p1, p2)
 
     monkeypatch.setattr(labeling, "_neighbor", fn(counting, "neighbor"))
-    out = run_worker_labeling(random_blob_image(side, side, blobs=3, seed=1), seed=1)
+    out = run_worker_labeling(
+        random_blob_image(side, side, blobs=3, seed=1), seed=1, plan="on"
+    )
     assert out.correct
     return out, calls[0]
 
 
 def _counting_community(monkeypatch, side):
     """Community labeling of the ``side`` x ``side`` 3-blob image (layout
-    and engine seed 1), checked, with the number of ``neighbor`` calls and
-    of ``Window.footprint`` reads."""
+    and engine seed 1) on the planner path, checked, with the number of
+    ``neighbor`` calls and of ``Window.footprint`` reads."""
     from repro.core.expressions import fn
     from repro.core.views import Window
     from repro.programs import labeling
@@ -154,7 +157,9 @@ def _counting_community(monkeypatch, side):
         fn(counting, "neighbor", enumerator=neighbors_of, domain=is_pixel),
     )
     monkeypatch.setattr(Window, "footprint", reading)
-    out = run_community_labeling(random_blob_image(side, side, blobs=3, seed=1), seed=1)
+    out = run_community_labeling(
+        random_blob_image(side, side, blobs=3, seed=1), seed=1, plan="on"
+    )
     assert out.correct
     return out, calls[0], reads[0]
 

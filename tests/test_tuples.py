@@ -1,11 +1,12 @@
 """Unit tests for tuple instances and identifiers (repro.core.tuples)."""
 
+import enum
 import pickle
 
 import pytest
 
 from repro.core.tuples import TupleId, make_tuple
-from repro.core.values import is_value
+from repro.core.values import Atom, is_value
 from repro.errors import ArityError, ValueDomainError
 
 
@@ -82,3 +83,47 @@ class TestMakeTuple:
         b = make_tuple(("year", 87), serial=2, owner=0)
         assert a.values == b.values
         assert a.tid != b.tid
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class TestMakeTupleValueDomain:
+    """``make_tuple`` accepts plain scalars on sight and sends every other
+    type through ``check_value``: it must accept and reject exactly what
+    ``is_value`` does, with the same error types."""
+
+    ACCEPTED = [
+        "s", 7, 2.5, True, Atom("year"), _Level.LOW, (1, ("x", 2.0)), (),
+    ]
+    REJECTED = [TupleId(1, 0), (1, TupleId(1, 0)), None, [1], {"k": 1}, {1}]
+
+    @pytest.mark.parametrize("value", ACCEPTED + REJECTED, ids=repr)
+    def test_agrees_with_is_value(self, value):
+        if is_value(value):
+            inst = make_tuple(("head", value), serial=1, owner=0)
+            assert inst.values[1] is value
+        else:
+            with pytest.raises(ValueDomainError):
+                make_tuple(("head", value), serial=1, owner=0)
+
+    def test_every_listed_value_is_where_it_belongs(self):
+        assert all(is_value(value) for value in self.ACCEPTED)
+        assert not any(is_value(value) for value in self.REJECTED)
+
+    def test_a_tuple_is_kept_and_other_iterables_are_copied(self):
+        values = ("year", 87)
+        assert make_tuple(values, serial=1, owner=0).values is values
+        listed = make_tuple(["year", 87], serial=2, owner=0)
+        assert type(listed.values) is tuple and listed.values == values
+        assert make_tuple(iter(values), serial=3, owner=0).values == values
+
+    def test_empty_rejected_whatever_its_type(self):
+        for empty in ((), [], iter(())):
+            with pytest.raises(ArityError):
+                make_tuple(empty, serial=1, owner=0)
+
+    def test_a_bad_field_is_reported_before_the_arity(self):
+        with pytest.raises(ValueDomainError):
+            make_tuple([None], serial=1, owner=0)

@@ -580,7 +580,9 @@ class TestEngineAudit:
     @pytest.mark.parametrize("shards", [None, 4])
     def test_community_labeling(self, audited, side, commit, expected, shards):
         image = random_blob_image(side, side, blobs=2, seed=side)
-        out = run_community_labeling(image, seed=3, commit=commit, shards=shards)
+        out = run_community_labeling(
+            image, seed=3, commit=commit, shards=shards, plan="on"
+        )
         assert out.correct
         result = out.result
         assert (result.commits, result.rounds, result.steps) == expected
