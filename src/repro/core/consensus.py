@@ -11,7 +11,7 @@ This module provides the pure pieces:
 * :func:`needs` — the pairwise overlap relation, computed on window
   footprints;
 * :func:`partition` — the closure: a union-find partition of a set of
-  processes into consensus sets, linear in total footprint size;
+  processes into consensus sets, linear in the distinct footprints' size;
 * :class:`ConsensusIndex` — the counted closure: the import-overlap
   components of the whole live society, kept from what changed, with a
   runner count each; a component with no runner is a consensus set ready
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.query import QueryResult
 from repro.core.transactions import Transaction
@@ -51,61 +51,49 @@ def needs(window_p: Window, window_q: Window) -> bool:
     return window_p.overlaps(window_q)
 
 
-class _UnionFind:
-    """Minimal union-find over arbitrary hashable keys."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self) -> None:
-        self.parent: dict[Any, Any] = {}
-
-    def find(self, key: Any) -> Any:
-        # Iterative with full path compression: a `needs`-chain of N
-        # processes produces parent chains of depth O(N), and the obvious
-        # recursive formulation hits Python's recursion limit near a
-        # thousand pids.
-        parent = self.parent
-        root = parent.setdefault(key, key)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[key] != root:
-            parent[key], key = root, parent[key]
-        return root
-
-    def union(self, a: Any, b: Any) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def partition(windows: Mapping[int, Window]) -> list[frozenset[int]]:
     """Partition pids into consensus sets via shared imported instances.
 
     Two processes are linked iff some live dataspace instance is in both
-    import footprints; consensus sets are the connected components.  Runs in
-    O(sum of footprint sizes) using a tuple-instance-keyed union-find rather
-    than O(P^2) pairwise tests.
+    import footprints; consensus sets are the connected components, in
+    the order of their first pid.  Each distinct window's footprint is
+    walked once, into a union-find over the windows that import anything:
+    the processes sharing one are linked through it.  So the cost is
+    O(P + the sizes of the distinct footprints), not O(P^2) pairwise tests.
     """
-    uf = _UnionFind()
-    tuple_rep: dict[TupleId, int] = {}
-    for pid, window in windows.items():
-        uf.find(pid)
-        for tid in window.footprint():
-            other = tuple_rep.get(tid)
-            if other is None:
-                tuple_rep[tid] = pid
-            else:
-                uf.union(other, pid)
+    parent: dict[Window, Window] = {}
+    owner: dict[TupleId, Window] = {}
+
+    def root(window: Window) -> Window:
+        # Iterative, halving the path: a ``needs``-chain of N windows can
+        # leave a parent chain O(N) deep.
+        while parent[window] is not window:
+            parent[window] = window = parent[parent[window]]
+        return window
+
+    for window in dict.fromkeys(windows.values()):
+        footprint = window.footprint()
+        if footprint:
+            parent[window] = window
+        for tid in footprint:
+            parent[root(window)] = root(owner.setdefault(tid, window))
     groups: dict[Any, set[int]] = {}
-    for pid in windows:
-        groups.setdefault(uf.find(pid), set()).add(pid)
+    for pid, window in windows.items():
+        groups.setdefault(root(window) if window in parent else pid, set()).add(pid)
     return [frozenset(g) for g in groups.values()]
 
 
-#: The pseudo-pid of the hub: every live process whose window imports all
-#: of D (an unrestricted import set) is linked to it while D is non-empty,
-#: and so is every restricted process importing anything.
-HUB = 0
+class _Node:
+    """One window of the live society: its tracked members, and its
+    footprint set (the window's own, read-only; the dataspace itself for
+    the full window).  It links its members iff that set was not empty
+    when the index last looked (``linked``)."""
+
+    __slots__ = ("window", "members", "seen", "linked")
+
+    def __init__(self, window: Window, seen: Any) -> None:
+        self.window, self.seen, self.linked = window, seen, False
+        self.members: set[int] = set()
 
 
 class _Component:
@@ -125,18 +113,19 @@ class ConsensusIndex:
 
     Built, in O(society), by :meth:`start` at the first park at a
     consensus point; before that it holds nothing and costs nothing.
-    From then on it tracks every live process:
+    From then on it tracks every live process, through its window:
 
-    * ``_seen`` — per restricted process, its window's footprint set (the
-      window's own, read-only), and ``_importers``, ``tid -> pids``
-      importing it, folded from each window's logged changes
-      (:meth:`Window.settle`), never from a copy or a diff;
-    * ``_hub`` — processes whose window imports all of D, linked through
-      the :data:`HUB` pseudo-pid;
+    * ``_nodes`` — per window, one per view instance, its member pids and
+      footprint set, and ``_importers``, ``tid -> nodes``, folded from each
+      window's logged changes (:meth:`Window.settle`), never from a copy
+      or a diff.  Every unrestricted window is the one full node (key
+      ``None``): while D is not empty it overlaps every node importing
+      anything, and no tid is filed under it;
     * ``_of`` — the component of every tracked pid, each with its runner
-      count.  An added shared tid merges two components; a dropped one
-      that may have been a bridge marks its component stale, unless one
-      hop shows the two sides still meet.
+      count.  A node links its members iff its footprint is not empty.
+      An added shared tid merges two components; a dropped one that may
+      have been a bridge marks its component stale, unless one hop shows
+      the two sides still meet.
 
     :meth:`sync` folds in only what changed: processes spawned since the
     last call (from the society's spawn count) and the windows the router
@@ -145,13 +134,13 @@ class ConsensusIndex:
     non-waiting process shares an instance with; :meth:`free_components`
     lists those in :func:`partition`'s order (earliest member in waiter
     order).  :meth:`park`, :meth:`unpark` and :meth:`forget` change one
-    count.
+    count, unless a window's last member leaves.
     """
 
     __slots__ = (
-        "started", "_society", "_window_of", "_dataspace", "_router",
-        "_windows", "_pids", "_seen", "_hub", "_hub_on", "_importers",
-        "_of", "_free", "_stale", "_checks", "_waiting", "_parks", "_spawned",
+        "started", "_society", "_window_of", "_dataspace", "_router", "_nodes",
+        "_node_of", "_importers", "_of", "_free", "_stale", "_checks",
+        "_waiting", "_parks", "_spawned",
     )
 
     def __init__(self) -> None:
@@ -160,25 +149,19 @@ class ConsensusIndex:
         self._window_of: Callable[[Any], Window] | None = None
         self._dataspace: Any = None
         self._router: WindowRouter | None = None
-        #: live tracked pid -> its window.
-        self._windows: dict[int, Window] = {}
-        #: restricted window -> its pid.
-        self._pids: dict[Window, int] = {}
-        self._seen: dict[int, set[TupleId]] = {}
-        self._hub: set[int] = set()
-        #: The hub links its members: some process imports all of D, and D
-        #: is not empty.
-        self._hub_on = False
-        self._importers: dict[TupleId, set[int]] = {}
+        #: window (``None``: every unrestricted one) -> its node.
+        self._nodes: dict[Window | None, _Node] = {}
+        self._node_of: dict[int, _Node] = {}
+        self._importers: dict[TupleId, set[_Node]] = {}
         self._of: dict[int, _Component] = {}
         #: Components with no runner.
         self._free: set[_Component] = set()
         #: Components that may have split (one lost an edge it may have
         #: needed): re-walked before anyone relies on their shape.
         self._stale: set[_Component] = set()
-        #: Edge losses to check once everything is folded: pids that must
+        #: Edge losses to check once everything is folded: nodes that must
         #: all still share a tid with the first (:meth:`_adjacent`).
-        self._checks: list[tuple[int, ...]] = []
+        self._checks: list[tuple[_Node, ...]] = []
         #: waiting pid -> its park number (waiter order).
         self._waiting: dict[int, int] = {}
         self._parks = 0
@@ -196,75 +179,64 @@ class ConsensusIndex:
         router.touched = {}
         self._spawned = society.total_spawned
         for process in society.live():
-            self._track(process.pid, window_of(process))
-        self._hub_on = bool(self._hub) and len(dataspace) > 0
-        self._rebuild()
+            self._join(process.pid, window_of(process))
         self.started = True
 
-    def _track(self, pid: int, window: Window) -> None:
-        """Index *pid*'s footprint.  A window whose refresh raises leaves
-        the index as it was."""
-        if window.view.imports is None:
-            self._hub.add(pid)
-        else:
-            window.watch()
-            footprint, __ = window.settle()
-            self._pids[window] = pid
-            self._seen[pid] = footprint
-            importers = self._importers
-            for tid in footprint:
-                holders = importers.get(tid)
-                if holders is None:
-                    importers[tid] = {pid}
-                else:
-                    holders.add(pid)
-        self._windows[pid] = window
+    def _join(self, pid: int, window: Window) -> None:
+        """Track *pid*, in its window's node.  A new restricted window is
+        settled first: one whose refresh raises leaves the index as it
+        was."""
+        key = None if window.view.imports is None else window
+        node = fresh = self._nodes.get(key)
+        if node is None:
+            seen = self._dataspace if key is None else window.settle()[0]
+            node = self._nodes[key] = _Node(window, seen)
+        comp = self._of[pid] = _Component({pid}, 0 if pid in self._waiting else 1)
+        self._recount(comp)
+        if node.linked:
+            self._merge(comp, self._of[next(iter(node.members))])
+        node.members.add(pid)
+        self._node_of[pid] = node
+        if fresh is None and key is not None:
+            self._relink(node, self._file(node, node.seen))
 
     def forget(self, pid: int) -> None:
-        """Drop *pid*, which finished or crashed: one count, and an edge
-        check on what it linked, made at the next :meth:`sync`."""
-        window = self._windows.pop(pid, None)
-        if window is None:
+        """Drop *pid*, which finished or crashed: one count, unless it was
+        its window's last member.  Then the node goes, and what it linked
+        is checked at the next :meth:`sync`."""
+        node = self._node_of.pop(pid, None)
+        if node is None:
             return
         comp = self._of.pop(pid)
         comp.members.discard(pid)
         if self._waiting.pop(pid, None) is None:
             comp.runners -= 1
-        if pid in self._hub:
-            self._hub.discard(pid)
-        else:
-            # Every tid the index may file under *pid*: the footprint set
-            # and the changes logged since the last fold.
-            log = window.unwatch()
-            del self._pids[window]
-            # Each tid's importers left behind are a clique: one of each
-            # stands for it, and the cliques must still meet.
-            stand_ins = set()
-            importers = self._importers
-            for tid in self._seen.pop(pid).union(log):
-                holders = importers.get(tid)
-                if holders is not None and pid in holders:
-                    holders.discard(pid)
-                    if holders:
-                        stand_ins.add(next(iter(holders)))
-                    else:
-                        del importers[tid]
-            if len(stand_ins) > 1 and not self._hub_on:
-                self._checks.append(tuple(stand_ins))
+        node.members.discard(pid)
+        if not node.members:
+            if node.seen is self._dataspace:
+                del self._nodes[None]
+                if node.linked:  # every linked node met through it
+                    self._stale.add(comp)
+            else:
+                del self._nodes[node.window]
+                # Every tid the index may file under the node: the
+                # footprint set and the changes logged since the last fold.
+                tids, node.seen = node.seen.union(node.window.unwatch()), ()
+                self._relink(node, self._file(node, tids))
         self._recount(comp)
 
     def pids(self) -> set[int]:
         """Every pid the index holds (bounded-memory checks)."""
-        out = set(self._windows) | set(self._of) | set(self._waiting)
-        for holders in self._importers.values():
-            out |= holders
-        out.discard(HUB)
+        out = set(self._node_of) | set(self._of) | set(self._waiting)
+        for node in {*self._nodes.values(), *(n for ns in self._importers.values() for n in ns)}:
+            out |= node.members
         return out
 
     def sizes(self) -> dict[str, int]:
         """How much each structure holds (bounded-memory checks)."""
         return {
-            "tracked": len(self._windows),
+            "tracked": len(self._node_of),
+            "nodes": len(self._nodes),
             "tids": len(self._importers),
             "components": len({id(comp) for comp in self._of.values()}),
             "free": len(self._free),
@@ -293,7 +265,7 @@ class ConsensusIndex:
             self._recount(comp)
 
     def _recount(self, comp: _Component) -> None:
-        if comp.runners == 0 and len(comp.members) > (HUB in comp.members):
+        if comp.runners == 0 and comp.members:
             self._free.add(comp)
         else:
             self._free.discard(comp)
@@ -316,9 +288,9 @@ class ConsensusIndex:
             router.catch_up()
             while touched:
                 window = next(iter(touched))
-                pid = self._pids.get(window)
-                if pid is not None:
-                    self._fold(pid, window)  # a raise leaves the window touched
+                node = self._nodes.get(window)
+                if node is not None:
+                    self._fold(node)  # a raise leaves the window touched
                 del touched[window]
             if self._spawned == society.total_spawned:
                 break
@@ -329,99 +301,97 @@ class ConsensusIndex:
                     self._join(pid, self._window_of(process))
                 self._spawned = pid
             # joining may have touched windows: fold again
-        hub_on = bool(self._hub) and len(self._dataspace) > 0
-        if hub_on != self._hub_on:
-            self._hub_on = hub_on
-            self._checks.clear()
-            self._rebuild()
-        elif self._checks:
-            # A pid gone since its check was recorded may have been the
-            # link: its component is re-walked.
-            of = self._of
-            for pids in self._checks:
-                alive = [pid for pid in pids if pid in of]
-                if alive and (len(alive) < len(pids) or not self._adjacent(alive)):
-                    self._stale.add(of[alive[0]])
-            self._checks.clear()
+        full = self._nodes.get(None)
+        if full is not None:
+            self._relink(full, ())
+        for nodes in self._checks:
+            # A node gone or emptied since its check was recorded may have
+            # been the link: its component is re-walked.
+            alive = [node for node in nodes if node.linked]
+            if alive and (len(alive) < len(nodes) or not self._adjacent(alive)):
+                self._stale.add(self._of[next(iter(alive[0].members))])
+        self._checks.clear()
         for comp in [c for c in self._stale if c.runners < len(c.members)]:
             self._split(comp)
 
-    def _join(self, pid: int, window: Window) -> None:
-        """Track *pid*, spawned since the last sync, as a runner."""
-        self._track(pid, window)
-        comp = self._of[pid] = _Component({pid}, 0 if pid in self._waiting else 1)
-        self._recount(comp)
-        if pid in self._hub:
-            if self._hub_on:
-                self._merge(comp, self._of[HUB])
-            # else the hub check at the end of the sync rebuilds, if need be
-            return
-        footprint = self._seen[pid]
-        for tid in footprint:
-            for other in self._importers[tid]:
-                if other != pid:
-                    self._merge(self._of[pid], self._of[other])
-                    break
-        if footprint and self._hub_on:
-            self._merge(self._of[pid], self._of[HUB])
-
-    def _fold(self, pid: int, window: Window) -> None:
-        """Fold one restricted window's footprint changes.  Each logged tid
-        is filed under *pid* iff it is in the footprint now; an add merges
-        components, and a drop that leaves other importers is an edge
-        loss to check."""
-        before = self._seen[pid]
-        footprint, log = window.settle()
+    def _fold(self, node: _Node) -> None:
+        """Fold one restricted window's footprint changes."""
+        before = node.seen
+        footprint, log = node.window.settle()
         if footprint is not before:  # re-materialised: a new set
-            self._seen[pid] = footprint
+            node.seen = footprint
             log = before.union(log, footprint)
-        if not log:
-            return
-        importers = self._importers
-        of = self._of
-        for tid in log:
+        if log:
+            stand_ins = self._file(node, log)
+            if stand_ins or bool(footprint) != node.linked:
+                self._relink(node, stand_ins)
+
+    def _relink(self, node: _Node, stand_ins: Iterable[_Node]) -> None:
+        """*node*'s footprint set was folded: one that emptied unlinks its
+        members, one that filled links them; the importers that dropped
+        tids left (*stand_ins*) must still meet."""
+        if not node.seen:
+            if node.linked:
+                self._unlink(node)
+                self._check(stand_ins)
+        elif not node.linked:
+            self._link(node)
+        elif stand_ins:
+            self._check((node, *stand_ins))
+
+    def _file(self, node: _Node, tids: Iterable[TupleId]) -> set[_Node]:
+        """File *node* under each of *tids* iff its footprint holds it.  A
+        tid it newly shares merges components; of the importers a dropped
+        tid leaves, a clique, one stands for all: the stand-ins are
+        returned."""
+        importers, of, footprint = self._importers, self._of, node.seen
+        member = next(iter(node.members), None)
+        stand_ins = set()
+        for tid in tids:
             holders = importers.get(tid)
             if tid in footprint:
                 if holders is None:
-                    importers[tid] = {pid}
-                elif pid not in holders:
-                    other = next(iter(holders))
-                    holders.add(pid)
-                    if of[other] is not of[pid]:
-                        self._merge(of[pid], of[other])
-            elif holders is not None and pid in holders:
-                holders.discard(pid)
-                if not holders:
+                    importers[tid] = {node}
+                elif node not in holders:
+                    other = of[next(iter(next(iter(holders)).members))]
+                    if of[member] is not other:
+                        self._merge(of[member], other)
+                    holders.add(node)
+            elif holders is not None and node in holders:
+                holders.discard(node)
+                if holders:
+                    stand_ins.add(next(iter(holders)))
+                else:
                     del importers[tid]
-                elif not self._hub_on:
-                    # the importers left are a clique: one stands for all
-                    self._checks.append((pid, next(iter(holders))))
-        if self._hub_on:  # linked to the hub iff it imports anything
-            if footprint and of[pid] is not of[HUB]:
-                self._merge(of[pid], of[HUB])
-            elif not footprint and of[pid] is of[HUB]:
-                self._detach_from_hub(pid)
+        return stand_ins
 
-    def _adjacent(self, pids: list[int]) -> bool:
-        """Does every pid of *pids* share a tid with the first?  One hop is
-        enough to keep two cliques that met through a lost edge together;
-        ``False`` means "maybe not"."""
-        pivot, pending = pids[0], set(pids[1:])
+    def _check(self, nodes: Any) -> None:
+        """Record that *nodes* must all still share a tid with the first,
+        unless the full node links them anyway."""
+        full = self._nodes.get(None)
+        if len(nodes) > 1 and (full is None or not full.linked):
+            self._checks.append(tuple(nodes))
+
+    def _adjacent(self, nodes: list[_Node]) -> bool:
+        """Does every node of *nodes* share a tid with the first?  One hop
+        is enough to keep two cliques that met through a lost edge
+        together; ``False`` means "maybe not"."""
+        pivot, pending = nodes[0], set(nodes[1:])
         pending.discard(pivot)
         importers = self._importers
-        for tid in self._seen.get(pivot, ()):
+        for tid in pivot.seen:
             if not pending:
                 break
             holders = importers[tid]
-            pending = {pid for pid in pending if pid not in holders}
+            pending = {node for node in pending if node not in holders}
         return not pending
 
     # ------------------------------------------------------------------
     # components
     # ------------------------------------------------------------------
-    def _merge(self, a: _Component, b: _Component) -> None:
+    def _merge(self, a: _Component, b: _Component) -> _Component:
         if a is b:
-            return
+            return a
         if len(a.members) < len(b.members):
             a, b = b, a
         a.members |= b.members
@@ -434,61 +404,64 @@ class ConsensusIndex:
             self._stale.discard(b)
             self._stale.add(a)
         self._recount(a)
+        return a
 
-    def _detach_from_hub(self, pid: int) -> None:
-        """Hub on: *pid* imports nothing now, so it is alone."""
-        comp = self._of[pid]
-        comp.members.discard(pid)
-        waiting = pid in self._waiting
-        if not waiting:
-            comp.runners -= 1
-        self._recount(comp)
-        alone = self._of[pid] = _Component({pid}, 0 if waiting else 1)
-        self._recount(alone)
+    def _link(self, node: _Node) -> None:
+        """*node* imports something now: one component holds its members,
+        with the full node's (every linked node's, for the full node).
+        Its tids were filed already (:meth:`_file`)."""
+        node.linked = True
+        full = self._nodes.get(None)
+        if node is full:  # it meets every linked node: none can split
+            others = [other for other in self._nodes.values() if other.linked]
+            self._checks.clear()
+            self._stale.clear()
+        else:
+            others = [full] if full is not None and full.linked else []
+        of = self._of
+        comp = of[next(iter(node.members))]
+        for pid in [*node.members, *(next(iter(other.members)) for other in others)]:
+            comp = self._merge(comp, of[pid])
 
-    def _rebuild(self) -> None:
-        """Every component from scratch (start, and the hub turning on or off)."""
-        self._of.clear()
-        self._free.clear()
-        self._stale.clear()
-        pids = list(self._windows)
-        if self._hub_on:
-            linked = {HUB} | self._hub | {pid for pid, fp in self._seen.items() if fp}
-            self._install(linked)
-            pids = [pid for pid in pids if pid not in linked]
-        self._walk(pids)
+    def _unlink(self, node: _Node) -> None:
+        """*node* imports nothing now: each of its members is alone."""
+        node.linked = False
+        of, waiting = self._of, self._waiting
+        for pid in node.members:
+            comp = of[pid]
+            comp.members.discard(pid)
+            comp.runners -= pid not in waiting
+            self._recount(comp)
+            self._install({pid})
 
     def _split(self, comp: _Component) -> None:
+        """Install the components *comp* may have split into (the full
+        node links nothing) by walking the importer index."""
         self._stale.discard(comp)
         self._free.discard(comp)
-        self._walk(list(comp.members))
-
-    def _walk(self, pids: list[int]) -> None:
-        """Install the components of *pids* (a union of components) by
-        walking the importer index."""
-        seen, importers = self._seen, self._importers
+        importers, node_of = self._importers, self._node_of
         done: set[int] = set()
-        for start in pids:
+        for start in comp.members:
             if start in done:
                 continue
-            members = {start}
-            expanded: set[TupleId] = set()
-            queue = [start]
-            for pid in queue:  # grows while walking
-                for tid in seen.get(pid, ()):
-                    if tid in expanded:
-                        continue
-                    expanded.add(tid)
-                    for other in importers[tid]:
-                        if other not in members:
-                            members.add(other)
-                            queue.append(other)
+            members, first = {start}, node_of[start]
+            queue = [first] if first.linked else []
+            reached, expanded = set(queue), set()
+            for node in queue:  # grows while walking
+                members |= node.members
+                for tid in node.seen:
+                    if tid not in expanded:
+                        expanded.add(tid)
+                        for other in importers[tid]:
+                            if other not in reached:
+                                reached.add(other)
+                                queue.append(other)
             done |= members
             self._install(members)
 
     def _install(self, members: set[int]) -> None:
         waiting = self._waiting
-        comp = _Component(members, sum(1 for m in members if m != HUB and m not in waiting))
+        comp = _Component(members, sum(1 for m in members if m not in waiting))
         of = self._of
         for member in members:
             of[member] = comp
@@ -500,10 +473,9 @@ class ConsensusIndex:
         the waiters, less the sets a runner shares an instance with."""
         waiting = self._waiting
         ordered = sorted(
-            (min(waiting[m] for m in comp.members if m != HUB), comp)
-            for comp in self._free
+            (min(waiting[m] for m in comp.members), comp) for comp in self._free
         )
-        return [frozenset(comp.members - {HUB}) for __, comp in ordered]
+        return [frozenset(comp.members) for __, comp in ordered]
 
     def has_free(self) -> bool:
         return bool(self._free)

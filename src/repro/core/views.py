@@ -406,7 +406,7 @@ class WindowStats:
 
 
 class Window:
-    """``W = Import(p) ∩ D`` for one process.
+    """``W = Import(p) ∩ D`` for one view instance, shared by its processes.
 
     The window exposes the same content-addressing surface as the dataspace
     (:meth:`candidates`, :meth:`find_matching`, :meth:`count_matching`).
@@ -422,9 +422,9 @@ class Window:
     """
 
     __slots__ = (
-        "dataspace", "view", "params", "stats", "planner",
+        "dataspace", "view", "params", "stats", "planner", "members",
         "_version", "_footprint", "_footprint_frozen", "_seeds",
-        "_router", "_inbox", "_support", "_named", "_log",
+        "_router", "_inbox", "_support", "_named", "_log", "_last",
     )
 
     def __init__(self, dataspace: Dataspace, view: View, params: dict[str, Any]) -> None:
@@ -437,6 +437,8 @@ class Window:
         #: this attribute, so a bare ``View.window(...)`` — e.g. the serial
         #: replay of ``validate_serial_equivalence`` — stays naive.
         self.planner = None
+        #: The processes sharing the window (the engine keeps the count).
+        self.members = 0
         #: The dataspace version the window is current at; ``None`` until
         #: the first refresh and whenever the window leaves the router.
         self._version: int | None = None
@@ -459,10 +461,12 @@ class Window:
         #: (:func:`_named_rules`), ``(key position, key set, NamedKeys)``;
         #: resolved at the first materialisation.
         self._named: dict[ViewRule, tuple] | None = None
-        #: While a consensus index watches the window (:meth:`watch`), the
-        #: tids whose footprint membership changed since its last
-        #: :meth:`settle`, oldest first; else ``None``.
+        #: While a consensus index watches the window (from its first
+        #: :meth:`settle`), the tids whose footprint membership changed
+        #: since the last one, oldest first; else ``None``.
         self._log: list[TupleId] | None = None
+        #: A shared window's last probe: ``(version, arity, probes, fetched, rows)``.
+        self._last: tuple = (None, None, None, 0, None)
 
     def refresh(self) -> "Window":
         """Bring the footprint to the dataspace's current version."""
@@ -678,12 +682,21 @@ class Window:
 
         An unrestricted window passes the dataspace's rows through, so the
         result may be a store bucket itself: read-only, valid until the
-        next mutation (``Dataspace.candidates_probed``).
+        next mutation (``Dataspace.candidates_probed``).  A shared window
+        answers a probe repeated at one version with the rows it returned.
         """
-        raw = self.dataspace.candidates_probed(arity, probes)
         if self.view.imports is None:
-            return raw
-        return self._imported(raw)
+            return self.dataspace.candidates_probed(arity, probes)
+        if self.members < 2:
+            return self._imported(self.dataspace.candidates_probed(arity, probes))
+        version, last = self.dataspace.version, self._last
+        if last[0] == version and last[1] == arity and last[2] == probes:
+            self.refresh()
+            self.stats.hits += last[3]
+            return last[4]
+        raw = self.dataspace.candidates_probed(arity, probes)
+        self._last = (version, arity, probes, len(raw), self._imported(raw))
+        return self._last[4]
 
     def find_matching(
         self, pat: Pattern, bound: Mapping[str, Any] | None = None
@@ -731,19 +744,16 @@ class Window:
             self._router.leave(self)
         self._footprint = self._footprint_frozen = None
 
-    def watch(self) -> None:
-        """Start logging footprint changes for :meth:`settle`."""
-        self._log = []
-
     def unwatch(self) -> list[TupleId]:
         """Stop logging; the changes logged since the last :meth:`settle`."""
         log, self._log = self._log or [], None
         return log
 
-    def settle(self) -> tuple[set[TupleId], list[TupleId]]:
-        """Refresh a restricted, watched window and return its footprint
-        set itself (read-only) and the tids whose membership changed since
-        the last call, oldest first.  A tid may repeat; its current
+    def settle(self) -> tuple[set[TupleId], list[TupleId] | None]:
+        """Refresh a restricted window, log its footprint changes from now
+        on, and return its footprint set itself (read-only) and the tids
+        whose membership changed since the last call, oldest first
+        (``None`` if it was not logging).  A tid may repeat; its current
         membership is the net change.  After a re-materialisation the
         footprint is a new set (and the log still names what changed in
         the old one)."""
@@ -849,7 +859,7 @@ def _typed(key: Any) -> Any:
     if kind is int or kind is str:
         return key
     if kind is tuple:
-        return tuple(_typed(part) for part in key)
+        return tuple(map(_typed, key))
     return (kind, key)
 
 

@@ -227,7 +227,7 @@ class _Society:
 
 
 rule_specs = st.tuples(st.sampled_from(("plain", "where")), st.sampled_from(KEYS))
-#: A view: one to three rules, or the unrestricted import set (the hub).
+#: A view: one to three rules, or the unrestricted import set (the full window).
 view_specs = st.one_of(st.lists(rule_specs, min_size=1, max_size=3), st.just("full"))
 ops = st.one_of(
     st.tuples(st.just("insert"), st.sampled_from(("t", "open")), st.sampled_from(KEYS)),
@@ -256,7 +256,7 @@ def _view(spec):
 @example(([[("plain", 0)], [("where", 0)]], [1]), [[("retract", "open", 0)]], True)
 # components come in waiter order, not pid order
 @example(([[("plain", 0)], [("plain", 1)]], [2, 1]), [], True)
-# the hub links everything that imports anything, until D is empty
+# the full window links everything that imports anything, until D is empty
 @example((["full", [("plain", 0)], "full"], [1, 3]), [[("run", 2, 0)], [("empty", 0, 0)]], True)
 # a bridge leaves: the component splits
 @example(
@@ -274,12 +274,12 @@ def test_index_matches_partition_and_scan(society, script, full):
     if full:
         ds.insert_many([(tag, key) for tag in ("t", "open") for key in KEYS])
     people = _Society()
-    hub = View.full().window(ds)  # shared, like the engine's unrestricted window
+    unrestricted = View.full().window(ds)  # shared, like the engine's unrestricted window
     windows = {}
 
     def spawn(spec):
         pid = people.spawn()
-        windows[pid] = hub if spec == "full" else _view(spec).window(ds)
+        windows[pid] = unrestricted if spec == "full" else _view(spec).window(ds)
         return pid
 
     for spec in views:
@@ -320,10 +320,122 @@ def test_index_matches_partition_and_scan(society, script, full):
                     index.park(what)
                 elif kind == "kill":
                     del people.alive[what]
-                    if windows[what] is not hub:
+                    if windows[what] is not unrestricted:
                         windows[what].detach()
                     index.forget(what)
                     witness.forget(what)
+        check()
+
+
+# ----------------------------------------------------------------------
+# one window per view instance against one window per process
+# ----------------------------------------------------------------------
+
+G = Var("g")
+SHARED = [
+    ProcessDefinition("Plain", params=("g",), imports=[P["t", G]]),
+    ProcessDefinition(
+        "Where", params=("g",),
+        imports=[import_rule("t", X, guard=(X == G), where=[P["open", X]])],
+    ),
+    ProcessDefinition("Open", params=("g",)),  # unrestricted: the full window
+]
+#: A small pool, so instances repeat; 1, 1.0 and True are three instances
+#: with equal footprints.
+instances = st.tuples(st.sampled_from(("Plain", "Where", "Open")), st.sampled_from((0, 1, 1.0, True)))
+shared_ops = st.one_of(
+    st.tuples(st.sampled_from(("insert", "retract")), st.sampled_from(("t", "open")), st.sampled_from((0, 1))),
+    st.tuples(st.sampled_from(("wait", "run", "finish", "crash")), st.integers(1, 9), st.just(0)),
+    st.tuples(st.just("spawn"), instances, st.just(0)),
+    st.tuples(st.just("empty"), st.just(0), st.just(0)),
+)
+
+
+@given(
+    st.lists(instances, min_size=2, max_size=6),
+    st.lists(st.integers(1, 6), unique=True),
+    st.lists(shared_ops, max_size=12),
+    st.booleans(),
+)
+# a shared footprint empties (two singletons) and fills again (one set)
+@example(
+    [("Plain", 0), ("Plain", 0)], [1, 2],
+    [("retract", "t", 0), ("insert", "t", 0)], True,
+)
+# unrestricted members link while D is not empty, and one runner holds all
+@example(
+    [("Open", 0), ("Open", 1), ("Plain", 0)], [1, 2],
+    [("empty", 0, 0), ("insert", "open", 1), ("run", 3, 0), ("insert", "t", 0)], False,
+)
+# a member that is not the last exits, then the last one
+@example(
+    [("Plain", 0), ("Plain", 0), ("Plain", 0)], [1, 2],
+    [("finish", 3, 0), ("finish", 1, 0), ("finish", 2, 0)], True,
+)
+# a member crashes and restarts as a runner of the same instance
+@example(
+    [("Where", 1), ("Where", 1), ("Plain", 1.0)], [1, 3],
+    [("crash", 2, 0), ("wait", 4, 0), ("retract", "open", 1)], True,
+)
+def test_shared_windows_match_windows_per_process(specs, waiting, script, full):
+    """The index over the engine's windows (one per view instance) names
+    the same free components, in the same order, as :func:`partition`
+    plus the runner scan over windows built fresh for every pid, after
+    every step; and it holds one node per distinct window."""
+    engine = Engine(definitions=SHARED)
+    ds, society = engine.dataspace, engine.society
+    if full:
+        ds.insert_many([(tag, key) for tag in ("t", "open") for key in (0, 1)])
+    for name, g in specs:
+        society.spawn(name, (g,))
+    order = [pid for pid in waiting if pid <= len(specs)]
+    index = ConsensusIndex()
+    index.start(society, engine.window, ds)
+    for pid in order:
+        index.park(pid)
+
+    def check():
+        index.sync()
+        live = society.live()
+        alive = {p.pid for p in live}
+        fresh = {p.pid: p.view.window(ds, p.params) for p in live}
+        try:
+            assert index.free_components() == _scratch(fresh, order, alive)
+        finally:
+            for window in fresh.values():
+                window.detach()
+        assert index.sizes()["nodes"] == len({id(engine.window(p)) for p in live})
+        assert index.pids() <= alive
+
+    check()
+    for kind, what, key in script:
+        if kind == "insert":
+            ds.insert((what, key))
+        elif kind == "retract":
+            found = ds.find_matching(P[what, key])
+            if found:
+                ds.retract(found[0].tid)
+        elif kind == "empty":
+            ds.retract_many([inst.tid for inst in ds.instances()])
+        elif kind == "spawn":
+            society.spawn(what[0], (what[1],))
+        elif society.find_live(what) is not None:
+            if what in order:  # the executor drops a waiter first
+                order.remove(what)
+                index.unpark(what)
+            if kind == "wait":
+                order.append(what)
+                index.park(what)
+            elif kind in ("finish", "crash"):
+                process = society.get(what)
+                if kind == "finish":
+                    society.mark_terminated(what, aborted=False)
+                else:
+                    society.mark_crashed(what)
+                engine.drop_window(process)
+                index.forget(what)
+                if kind == "crash":  # restarted with the same arguments
+                    society.spawn(process.name, tuple(process.params.values()))
         check()
 
 

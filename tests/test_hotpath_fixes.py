@@ -37,7 +37,7 @@ from repro.runtime.scheduler import Scheduler
 
 
 # ---------------------------------------------------------------------------
-# consensus.partition / _UnionFind: deep chains must not blow the stack
+# consensus.partition: deep union-find chains must not blow the stack
 # ---------------------------------------------------------------------------
 
 
@@ -65,7 +65,7 @@ class TestPartitionScale:
         # graft the current component root under a fresh seeder.  Unions
         # only ever touch the top of the parent chain, so path compression
         # never flattens it during construction; the final find() walks a
-        # chain ~N deep.  With the old recursive ``_UnionFind.find`` this
+        # chain ~N deep.  With a recursive union-find ``find`` this
         # construction raises RecursionError at ~1000 processes.
         n = 2500  # 2n + 1 = 5001 processes, chain depth ~n
         windows = {}

@@ -111,7 +111,7 @@ class TestWorkerModel:
 
 def _counting_neighbor(monkeypatch, side):
     """Worker labeling of the ``side`` x ``side`` 3-blob image (layout and
-    engine seed 1) on the planner path, checked, and the number of
+    engine seed 1), live on the planner path, checked, and the number of
     ``neighbor`` calls."""
     from repro.core.expressions import fn
     from repro.programs import labeling
@@ -125,7 +125,7 @@ def _counting_neighbor(monkeypatch, side):
 
     monkeypatch.setattr(labeling, "_neighbor", fn(counting, "neighbor"))
     out = run_worker_labeling(
-        random_blob_image(side, side, blobs=3, seed=1), seed=1, plan="on"
+        random_blob_image(side, side, blobs=3, seed=1), seed=1, plan="on", commit="live"
     )
     assert out.correct
     return out, calls[0]
@@ -133,7 +133,7 @@ def _counting_neighbor(monkeypatch, side):
 
 def _counting_community(monkeypatch, side):
     """Community labeling of the ``side`` x ``side`` 3-blob image (layout
-    and engine seed 1) on the planner path, checked, with the number of
+    and engine seed 1), live on the planner path, checked, with the number of
     ``neighbor`` calls and of ``Window.footprint`` reads."""
     from repro.core.expressions import fn
     from repro.core.views import Window
@@ -158,7 +158,7 @@ def _counting_community(monkeypatch, side):
     )
     monkeypatch.setattr(Window, "footprint", reading)
     out = run_community_labeling(
-        random_blob_image(side, side, blobs=3, seed=1), seed=1, plan="on"
+        random_blob_image(side, side, blobs=3, seed=1), seed=1, plan="on", commit="live"
     )
     assert out.correct
     return out, calls[0], reads[0]

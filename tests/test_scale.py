@@ -7,6 +7,7 @@ guardrails, not micro-benchmarks; they ensure the engine's data structures
 
 import time
 
+import pytest
 
 from repro.core.actions import assert_tuple
 from repro.core.expressions import Var
@@ -14,15 +15,34 @@ from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
 from repro.core.transactions import consensus, delayed, immediate
+from repro.core.views import WindowRouter
 from repro.programs import (
     run_community_labeling,
+    run_sum1,
     run_sum2,
     run_sum3,
     run_worker_labeling,
 )
 from repro.programs.summation import sum3_definition
+from repro.runtime import executor
 from repro.runtime.engine import Engine
+from repro.runtime.executor import Executor
 from repro.workloads import array_tuples, random_array, random_blob_image
+
+
+def _barrier_member() -> ProcessDefinition:
+    """E8's community member: arrive, then one consensus over the group."""
+    g = Var("g")
+    return ProcessDefinition(
+        "Member",
+        params=("g",),
+        imports=[P[g, ANY]],
+        exports=[P[g, ANY], P["done", ANY]],
+        body=[
+            immediate().then(assert_tuple(g, "arrived")),
+            consensus(exists().match(P[g, ANY])).then(assert_tuple("done", g)),
+        ],
+    )
 
 
 class TestThousandsOfProcesses:
@@ -77,19 +97,8 @@ class TestThousandsOfProcesses:
         assert large <= 3 * small, (large, small)
 
     def test_hundreds_of_consensus_communities(self):
-        g = Var("g")
-        member = ProcessDefinition(
-            "Member",
-            params=("g",),
-            imports=[P[g, ANY]],
-            exports=[P[g, ANY], P["done", ANY]],
-            body=[
-                immediate().then(assert_tuple(g, "arrived")),
-                consensus(exists().match(P[g, ANY])).then(assert_tuple("done", g)),
-            ],
-        )
         processes, communities = 400, 40
-        engine = Engine(definitions=[member], seed=2)
+        engine = Engine(definitions=[_barrier_member()], seed=2)
         for c in range(communities):
             engine.assert_tuples([(f"g{c}", "token")])
         for p in range(processes):
@@ -149,3 +158,79 @@ class TestThousandsOfProcesses:
         assert result.completed
         assert engine.dataspace.count_matching(P["served", ANY]) == n
         assert elapsed < 30
+
+
+class _Walked:
+    """A window whose footprint counts the tids iterated over it."""
+
+    def __init__(self, window, count):
+        self.window, self.count = window, count
+
+    def footprint(self):
+        return _Counted(self.window.footprint(), self.count)
+
+
+class _Counted:
+    def __init__(self, tids, count):
+        self.tids, self.count = tids, count
+
+    def __len__(self):
+        return len(self.tids)
+
+    def __iter__(self):
+        for tid in self.tids:
+            self.count[0] += 1
+            yield tid
+
+
+class TestOneWindowPerViewInstance:
+    """Counts, not time: processes of one view instance share one window,
+    one router membership and one consensus-index node."""
+
+    @pytest.mark.parametrize("processes", [64, 256])
+    def test_a_one_community_barrier_is_one_window(self, processes, monkeypatch):
+        """Every member of E8's barrier has the same view and parameter:
+        the run materialises one footprint, and when the consensus fires
+        the router holds one member and the index one node."""
+        at_fire = []
+        fire = Executor._fire_consensus
+
+        def recording(self, participants, effect):
+            members = WindowRouter.of(self.engine.dataspace).members
+            at_fire.append((len(participants), len(members), self.consensus_index.sizes()["nodes"]))
+            return fire(self, participants, effect)
+
+        monkeypatch.setattr(Executor, "_fire_consensus", recording)
+        engine = Engine(definitions=[_barrier_member()], seed=2)
+        engine.assert_tuples([("g0", "token")])
+        for __ in range(processes):
+            engine.start("Member", ("g0",))
+        result = engine.run()
+        assert result.completed and result.consensus_rounds == 1
+        assert at_fire == [(processes, 1, 1)]
+        assert engine.window_stats().footprint_recomputes == 1
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_sum1_confirmation_walks_each_footprint_once(self, n, monkeypatch):
+        """Sum1's processes all import D, through the one full window: the
+        partition confirming each fire walks D once, not once per process
+        (tids iterated <= |D| + P)."""
+        calls = []
+        partition = executor.partition
+
+        def counting(windows):
+            count, walked = [0], {}
+            groups = partition({
+                pid: walked.setdefault(id(window), _Walked(window, count))
+                for pid, window in windows.items()
+            })
+            dataspace = next(iter(windows.values())).dataspace
+            calls.append((count[0], len(dataspace) + len(windows)))
+            return groups
+
+        monkeypatch.setattr(executor, "partition", counting)
+        values = random_array(n, seed=1)
+        out = run_sum1(values, seed=1)
+        assert out.total == sum(values)
+        assert len(calls) == out.result.consensus_rounds > 0
+        assert all(walked <= bound for walked, bound in calls), calls

@@ -350,6 +350,59 @@ class TestRouting:
         assert_like_fresh([window, routed], ds)
         assert_like_fresh([routed], routed.dataspace)
 
+    def test_equal_parameters_of_different_types_get_their_own_windows(self):
+        """The engine keeps one window per view instance, its parameters
+        filed by type and value: ``Member(1)``, ``Member(1.0)`` and
+        ``Member(True)`` get three windows (a second ``Member(1)`` shares
+        the first's), and a guard that tells them apart decides as with
+        a window per process: each member takes the item of its type."""
+        g = Var("g")
+        same = lift(lambda x, g: type(x) is type(g) and x == g, "same")
+        member = ProcessDefinition(
+            "Member", params=("g",),
+            imports=[import_rule("item", X, guard=same(X, g))],
+            body=[immediate(exists(X).match(P["item", X].retract())).then(assert_tuple("got", g, X))],
+        )
+        engine = Engine(definitions=[member], seed=1)
+        engine.assert_tuples([("item", v) for v in (1, 1.0, True)])
+        members = [engine.start("Member", (v,)) for v in (1, 1.0, True, 1)]
+        windows = [engine.window(process) for process in members]
+        assert len({id(window) for window in windows}) == 3 and windows[3] is windows[0]
+        for process, window in zip(members, windows):
+            fresh = process.view.window(engine.dataspace, process.params)
+            assert window.footprint() == fresh.footprint() and len(fresh.footprint()) == 1
+            fresh.detach()
+        assert engine.run().completed
+        got = [inst.values[1:] for inst in engine.dataspace.find_matching(P["got", ANY, ANY])]
+        assert sorted(type(x).__name__ for x, y in got if type(x) is type(y)) == ["bool", "float", "int"]
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("insert"), st.sampled_from((0, 1, 1.0, True, 2))),
+        st.tuples(st.just("retract"), st.integers(0, 9)),
+        st.tuples(st.just("probe"), st.sampled_from(((), ((1, 1),), ((1, True),), ((1, 0),)))),
+    ), max_size=20))
+    @example([("probe", ((1, 1),)), ("insert", 1), ("probe", ((1, 1),)), ("probe", ((1, True),))])
+    def test_a_shared_window_answers_probes_as_its_own_would(self, steps):
+        """A window that processes share keeps its last probed rows for
+        the dataspace version: every probe, asked again or not, gets the
+        rows a window of its own gets, in order."""
+        ds = _space(("item", 0))
+        view = View(imports=[import_rule("item", X, guard=(X != 2))])
+        shared, own = view.window(ds, {}), view.window(ds, {})
+        shared.members = 2
+        for kind, what in steps:
+            if kind == "insert":
+                ds.insert(("item", what))
+            elif kind == "retract":
+                live = list(ds.instances())
+                if live:
+                    ds.retract(live[what % len(live)].tid)
+            else:
+                for __ in range(2):
+                    assert shared.candidates_probed(2, list(what)) == own.candidates_probed(2, list(what))
+        shared.detach()
+        own.detach()
+
     def test_raising_guard_raises_until_its_tuple_is_gone(self):
         ds = _space(("sup", 1))
         window = View(imports=[RAISING]).window(ds, {"p": 0})
