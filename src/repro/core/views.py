@@ -46,6 +46,7 @@ incrementality is observable from :class:`~repro.runtime.engine.RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -341,6 +342,18 @@ class View:
     def window(self, dataspace: Dataspace, params: Mapping[str, Any] | None = None) -> "Window":
         return Window(dataspace, self, dict(params or {}))
 
+    def instance_key(self, params: Mapping[str, Any]) -> Any:
+        """The view instance under *params*, whose window its processes
+        share: ``None`` for every unrestricted view (D), else the view and
+        the parameters by type and value (:func:`_typed`), or a key of its
+        own if a parameter has no hash."""
+        key = None if self.unrestricted else (self, _typed(tuple(params.items())))
+        try:
+            hash(key)
+        except TypeError:
+            return self, object()
+        return key
+
     def __repr__(self) -> str:
         if self.unrestricted:
             return "View(FULL)"
@@ -422,7 +435,7 @@ class Window:
     """
 
     __slots__ = (
-        "dataspace", "view", "params", "stats", "planner", "members",
+        "dataspace", "view", "params", "stats", "planner", "key",
         "_version", "_footprint", "_footprint_frozen", "_seeds",
         "_router", "_inbox", "_support", "_named", "_log", "_last",
     )
@@ -437,8 +450,8 @@ class Window:
         #: this attribute, so a bare ``View.window(...)`` — e.g. the serial
         #: replay of ``validate_serial_equivalence`` — stays naive.
         self.planner = None
-        #: The processes sharing the window (the engine keeps the count).
-        self.members = 0
+        #: The engine's key for the view instance (:meth:`View.instance_key`).
+        self.key = None
         #: The dataspace version the window is current at; ``None`` until
         #: the first refresh and whenever the window leaves the router.
         self._version: int | None = None
@@ -465,7 +478,7 @@ class Window:
         #: :meth:`settle`), the tids whose footprint membership changed
         #: since the last one, oldest first; else ``None``.
         self._log: list[TupleId] | None = None
-        #: A shared window's last probe: ``(version, arity, probes, fetched, rows)``.
+        #: The last probe: ``(version, arity, probes, store rows, rows)``.
         self._last: tuple = (None, None, None, 0, None)
 
     def refresh(self) -> "Window":
@@ -682,21 +695,22 @@ class Window:
 
         An unrestricted window passes the dataspace's rows through, so the
         result may be a store bucket itself: read-only, valid until the
-        next mutation (``Dataspace.candidates_probed``).  A shared window
-        answers a probe repeated at one version with the rows it returned.
+        next mutation (``Dataspace.candidates_probed``).  A restricted window
+        answers a probe repeated at one version as :meth:`_imported` did
+        (rows, refresh, hits), so its sharers fetch and filter once.
         """
         if self.view.imports is None:
             return self.dataspace.candidates_probed(arity, probes)
-        if self.members < 2:
-            return self._imported(self.dataspace.candidates_probed(arity, probes))
         version, last = self.dataspace.version, self._last
         if last[0] == version and last[1] == arity and last[2] == probes:
-            self.refresh()
-            self.stats.hits += last[3]
+            if last[3]:
+                self.refresh()
+                self.stats.hits += last[3]
             return last[4]
         raw = self.dataspace.candidates_probed(arity, probes)
-        self._last = (version, arity, probes, len(raw), self._imported(raw))
-        return self._last[4]
+        rows = self._imported(raw)
+        self._last = (version, arity, probes, len(raw), rows)
+        return rows
 
     def find_matching(
         self, pat: Pattern, bound: Mapping[str, Any] | None = None
@@ -851,16 +865,16 @@ def _guard_admits(
 
 
 def _typed(key: Any) -> Any:
-    """*key* as verdicts are filed under: by type and value, element-wise
-    through tuples, so ``1``, ``1.0`` and ``True`` (equal, one dict key)
-    each get the guard's own verdict.  ``int`` and ``str`` keys stand for
-    themselves."""
+    """*key* as verdicts and view instances are filed under: by type and
+    value (a float with its sign), element-wise through tuples, so ``1``,
+    ``1.0``, ``True`` and ``0.0``, ``-0.0`` each get the guard's own
+    verdict.  ``int`` and ``str`` keys stand for themselves."""
     kind = type(key)
     if kind is int or kind is str:
         return key
     if kind is tuple:
         return tuple(map(_typed, key))
-    return (kind, key)
+    return (kind, key, copysign(1.0, key)) if kind is float else (kind, key)
 
 
 def _key_filter(rule: ViewRule, params: Mapping[str, Any], seen: dict[Any, bool]):

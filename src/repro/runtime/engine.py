@@ -32,7 +32,7 @@ from repro.core.dataspace import Dataspace
 from repro.core.plan import QueryPlanner, resolve_plan_mode
 from repro.core.process import ProcessDefinition, ProcessInstance
 from repro.core.society import ProcessSociety
-from repro.core.views import Window, WindowStats, _typed
+from repro.core.views import Window, WindowStats
 from repro.errors import DeadlockError, EngineError, StepLimitExceeded
 from repro.obs import Observability, resolve_obs
 from repro.runtime.events import CheckpointTaken, ProcessCreated, ProcessRestarted, Trace
@@ -371,10 +371,10 @@ class Engine:
         self.executor = Executor(self)
         #: The unfinished tasks (a task leaves when it is done).
         self.tasks: dict[int, Task] = {}
-        #: pid -> its window, and the window of each view instance
-        #: (:func:`_instance_key`), which its processes share.
+        #: pid -> window; view instance (:meth:`View.instance_key`) -> window; window -> sharers.
         self._windows: dict[int, Window] = {}
         self._instances: dict[Any, Window] = {}
+        self._sharers: dict[Window, int] = {}
         self._window_stats = WindowStats()  # absorbed from dropped windows
         self.wal_dir = wal_dir
         self.recovery: DurableLog | None = None
@@ -759,24 +759,24 @@ class Engine:
     def window(self, process: ProcessInstance) -> Window:
         window = self._windows.get(process.pid)
         if window is None:
-            key = _instance_key(process)
+            view = process.view
+            key = view.instance_key(process.params)
             window = self._instances.get(key)
             if window is None:
                 params = None if key is None else process.params  # D reads none
-                window = self._instances[key] = process.view.window(self.dataspace, params)
-                window.planner = self.planner
-            window.members += 1
+                window = self._instances[key] = view.window(self.dataspace, params)
+                window.key, window.planner = key, self.planner
+            self._sharers[window] = self._sharers.get(window, 0) + 1
             self._windows[process.pid] = window
         return window
 
-    def drop_window(self, process: ProcessInstance) -> None:
-        """Forget a finished process's window; its last member detaches
-        it, keeping its counters."""
-        window = self._windows.pop(process.pid, None)
+    def drop_window(self, pid: int) -> None:
+        """Forget a finished process's window: its last sharer detaches it."""
+        window = self._windows.pop(pid, None)
         if window is not None:
-            window.members -= 1
-            if not window.members:
-                del self._instances[_instance_key(process)]
+            self._sharers[window] -= 1
+            if not self._sharers[window]:
+                del self._sharers[window], self._instances[window.key]
                 window.detach()
                 self._window_stats.absorb(window.stats)
 
@@ -787,16 +787,3 @@ class Engine:
         for window in self._instances.values():
             total.absorb(window.stats)
         return total
-
-
-def _instance_key(process: ProcessInstance) -> Any:
-    """The view and the parameters by type and value (``1``, ``1.0`` and
-    ``True`` are three instances); ``None`` for every unrestricted view,
-    whose window is D; the pid, too, for a parameter with no hash."""
-    view = process.view
-    key = None if view.unrestricted else (view, _typed(tuple(process.params.items())))
-    try:
-        hash(key)
-    except TypeError:
-        return view, process.pid
-    return key

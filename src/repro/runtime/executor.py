@@ -430,7 +430,7 @@ class Executor:
     def _process_finished(self, process: ProcessInstance, aborted: bool) -> None:
         engine = self.engine
         engine.society.mark_terminated(process.pid, aborted)
-        engine.drop_window(process)
+        engine.drop_window(process.pid)
         self._drop_waiter(process.pid)
         self._forget(process.pid)
         self.consensus_dirty = True  # a terminated process may unblock a set
@@ -485,7 +485,7 @@ class Executor:
         engine = self.engine
         self._detach_process(process.pid)
         engine.society.mark_crashed(process.pid)
-        engine.drop_window(process)
+        engine.drop_window(process.pid)
         self._forget(process.pid)
         engine.trace.emit(
             ProcessCrashed(

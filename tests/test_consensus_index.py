@@ -432,7 +432,7 @@ def test_shared_windows_match_windows_per_process(specs, waiting, script, full):
                     society.mark_terminated(what, aborted=False)
                 else:
                     society.mark_crashed(what)
-                engine.drop_window(process)
+                engine.drop_window(what)
                 index.forget(what)
                 if kind == "crash":  # restarted with the same arguments
                     society.spawn(process.name, tuple(process.params.values()))

@@ -24,6 +24,7 @@ E8 programs, each footprint the attempt reads.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -352,29 +353,52 @@ class TestRouting:
 
     def test_equal_parameters_of_different_types_get_their_own_windows(self):
         """The engine keeps one window per view instance, its parameters
-        filed by type and value: ``Member(1)``, ``Member(1.0)`` and
-        ``Member(True)`` get three windows (a second ``Member(1)`` shares
-        the first's), and a guard that tells them apart decides as with
-        a window per process: each member takes the item of its type."""
+        filed by type and value: ``Member(1)``, ``Member(1.0)``,
+        ``Member(True)``, ``Member(0.0)`` and ``Member(-0.0)`` get five
+        windows (a second ``Member(1)`` shares the first's), and a guard
+        that tells them apart decides as with a window per process: each
+        member takes the item of its type and sign."""
         g = Var("g")
-        same = lift(lambda x, g: type(x) is type(g) and x == g, "same")
+        same = lift(lambda x, g: type(x) is type(g) and repr(x) == repr(g), "same")
         member = ProcessDefinition(
             "Member", params=("g",),
             imports=[import_rule("item", X, guard=same(X, g))],
             body=[immediate(exists(X).match(P["item", X].retract())).then(assert_tuple("got", g, X))],
         )
+        values = (1, 1.0, True, 0.0, -0.0)
         engine = Engine(definitions=[member], seed=1)
-        engine.assert_tuples([("item", v) for v in (1, 1.0, True)])
-        members = [engine.start("Member", (v,)) for v in (1, 1.0, True, 1)]
+        engine.assert_tuples([("item", v) for v in values])
+        members = [engine.start("Member", (v,)) for v in (*values, 1)]
         windows = [engine.window(process) for process in members]
-        assert len({id(window) for window in windows}) == 3 and windows[3] is windows[0]
+        assert len({id(window) for window in windows}) == 5 and windows[5] is windows[0]
         for process, window in zip(members, windows):
             fresh = process.view.window(engine.dataspace, process.params)
             assert window.footprint() == fresh.footprint() and len(fresh.footprint()) == 1
             fresh.detach()
         assert engine.run().completed
         got = [inst.values[1:] for inst in engine.dataspace.find_matching(P["got", ANY, ANY])]
-        assert sorted(type(x).__name__ for x, y in got if type(x) is type(y)) == ["bool", "float", "int"]
+        assert sorted(repr(x) for x, y in got if repr(x) == repr(y)) == sorted(map(repr, values))
+        assert not engine._instances
+
+    def test_a_parameter_with_no_hash_gets_a_window_of_its_own(self):
+        """Two processes started with equal unhashable parameters get a
+        window each, run to completion, and leave no window behind."""
+        g = Var("g")
+        within = lift(lambda x, g: x in g, "within")
+        member = ProcessDefinition(
+            "Member", params=("g",),
+            imports=[import_rule("item", X, guard=within(X, g))],
+            body=[immediate(exists(X).match(P["item", X].retract())).then(assert_tuple("got", X))],
+        )
+        engine = Engine(definitions=[member], seed=1)
+        engine.assert_tuples([("item", 1), ("item", 1), ("item", 2)])
+        members = [engine.start("Member", ([1],)) for __ in range(2)]
+        first, second = (engine.window(process) for process in members)
+        assert first is not second and first.footprint() == second.footprint()
+        assert len(engine._instances) == 2
+        assert engine.run().completed
+        assert len(engine.dataspace.find_matching(P["got", 1])) == 2
+        assert not engine._instances and not engine._windows
 
     @given(st.lists(st.one_of(
         st.tuples(st.just("insert"), st.sampled_from((0, 1, 1.0, True, 2))),
@@ -383,23 +407,32 @@ class TestRouting:
     ), max_size=20))
     @example([("probe", ((1, 1),)), ("insert", 1), ("probe", ((1, 1),)), ("probe", ((1, True),))])
     def test_a_shared_window_answers_probes_as_its_own_would(self, steps):
-        """A window that processes share keeps its last probed rows for
-        the dataspace version: every probe, asked again or not, gets the
-        rows a window of its own gets, in order."""
+        """A restricted window keeps its last probed rows for the dataspace
+        version: every probe, asked again or not, gets the rows and counts
+        the refreshes and hits that filtering the store's rows gets, in
+        order."""
         ds = _space(("item", 0))
         view = View(imports=[import_rule("item", X, guard=(X != 2))])
         shared, own = view.window(ds, {}), view.window(ds, {})
-        shared.members = 2
-        for kind, what in steps:
-            if kind == "insert":
-                ds.insert(("item", what))
-            elif kind == "retract":
-                live = list(ds.instances())
-                if live:
-                    ds.retract(live[what % len(live)].tid)
-            else:
-                for __ in range(2):
-                    assert shared.candidates_probed(2, list(what)) == own.candidates_probed(2, list(what))
+        refreshes, refresh = {shared: 0, own: 0}, Window.refresh
+
+        def counted(window):
+            refreshes[window] += 1
+            return refresh(window)
+
+        with mock.patch.object(Window, "refresh", counted):
+            for kind, what in steps:
+                if kind == "insert":
+                    ds.insert(("item", what))
+                elif kind == "retract":
+                    live = list(ds.instances())
+                    if live:
+                        ds.retract(live[what % len(live)].tid)
+                else:
+                    for __ in range(2):
+                        rows = own._imported(ds.candidates_probed(2, list(what)))
+                        assert shared.candidates_probed(2, list(what)) == rows
+                assert refreshes[shared] == refreshes[own] and shared.stats == own.stats
         shared.detach()
         own.detach()
 
